@@ -1,10 +1,12 @@
 """Non-boosted, non-neural classifiers: multinomial logistic regression,
 Gaussian naive Bayes, CART decision trees, and a bootstrap random forest.
 
-Every fitted model follows the same contract: ``predict_proba`` maps a
-feature matrix (or all-numeric frame) to a row-stochastic C-column matrix and
-``predict`` takes the argmax, breaking ties toward the smallest class index.
-Models are immutable after fitting; prediction is pure.
+Each ``fit_*`` takes its family's frozen config, or that config's fields as
+keyword arguments. Every fitted model follows the same contract:
+``predict_proba`` maps a feature matrix (or all-numeric frame) to a
+row-stochastic C-column matrix and ``predict`` takes the argmax, breaking
+ties toward the smallest class index. Models are immutable after fitting;
+prediction is pure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .frame import Frame
+from .frame import Frame, training_arrays
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -46,16 +48,18 @@ class _PredictMixin:
         return self.predict_proba(X).argmax(axis=1)
 
 
-def _training_arrays(train: Frame) -> tuple[np.ndarray, np.ndarray, int]:
-    if train.target is None:
-        raise DataError("training frame needs an encoded target")
-    X = train.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("training frame has missing cells; impute first")
-    return X, train.labels, train.target.n_classes
-
-
 # ------------------------------------------------- logistic regression
+
+
+@dataclass(frozen=True)
+class LogregConfig:
+    l2: float = 1e-4
+    max_iter: int = 500
+    tol: float = 1e-6
+
+    def __post_init__(self):
+        if min(self.l2, self.max_iter, self.tol) < 0:
+            raise DataError("l2, max_iter and tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,18 +97,15 @@ def logreg_objective(W, b, X, Y, l2):
     return loss, X.T @ R + l2 * W, R.sum(axis=0)
 
 
-def fit_logreg(
-    train: Frame,
-    l2: float = 1e-4,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> LogisticModel:
+def fit_logreg(train: Frame, cfg: LogregConfig | None = None, **params) -> LogisticModel:
     """Full-batch gradient descent with Armijo backtracking line search.
 
     Stops when the gradient max-norm drops below ``tol`` (converged) or at
     ``max_iter``; the flag is recorded on the model.
     """
-    X, y, n_classes = _training_arrays(train)
+    cfg = cfg or LogregConfig(**params)
+    l2, max_iter, tol = cfg.l2, cfg.max_iter, cfg.tol
+    X, y, n_classes = training_arrays(train)
     n, d = X.shape
     Y = np.zeros((n, n_classes))
     Y[np.arange(n), y] = 1.0
@@ -147,6 +148,15 @@ def fit_logreg(
 
 
 @dataclass(frozen=True)
+class GnbConfig:
+    var_smoothing: float = 1e-9
+
+    def __post_init__(self):
+        if self.var_smoothing < 0:
+            raise DataError(f"var_smoothing must be >= 0, got {self.var_smoothing}")
+
+
+@dataclass(frozen=True)
 class GaussianNBModel(_PredictMixin):
     means: np.ndarray
     variances: np.ndarray
@@ -173,10 +183,11 @@ class GaussianNBModel(_PredictMixin):
         return softmax(scores)
 
 
-def fit_gnb(train: Frame, var_smoothing: float = 1e-9) -> GaussianNBModel:
+def fit_gnb(train: Frame, cfg: GnbConfig | None = None, **params) -> GaussianNBModel:
     """Per-class Gaussian likelihoods with a shared variance floor of
     ``var_smoothing`` times the largest overall feature variance."""
-    X, y, n_classes = _training_arrays(train)
+    var_smoothing = (cfg or GnbConfig(**params)).var_smoothing
+    X, y, n_classes = training_arrays(train)
     counts = np.bincount(y, minlength=n_classes)
     empty = [int(c) for c in np.nonzero(counts == 0)[0]]
     if empty:
@@ -191,6 +202,21 @@ def fit_gnb(train: Frame, var_smoothing: float = 1e-9) -> GaussianNBModel:
 
 
 # ------------------------------------------------------------ CART tree
+
+
+@dataclass(frozen=True)
+class TreeConfig:
+    max_depth: int | None = None
+    min_leaf: int = 1
+    criterion: str = "gini"
+
+    def __post_init__(self):
+        if self.max_depth is not None and self.max_depth < 1:
+            raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
+        if self.min_leaf < 1:
+            raise DataError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if self.criterion not in ("gini", "entropy"):
+            raise DataError(f"criterion must be gini or entropy, got {self.criterion!r}")
 
 
 @dataclass(frozen=True)
@@ -303,29 +329,38 @@ class TreeModel(_PredictMixin):
         return out
 
 
-def fit_tree(
-    train: Frame,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-    criterion: str = "gini",
-) -> TreeModel:
+def fit_tree(train: Frame, cfg: TreeConfig | None = None, **params) -> TreeModel:
     """Greedy CART over midpoints of sorted distinct values; splits only on a
     strict impurity decrease."""
-    if criterion not in ("gini", "entropy"):
-        raise DataError(f"criterion must be gini or entropy, got {criterion!r}")
-    if min_leaf < 1:
-        raise DataError(f"min_leaf must be >= 1, got {min_leaf}")
-    X, y, n_classes = _training_arrays(train)
+    cfg = cfg or TreeConfig(**params)
+    X, y, n_classes = training_arrays(train)
     d = X.shape[1]
     all_features = np.arange(d)
     root = _grow(
-        X, y, np.arange(len(X)), 0, n_classes, criterion, max_depth, min_leaf,
+        X, y, np.arange(len(X)), 0, n_classes, cfg.criterion, cfg.max_depth, cfg.min_leaf,
         lambda: all_features,
     )
     return TreeModel(root, n_classes, d)
 
 
 # --------------------------------------------------------- random forest
+
+
+@dataclass(frozen=True)
+class ForestConfig(TreeConfig):
+    """Tree settings plus the ensemble's; ``mtry`` <= d is checked at fit time."""
+
+    n_trees: int = 100
+    mtry: int | None = None
+    seed: int = 0
+    bootstrap: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_trees < 1:
+            raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.mtry is not None and self.mtry < 1:
+            raise DataError(f"mtry must be >= 1, got {self.mtry}")
 
 
 @dataclass(frozen=True)
@@ -342,34 +377,23 @@ class ForestModel(_PredictMixin):
         return out / len(self.trees)
 
 
-def fit_forest(
-    train: Frame,
-    n_trees: int = 100,
-    max_depth: int | None = None,
-    mtry: int | None = None,
-    seed: int = 0,
-    min_leaf: int = 1,
-    criterion: str = "gini",
-    bootstrap: bool = True,
-) -> ForestModel:
+def fit_forest(train: Frame, cfg: ForestConfig | None = None, **params) -> ForestModel:
     """Bootstrap forest of CART trees, each split drawn from ``mtry`` random
     features (default round(sqrt(d))). Per-tree seeds are pre-drawn, so any
     training schedule gives the same forest."""
-    if n_trees < 1:
-        raise DataError(f"n_trees must be >= 1, got {n_trees}")
-    X, y, n_classes = _training_arrays(train)
+    cfg = cfg or ForestConfig(**params)
+    X, y, n_classes = training_arrays(train)
     n, d = X.shape
-    if mtry is None:
-        mtry = max(1, int(round(np.sqrt(d))))
-    if not (1 <= mtry <= d):
+    mtry = max(1, int(round(np.sqrt(d)))) if cfg.mtry is None else cfg.mtry
+    if mtry > d:
         raise DataError(f"mtry must be in [1, {d}], got {mtry}")
 
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     trees = []
     all_features = np.arange(d)
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
 
         if mtry < d:
             def picker(r=rng):
@@ -378,6 +402,6 @@ def fit_forest(
             def picker():
                 return all_features
 
-        root = _grow(X, y, rows, 0, n_classes, criterion, max_depth, min_leaf, picker)
+        root = _grow(X, y, rows, 0, n_classes, cfg.criterion, cfg.max_depth, cfg.min_leaf, picker)
         trees.append(TreeModel(root, n_classes, d))
     return ForestModel(tuple(trees), n_classes, d)

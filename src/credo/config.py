@@ -4,16 +4,26 @@ Every validation failure names the offending key with a dotted path
 (e.g. ``config.smote.k_neighbors: expected an integer``) so a bad file
 can be fixed without reading source. ``resolve_config`` returns a fully
 defaulted plain dict, which downstream reports echo verbatim.
+
+Model params and the smote, lda and explainer sections are checked
+against the frozen config dataclasses that the code consumes: keys and
+types come from their fields, bounds from their ``__post_init__``, so each
+bound is stated once and a value that passes here is accepted downstream.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import typing
 
-from .errors import ConfigError
-from .neural import FEATURE_MODES
-from .zoo import MODEL_NAMES
+from .errors import ConfigError, DataError
+from .explain import LimeConfig, MorrisConfig
+from .frame import check_null_threshold
+from .lda import LdaConfig
+from .resample import SmoteConfig
+from .zoo import MODEL_FAMILIES, MODEL_NAMES
 
 __all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "resolve_config"]
 
@@ -67,13 +77,9 @@ def _as_int(v, path, minimum=None) -> int:
     return v
 
 
-def _as_number(v, path, minimum=None, maximum=None) -> float:
+def _as_number(v, path) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, "expected a number")
-    if minimum is not None and v < minimum:
-        _fail(path, f"must be at least {minimum}")
-    if maximum is not None and v > maximum:
-        _fail(path, f"must be at most {maximum}")
     return float(v)
 
 
@@ -85,109 +91,59 @@ def _as_string(v, path, choices=None) -> str:
     return v
 
 
-def _optional(checker):
-    def check(v, path, **kw):
-        return None if v is None else checker(v, path, **kw)
-
-    return check
-
-
-_opt_int = _optional(_as_int)
-_opt_number = _optional(_as_number)
+def _bounded(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a DataError reported against `path`."""
+    try:
+        return fn(*args, **kwargs)
+    except DataError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
-def _as_int_list(v, path, minimum=None) -> list[int]:
-    if not isinstance(v, list):
-        _fail(path, "expected a list of integers")
-    return [_as_int(x, f"{path}[{i}]", minimum) for i, x in enumerate(v)]
+_SCALARS = {bool: _as_bool, int: _as_int, float: _as_number, str: _as_string}
 
 
-# --------------------------------------------------------- model params
+def _value(hint, v, path):
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if v is None:
+            return None
+        (hint,) = [t for t in options if t is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, v, path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(v, list):
+            _fail(path, "expected a list")
+        return tuple(_value(typing.get_args(hint)[0], x, f"{path}[{i}]") for i, x in enumerate(v))
+    return _SCALARS[hint](v, path)
 
 
-def _check_model_params(name: str, params, path: str) -> dict:
-    params = _as_object(params, path)
-    if name == "logreg":
-        _check_keys(params, path, {"l2", "max_iter", "tol"})
-        if "l2" in params:
-            _as_number(params["l2"], f"{path}.l2", minimum=0)
-        if "max_iter" in params:
-            _as_int(params["max_iter"], f"{path}.max_iter", minimum=0)
-        if "tol" in params:
-            _as_number(params["tol"], f"{path}.tol", minimum=0)
-    elif name == "gnb":
-        _check_keys(params, path, {"var_smoothing"})
-        if "var_smoothing" in params:
-            _as_number(params["var_smoothing"], f"{path}.var_smoothing", minimum=0)
-    elif name in ("tree", "forest"):
-        allowed = {"max_depth", "min_leaf", "criterion"}
-        if name == "forest":
-            allowed |= {"n_trees", "mtry", "seed", "bootstrap"}
-        _check_keys(params, path, allowed)
-        if "max_depth" in params:
-            _opt_int(params["max_depth"], f"{path}.max_depth", minimum=1)
-        if "min_leaf" in params:
-            _as_int(params["min_leaf"], f"{path}.min_leaf", minimum=1)
-        if "criterion" in params:
-            _as_string(params["criterion"], f"{path}.criterion", choices=("gini", "entropy"))
-        if "n_trees" in params:
-            _as_int(params["n_trees"], f"{path}.n_trees", minimum=1)
-        if "mtry" in params:
-            _opt_int(params["mtry"], f"{path}.mtry", minimum=1)
-        if "seed" in params:
-            _as_int(params["seed"], f"{path}.seed")
-        if "bootstrap" in params:
-            _as_bool(params["bootstrap"], f"{path}.bootstrap")
-    elif name == "gbt":
-        _check_gbt_params(params, path)
-    elif name == "mlp":
-        _check_mlp_params(params, path)
-    elif name == "lda":
-        _check_keys(params, path, {"n_components", "ridge"})
-        if "n_components" in params:
-            _opt_int(params["n_components"], f"{path}.n_components", minimum=1)
-        if "ridge" in params:
-            _opt_number(params["ridge"], f"{path}.ridge", minimum=0)
-    elif name == "xgdnn":
-        _check_keys(params, path, {"gbt", "mlp", "feature_mode"})
-        _check_gbt_params(_as_object(params.get("gbt", {}), f"{path}.gbt"), f"{path}.gbt")
-        _check_mlp_params(_as_object(params.get("mlp", {}), f"{path}.mlp"), f"{path}.mlp")
-        if "feature_mode" in params:
-            _as_string(params["feature_mode"], f"{path}.feature_mode", choices=FEATURE_MODES)
-    return params
+def _build(cls, raw, path: str, extra=(), hidden=()):
+    """Construct dataclass `cls` from the JSON object `raw`.
+
+    Absent fields keep their defaults. Keys in `extra` are allowed but left
+    to the caller; fields in `hidden` are not settable from JSON. Each given
+    field is bounds-checked on its own first, so an error names its path.
+    """
+    raw = _as_object(raw, path)
+    fields = [f.name for f in dataclasses.fields(cls) if f.name not in hidden]
+    _check_keys(raw, path, {*fields, *extra})
+    hints = typing.get_type_hints(cls)
+    kwargs = {name: _value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
+    for name, value in kwargs.items():
+        _bounded(f"{path}.{name}", cls, **{name: value})
+    return _bounded(path, cls, **kwargs)
 
 
-def _check_gbt_params(params: dict, path: str):
-    _check_keys(
-        params,
-        path,
-        {"rounds", "learning_rate", "max_depth", "lam", "gamma", "min_child_weight", "seed"},
-    )
-    if "rounds" in params:
-        _as_int(params["rounds"], f"{path}.rounds", minimum=0)
-    if "learning_rate" in params:
-        _as_number(params["learning_rate"], f"{path}.learning_rate", minimum=0)
-    if "max_depth" in params:
-        _as_int(params["max_depth"], f"{path}.max_depth", minimum=1)
-    for key in ("lam", "gamma", "min_child_weight"):
-        if key in params:
-            _as_number(params[key], f"{path}.{key}", minimum=0)
-    if "seed" in params:
-        _as_int(params["seed"], f"{path}.seed")
+# ---------------------------------------------------------------- resolve
 
 
-def _check_mlp_params(params: dict, path: str):
-    _check_keys(params, path, {"hidden", "epochs", "batch_size", "learning_rate", "seed"})
-    if "hidden" in params:
-        _as_int_list(params["hidden"], f"{path}.hidden", minimum=1)
-    if "epochs" in params:
-        _as_int(params["epochs"], f"{path}.epochs", minimum=0)
-    if "batch_size" in params:
-        _as_int(params["batch_size"], f"{path}.batch_size", minimum=1)
-    if "learning_rate" in params:
-        _as_number(params["learning_rate"], f"{path}.learning_rate", minimum=0)
-    if "seed" in params:
-        _as_int(params["seed"], f"{path}.seed")
+def _section(cls, raw, path: str, hidden=(), **flags) -> dict:
+    """The settable fields of config dataclass `cls`, plus the section's
+    on/off `flags` (name=default), with every default filled."""
+    cfg = _build(cls, raw, path, flags, hidden)
+    out = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls) if f.name not in hidden}
+    out.update({name: _as_bool(raw.get(name, on), f"{path}.{name}") for name, on in flags.items()})
+    return out
 
 
 def _check_model_entry(entry, path: str) -> dict:
@@ -196,11 +152,9 @@ def _check_model_entry(entry, path: str) -> dict:
     if "name" not in entry:
         _fail(path, "missing required key 'name'")
     name = _as_string(entry["name"], f"{path}.name", choices=MODEL_NAMES)
-    params = _check_model_params(name, entry.get("params", {}), f"{path}.params")
+    params = entry.get("params", {})
+    _build(MODEL_FAMILIES[name][0], params, f"{path}.params")
     return {"name": name, "params": copy.deepcopy(params)}
-
-
-# ---------------------------------------------------------------- resolve
 
 
 _TOP_KEYS = {
@@ -235,27 +189,20 @@ def resolve_config(raw: dict) -> dict:
     out: dict = {
         "data": _as_string(raw["data"], "config.data"),
         "target": _as_string(raw["target"], "config.target"),
-        "null_threshold": _as_number(
-            raw.get("null_threshold", 0.5), "config.null_threshold", minimum=0, maximum=1
-        ),
+        "null_threshold": _as_number(raw.get("null_threshold", 0.5), "config.null_threshold"),
         "scaler": _as_string(raw.get("scaler", "zscore"), "config.scaler", choices=SCALER_MODES),
         "out_dir": _as_string(raw.get("out_dir", "credo_out"), "config.out_dir"),
     }
+    _bounded("config.null_threshold", check_null_threshold, out["null_threshold"])
 
-    smote = _as_object(raw.get("smote", {}), "config.smote")
-    _check_keys(smote, "config.smote", {"enabled", "k_neighbors", "seed", "before_split"})
-    out["smote"] = {
-        "enabled": _as_bool(smote.get("enabled", True), "config.smote.enabled"),
-        "k_neighbors": _as_int(smote.get("k_neighbors", 5), "config.smote.k_neighbors", minimum=1),
-        "seed": _as_int(smote.get("seed", 0), "config.smote.seed"),
-        "before_split": _as_bool(smote.get("before_split", False), "config.smote.before_split"),
-    }
+    out["smote"] = _section(
+        SmoteConfig, raw.get("smote", {}), "config.smote", hidden={"target_count"},
+        enabled=True, before_split=False,
+    )
 
     split = _as_object(raw.get("split", {}), "config.split")
     _check_keys(split, "config.split", {"train_fraction", "seed"})
-    fraction = _as_number(
-        split.get("train_fraction", 0.8), "config.split.train_fraction", minimum=0, maximum=1
-    )
+    fraction = _as_number(split.get("train_fraction", 0.8), "config.split.train_fraction")
     if not 0 < fraction < 1:
         _fail("config.split.train_fraction", "must lie strictly between 0 and 1")
     out["split"] = {
@@ -263,13 +210,7 @@ def resolve_config(raw: dict) -> dict:
         "seed": _as_int(split.get("seed", 7), "config.split.seed"),
     }
 
-    lda = _as_object(raw.get("lda", {}), "config.lda")
-    _check_keys(lda, "config.lda", {"enabled", "n_components", "ridge"})
-    out["lda"] = {
-        "enabled": _as_bool(lda.get("enabled", False), "config.lda.enabled"),
-        "n_components": _opt_int(lda.get("n_components"), "config.lda.n_components", minimum=1),
-        "ridge": _opt_number(lda.get("ridge"), "config.lda.ridge", minimum=0),
-    }
+    out["lda"] = _section(LdaConfig, raw.get("lda", {}), "config.lda", enabled=False)
 
     if "model" not in raw and "models" not in raw:
         _fail("config", "missing required key 'model' (or a 'models' list)")
@@ -301,37 +242,17 @@ def resolve_config(raw: dict) -> dict:
 
     explain = _as_object(raw.get("explain", {}), "config.explain")
     _check_keys(explain, "config.explain", {"lime_rows", "lime", "morris"})
-    lime = _as_object(explain.get("lime", {}), "config.explain.lime")
-    _check_keys(lime, "config.explain.lime", {"n_samples", "kernel_width", "n_features", "seed"})
-    morris = _as_object(explain.get("morris", {}), "config.explain.morris")
-    _check_keys(
-        morris, "config.explain.morris", {"enabled", "n_trajectories", "n_levels", "seed"}
-    )
+    lime_rows = explain.get("lime_rows", [])
+    if not isinstance(lime_rows, list):
+        _fail("config.explain.lime_rows", "expected a list of integers")
     out["explain"] = {
-        "lime_rows": _as_int_list(
-            explain.get("lime_rows", []), "config.explain.lime_rows", minimum=0
+        "lime_rows": [
+            _as_int(r, f"config.explain.lime_rows[{i}]", minimum=0) for i, r in enumerate(lime_rows)
+        ],
+        "lime": _section(LimeConfig, explain.get("lime", {}), "config.explain.lime"),
+        "morris": _section(
+            MorrisConfig, explain.get("morris", {}), "config.explain.morris", hidden={"step"},
+            enabled=False,
         ),
-        "lime": {
-            "n_samples": _as_int(
-                lime.get("n_samples", 5000), "config.explain.lime.n_samples", minimum=2
-            ),
-            "kernel_width": _opt_number(
-                lime.get("kernel_width"), "config.explain.lime.kernel_width", minimum=0
-            ),
-            "n_features": _opt_int(
-                lime.get("n_features"), "config.explain.lime.n_features", minimum=1
-            ),
-            "seed": _as_int(lime.get("seed", 0), "config.explain.lime.seed"),
-        },
-        "morris": {
-            "enabled": _as_bool(morris.get("enabled", False), "config.explain.morris.enabled"),
-            "n_trajectories": _as_int(
-                morris.get("n_trajectories", 20), "config.explain.morris.n_trajectories", minimum=2
-            ),
-            "n_levels": _as_int(
-                morris.get("n_levels", 4), "config.explain.morris.n_levels", minimum=2
-            ),
-            "seed": _as_int(morris.get("seed", 0), "config.explain.morris.seed"),
-        },
     }
     return out

@@ -315,8 +315,6 @@ def morris_screen(
     excluded = tuple(feature_names[i] for i in np.flatnonzero(width == 0))
 
     step = cfg.step if cfg.step is not None else cfg.n_levels / (2.0 * (cfg.n_levels - 1))
-    if not 0 < step <= 1:
-        raise DataError("step must lie in (0, 1]")
 
     def to_actual(unit_active: np.ndarray) -> np.ndarray:
         full = np.broadcast_to(ranges[:, 0], unit_active.shape[:-1] + (d,)).copy()

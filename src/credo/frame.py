@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,6 +200,16 @@ def numeric_frame(
     return Frame(tuple(names), cols, n, target)
 
 
+def training_arrays(train: Frame) -> tuple[np.ndarray, np.ndarray, int]:
+    """Feature matrix, labels and class count of an encoded, imputed frame."""
+    if train.target is None:
+        raise DataError("training frame needs an encoded target")
+    X = train.feature_matrix()
+    if np.isnan(X).any():
+        raise DataError("training frame has missing cells; impute first")
+    return X, train.labels, train.target.n_classes
+
+
 def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     """Load a CSV file, inferring numeric/categorical kinds per column.
 
@@ -259,13 +269,17 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     return Frame(tuple(header), tuple(columns), len(rows))
 
 
+def check_null_threshold(threshold: float) -> None:
+    if not (0 < threshold <= 1):
+        raise DataError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def drop_sparse_features(frame: Frame, threshold: float) -> Frame:
     """Drop every column whose null fraction strictly exceeds ``threshold``.
 
     A column at exactly the threshold is kept; column order is preserved.
     """
-    if not (0 < threshold <= 1):
-        raise DataError(f"threshold must be in (0, 1], got {threshold}")
+    check_null_threshold(threshold)
     keep = [i for i, c in enumerate(frame.columns) if c.null_fraction <= threshold]
     if not keep:
         raise DataError("all features sparse")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .frame import Frame
+from .frame import Frame, training_arrays
 from .baselines import as_matrix, softmax
 
 
@@ -200,14 +200,8 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     class absent from training saturates and contributes nothing further).
     """
     cfg = cfg or GbtConfig()
-    if train.target is None:
-        raise DataError("fit_gbt needs an encoded target")
-    X = train.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("training frame has missing cells; impute first")
-    y = train.labels
-    n, _ = X.shape
-    n_classes = train.target.n_classes
+    X, y, n_classes = training_arrays(train)
+    n = len(X)
     Y = np.zeros((n, n_classes))
     Y[np.arange(n), y] = 1.0
     priors = np.clip(np.bincount(y, minlength=n_classes) / n, 1e-15, None)

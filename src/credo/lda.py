@@ -73,17 +73,30 @@ def scatter_matrices(X: np.ndarray, y: np.ndarray, n_classes: int):
     return S_w, S_b, means, grand_mean, counts
 
 
-def fit_lda(train: Frame, n_components: int, ridge: float | None = None) -> ProjectionLDA:
+@dataclass(frozen=True)
+class LdaConfig:
+    n_components: int | None = None
+    ridge: float | None = None
+
+    def __post_init__(self):
+        if self.n_components is not None and self.n_components < 1:
+            raise DataError(f"n_components must be >= 1, got {self.n_components}")
+        if self.ridge is not None and self.ridge < 0:
+            raise DataError(f"ridge must be >= 0, got {self.ridge}")
+
+
+def fit_lda(
+    train: Frame, n_components: int | None = None, ridge: float | None = None
+) -> ProjectionLDA:
     """Fit the discriminant basis on an all-numeric labeled frame.
 
-    ``n_components`` is clamped to min(C-1, d) with a
+    ``n_components`` defaults to min(C-1, d) and is clamped to it with a
     :class:`LdaClampWarning`; ``ridge`` defaults to 1e-6 * trace(S_w)/d and
     must be positive whenever S_w is singular.
     """
+    LdaConfig(n_components, ridge)  # raises on out-of-bound values
     if train.target is None:
         raise DataError("fit_lda needs an encoded target")
-    if n_components < 1:
-        raise DataError(f"n_components must be >= 1, got {n_components}")
     X = train.feature_matrix()
     y = train.labels
     n_classes = train.target.n_classes
@@ -98,10 +111,10 @@ def fit_lda(train: Frame, n_components: int, ridge: float | None = None) -> Proj
     S_w, S_b, means, grand_mean, counts = scatter_matrices(X, y, n_classes)
     if ridge is None:
         ridge = 1e-6 * float(np.trace(S_w)) / d
-    if ridge < 0:
-        raise DataError(f"ridge must be >= 0, got {ridge}")
 
     cap = min(n_classes - 1, d)
+    if n_components is None:
+        n_components = cap
     m = min(n_components, cap)
     if n_components > cap:
         warnings.warn(

@@ -12,13 +12,13 @@ raw features), then fits the network head on those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import as_matrix, softmax
 from .errors import DataError, NumericError
-from .frame import Frame, numeric_frame
+from .frame import Frame, numeric_frame, training_arrays
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
 
 FEATURE_MODES = ("margins", "leaf_onehot", "margins_plus_raw")
@@ -33,6 +33,7 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))  # JSON gives a list
         if any(h < 1 for h in self.hidden):
             raise DataError(f"hidden sizes must be >= 1, got {self.hidden}")
         if self.epochs < 0:
@@ -41,6 +42,26 @@ class MlpConfig:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise DataError(f"learning_rate must be >= 0, got {self.learning_rate}")
+
+
+def _check_feature_mode(feature_mode: str):
+    if feature_mode not in FEATURE_MODES:
+        raise DataError(f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}")
+
+
+@dataclass(frozen=True)
+class XgdnnConfig:
+    gbt: GbtConfig = field(default_factory=GbtConfig)
+    mlp: MlpConfig = field(default_factory=MlpConfig)
+    feature_mode: str = "margins"
+
+    def __post_init__(self):
+        # JSON params give each stage's settings as an object
+        if isinstance(self.gbt, dict):
+            object.__setattr__(self, "gbt", GbtConfig(**self.gbt))
+        if isinstance(self.mlp, dict):
+            object.__setattr__(self, "mlp", MlpConfig(**self.mlp))
+        _check_feature_mode(self.feature_mode)
 
 
 @dataclass(frozen=True)
@@ -103,8 +124,8 @@ def mlp_gradients(weights, biases, X, Y):
     return loss, gW, gb
 
 
-def init_mlp(layer_sizes, seed: int) -> Mlp:
-    """He-uniform weights U(+-sqrt(6/fan_in)), zero biases."""
+def init_mlp(layer_sizes, seed: int | np.random.Generator) -> Mlp:
+    """He-uniform weights U(+-sqrt(6/fan_in)), zero biases; ``seed`` may be a Generator."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
@@ -116,24 +137,15 @@ def init_mlp(layer_sizes, seed: int) -> Mlp:
 
 def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
     cfg = cfg or MlpConfig()
-    if train.target is None:
-        raise DataError("fit_mlp needs an encoded target")
-    X = train.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("training frame has missing cells; impute first")
-    y = train.labels
+    X, y, n_classes = training_arrays(train)
     n, d = X.shape
-    n_classes = train.target.n_classes
     Y = np.zeros((n, n_classes))
     Y[np.arange(n), y] = 1.0
 
     sizes = (d, *cfg.hidden, n_classes)
-    rng = np.random.default_rng(cfg.seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    rng = np.random.default_rng(cfg.seed)  # initial weights, then the batch order
+    init = init_mlp(sizes, rng)
+    weights, biases = list(init.weights), list(init.biases)
 
     # Adam state, one slot per parameter array (weights then biases)
     params = weights + biases
@@ -182,8 +194,7 @@ class HybridXgDnn:
     head: Mlp
 
     def __post_init__(self):
-        if self.feature_mode not in FEATURE_MODES:
-            raise DataError(f"feature_mode must be one of {FEATURE_MODES}")
+        _check_feature_mode(self.feature_mode)
 
     @property
     def n_classes(self) -> int:

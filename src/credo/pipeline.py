@@ -1,15 +1,15 @@
 """Config-driven experiment orchestration.
 
-``run_pipeline`` executes load -> drop sparse -> impute -> encode ->
-split -> scale -> [balance] -> [reduce] -> fit -> evaluate -> [explain]
-on a resolved configuration, timing each stage, recording every warning
-with its stable code, and echoing the exact settings used.  ``cmd_run``
-adds the on-disk deliverables (report.json, metrics.csv, processed
-splits, a model archive, explanation files); ``cmd_compare`` runs each
-configured model with the discriminant reduction off and on and renders
-the results as one matrix; ``cmd_explain`` replays a stored archive
-against a CSV.  Any stage failure aborts with the stage name and cause,
-and files written by the failed invocation are removed.
+``prepare`` executes load -> drop sparse -> impute -> encode -> split ->
+scale -> [balance], and a cell runs [reduce] -> fit -> evaluate on its
+output. ``run_pipeline`` is preparation, one cell and [explain], timing each
+stage, recording every warning with its stable code, and echoing the exact
+settings used.  ``cmd_run`` adds the on-disk deliverables (report.json,
+metrics.csv, processed splits, a model archive, explanation files);
+``cmd_compare`` prepares once and renders each model with the discriminant
+reduction off and on as one matrix; ``cmd_explain`` replays a stored
+archive against a CSV.  Any stage failure aborts with the stage name and
+cause, and files written by the failed invocation are removed.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "cmd_compare",
     "cmd_explain",
     "cmd_run",
+    "prepare",
     "run_pipeline",
 ]
 
@@ -79,97 +80,127 @@ def _class_counts(frame: Frame) -> list[int]:
     return np.bincount(frame.labels, minlength=frame.target.n_classes).tolist()
 
 
+def _stage(timings: list[dict], name: str, fn):
+    """Run one named stage, recording its wall time or wrapping its failure."""
+    t0 = time.perf_counter()
+    try:
+        result = fn()
+    except Exception as e:
+        raise PipelineError(name, e) from e
+    timings.append({"stage": name, "seconds": time.perf_counter() - t0})
+    return result
+
+
+def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
+    """Load -> drop sparse -> impute -> encode -> [smote] -> split -> scale
+    -> [smote]. Returns the model-ready train and test frames and the
+    report's preprocessing accounting; no intermediate frame is kept."""
+    target = cfg["target"]
+
+    def load():
+        frame = load_csv(cfg["data"], schema_hints={target: "categorical"})
+        mask = frame.column(target).missing_mask
+        if mask.any():
+            frame = frame.select_rows(np.flatnonzero(~mask))
+        return frame, int(mask.sum())
+
+    frame, dropped_rows = _stage(timings, "load", load)
+    n_loaded = frame.n_rows
+
+    before_names = frame.column_names
+    frame = _stage(timings, "drop_sparse", lambda: drop_sparse_features(frame, cfg["null_threshold"]))
+    dropped_columns = [n for n in before_names if n not in frame.column_names]
+
+    frame = _stage(timings, "impute", lambda: impute(frame))
+    frame = _stage(timings, "encode", lambda: encode(frame, target))
+
+    smote_cfg = cfg["smote"]
+    smote_path = "disabled"
+    if smote_cfg["enabled"]:
+        smote_path = "before_split" if smote_cfg["before_split"] else "after_split"
+    counts: list[list[int]] = []  # class counts before and after oversampling
+
+    def balance(f: Frame, when: str) -> Frame:
+        if when != smote_path:
+            return f
+        counts.append(_class_counts(f))
+        f = _stage(
+            timings, "smote", lambda: smote(f, SmoteConfig(smote_cfg["k_neighbors"], smote_cfg["seed"]))
+        )
+        counts.append(_class_counts(f))
+        return f
+
+    frame = balance(frame, "before_split")
+    train, test = _stage(
+        timings, "split", lambda: split(frame, cfg["split"]["train_fraction"], cfg["split"]["seed"])
+    )
+
+    if cfg["scaler"] != "none":
+        def scale():
+            params = fit_scaler(train, cfg["scaler"])
+            return apply_scaler(train, params), apply_scaler(test, params)
+
+        train, test = _stage(timings, "scale", scale)
+
+    train = balance(train, "after_split")
+    counts_before, counts_after = counts or [_class_counts(train)] * 2
+
+    return train, test, {
+        "rows": {
+            "loaded": n_loaded,
+            "dropped_missing_target": dropped_rows,
+            "train": train.n_rows,
+            "test": test.n_rows,
+        },
+        "columns_dropped": dropped_columns,
+        "scaler": cfg["scaler"],
+        "smote": {
+            "path": smote_path,
+            "class_counts_before": counts_before,
+            "class_counts_after": counts_after,
+        },
+        "class_names": list(train.target.class_names),
+    }
+
+
+def _reduce(train: Frame, test: Frame, lda_cfg: dict, timings: list[dict]):
+    """Fit the discriminant projection on train; project both splits."""
+    def project():
+        projection = fit_lda(train, lda_cfg["n_components"], lda_cfg["ridge"])
+        return projection, transform_lda(projection, train), transform_lda(projection, test)
+
+    return _stage(timings, "lda", project)
+
+
+def _fit_and_score(train: Frame, test: Frame, model_cfg: dict, timings: list[dict]):
+    """One model: fit on train, then score its test-split probabilities."""
+    model = _stage(timings, "fit", lambda: fit_model(model_cfg["name"], train, model_cfg["params"]))
+
+    def score():
+        proba = np.asarray(model.predict_proba(test.feature_matrix()), dtype=float)
+        pred = np.argmax(proba, axis=1)
+        return proba, evaluate(test.labels, pred, proba, test.target.n_classes)
+
+    proba, metric_report = _stage(timings, "evaluate", score)
+    return model, proba, metric_report
+
+
 def run_pipeline(cfg: dict) -> RunOutcome:
     """Execute one resolved configuration end to end, nothing written."""
     timings: list[dict] = []
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as e:
-            raise PipelineError(name, e) from e
-        timings.append({"stage": name, "seconds": time.perf_counter() - t0})
-        return result
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-
-        def load():
-            frame = load_csv(cfg["data"])
-            mask = frame.column(cfg["target"]).missing_mask
-            if mask.any():
-                frame = frame.select_rows(np.flatnonzero(~mask))
-            return frame, int(mask.sum())
-
-        frame, dropped_rows = stage("load", load)
-        n_loaded = frame.n_rows
-
-        before_names = frame.column_names
-        frame = stage("drop_sparse", lambda: drop_sparse_features(frame, cfg["null_threshold"]))
-        dropped_columns = [n for n in before_names if n not in frame.column_names]
-
-        frame = stage("impute", lambda: impute(frame))
-        frame = stage("encode", lambda: encode(frame, cfg["target"]))
-        class_names = list(frame.target.class_names)
-
-        smote_cfg = cfg["smote"]
-        smote_path = "disabled"
-        counts_before = counts_after = None
-        if smote_cfg["enabled"] and smote_cfg["before_split"]:
-            smote_path = "before_split"
-            counts_before = _class_counts(frame)
-            frame = stage(
-                "smote",
-                lambda: smote(frame, SmoteConfig(smote_cfg["k_neighbors"], smote_cfg["seed"])),
-            )
-            counts_after = _class_counts(frame)
-
-        train, test = stage(
-            "split", lambda: split(frame, cfg["split"]["train_fraction"], cfg["split"]["seed"])
-        )
-
-        if cfg["scaler"] != "none":
-            def scale():
-                params = fit_scaler(train, cfg["scaler"])
-                return apply_scaler(train, params), apply_scaler(test, params)
-
-            train, test = stage("scale", scale)
-
-        if smote_cfg["enabled"] and not smote_cfg["before_split"]:
-            smote_path = "after_split"
-            counts_before = _class_counts(train)
-            train = stage(
-                "smote",
-                lambda: smote(train, SmoteConfig(smote_cfg["k_neighbors"], smote_cfg["seed"])),
-            )
-            counts_after = _class_counts(train)
-        if counts_before is None:
-            counts_before = counts_after = _class_counts(train)
+        train, test, preprocessing = prepare(cfg, timings)
 
         lda_cfg = cfg["lda"]
         lda_summary = {"enabled": lda_cfg["enabled"], "n_components_requested": None, "n_components_used": None}
         if lda_cfg["enabled"]:
-            cap = max(1, min(train.target.n_classes - 1, len(train.column_names)))
-            requested = lda_cfg["n_components"] if lda_cfg["n_components"] is not None else cap
-
-            def project():
-                projection = fit_lda(train, requested, lda_cfg["ridge"])
-                return projection, transform_lda(projection, train), transform_lda(projection, test)
-
-            projection, train, test = stage("lda", project)
-            lda_summary["n_components_requested"] = requested
+            projection, train, test = _reduce(train, test, lda_cfg, timings)
+            lda_summary["n_components_requested"] = projection.n_requested
             lda_summary["n_components_used"] = projection.n_components
 
-        model_cfg = cfg["model"]
-        model = stage("fit", lambda: fit_model(model_cfg["name"], train, model_cfg["params"]))
-
-        def score():
-            proba = np.asarray(model.predict_proba(test.feature_matrix()), dtype=float)
-            pred = np.argmax(proba, axis=1)
-            return proba, evaluate(test.labels, pred, proba, test.target.n_classes)
-
-        proba, metric_report = stage("evaluate", score)
+        model, proba, metric_report = _fit_and_score(train, test, cfg["model"], timings)
 
         explain_cfg = cfg["explain"]
         lime_explanations: list = []
@@ -196,17 +227,13 @@ def run_pipeline(cfg: dict) -> RunOutcome:
                 if explain_cfg["morris"]["enabled"]:
                     X_train = train.feature_matrix()
                     ranges = np.column_stack([X_train.min(axis=0), X_train.max(axis=0)])
-                    morris_conf = MorrisConfig(
-                        n_trajectories=explain_cfg["morris"]["n_trajectories"],
-                        n_levels=explain_cfg["morris"]["n_levels"],
-                        seed=explain_cfg["morris"]["seed"],
-                    )
+                    morris = {k: v for k, v in explain_cfg["morris"].items() if k != "enabled"}
                     screening = morris_screen(
-                        model, ranges, cfg=morris_conf, feature_names=train.column_names
+                        model, ranges, cfg=MorrisConfig(**morris), feature_names=train.column_names
                     )
                 return lime_out, screening
 
-            lime_explanations, morris_screening = stage("explain", explain)
+            lime_explanations, morris_screening = _stage(timings, "explain", explain)
 
     warning_entries = [
         {
@@ -219,21 +246,8 @@ def run_pipeline(cfg: dict) -> RunOutcome:
     report = {
         "config": cfg,
         "preprocessing": {
-            "rows": {
-                "loaded": n_loaded,
-                "dropped_missing_target": dropped_rows,
-                "train": train.n_rows,
-                "test": test.n_rows,
-            },
-            "columns_dropped": dropped_columns,
-            "scaler": cfg["scaler"],
-            "smote": {
-                "path": smote_path,
-                "class_counts_before": counts_before,
-                "class_counts_after": counts_after,
-            },
+            **preprocessing,
             "lda": lda_summary,
-            "class_names": class_names,
             "feature_names": list(train.column_names),
         },
         "metrics": {
@@ -283,40 +297,23 @@ def _frame_csv(frame: Frame, target_name: str) -> str:
     return buf.getvalue()
 
 
-def cmd_run(cfg: dict) -> tuple[RunOutcome, Path]:
-    """Run one configuration and write its deliverables under out_dir."""
-    outcome = run_pipeline(cfg)
-    out = Path(cfg["out_dir"])
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(outputs) -> None:
+    """Write each (path, text or writer function) in order, rendering lazily
+    if `outputs` is a generator. If one fails, remove what the earlier ones
+    created and raise a 'write' stage error."""
     created: list[Path] = []
-
-    def emit(path: Path, text: str):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        created.append(path)
-
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        emit(out / "report.json", json.dumps(outcome.report, indent=2, sort_keys=True) + "\n")
-        emit(out / "metrics.csv", _metrics_csv(outcome))
-        emit(out / "processed_train.csv", _frame_csv(outcome.train, cfg["target"]))
-        emit(out / "processed_test.csv", _frame_csv(outcome.test, cfg["target"]))
-        model_dir = out / "model"
-        save_model(
-            outcome.model,
-            model_dir,
-            feature_names=outcome.train.column_names,
-            class_names=outcome.train.target.class_names,
-            target_name=cfg["target"],
-        )
-        created.append(model_dir)
-        for e in outcome.lime_explanations:
-            emit(out / "explanations" / f"lime_row{e.row_index}.json",
-                 json.dumps(e.to_dict(), indent=2, sort_keys=True) + "\n")
-            emit(out / "explanations" / f"lime_row{e.row_index}.csv", explanation_to_csv(e))
-        if outcome.morris_screening is not None:
-            emit(out / "explanations" / "morris.json",
-                 json.dumps(outcome.morris_screening.to_dict(), indent=2, sort_keys=True) + "\n")
-            emit(out / "explanations" / "morris.csv", explanation_to_csv(outcome.morris_screening))
+        for path, content in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content)
+            created.append(path)
     except Exception as e:
         for path in reversed(created):
             if path.is_dir():
@@ -324,6 +321,35 @@ def cmd_run(cfg: dict) -> tuple[RunOutcome, Path]:
             else:
                 path.unlink(missing_ok=True)
         raise PipelineError("write", e) from e
+
+
+def _run_outputs(outcome: RunOutcome, out: Path):
+    """The deliverables of a run, one (path, text or writer) at a time."""
+    target = outcome.config["target"]
+    yield out / "report.json", _json(outcome.report)
+    yield out / "metrics.csv", _metrics_csv(outcome)
+    yield out / "processed_train.csv", _frame_csv(outcome.train, target)
+    yield out / "processed_test.csv", _frame_csv(outcome.test, target)
+    yield out / "model", lambda path: save_model(
+        outcome.model,
+        path,
+        feature_names=outcome.train.column_names,
+        class_names=outcome.train.target.class_names,
+        target_name=target,
+    )
+    for e in outcome.lime_explanations:
+        yield out / "explanations" / f"lime_row{e.row_index}.json", _json(e.to_dict())
+        yield out / "explanations" / f"lime_row{e.row_index}.csv", explanation_to_csv(e)
+    if outcome.morris_screening is not None:
+        yield out / "explanations" / "morris.json", _json(outcome.morris_screening.to_dict())
+        yield out / "explanations" / "morris.csv", explanation_to_csv(outcome.morris_screening)
+
+
+def cmd_run(cfg: dict) -> tuple[RunOutcome, Path]:
+    """Run one configuration and write its deliverables under out_dir."""
+    outcome = run_pipeline(cfg)
+    out = Path(cfg["out_dir"])
+    _write_outputs(_run_outputs(outcome, out))
     return outcome, out
 
 
@@ -395,38 +421,40 @@ class ComparisonTable:
 
 
 def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
-    """Run every configured model with the reduction off and on."""
-    rows = []
-    for with_lda in (False, True):
-        for entry in cfg["models"]:
-            cell_cfg = json.loads(json.dumps(cfg))
-            cell_cfg["model"] = entry
-            cell_cfg["models"] = [entry]
-            cell_cfg["lda"]["enabled"] = with_lda
-            cell_cfg["explain"]["lime_rows"] = []
-            cell_cfg["explain"]["morris"]["enabled"] = False
-            try:
-                outcome = run_pipeline(cell_cfg)
-                values = {m: getattr(outcome.metrics, m) for m in cfg["metrics"]}
-                rows.append(CompareCell(entry["name"], with_lda, values, None))
-            except Exception as e:
-                rows.append(CompareCell(entry["name"], with_lda, None, str(e)))
+    """Prepare the data once, then score every configured model on it with
+    the reduction off and on.
+
+    A preparation failure aborts the grid. A failed projection marks every
+    reduced cell, and a failed fit or evaluation marks only its own cell.
+    """
+
+    def cell(entry: dict, with_lda: bool, frames) -> CompareCell:
+        """`frames` is the (train, test) pair, or the error that prevented it."""
+        try:
+            if isinstance(frames, PipelineError):
+                raise frames
+            metric_report = _fit_and_score(*frames, entry, [])[2]
+        except PipelineError as e:
+            return CompareCell(entry["name"], with_lda, None, str(e))
+        values = {m: getattr(metric_report, m) for m in cfg["metrics"]}
+        return CompareCell(entry["name"], with_lda, values, None)
+
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        train, test, _ = prepare(cfg, [])
+        try:
+            reduced = _reduce(train, test, cfg["lda"], [])[1:]
+        except PipelineError as e:
+            reduced = e
+        rows = [
+            cell(entry, with_lda, frames)
+            for with_lda, frames in ((False, (train, test)), (True, reduced))
+            for entry in cfg["models"]
+        ]
     table = ComparisonTable(tuple(cfg["metrics"]), tuple(rows))
 
     out = Path(cfg["out_dir"])
-    created: list[Path] = []
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "compare.csv"
-        csv_path.write_text(table.to_csv())
-        created.append(csv_path)
-        json_path = out / "compare.json"
-        json_path.write_text(json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
-        created.append(json_path)
-    except Exception as e:
-        for path in reversed(created):
-            path.unlink(missing_ok=True)
-        raise PipelineError("write", e) from e
+    _write_outputs([(out / "compare.csv", table.to_csv()), (out / "compare.json", _json(table.to_dict()))])
     return table, out
 
 
@@ -493,7 +521,7 @@ def cmd_explain(
         json_path = out / "morris.json"
         csv_path = out / "morris.csv"
 
-    json_path.write_text(json.dumps(explanation.to_dict(), indent=2, sort_keys=True) + "\n")
+    json_path.write_text(_json(explanation.to_dict()))
     csv_path.write_text(explanation_to_csv(explanation))
     return {
         "method": method,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SmoteKClampWarning
-from .frame import EncodedTarget, Frame, numeric_frame
+from .frame import EncodedTarget, Frame, numeric_frame, training_arrays
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,14 @@ def smote(train: Frame, cfg: SmoteConfig | None = None) -> Frame:
     warns (:class:`SmoteKClampWarning`) when k is clamped to class size - 1.
     """
     cfg = cfg or SmoteConfig()
-    if train.target is None:
-        raise DataError("smote needs an encoded target")
-    X = train.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("smote input has missing cells; impute first")
-    y = train.labels
-    counts = np.bincount(y, minlength=train.target.n_classes)
+    X, y, n_classes = training_arrays(train)
+    counts = np.bincount(y, minlength=n_classes)
     target = cfg.target_count if cfg.target_count is not None else int(counts.max())
 
     rng = np.random.default_rng(cfg.seed)
     synth_blocks: list[np.ndarray] = []
     synth_labels: list[np.ndarray] = []
-    for c in range(train.target.n_classes):
+    for c in range(n_classes):
         deficit = target - int(counts[c])
         if deficit <= 0:
             continue

@@ -3,7 +3,8 @@
 Every fitted object satisfies the same contract: ``n_classes``,
 ``n_features``, row-stochastic ``predict_proba``, and ``predict`` as its
 argmax. The discriminant projection gets a thin adapter so it can stand
-in the zoo next to the other classifiers.
+in the zoo next to the other classifiers. Each family's parameters form a
+frozen config dataclass, which ``fit_model`` builds from JSON params.
 """
 
 from __future__ import annotations
@@ -12,16 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import fit_forest, fit_gnb, fit_logreg, fit_tree
+from .baselines import (
+    ForestConfig,
+    GnbConfig,
+    LogregConfig,
+    TreeConfig,
+    fit_forest,
+    fit_gnb,
+    fit_logreg,
+    fit_tree,
+)
 from .errors import ConfigError
 from .frame import Frame, numeric_frame
 from .gbt import GbtConfig, fit_gbt
-from .lda import ProjectionLDA, fit_lda, predict_lda
-from .neural import MlpConfig, fit_hybrid, fit_mlp
+from .lda import LdaConfig, ProjectionLDA, fit_lda, predict_lda
+from .neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp
 
-__all__ = ["MODEL_NAMES", "LdaClassifier", "fit_model"]
-
-MODEL_NAMES = ("logreg", "gnb", "tree", "forest", "gbt", "mlp", "lda", "xgdnn")
+__all__ = ["MODEL_FAMILIES", "MODEL_NAMES", "LdaClassifier", "fit_model"]
 
 
 @dataclass(frozen=True)
@@ -47,42 +55,32 @@ class LdaClassifier:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def _mlp_config(params: dict) -> MlpConfig:
-    p = dict(params)
-    if "hidden" in p:
-        p["hidden"] = tuple(p["hidden"])
-    return MlpConfig(**p)
+def _fit_lda_classifier(train: Frame, cfg: LdaConfig) -> LdaClassifier:
+    return LdaClassifier(fit_lda(train, cfg.n_components, cfg.ridge))
+
+
+def _fit_xgdnn(train: Frame, cfg: XgdnnConfig):
+    return fit_hybrid(train, cfg.gbt, cfg.mlp, cfg.feature_mode)
+
+
+# model name -> (config class, fit function name). The fit function is looked
+# up in this module at call time, so a wrapper installed on it is honoured.
+MODEL_FAMILIES = {
+    "logreg": (LogregConfig, "fit_logreg"),
+    "gnb": (GnbConfig, "fit_gnb"),
+    "tree": (TreeConfig, "fit_tree"),
+    "forest": (ForestConfig, "fit_forest"),
+    "gbt": (GbtConfig, "fit_gbt"),
+    "mlp": (MlpConfig, "fit_mlp"),
+    "lda": (LdaConfig, "_fit_lda_classifier"),
+    "xgdnn": (XgdnnConfig, "_fit_xgdnn"),
+}
+MODEL_NAMES = tuple(MODEL_FAMILIES)
 
 
 def fit_model(name: str, train: Frame, params: dict):
-    """Fit the named model on `train` with its family's keyword params."""
-    if name == "logreg":
-        return fit_logreg(train, **params)
-    if name == "gnb":
-        return fit_gnb(train, **params)
-    if name == "tree":
-        return fit_tree(train, **params)
-    if name == "forest":
-        return fit_forest(train, **params)
-    if name == "gbt":
-        return fit_gbt(train, GbtConfig(**params))
-    if name == "mlp":
-        return fit_mlp(train, _mlp_config(params))
-    if name == "lda":
-        p = dict(params)
-        n_components = p.pop("n_components", None)
-        ridge = p.pop("ridge", None)
-        if p:
-            raise ConfigError(f"unknown lda params: {sorted(p)}")
-        if n_components is None:
-            n_components = max(1, min(train.target.n_classes - 1, len(train.column_names)))
-        return LdaClassifier(fit_lda(train, n_components, ridge))
-    if name == "xgdnn":
-        p = dict(params)
-        gbt_cfg = GbtConfig(**p.pop("gbt", {}))
-        mlp_cfg = _mlp_config(p.pop("mlp", {}))
-        mode = p.pop("feature_mode", "margins")
-        if p:
-            raise ConfigError(f"unknown xgdnn params: {sorted(p)}")
-        return fit_hybrid(train, gbt_cfg, mlp_cfg, mode)
-    raise ConfigError(f"unknown model name {name!r}")
+    """Fit the named model on `train` with its family's JSON params."""
+    if name not in MODEL_FAMILIES:
+        raise ConfigError(f"unknown model name {name!r}")
+    config_class, fit = MODEL_FAMILIES[name]
+    return globals()[fit](train, config_class(**params))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from credo.cli import exit_code_for, main
@@ -74,6 +75,37 @@ def test_run_unknown_model_name(tmp_path, data_csv, capsys):
     assert "config.model.name" in capsys.readouterr().err
 
 
+# values that a model or stage rejects must fail config validation too
+OUT_OF_BOUNDS = {
+    "gbt_rounds": ({"model": {"name": "gbt", "params": {"rounds": 0}}}, "config.model.params.rounds"),
+    "gbt_learning_rate_zero": (
+        {"model": {"name": "gbt", "params": {"learning_rate": 0}}},
+        "config.model.params.learning_rate",
+    ),
+    "gbt_learning_rate_above_one": (
+        {"model": {"name": "gbt", "params": {"learning_rate": 1.5}}},
+        "config.model.params.learning_rate",
+    ),
+    "xgdnn_gbt_rounds": (
+        {"model": {"name": "xgdnn", "params": {"gbt": {"rounds": 0}}}},
+        "config.model.params.gbt.rounds",
+    ),
+    "null_threshold": ({"null_threshold": 0}, "config.null_threshold"),
+    "lime_kernel_width": (
+        {"explain": {"lime": {"kernel_width": 0}}},
+        "config.explain.lime.kernel_width",
+    ),
+}
+
+
+@pytest.mark.parametrize("extra,path", OUT_OF_BOUNDS.values(), ids=OUT_OF_BOUNDS.keys())
+def test_run_out_of_bound_value_exits_2_before_reading_data(tmp_path, capsys, extra, path):
+    # the data file does not exist: exit 2 rather than 3 shows it was never opened
+    cfg = write_config(tmp_path, str(tmp_path / "absent.csv"), **extra)
+    assert main(["run", "-c", cfg]) == 2
+    assert f"{path}:" in capsys.readouterr().err
+
+
 def test_run_missing_data_file(tmp_path, capsys):
     cfg = write_config(tmp_path, str(tmp_path / "absent.csv"))
     assert main(["run", "-c", cfg]) == 3
@@ -109,6 +141,33 @@ def test_compare_prints_matrix(tmp_path, data_csv, capsys):
     assert lines[0] == "model,lda,accuracy,error"
     assert len([l for l in lines if l.startswith(("gnb,", "tree,"))]) == 4
     assert (tmp_path / "out" / "compare.csv").is_file()
+
+
+def test_compare_missing_data_file_exits_3_without_table(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, str(tmp_path / "absent.csv"), models=[{"name": "gnb"}, {"name": "tree"}]
+    )
+    assert main(["compare", "-c", cfg]) == 3
+    assert "stage 'load'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+def test_integer_coded_target_runs_and_compares(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(200, 3))
+    y = (X[:, 0] + 0.5 * rng.normal(size=200) > 0).astype(int)
+    data = tmp_path / "binary.csv"
+    rows = [f"{a!r},{b!r},{c!r},{t}" for (a, b, c), t in zip(X, y)]
+    data.write_text("\n".join(["a,b,c,default", *rows]) + "\n")
+    cfg = write_config(
+        tmp_path, str(data), target="default", models=[{"name": "gnb"}, {"name": "logreg"}]
+    )
+    assert main(["run", "-c", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["preprocessing"]["class_names"] == ["0", "1"]
+    assert main(["compare", "-c", cfg]) == 0
+    rows = json.loads((tmp_path / "out" / "compare.json").read_text())["rows"]
+    assert len(rows) == 4 and all(r["error"] is None for r in rows)
 
 
 def test_explain_replays_archive(tmp_path, data_csv, capsys):

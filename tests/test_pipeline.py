@@ -314,6 +314,41 @@ def test_compare_keeps_going_after_one_model_fails(data_csv, tmp_path, monkeypat
     assert by_key[("gnb", True)].error is None
 
 
+def test_compare_prepares_once(data_csv, tmp_path, monkeypatch):
+    import credo.pipeline
+
+    calls = {"load_csv": 0, "smote": 0, "fit_lda": 0}
+    for name in calls:
+        real = getattr(credo.pipeline, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(f"credo.pipeline.{name}", counted)
+    cfg = make_cfg(
+        data_csv, tmp_path / "cmp", models=[{"name": "gnb"}, {"name": "tree"}], metrics=["accuracy"]
+    )
+    table, _ = cmd_compare(cfg)
+    assert all(c.error is None for c in table.rows)
+    assert calls == {"load_csv": 1, "smote": 1, "fit_lda": 1}
+
+
+def test_compare_lda_failure_marks_only_reduced_cells(data_csv, tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("no projection today")
+
+    monkeypatch.setattr("credo.pipeline.fit_lda", boom)
+    cfg = make_cfg(
+        data_csv, tmp_path / "cmp", models=[{"name": "gnb"}, {"name": "tree"}], metrics=["accuracy"]
+    )
+    table, _ = cmd_compare(cfg)
+    assert [c.error for c in table.rows if not c.with_lda] == [None, None]
+    assert [c.error for c in table.rows if c.with_lda] == [
+        "stage 'lda' failed: no projection today"
+    ] * 2
+
+
 def test_compare_csv_round_trip(data_csv, tmp_path):
     cfg = make_cfg(data_csv, tmp_path / "cmp", metrics=["accuracy", "f1"])
     table, _ = cmd_compare(cfg)
