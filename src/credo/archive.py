@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import ForestModel, GaussianNBModel, LogisticModel, TreeModel, TreeNode
+from .baselines import ForestModel, GaussianNBModel, LogisticModel, TreeModel
 from .errors import DataError
 from .gbt import BoostedEnsemble, RegressionTree
 from .lda import ProjectionLDA
@@ -65,97 +65,62 @@ def _unpack_gnb(arrays, params, schema):
     return GaussianNBModel(arrays["means"], arrays["variances"], arrays["priors"])
 
 
-def _flatten_cart(root: TreeNode) -> dict:
-    feature, threshold, left, right, counts = [], [], [], [], []
+_CART_KEYS = ("feature", "threshold", "left", "right", "counts")
+_GBT_KEYS = ("feature", "threshold", "left", "right", "weight", "gain", "leaf_ordinal")
+_INDEX_KEYS = {"feature", "left", "right", "leaf_ordinal"}
 
-    def walk(node: TreeNode) -> int:
-        i = len(feature)
-        feature.append(float(node.feature))
-        threshold.append(float(node.threshold) if not node.is_leaf else np.nan)
-        left.append(-1.0)
-        right.append(-1.0)
-        counts.append(np.asarray(node.counts, dtype=float))
-        if not node.is_leaf:
-            left[i] = float(walk(node.left))
-            right[i] = float(walk(node.right))
-        return i
 
-    walk(root)
+def _tree_fields(arrays: dict, keys, prefix: str = "", part: slice = slice(None)) -> dict:
+    """One tree's node arrays: node and feature ids back to int64, the rest copied."""
     return {
-        "feature": np.asarray(feature),
-        "threshold": np.asarray(threshold),
-        "left": np.asarray(left),
-        "right": np.asarray(right),
-        "counts": np.vstack(counts),
+        k: arrays[prefix + k][part].astype(np.int64) if k in _INDEX_KEYS else arrays[prefix + k][part].copy()
+        for k in keys
     }
 
 
-def _unflatten_cart(feature, threshold, left, right, counts) -> TreeNode:
-    feature = feature.astype(np.int64)
-    left = left.astype(np.int64)
-    right = right.astype(np.int64)
+def _pack_trees(trees, keys) -> dict:
+    """Concatenate each node array over the trees, with per-tree node counts."""
+    arrays = {"tree_sizes": np.asarray([len(t.feature) for t in trees], dtype=float)}
+    for key in keys:
+        parts = [np.asarray(getattr(t, key), dtype=float) for t in trees]
+        arrays[f"tree_{key}"] = np.concatenate(parts) if parts else np.empty(0)
+    return arrays
 
-    def build(i: int) -> TreeNode:
-        if feature[i] < 0:
-            return TreeNode(counts[i].copy())
-        return TreeNode(
-            counts[i].copy(), int(feature[i]), float(threshold[i]), build(left[i]), build(right[i])
-        )
 
-    return build(0)
+def _unpack_trees(arrays, keys, make) -> tuple:
+    offsets = np.concatenate([[0], np.cumsum(arrays["tree_sizes"].astype(np.int64))])
+    return tuple(
+        make(**_tree_fields(arrays, keys, "tree_", slice(a, b)))
+        for a, b in zip(offsets[:-1], offsets[1:])
+    )
 
 
 def _pack_tree(m: TreeModel):
-    return _flatten_cart(m.root), {}
+    return {k: getattr(m, k) for k in _CART_KEYS}, {}
 
 
 def _unpack_tree(arrays, params, schema):
-    root = _unflatten_cart(
-        arrays["feature"], arrays["threshold"], arrays["left"], arrays["right"], arrays["counts"]
+    return TreeModel(
+        **_tree_fields(arrays, _CART_KEYS),
+        n_classes=len(schema["classes"]),
+        n_features=len(schema["features"]),
     )
-    return TreeModel(root, len(schema["classes"]), len(schema["features"]))
 
 
 def _pack_forest(m: ForestModel):
-    flats = [_flatten_cart(t.root) for t in m.trees]
-    arrays = {"tree_sizes": np.asarray([len(f["feature"]) for f in flats], dtype=float)}
-    for key in ("feature", "threshold", "left", "right"):
-        arrays[f"tree_{key}"] = np.concatenate([f[key] for f in flats])
-    arrays["tree_counts"] = np.vstack([f["counts"] for f in flats])
-    return arrays, {}
+    return _pack_trees(m.trees, _CART_KEYS), {}
 
 
 def _unpack_forest(arrays, params, schema):
-    n_classes = len(schema["classes"])
-    n_features = len(schema["features"])
-    sizes = arrays["tree_sizes"].astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    trees = []
-    for i in range(len(sizes)):
-        s = slice(offsets[i], offsets[i + 1])
-        root = _unflatten_cart(
-            arrays["tree_feature"][s],
-            arrays["tree_threshold"][s],
-            arrays["tree_left"][s],
-            arrays["tree_right"][s],
-            arrays["tree_counts"][s],
-        )
-        trees.append(TreeModel(root, n_classes, n_features))
-    return ForestModel(tuple(trees), n_classes, n_features)
+    n_classes, n_features = len(schema["classes"]), len(schema["features"])
+    trees = _unpack_trees(
+        arrays, _CART_KEYS, lambda **f: TreeModel(**f, n_classes=n_classes, n_features=n_features)
+    )
+    return ForestModel(trees, n_classes, n_features)
 
 
 def _pack_gbt(m: BoostedEnsemble):
-    def cat(attr: str) -> np.ndarray:
-        if not m.trees:
-            return np.empty(0)
-        return np.concatenate([np.asarray(getattr(t, attr), dtype=float) for t in m.trees])
-
-    arrays = {
-        "tree_sizes": np.asarray([len(t.feature) for t in m.trees], dtype=float),
-        "base_score": m.base_score,
-    }
-    for key in ("feature", "threshold", "left", "right", "weight", "gain", "leaf_ordinal"):
-        arrays[f"tree_{key}"] = cat(key)
+    arrays = {**_pack_trees(m.trees, _GBT_KEYS), "base_score": m.base_score}
     params = {
         "rounds": m.rounds,
         "learning_rate": m.learning_rate,
@@ -167,22 +132,6 @@ def _pack_gbt(m: BoostedEnsemble):
 
 
 def _unpack_gbt(arrays, params, schema):
-    sizes = arrays["tree_sizes"].astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    trees = []
-    for i in range(len(sizes)):
-        s = slice(offsets[i], offsets[i + 1])
-        trees.append(
-            RegressionTree(
-                feature=arrays["tree_feature"][s].astype(np.int64),
-                threshold=arrays["tree_threshold"][s].copy(),
-                left=arrays["tree_left"][s].astype(np.int64),
-                right=arrays["tree_right"][s].astype(np.int64),
-                weight=arrays["tree_weight"][s].copy(),
-                gain=arrays["tree_gain"][s].copy(),
-                leaf_ordinal=arrays["tree_leaf_ordinal"][s].astype(np.int64),
-            )
-        )
     return BoostedEnsemble(
         n_classes=len(schema["classes"]),
         n_features=len(schema["features"]),
@@ -192,7 +141,7 @@ def _unpack_gbt(arrays, params, schema):
         gamma=float(params["gamma"]),
         min_child_weight=float(params["min_child_weight"]),
         base_score=arrays["base_score"].copy(),
-        trees=tuple(trees),
+        trees=_unpack_trees(arrays, _GBT_KEYS, RegressionTree),
     )
 
 

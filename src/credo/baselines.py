@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
+from .trees import CountStat, FlatTree, Presorted, grow, presort
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -220,113 +221,35 @@ class TreeConfig:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Split node (feature, threshold, children) or leaf (counts only).
+class TreeModel(FlatTree, _PredictMixin):
+    """CART tree as flat preorder arrays (leaf thresholds NaN).
 
-    Rows with x[feature] <= threshold go left. ``counts`` is the training
-    class histogram at the node; leaves predict its Laplace-smoothed
-    frequencies (count+1)/(total+C).
+    ``counts[i]`` is the training class histogram at node i; leaves predict
+    its Laplace-smoothed frequencies (count+1)/(total+C).
     """
 
     counts: np.ndarray
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
-    totals = counts.sum(axis=1, keepdims=True)
-    p = counts / totals
-    if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=1)
-    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -(p * logp).sum(axis=1)
-
-
-def _best_split(X, y, rows, features, n_classes, criterion, min_leaf):
-    """Exhaustive midpoint search. Returns (gain, feature, threshold) or None.
-
-    Ties break to the smallest feature index, then the smallest threshold.
-    """
-    ysub = y[rows]
-    n = len(rows)
-    parent_counts = np.bincount(ysub, minlength=n_classes).astype(np.float64)
-    parent_imp = _impurity(parent_counts[None, :], criterion)[0]
-    onehot = np.zeros((n, n_classes))
-    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-    for j in features:
-        xs = X[rows, j]
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        if xs[0] == xs[-1]:
-            continue
-        onehot[:] = 0.0
-        onehot[np.arange(n), ysub[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        cut = np.nonzero(xs[:-1] != xs[1:])[0]
-        left_n = cut + 1
-        ok = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not ok.any():
-            continue
-        cut, left_n = cut[ok], left_n[ok]
-        left_counts = cum[cut]
-        right_counts = parent_counts - left_counts
-        gain = (
-            parent_imp
-            - (left_n / n) * _impurity(left_counts, criterion)
-            - ((n - left_n) / n) * _impurity(right_counts, criterion)
-        )
-        k = int(np.argmax(gain))  # first max: smallest threshold wins ties
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best_feature = int(j)
-            best_threshold = float(0.5 * (xs[cut[k]] + xs[cut[k] + 1]))
-    if best_feature < 0:
-        return None
-    return best_gain, best_feature, best_threshold
-
-
-def _grow(X, y, rows, depth, n_classes, criterion, max_depth, min_leaf, feature_picker):
-    counts = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
-    node = TreeNode(counts=counts)
-    if (max_depth is not None and depth >= max_depth) or np.count_nonzero(counts) <= 1:
-        return node
-    found = _best_split(X, y, rows, feature_picker(), n_classes, criterion, min_leaf)
-    if found is None:
-        return node
-    _, feature, threshold = found
-    go_left = X[rows, feature] <= threshold
-    left = _grow(X, y, rows[go_left], depth + 1, n_classes, criterion, max_depth, min_leaf, feature_picker)
-    right = _grow(X, y, rows[~go_left], depth + 1, n_classes, criterion, max_depth, min_leaf, feature_picker)
-    return TreeNode(counts=counts, feature=feature, threshold=threshold, left=left, right=right)
-
-
-def _route_proba(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        c = node.counts
-        out[idx] = (c + 1.0) / (c.sum() + len(c))
-        return
-    go_left = X[idx, node.feature] <= node.threshold
-    _route_proba(node.left, X, idx[go_left], out)
-    _route_proba(node.right, X, idx[~go_left], out)
-
-
-@dataclass(frozen=True)
-class TreeModel(_PredictMixin):
-    root: TreeNode
     n_classes: int
     n_features: int
 
     def predict_proba(self, X) -> np.ndarray:
         X = self._coerce(X)
-        out = np.empty((len(X), self.n_classes))
-        _route_proba(self.root, X, np.arange(len(X)), out)
-        return out
+        c = self.counts
+        return ((c + 1.0) / (c.sum(axis=1, keepdims=True) + self.n_classes))[self.route(X)]
+
+
+def _grow_cart(data: Presorted, y, n_classes, cfg: TreeConfig, pick=None) -> TreeModel:
+    stat = CountStat(y, n_classes, cfg.criterion, cfg.min_leaf)
+    flat, _, totals = grow(data, stat, cfg.max_depth, pick)
+    return TreeModel(
+        flat.feature,
+        flat.threshold,
+        flat.left,
+        flat.right,
+        np.vstack([counts for counts, _ in totals]),
+        n_classes,
+        len(data.values),
+    )
 
 
 def fit_tree(train: Frame, cfg: TreeConfig | None = None, **params) -> TreeModel:
@@ -334,13 +257,7 @@ def fit_tree(train: Frame, cfg: TreeConfig | None = None, **params) -> TreeModel
     strict impurity decrease."""
     cfg = cfg or TreeConfig(**params)
     X, y, n_classes = training_arrays(train)
-    d = X.shape[1]
-    all_features = np.arange(d)
-    root = _grow(
-        X, y, np.arange(len(X)), 0, n_classes, cfg.criterion, cfg.max_depth, cfg.min_leaf,
-        lambda: all_features,
-    )
-    return TreeModel(root, n_classes, d)
+    return _grow_cart(presort(X), y, n_classes, cfg)
 
 
 # --------------------------------------------------------- random forest
@@ -390,18 +307,12 @@ def fit_forest(train: Frame, cfg: ForestConfig | None = None, **params) -> Fores
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     trees = []
-    all_features = np.arange(d)
     for ss in seeds:
         rng = np.random.default_rng(ss)
         rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-
+        pick = None
         if mtry < d:
-            def picker(r=rng):
+            def pick(r=rng):
                 return np.sort(r.choice(d, size=mtry, replace=False))
-        else:
-            def picker():
-                return all_features
-
-        root = _grow(X, y, rows, 0, n_classes, cfg.criterion, cfg.max_depth, cfg.min_leaf, picker)
-        trees.append(TreeModel(root, n_classes, d))
+        trees.append(_grow_cart(presort(X[rows]), y[rows], n_classes, cfg, pick))
     return ForestModel(tuple(trees), n_classes, d)

@@ -9,8 +9,8 @@ gradients g = p - y and hessians h = p(1 - p). Splits greedily maximize
 accepted only when the gain is strictly positive and both children carry at
 least ``min_child_weight`` of hessian mass. Leaf weights are the Newton step
 -G/(H+lambda), stored raw; the learning rate scales them at accumulation
-time. Split enumeration is exact over midpoints of sorted distinct values,
-ties broken to the smallest feature index, then the smallest threshold.
+time. Splits come from the exact search in :mod:`credo.trees`, over one
+presort of the training matrix shared by every round and class.
 """
 
 from __future__ import annotations
@@ -22,37 +22,17 @@ import numpy as np
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
 from .baselines import as_matrix, softmax
+from .trees import FlatTree, GradientStat, Presorted, grow, presort
 
 
 @dataclass(frozen=True)
-class RegressionTree:
-    """Flat-array tree in preorder. ``feature[i] < 0`` marks a leaf; leaves
-    carry raw Newton weights and a depth-first leaf ordinal."""
+class RegressionTree(FlatTree):
+    """Boosting tree in preorder. Leaves carry raw Newton weights and a
+    depth-first leaf ordinal; leaf thresholds are 0."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     weight: np.ndarray
     gain: np.ndarray
     leaf_ordinal: np.ndarray
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """Node index each row lands in, walked level by level."""
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            live = feat >= 0
-            if not live.any():
-                return node
-            rows = np.nonzero(live)[0]
-            cur = node[rows]
-            go_left = X[rows, feat[live]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
 
     def outputs(self, X: np.ndarray) -> np.ndarray:
         return self.weight[self.route(X)]
@@ -111,86 +91,19 @@ class BoostedEnsemble:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-class _TreeBuilder:
-    def __init__(self, X, g, h, cfg: GbtConfig):
-        self.X = X
-        self.g = g
-        self.h = h
-        self.cfg = cfg
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.weight: list[float] = []
-        self.gain: list[float] = []
-        self.ordinal: list[int] = []
-        self.n_leaves = 0
-
-    def _search(self, rows, G_sum, H_sum):
-        cfg = self.cfg
-        parent = G_sum * G_sum / (H_sum + cfg.lam)
-        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for j in range(self.X.shape[1]):
-            xs = self.X[rows, j]
-            order = np.argsort(xs, kind="stable")
-            xs = xs[order]
-            if xs[0] == xs[-1]:
-                continue
-            gs = np.cumsum(self.g[rows][order])
-            hs = np.cumsum(self.h[rows][order])
-            cut = np.nonzero(xs[:-1] != xs[1:])[0]
-            GL, HL = gs[cut], hs[cut]
-            GR, HR = G_sum - GL, H_sum - HL
-            ok = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
-            if not ok.any():
-                continue
-            gain = 0.5 * (GL * GL / (HL + cfg.lam) + GR * GR / (HR + cfg.lam) - parent) - cfg.gamma
-            gain[~ok] = -np.inf
-            k = int(np.argmax(gain))  # first max: smallest threshold
-            if gain[k] > best_gain:
-                best_gain = float(gain[k])
-                best_feature = j
-                best_threshold = float(0.5 * (xs[cut[k]] + xs[cut[k] + 1]))
-        if best_feature < 0:
-            return None
-        return best_gain, best_feature, best_threshold
-
-    def build(self, rows, depth) -> int:
-        i = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.weight.append(0.0)
-        self.gain.append(0.0)
-        self.ordinal.append(-1)
-        G_sum = float(self.g[rows].sum())
-        H_sum = float(self.h[rows].sum())
-        self.weight[i] = -G_sum / (H_sum + self.cfg.lam)
-        found = self._search(rows, G_sum, H_sum) if depth < self.cfg.max_depth else None
-        if found is None:
-            self.ordinal[i] = self.n_leaves
-            self.n_leaves += 1
-            return i
-        gain, feature, threshold = found
-        self.feature[i] = feature
-        self.threshold[i] = threshold
-        self.gain[i] = gain
-        go_left = self.X[rows, feature] <= threshold
-        self.left[i] = self.build(rows[go_left], depth + 1)
-        self.right[i] = self.build(rows[~go_left], depth + 1)
-        return i
-
-    def tree(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            weight=np.array(self.weight, dtype=np.float64),
-            gain=np.array(self.gain, dtype=np.float64),
-            leaf_ordinal=np.array(self.ordinal, dtype=np.int64),
-        )
+def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig) -> RegressionTree:
+    stat = GradientStat(g, h, cfg.lam, cfg.gamma, cfg.min_child_weight)
+    flat, gain, totals = grow(data, stat, cfg.max_depth)
+    leaf = flat.feature < 0
+    return RegressionTree(
+        feature=flat.feature,
+        threshold=np.where(leaf, 0.0, flat.threshold),
+        left=flat.left,
+        right=flat.right,
+        weight=np.array([-G / (H + cfg.lam) for G, H in totals]),
+        gain=gain,
+        leaf_ordinal=np.where(leaf, np.cumsum(leaf) - 1, -1),
+    )
 
 
 def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
@@ -208,7 +121,7 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     base_score = np.log(priors)
 
     margins = np.tile(base_score, (n, 1))
-    all_rows = np.arange(n)
+    data = presort(X)  # one sort per feature serves every round and class
     trees: list[RegressionTree] = []
     for r in range(cfg.rounds):
         P = softmax(margins)
@@ -217,9 +130,7 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
         if not (np.isfinite(G).all() and np.isfinite(H).all()):
             raise NumericError(f"non-finite boosting gradient at round {r}")
         for c in range(n_classes):
-            builder = _TreeBuilder(X, G[:, c], H[:, c], cfg)
-            builder.build(all_rows, 0)
-            tree = builder.tree()
+            tree = _grow_tree(data, np.ascontiguousarray(G[:, c]), np.ascontiguousarray(H[:, c]), cfg)
             trees.append(tree)
             margins[:, c] += cfg.learning_rate * tree.outputs(X)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -52,6 +53,21 @@ class ProjectionLDA:
     @property
     def clamped(self) -> bool:
         return self.n_requested > self.n_components
+
+    @cached_property
+    def discriminant(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights W and offsets b of the class scores x'W + b, solved once.
+
+        Shared covariance Sigma = S_w/(n - C) + ridge I; column c of W is
+        Sigma^-1 mu_c and b_c = -mu_c' Sigma^-1 mu_c / 2 + log prior_c.
+        """
+        n_classes, d = self.class_means.shape
+        sigma = self.within_scatter / (self.n_train - n_classes) + self.ridge * np.eye(d)
+        try:
+            W = np.linalg.solve(sigma, self.class_means.T)
+        except np.linalg.LinAlgError:
+            raise NumericError("shared covariance is singular; use a positive ridge") from None
+        return W, -0.5 * np.einsum("cd,dc->c", self.class_means, W) + np.log(self.class_priors)
 
 
 def scatter_matrices(X: np.ndarray, y: np.ndarray, n_classes: int):
@@ -178,21 +194,15 @@ def transform_lda(p: ProjectionLDA, f: Frame) -> Frame:
     return numeric_frame(Z, names, target=f.target)
 
 
-def predict_lda(p: ProjectionLDA, f: Frame) -> np.ndarray:
-    """Class probabilities from linear Gaussian discriminants.
-
-    Shared covariance S_w/(n - C) + ridge I; scores
-    x' Sigma^-1 mu_c - mu_c' Sigma^-1 mu_c / 2 + log prior_c, softmaxed.
-    """
-    X = _check_features(p, f)
-    n_classes, d = p.class_means.shape
-    sigma = p.within_scatter / (p.n_train - n_classes) + p.ridge * np.eye(d)
-    try:
-        W = np.linalg.solve(sigma, p.class_means.T)
-    except np.linalg.LinAlgError:
-        raise NumericError("shared covariance is singular; use a positive ridge") from None
-    offsets = -0.5 * np.einsum("cd,dc->c", p.class_means, W) + np.log(p.class_priors)
+def discriminant_proba(p: ProjectionLDA, X: np.ndarray) -> np.ndarray:
+    """Softmax of the linear discriminant scores of the rows of X."""
+    W, offsets = p.discriminant
     scores = X @ W + offsets
     scores -= scores.max(axis=1, keepdims=True)
     e = np.exp(scores)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def predict_lda(p: ProjectionLDA, f: Frame) -> np.ndarray:
+    """Class probabilities from linear Gaussian discriminants."""
+    return discriminant_proba(p, _check_features(p, f))

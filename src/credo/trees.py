@@ -1,0 +1,200 @@
+"""Exact greedy split search shared by CART, the random forest and the booster.
+
+Each feature is sorted once per fit (:func:`presort`). A node holds its rows
+as a (d, m) block with every feature's row ids in ascending stable order, and
+a split hands each child the stable boolean partition of that block, so no
+node sorts again: the pre-sorted column-block method of XGBoost (Chen &
+Guestrin, KDD 2016, section 4.1). Candidate thresholds are the midpoints of
+adjacent distinct sorted values, scored from prefix sums of a node statistic:
+gradient and hessian sums for boosting (:class:`GradientStat`), class counts
+for CART (:class:`CountStat`). A node splits on the largest strictly positive
+gain; ties go to the smallest feature index, then the smallest threshold.
+Trees grow depth-first into flat preorder arrays.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class FlatTree:
+    """Preorder node arrays. ``feature[i] < 0`` marks a leaf; rows with
+    ``x[feature] <= threshold`` go to ``left``, the others to ``right``."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def n_leaves(self) -> int:
+        return int((self.feature < 0).sum())
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Node index each row lands in, walked level by level."""
+        node = np.zeros(len(X), dtype=np.int64)
+        while True:
+            feat = self.feature[node]
+            live = feat >= 0
+            if not live.any():
+                return node
+            rows = np.nonzero(live)[0]
+            cur = node[rows]
+            go_left = X[rows, feat[live]] <= self.threshold[cur]
+            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
+
+
+@dataclass(frozen=True)
+class Presorted:
+    """Feature-major copy of X (d, n) and each feature's row ids sorted by
+    (value, row id)."""
+
+    values: np.ndarray
+    orders: np.ndarray
+
+
+def presort(X: np.ndarray) -> Presorted:
+    values = np.ascontiguousarray(X.T)
+    return Presorted(values, np.argsort(values, axis=1, kind="stable"))
+
+
+class GradientStat:
+    """Second-order boosting statistic: a node's total is (sum g, sum h), and
+    each child must keep ``min_child_weight`` of hessian mass."""
+
+    def __init__(self, g, h, lam, gamma, min_child_weight):
+        self.g, self.h = g, h
+        self.lam, self.gamma, self.min_child_weight = lam, gamma, min_child_weight
+
+    def total(self, rows):
+        return float(self.g[rows].sum()), float(self.h[rows].sum())
+
+    def splittable(self, total) -> bool:
+        return True
+
+    def gains(self, order, cuts, total):
+        """Gain of cutting after each position in ``cuts`` of the sorted
+        ``order``; -inf where a child would be too light."""
+        G, H = total
+        lam, mcw = self.lam, self.min_child_weight
+        GL = np.cumsum(self.g[order])[cuts]
+        HL = np.cumsum(self.h[order])[cuts]
+        GR, HR = G - GL, H - HL
+        ok = (HL >= mcw) & (HR >= mcw)
+        parent = G * G / (H + lam)
+        gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - self.gamma
+        gain[~ok] = -np.inf
+        return gain
+
+
+def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
+    """Gini or entropy of each row of a class-count matrix."""
+    totals = counts.sum(axis=1, keepdims=True)
+    p = counts / totals
+    if criterion == "gini":
+        return 1.0 - (p * p).sum(axis=1)
+    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return -(p * logp).sum(axis=1)
+
+
+class CountStat:
+    """CART statistic: a node's total is its class histogram and impurity,
+    and each child must keep at least ``min_leaf`` rows."""
+
+    def __init__(self, y, n_classes, criterion, min_leaf):
+        self.y, self.n_classes = y, n_classes
+        self.criterion, self.min_leaf = criterion, min_leaf
+        self.onehot = np.eye(n_classes)
+
+    def total(self, rows):
+        counts = np.bincount(self.y[rows], minlength=self.n_classes).astype(np.float64)
+        return counts, _impurity(counts[None, :], self.criterion)[0]
+
+    def splittable(self, total) -> bool:
+        return np.count_nonzero(total[0]) > 1
+
+    def gains(self, order, cuts, total):
+        """Impurity decrease of cutting after each position in ``cuts`` of the
+        sorted ``order``; -inf where a child would be too small."""
+        counts, parent = total
+        m = len(order)
+        left_n = cuts + 1
+        ok = (left_n >= self.min_leaf) & (m - left_n >= self.min_leaf)
+        left_n = left_n[ok]
+        left = np.cumsum(self.onehot[self.y[order]], axis=0)[cuts[ok]]
+        gain = np.full(len(cuts), -np.inf)
+        gain[ok] = (
+            parent
+            - (left_n / m) * _impurity(left, self.criterion)
+            - ((m - left_n) / m) * _impurity(counts - left, self.criterion)
+        )
+        return gain
+
+
+def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
+    """Grow one tree over every row of ``data``, in preorder.
+
+    ``pick()``, when given, is called at each node that may split and returns
+    the ascending feature ids to search there; otherwise all are searched.
+    Returns the tree (leaf thresholds NaN), each node's split gain (0 at
+    leaves) and each node's statistic total.
+    """
+    values = data.values
+    d, n = values.shape
+    go = np.zeros(n, dtype=bool)
+    feature, threshold, left, right, gains, totals = [], [], [], [], [], []
+
+    def search(orders, total):
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        for f in range(d) if pick is None else pick():
+            xs = values[f][orders[f]]
+            cuts = np.nonzero(xs[:-1] != xs[1:])[0]
+            if len(cuts) == 0:
+                continue
+            gain = stat.gains(orders[f], cuts, total)
+            k = int(np.argmax(gain))  # first max: smallest threshold
+            if gain[k] > best_gain:  # strict: smallest feature wins ties
+                best_gain = float(gain[k])
+                best_feature = int(f)
+                best_threshold = float(0.5 * (xs[cuts[k]] + xs[cuts[k] + 1]))
+        return best_gain, best_feature, best_threshold
+
+    # pending nodes: (rows, sorted block, depth, parent's child list, parent).
+    # rows stay ascending, so node totals sum in row order. The left child is
+    # pushed last so it is numbered first. Pending blocks cover disjoint rows,
+    # so together they never hold more than one (d, n) block.
+    stack = [(np.arange(n), data.orders, 0, None, -1)]
+    while stack:
+        rows, orders, depth, child_of, parent = stack.pop()
+        i = len(feature)
+        if parent >= 0:
+            child_of[parent] = i
+        total = stat.total(rows)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        gains.append(0.0)
+        totals.append(total)
+        if (max_depth is not None and depth >= max_depth) or not stat.splittable(total):
+            continue
+        gain, f, t = search(orders, total)
+        if f < 0:
+            continue
+        feature[i], threshold[i], gains[i] = f, t, gain
+        go[rows] = values[f, rows] <= t
+        keep = go[orders].ravel()
+        go_left = go[rows]
+        stack.append((rows[~go_left], orders.compress(~keep).reshape(d, -1), depth + 1, right, i))
+        stack.append((rows[go_left], orders.compress(keep).reshape(d, -1), depth + 1, left, i))
+
+    tree = FlatTree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+    )
+    return tree, np.array(gains, dtype=np.float64), totals

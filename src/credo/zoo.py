@@ -23,10 +23,10 @@ from .baselines import (
     fit_logreg,
     fit_tree,
 )
-from .errors import ConfigError
-from .frame import Frame, numeric_frame
+from .errors import ConfigError, DataError
+from .frame import Frame
 from .gbt import GbtConfig, fit_gbt
-from .lda import LdaConfig, ProjectionLDA, fit_lda, predict_lda
+from .lda import LdaConfig, ProjectionLDA, discriminant_proba, fit_lda
 from .neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp
 
 __all__ = ["MODEL_FAMILIES", "MODEL_NAMES", "LdaClassifier", "fit_model"]
@@ -47,9 +47,10 @@ class LdaClassifier:
         return len(self.projection.class_priors)
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        f = numeric_frame(X, names=list(self.projection.feature_names))
-        return predict_lda(self.projection, f)
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DataError(f"lda classifier expects {self.n_features} features, got shape {X.shape}")
+        return discriminant_proba(self.projection, X)
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)

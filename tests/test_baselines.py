@@ -150,7 +150,7 @@ def test_tree_pure_input_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     f = numeric_frame(X, labels=np.array([0, 0, 0]), class_names=("a", "b"))
     m = fit_tree(f)
-    assert m.root.is_leaf
+    assert m.feature[0] < 0
     assert m.predict(X).tolist() == [0, 0, 0]
 
 
@@ -158,8 +158,8 @@ def test_tree_oracle_split_point():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     m = fit_tree(_frame(X, y))
-    assert m.root.feature == 0
-    assert m.root.threshold == 1.5
+    assert m.feature[0] == 0
+    assert m.threshold[0] == 1.5
     assert (m.predict(X) == y).all()
 
     # exhaustive oracle: gini decrease over every midpoint
@@ -174,7 +174,7 @@ def test_tree_oracle_split_point():
         key=lambda t: gini(y) - (X[:, 0] <= t).mean() * gini(y[X[:, 0] <= t])
         - (X[:, 0] > t).mean() * gini(y[X[:, 0] > t]),
     )
-    assert m.root.threshold == best
+    assert m.threshold[0] == best
 
 
 def test_tree_xor_depth_two():
@@ -187,7 +187,7 @@ def test_tree_xor_depth_two():
     X = np.repeat(centers, sizes, axis=0)
     y = np.repeat(labels, sizes)
     m = fit_tree(_frame(X, y), max_depth=2)
-    assert m.root.feature == 0 and m.root.threshold == 0.5
+    assert m.feature[0] == 0 and m.threshold[0] == 0.5
     assert (m.predict(X) == y).mean() == 1.0
 
 
@@ -213,7 +213,7 @@ def test_tree_min_leaf_blocks_splits():
     X = np.arange(6, dtype=float)[:, None]
     y = np.array([0, 0, 0, 1, 1, 1])
     m = fit_tree(_frame(X, y), min_leaf=4)
-    assert m.root.is_leaf
+    assert m.feature[0] < 0
 
 
 def test_tree_laplace_smoothing_and_tie_break():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -5,6 +7,7 @@ from scipy.stats import multivariate_normal
 from credo.errors import DataError, LdaClampWarning, NumericError
 from credo.frame import numeric_frame
 from credo.lda import fit_lda, predict_lda, scatter_matrices, transform_lda
+from credo.zoo import LdaClassifier
 
 
 def _frame(X, y):
@@ -223,3 +226,35 @@ def test_location_invariance_after_refit():
     pr1 = predict_lda(p1, numeric_frame(q, ["x0", "x1"]))
     pr2 = predict_lda(p2, numeric_frame(q + shift, ["x0", "x1"]))
     assert pr1 == pytest.approx(pr2, abs=1e-8)
+
+
+def test_classifier_solves_discriminant_once(monkeypatch):
+    f = _three_class_fixture(seed=5)
+    p = fit_lda(f, n_components=2)
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    clf = LdaClassifier(p)
+    X = f.feature_matrix()
+    first = clf.predict_proba(X)
+    for _ in range(3):
+        assert np.array_equal(clf.predict_proba(X[:7]), first[:7])
+    assert np.array_equal(predict_lda(p, f), first)
+    assert len(calls) == 1
+
+
+def test_classifier_checks_feature_count():
+    clf = LdaClassifier(fit_lda(_three_class_fixture(), n_components=2))
+    with pytest.raises(DataError, match="expects 2 features"):
+        clf.predict_proba(np.zeros((4, 3)))
+    with pytest.raises(DataError, match="expects 2 features"):
+        clf.predict_proba(np.zeros(2))
+
+
+def test_singular_shared_covariance_fails_at_every_prediction():
+    p = fit_lda(_three_class_fixture(), n_components=2)
+    broken = replace(p, within_scatter=np.zeros((2, 2)), ridge=0.0)
+    clf = LdaClassifier(broken)
+    for _ in range(2):  # a failed solve is not cached
+        with pytest.raises(NumericError, match="singular"):
+            clf.predict_proba(np.zeros((1, 2)))

@@ -1,0 +1,284 @@
+"""The presorted split engine against a brute-force per-node search.
+
+The oracle is the scan the engine replaced: at every node, sort each feature
+of the node's rows afresh (stable argsort), take prefix sums of the node
+statistic, and keep the first maximal gain. Whole trees grown both ways must
+be exactly equal, array for array.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from credo.baselines import fit_forest, fit_tree
+from credo.frame import numeric_frame
+from credo.gbt import GbtConfig, fit_gbt
+from credo.trees import CountStat, GradientStat, grow, presort
+
+# ----------------------------------------------------------------- oracle
+
+
+def _gradient_scan(X, rows, features, g, h, lam, gamma, mcw):
+    G_sum, H_sum = float(g[rows].sum()), float(h[rows].sum())
+    parent = G_sum * G_sum / (H_sum + lam)
+    best = (0.0, -1, 0.0)
+    for j in features:
+        xs = X[rows, j]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        if xs[0] == xs[-1]:
+            continue
+        gs = np.cumsum(g[rows][order])
+        hs = np.cumsum(h[rows][order])
+        cut = np.nonzero(xs[:-1] != xs[1:])[0]
+        GL, HL = gs[cut], hs[cut]
+        GR, HR = G_sum - GL, H_sum - HL
+        ok = (HL >= mcw) & (HR >= mcw)
+        if not ok.any():
+            continue
+        gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - gamma
+        gain[~ok] = -np.inf
+        k = int(np.argmax(gain))
+        if gain[k] > best[0]:
+            best = (float(gain[k]), int(j), float(0.5 * (xs[cut[k]] + xs[cut[k] + 1])))
+    return best
+
+
+def _impurity(counts, criterion):
+    p = counts / counts.sum(axis=1, keepdims=True)
+    if criterion == "gini":
+        return 1.0 - (p * p).sum(axis=1)
+    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return -(p * logp).sum(axis=1)
+
+
+def _count_scan(X, rows, features, y, n_classes, criterion, min_leaf):
+    ysub = y[rows]
+    n = len(rows)
+    parent_counts = np.bincount(ysub, minlength=n_classes).astype(np.float64)
+    parent_imp = _impurity(parent_counts[None, :], criterion)[0]
+    best = (0.0, -1, 0.0)
+    for j in features:
+        xs = X[rows, j]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        if xs[0] == xs[-1]:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ysub[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        cut = np.nonzero(xs[:-1] != xs[1:])[0]
+        left_n = cut + 1
+        ok = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        if not ok.any():
+            continue
+        cut, left_n = cut[ok], left_n[ok]
+        left_counts = cum[cut]
+        gain = (
+            parent_imp
+            - (left_n / n) * _impurity(left_counts, criterion)
+            - ((n - left_n) / n) * _impurity(parent_counts - left_counts, criterion)
+        )
+        k = int(np.argmax(gain))
+        if gain[k] > best[0]:
+            best = (float(gain[k]), int(j), float(0.5 * (xs[cut[k]] + xs[cut[k] + 1])))
+    return best
+
+
+def _oracle_grow(X, rows, total, splittable, scan, max_depth, pick=None):
+    """Preorder (feature, threshold, left, right, gain) arrays and totals.
+
+    ``rows`` index X and may repeat (a bootstrap sample); a node keeps them
+    in sample order, so equal values sort by sample position.
+    """
+    out = {k: [] for k in ("feature", "threshold", "left", "right", "gain", "total")}
+
+    def build(rows, depth):
+        i = len(out["feature"])
+        t = total(rows)
+        for key, v in zip(out, (-1, np.nan, -1, -1, 0.0, t)):
+            out[key].append(v)
+        if (max_depth is not None and depth >= max_depth) or not splittable(t):
+            return i
+        features = range(X.shape[1]) if pick is None else pick()
+        gain, f, thr = scan(rows, features, t)
+        if f < 0:
+            return i
+        out["feature"][i], out["threshold"][i], out["gain"][i] = f, thr, gain
+        go_left = X[rows, f] <= thr
+        out["left"][i] = build(rows[go_left], depth + 1)
+        out["right"][i] = build(rows[~go_left], depth + 1)
+        return i
+
+    build(rows, 0)
+    return out
+
+
+def _assert_same_tree(flat, gain, totals, oracle):
+    assert np.array_equal(flat.feature, oracle["feature"])
+    assert np.array_equal(flat.threshold, oracle["threshold"], equal_nan=True)
+    assert np.array_equal(flat.left, oracle["left"])
+    assert np.array_equal(flat.right, oracle["right"])
+    assert np.array_equal(gain, oracle["gain"])
+    assert np.array_equal(np.asarray(totals), np.asarray(oracle["total"]))
+
+
+# ------------------------------------------------------------------- data
+
+
+@st.composite
+def tie_heavy_tables(draw, max_rows=30):
+    """Columns that are constant, binary, one-hot groups, small integers and
+    continuous, with some rows duplicated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_rows))
+    kinds = draw(st.lists(st.sampled_from(["const", "binary", "onehot", "ints", "float"]), min_size=1, max_size=4))
+    cols = []
+    for kind in kinds:
+        if kind == "const":
+            cols.append(np.full((n, 1), 1.5))
+        elif kind == "binary":
+            cols.append(rng.integers(0, 2, (n, 1)).astype(float))
+        elif kind == "onehot":
+            cols.append(np.eye(3)[rng.integers(0, 3, n)])
+        elif kind == "ints":
+            cols.append(rng.integers(-2, 3, (n, 1)).astype(float))
+        else:
+            cols.append(rng.normal(size=(n, 1)).round(draw(st.integers(1, 6))))
+    X = np.hstack(cols)
+    dup = rng.integers(0, n, draw(st.integers(0, n)))
+    X = np.vstack([X, X[dup]])
+    return X, rng
+
+
+# ------------------------------------------------------------------ tests
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tie_heavy_tables(),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.sampled_from([0.0, 0.05]),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.integers(1, 4),
+)
+def test_gradient_trees_match_oracle(table, lam, gamma, mcw, max_depth):
+    X, rng = table
+    g = rng.normal(size=len(X)).round(3)
+    h = rng.uniform(0.01, 0.25, len(X))
+    if lam == 0.0:
+        mcw = max(mcw, 0.1)  # keep the denominators of both searches non-zero
+    flat, gain, totals = grow(presort(X), GradientStat(g, h, lam, gamma, mcw), max_depth)
+    oracle = _oracle_grow(
+        X,
+        np.arange(len(X)),
+        lambda rows: (float(g[rows].sum()), float(h[rows].sum())),
+        lambda t: True,
+        lambda rows, features, t: _gradient_scan(X, rows, features, g, h, lam, gamma, mcw),
+        max_depth,
+    )
+    _assert_same_tree(flat, gain, totals, oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tie_heavy_tables(),
+    st.integers(2, 4),
+    st.sampled_from(["gini", "entropy"]),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 3]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_count_trees_match_oracle(table, n_classes, criterion, min_leaf, max_depth, bootstrap, sample_features):
+    X, rng = table
+    n, d = X.shape
+    y = rng.integers(0, n_classes, n)
+    rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
+    seed = int(rng.integers(2**32))
+
+    def picker(r):
+        return (lambda: np.sort(r.choice(d, size=max(1, d // 2), replace=False))) if sample_features else None
+
+    stat = CountStat(y[rows], n_classes, criterion, min_leaf)
+    flat, gain, totals = grow(presort(X[rows]), stat, max_depth, picker(np.random.default_rng(seed)))
+    counts = [c for c, _ in totals]
+    oracle = _oracle_grow(
+        X,
+        rows,
+        lambda r: np.bincount(y[r], minlength=n_classes).astype(np.float64),
+        lambda t: np.count_nonzero(t) > 1,
+        lambda r, features, t: _count_scan(X, r, features, y, n_classes, criterion, min_leaf),
+        max_depth,
+        picker(np.random.default_rng(seed)),
+    )
+    _assert_same_tree(flat, gain, counts, oracle)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tie_heavy_tables(), st.integers(1, 3), st.sampled_from([None, 2]))
+def test_fitted_tree_and_forest_match_oracle(table, mtry, max_depth):
+    X, rng = table
+    n, d = X.shape
+    y = rng.integers(0, 3, n)
+    train = numeric_frame(X, labels=y, class_names=("a", "b", "c"))
+    mtry = min(mtry, d)
+
+    def oracle(rows, pick):
+        return _oracle_grow(
+            X,
+            rows,
+            lambda r: np.bincount(y[r], minlength=3).astype(np.float64),
+            lambda t: np.count_nonzero(t) > 1,
+            lambda r, features, t: _count_scan(X, r, features, y, 3, "gini", 1),
+            max_depth,
+            pick,
+        )
+
+    def check(model, o):
+        assert np.array_equal(model.feature, o["feature"])
+        assert np.array_equal(model.threshold, o["threshold"], equal_nan=True)
+        assert np.array_equal(model.left, o["left"]) and np.array_equal(model.right, o["right"])
+        assert np.array_equal(model.counts, np.vstack(o["total"]))
+
+    check(fit_tree(train, max_depth=max_depth), oracle(np.arange(n), None))
+    forest = fit_forest(train, n_trees=3, mtry=mtry, max_depth=max_depth, seed=5)
+    # fit_forest's sampling protocol: one generator per pre-spawned seed draws
+    # the bootstrap rows, then the feature subset at each splittable node
+    for tree, ss in zip(forest.trees, np.random.SeedSequence(5).spawn(3)):
+        r = np.random.default_rng(ss)
+        rows = r.integers(0, n, size=n)
+        pick = (lambda r=r: np.sort(r.choice(d, size=mtry, replace=False))) if mtry < d else None
+        check(tree, oracle(rows, pick))
+
+
+@settings(max_examples=15, deadline=None)
+@given(tie_heavy_tables(max_rows=20), st.integers(1, 3))
+def test_boosted_trees_match_oracle(table, max_depth):
+    X, rng = table
+    y = rng.integers(0, 3, len(X))
+    cfg = GbtConfig(rounds=3, learning_rate=0.5, max_depth=max_depth, min_child_weight=0.0)
+    m = fit_gbt(numeric_frame(X, labels=y, class_names=("a", "b", "c")), cfg)
+    # replay the boosting loop, growing each tree with the oracle
+    Y = np.eye(3)[y]
+    margins = np.tile(m.base_score, (len(X), 1))
+    for r in range(cfg.rounds):
+        P = np.exp(margins - margins.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        G, H = P - Y, P * (1.0 - P)
+        for c in range(3):
+            g, h = G[:, c], H[:, c]
+            o = _oracle_grow(
+                X,
+                np.arange(len(X)),
+                lambda rows: (float(g[rows].sum()), float(h[rows].sum())),
+                lambda t: True,
+                lambda rows, features, t: _gradient_scan(X, rows, features, g, h, cfg.lam, 0.0, 0.0),
+                max_depth,
+            )
+            tree = m.trees[r * 3 + c]
+            assert np.array_equal(tree.feature, o["feature"])
+            assert np.array_equal(tree.threshold, np.nan_to_num(o["threshold"], nan=0.0))
+            assert np.array_equal(tree.gain, o["gain"])
+            assert np.array_equal(tree.weight, [-G_ / (H_ + cfg.lam) for G_, H_ in o["total"]])
+            margins[:, c] += cfg.learning_rate * tree.outputs(X)
