@@ -10,14 +10,18 @@ The preprocessing chain, in pipeline order:
     load_csv -> drop_sparse_features -> impute -> encode -> split
     -> fit_scaler / apply_scaler
 
-CSV conventions: RFC-4180-style, UTF-8, header row required, ``,`` delimiter,
-``"`` quoting. The tokens ``""``, ``"NA"`` and ``"null"`` (case-sensitive)
-are read as missing.
+CSV conventions: RFC-4180-style, UTF-8 (a leading byte-order mark is
+accepted), header row required, ``,`` delimiter, ``"`` quoting. The tokens
+``""``, ``"NA"`` and ``"null"`` (case-sensitive) are read as missing. A cell
+is a number iff Python's ``float()`` accepts it (so ``" 1.5"``, ``"1_000"``
+and ``"+2"`` are numbers) and the value is finite. ``write_csv`` renders
+the processed splits and the synthetic data under the same conventions.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -29,6 +33,8 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 MISSING_TOKENS = frozenset({"", "NA", "null"})
+_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
+_WRITE_BLOCK_ROWS = 4096
 
 
 def _parse_finite(cell: str) -> float | None:
@@ -38,6 +44,20 @@ def _parse_finite(cell: str) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _finite_floats(cells) -> tuple[np.ndarray, np.ndarray] | None:
+    """The column as float64 with NaN in missing slots, and its missing mask;
+    None if an observed cell is not a finite number. One ``float()`` pass."""
+    try:
+        values = np.array(list(map(float, map(_AS_NAN.get, cells, cells))))
+    except ValueError:
+        return None
+    missing = np.isnan(values)
+    nan_cells = [cells[i] for i in np.flatnonzero(missing).tolist()]
+    if not MISSING_TOKENS.issuperset(nan_cells) or np.isinf(values).any():
+        return None  # a cell spelled a NaN or an infinity
+    return values, missing
 
 
 @dataclass(frozen=True)
@@ -219,7 +239,7 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     contradicts the data.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
     with fh:
@@ -246,27 +266,59 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
         if hints[name] not in (NUMERIC, CATEGORICAL):
             raise DataError(f"schema hint for {name!r} must be 'numeric' or 'categorical'")
 
+    n_rows = len(rows)
+    cells_by_column = list(zip(*rows))
+    del rows
     columns = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        missing = np.fromiter((c in MISSING_TOKENS for c in cells), dtype=bool, count=len(cells))
-        parsed = [None if m else _parse_finite(c) for c, m in zip(cells, missing)]
-        all_numeric = all(p is not None for p, m in zip(parsed, missing) if not m)
-        kind = hints.get(name, NUMERIC if all_numeric else CATEGORICAL)
-        if kind == NUMERIC:
-            if not all_numeric:
-                bad = next(i for i, (p, m) in enumerate(zip(parsed, missing), 1) if not m and p is None)
-                raise DataError(
-                    f"column {name!r} hinted numeric but data row {bad} does not parse"
-                )
-            values = np.array(
-                [np.nan if m else p for p, m in zip(parsed, missing)], dtype=np.float64
+    for name, cells in zip(header, cells_by_column):
+        hint = hints.get(name)
+        parsed = None if hint == CATEGORICAL else _finite_floats(cells)
+        if parsed is not None:
+            columns.append(Column(NUMERIC, *parsed))
+            continue
+        missing = np.fromiter(map(MISSING_TOKENS.__contains__, cells), dtype=bool, count=n_rows)
+        if hint == NUMERIC:
+            bad = next(
+                i for i, (c, m) in enumerate(zip(cells, missing), 1)
+                if not m and _parse_finite(c) is None
             )
-        else:
-            values = np.array([None if m else c for c, m in zip(cells, missing)], dtype=object)
-        columns.append(Column(kind, values, missing))
+            raise DataError(f"column {name!r} hinted numeric but data row {bad} does not parse")
+        values = np.array(cells, dtype=object)
+        values[missing] = None
+        columns.append(Column(CATEGORICAL, values, missing))
 
-    return Frame(tuple(header), tuple(columns), len(rows))
+    return Frame(tuple(header), tuple(columns), n_rows)
+
+
+def _quoted(cell: str) -> str:
+    """``cell`` as csv.writer renders it within a row, quoted only if needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", cell])  # a lone "" renders as '""'
+    return buf.getvalue()[1:-1]
+
+
+def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None) -> None:
+    """Write a table to the text file ``fh``, a block of rows at a time.
+
+    Row ``i`` is the float64 cells of ``X[i]`` as their ``repr`` (the text
+    ``float()`` reads back exactly), then ``levels[c][codes[i, c]]`` for each
+    column ``c`` of ``codes``. Cells where the boolean ``missing`` (covering
+    the leading columns of the row) is set are written as ``NA``. The
+    header and the levels are quoted as csv.writer quotes them, once each.
+    """
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    d = X.shape[1]
+    words = [np.array([_quoted(w) for w in names], dtype=object) for names in levels]
+    for start in range(0, len(X), _WRITE_BLOCK_ROWS):
+        block = slice(start, start + _WRITE_BLOCK_ROWS)
+        cells = np.empty((len(X[block]), d + len(words)), dtype=object)
+        for j in range(d):
+            cells[:, j] = list(map(repr, X[block, j].tolist()))
+        for c, text in enumerate(words):
+            cells[:, d + c] = text[codes[block, c]]
+        if missing is not None:
+            cells[:, : missing.shape[1]][missing[block]] = "NA"
+        fh.write("".join([",".join(row) + "\n" for row in cells.tolist()]))
 
 
 def check_null_threshold(threshold: float) -> None:

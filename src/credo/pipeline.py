@@ -44,6 +44,7 @@ from .frame import (
     load_csv,
     numeric_frame,
     split,
+    write_csv,
 )
 from .lda import fit_lda, transform_lda
 from .metrics import MetricReport, evaluate
@@ -285,16 +286,19 @@ def _metrics_csv(outcome: RunOutcome) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frame_csv(frame: Frame, target_name: str) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(frame.column_names) + [target_name])
-    X = frame.feature_matrix()
-    names = frame.target.class_names
-    labels = frame.labels
-    for i in range(frame.n_rows):
-        writer.writerow([repr(float(v)) for v in X[i]] + [names[labels[i]]])
-    return buf.getvalue()
+def _frame_csv(frame: Frame, target_name: str):
+    """A writer of the frame's features with its target column restored."""
+    def write(path: Path) -> None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_csv(
+                fh,
+                [*frame.column_names, target_name],
+                frame.feature_matrix(),
+                frame.labels[:, None],
+                [frame.target.class_names],
+            )
+
+    return write
 
 
 def _json(obj) -> str:
@@ -303,17 +307,17 @@ def _json(obj) -> str:
 
 def _write_outputs(outputs) -> None:
     """Write each (path, text or writer function) in order, rendering lazily
-    if `outputs` is a generator. If one fails, remove what the earlier ones
-    created and raise a 'write' stage error."""
+    if `outputs` is a generator. If one fails, remove what it and the
+    earlier ones created and raise a 'write' stage error."""
     created: list[Path] = []
     try:
         for path, content in outputs:
             path.parent.mkdir(parents=True, exist_ok=True)
+            created.append(path)
             if callable(content):
                 content(path)
             else:
                 path.write_text(content)
-            created.append(path)
     except Exception as e:
         for path in reversed(created):
             if path.is_dir():

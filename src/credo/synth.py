@@ -7,17 +7,16 @@ missing cells injected at a configurable rate. Deterministic per seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .frame import write_csv
 
 __all__ = ["SynthSpec", "class_counts", "write_synthetic"]
 
 _CATEGORY_LEVELS = ("alpha", "beta", "delta", "gamma")
-_MISSING_TOKEN = "NA"
 
 
 @dataclass(frozen=True)
@@ -109,16 +108,15 @@ def write_synthetic(path: str, spec: SynthSpec = SynthSpec()) -> dict:
     digits = len(str(spec.classes - 1))
     class_names = [f"c{c:0{digits}d}" for c in range(spec.classes)]
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_column_names(spec))
-        for i in range(n):
-            row = [repr(float(v)) for v in numeric[i]]
-            row += [_CATEGORY_LEVELS[c] for c in cats[i]]
-            for j in np.flatnonzero(null_mask[i]):
-                row[j] = _MISSING_TOKEN
-            row.append(class_names[labels[i]])
-            writer.writerow(row)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_csv(
+            fh,
+            _column_names(spec),
+            numeric,
+            np.column_stack([cats, labels]),
+            [_CATEGORY_LEVELS] * spec.categorical + [class_names],
+            missing=null_mask,
+        )
 
     return {
         "path": path,

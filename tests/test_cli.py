@@ -1,6 +1,10 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,20 @@ def test_integer_coded_target_runs_and_compares(tmp_path):
     assert len(rows) == 4 and all(r["error"] is None for r in rows)
 
 
+def test_byte_order_mark_before_target_column_runs(tmp_path):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(120, 2))
+    y = np.where(X[:, 0] > 0, "good", "bad")
+    data = tmp_path / "excel.csv"
+    rows = [f"{t},{a!r},{b!r}" for t, (a, b) in zip(y, X.tolist())]
+    data.write_text("\n".join(["status,a,b", *rows]) + "\n", encoding="utf-8-sig")
+    assert data.read_bytes().startswith(b"\xef\xbb\xbfstatus,")
+    assert main(["run", "-c", write_config(tmp_path, str(data))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["preprocessing"]["class_names"] == ["bad", "good"]
+    assert report["preprocessing"]["feature_names"] == ["a", "b"]
+
+
 def test_explain_replays_archive(tmp_path, data_csv, capsys):
     cfg = write_config(tmp_path, data_csv)
     assert main(["run", "-c", cfg]) == 0
@@ -248,6 +266,20 @@ def test_synth_writes_csv(tmp_path, capsys):
     header = out.read_text().splitlines()[0]
     assert header.count(",") == 6  # 6 features + target
     assert "wrote 200 rows x 7 columns" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_synth(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "synth.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "credo", "synth", "-o", str(out), "--rows", "40", "--features", "4",
+         "--classes", "2", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote 40 rows x 5 columns" in proc.stdout
+    assert out.read_text().splitlines()[0] == "num_00,cat_0,cat_1,cat_2,status"
 
 
 def test_synth_rejects_impossible_spec(tmp_path, capsys):

@@ -1,11 +1,18 @@
+import csv
+import io
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credo.errors import DataError
 from credo.frame import (
     CATEGORICAL,
+    MISSING_TOKENS,
     NUMERIC,
     Column,
     Frame,
@@ -18,6 +25,7 @@ from credo.frame import (
     load_csv,
     numeric_frame,
     split,
+    write_csv,
 )
 
 
@@ -86,6 +94,178 @@ def test_schema_hint_errors(csv_file):
 def test_duplicate_header_rejected(csv_file):
     with pytest.raises(DataError, match="unique"):
         load_csv(csv_file("a,a\n1,2\n"))
+
+
+def _load_csv_cell_by_cell(path, schema_hints=None):
+    """The loader as it was before columnar conversion: one float() per cell.
+
+    Kept as the oracle for :func:`load_csv`, which must match it in kinds,
+    masks, value bytes and error messages.
+    """
+
+    def parse_finite(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        rows = []
+        for i, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: data row {i}: expected {len(header)} cells, got {len(row)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    hints = dict(schema_hints or {})
+    for name in hints:
+        if name not in header:
+            raise DataError(f"schema hint for unknown column {name!r}")
+        if hints[name] not in (NUMERIC, CATEGORICAL):
+            raise DataError(f"schema hint for {name!r} must be 'numeric' or 'categorical'")
+
+    columns = []
+    for j, name in enumerate(header):
+        cells = [row[j] for row in rows]
+        missing = np.fromiter((c in MISSING_TOKENS for c in cells), dtype=bool, count=len(cells))
+        parsed = [None if m else parse_finite(c) for c, m in zip(cells, missing)]
+        all_numeric = all(p is not None for p, m in zip(parsed, missing) if not m)
+        kind = hints.get(name, NUMERIC if all_numeric else CATEGORICAL)
+        if kind == NUMERIC:
+            if not all_numeric:
+                bad = next(i for i, (p, m) in enumerate(zip(parsed, missing), 1) if not m and p is None)
+                raise DataError(
+                    f"column {name!r} hinted numeric but data row {bad} does not parse"
+                )
+            values = np.array(
+                [np.nan if m else p for p, m in zip(parsed, missing)], dtype=np.float64
+            )
+        else:
+            values = np.array([None if m else c for c, m in zip(cells, missing)], dtype=object)
+        columns.append(Column(kind, values, missing))
+
+    return Frame(tuple(header), tuple(columns), len(rows))
+
+
+ORACLE_CELLS = [
+    "", "NA", "null", "na", "Null", " 1.5", "1.5 ", "1_000", "+2", "-0.0", "3", "2.5e-3",
+    "1e308", "1e999", "Infinity", "-inf", "nan", "x", "a,b", 'say "hi"', "line\nbreak",
+]
+ORACLE_NAMES = ["a", "b,c", 'q"t', "d"]
+
+
+@st.composite
+def csv_tables(draw):
+    """CSV text mixing missing tokens, float() edge cases, quoting, blank
+    lines and the occasional ragged row, plus schema hints for it."""
+    width = draw(st.integers(1, len(ORACLE_NAMES)))
+    header = ORACLE_NAMES[:width]
+    # a column leans numeric or textual so that numeric columns actually occur
+    pools = [
+        draw(st.sampled_from([ORACLE_CELLS[:13], ORACLE_CELLS])) for _ in range(width)
+    ]
+    cell = lambda j: st.one_of(
+        st.sampled_from(pools[j]), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "long"]))
+        if kind == "blank":
+            rows.append(None)
+            continue
+        row = [draw(cell(j)) for j in range(width)]
+        if kind == "short" and width > 1:
+            row = row[:-1]
+        elif kind == "long":
+            row = row + ["9"]
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if draw(st.integers(0, 9)) == 0:
+        buf.write("\n")  # a blank first line is an empty header
+    writer.writerow(header)
+    for row in rows:
+        if row is None:
+            buf.write("\n")
+        else:
+            writer.writerow(row)
+    names = st.sampled_from(header + ["ghost"])
+    kinds = st.sampled_from([NUMERIC, CATEGORICAL, NUMERIC, CATEGORICAL, "text"])
+    hints = draw(st.none() | st.dictionaries(names, kinds, max_size=2))
+    return buf.getvalue(), hints
+
+
+def _outcome(loader, path, hints):
+    try:
+        frame = loader(path, schema_hints=hints)
+    except DataError as e:
+        return "error", str(e)
+    columns = [
+        (
+            c.kind,
+            c.missing_mask.tobytes(),
+            c.values.tobytes() if c.kind == NUMERIC else c.values.tolist(),
+        )
+        for c in frame.columns
+    ]
+    return frame.column_names, frame.n_rows, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+@example(("\n\n\n", None))  # an empty header over blank lines only
+@example(("a\n\n1\n\nx\n", {"a": NUMERIC}))
+def test_load_csv_matches_cell_by_cell_oracle(table):
+    text, hints = table
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        expected = _outcome(_load_csv_cell_by_cell, path, hints)
+        assert _outcome(load_csv, path, hints) == expected
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 1e-5, 0.1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 3),
+    st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+def test_write_csv_matches_csv_writer(n, d, words, data):
+    block_rows = data.draw(st.integers(1, 4))  # several blocks and a partial last one
+    cell = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+    X = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
+    X = X.reshape(n, d)
+    codes = np.array(data.draw(st.lists(st.integers(0, len(words) - 1), min_size=n, max_size=n)))
+    missing = np.array(data.draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d)), dtype=bool)
+    missing = missing.reshape(n, d)
+    header = [f"h{j}" for j in range(d)] + ["t,\"arget"]
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(n):
+        row = ["NA" if missing[i, j] else repr(float(X[i, j])) for j in range(d)]
+        writer.writerow(row + [words[codes[i]]])
+    actual = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("credo.frame._WRITE_BLOCK_ROWS", block_rows)
+        write_csv(actual, header, X, codes.reshape(n, 1), [words], missing=missing)
+    assert actual.getvalue() == expected.getvalue()
 
 
 # ---------------------------------------------- drop_sparse_features

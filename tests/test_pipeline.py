@@ -257,6 +257,19 @@ def test_cmd_run_cleans_up_after_write_failure(data_csv, tmp_path, monkeypatch):
     assert leftover == []
 
 
+def test_cmd_run_removes_partly_written_csv(data_csv, tmp_path, monkeypatch):
+    def header_then_fail(fh, header, *args, **kwargs):
+        fh.write(",".join(header) + "\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("credo.pipeline.write_csv", header_then_fail)
+    cfg = make_cfg(data_csv, tmp_path / "out")
+    with pytest.raises(PipelineError, match="stage 'write'"):
+        cmd_run(cfg)
+    leftover = list((tmp_path / "out").rglob("*")) if (tmp_path / "out").exists() else []
+    assert leftover == []
+
+
 # ------------------------------------------------------------- cmd_compare
 
 
