@@ -12,12 +12,13 @@ prediction is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
-from .trees import CountStat, FlatTree, Presorted, grow, presort
+from .trees import CountStat, FlatTree, Presorted, TreeStack, grow, presort
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -232,15 +233,18 @@ class TreeModel(FlatTree, _PredictMixin):
     n_classes: int
     n_features: int
 
-    def predict_proba(self, X) -> np.ndarray:
-        X = self._coerce(X)
+    @property
+    def node_proba(self) -> np.ndarray:
         c = self.counts
-        return ((c + 1.0) / (c.sum(axis=1, keepdims=True) + self.n_classes))[self.route(X)]
+        return (c + 1.0) / (c.sum(axis=1, keepdims=True) + self.n_classes)
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.node_proba[self.route(self._coerce(X))]
 
 
 def _grow_cart(data: Presorted, y, n_classes, cfg: TreeConfig, pick=None) -> TreeModel:
     stat = CountStat(y, n_classes, cfg.criterion, cfg.min_leaf)
-    flat, _, totals = grow(data, stat, cfg.max_depth, pick)
+    flat, _, totals, _ = grow(data, stat, cfg.max_depth, pick)
     return TreeModel(
         flat.feature,
         flat.threshold,
@@ -286,11 +290,19 @@ class ForestModel(_PredictMixin):
     n_classes: int
     n_features: int
 
+    @cached_property
+    def stack(self) -> TreeStack:
+        return TreeStack(self.trees)
+
     def predict_proba(self, X) -> np.ndarray:
+        """Mean of the trees' leaf frequencies, summed in tree order."""
         X = self._coerce(X)
+        proba = np.concatenate([t.node_proba for t in self.trees])
         out = np.zeros((len(X), self.n_classes))
-        for tree in self.trees:
-            out += tree.predict_proba(X)
+        for start, nodes in self.stack.blocks(X):
+            block = out[start : start + len(nodes)]
+            for t in range(len(self.trees)):
+                block += proba[nodes[:, t]]
         return out / len(self.trees)
 
 

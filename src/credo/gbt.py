@@ -10,19 +10,22 @@ accepted only when the gain is strictly positive and both children carry at
 least ``min_child_weight`` of hessian mass. Leaf weights are the Newton step
 -G/(H+lambda), stored raw; the learning rate scales them at accumulation
 time. Splits come from the exact search in :mod:`credo.trees`, over one
-presort of the training matrix shared by every round and class.
+presort of the training matrix shared by every round and class. Inference
+walks all trees at once through one stacked node table and adds the leaf
+weights a block of rows at a time, in (round, class) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
 from .baselines import as_matrix, softmax
-from .trees import FlatTree, GradientStat, Presorted, grow, presort
+from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,6 @@ class RegressionTree(FlatTree):
 
     def outputs(self, X: np.ndarray) -> np.ndarray:
         return self.weight[self.route(X)]
-
-    def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_ordinal[self.route(X)]
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,10 @@ class BoostedEnsemble:
             if not np.isfinite(t.weight[t.feature < 0]).all():
                 raise DataError("non-finite leaf weight")
 
+    @cached_property
+    def stack(self) -> TreeStack:
+        return TreeStack(self.trees)
+
     def predict_proba(self, X) -> np.ndarray:
         return predict_gbt(self, X)
 
@@ -91,11 +95,12 @@ class BoostedEnsemble:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig) -> RegressionTree:
+def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig):
+    """The tree and the leaf each training row lands in."""
     stat = GradientStat(g, h, cfg.lam, cfg.gamma, cfg.min_child_weight)
-    flat, gain, totals = grow(data, stat, cfg.max_depth)
+    flat, gain, totals, leaf_of = grow(data, stat, cfg.max_depth)
     leaf = flat.feature < 0
-    return RegressionTree(
+    tree = RegressionTree(
         feature=flat.feature,
         threshold=np.where(leaf, 0.0, flat.threshold),
         left=flat.left,
@@ -104,6 +109,7 @@ def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig) ->
         gain=gain,
         leaf_ordinal=np.where(leaf, np.cumsum(leaf) - 1, -1),
     )
+    return tree, leaf_of
 
 
 def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
@@ -130,9 +136,9 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
         if not (np.isfinite(G).all() and np.isfinite(H).all()):
             raise NumericError(f"non-finite boosting gradient at round {r}")
         for c in range(n_classes):
-            tree = _grow_tree(data, np.ascontiguousarray(G[:, c]), np.ascontiguousarray(H[:, c]), cfg)
+            tree, leaf_of = _grow_tree(data, np.ascontiguousarray(G[:, c]), np.ascontiguousarray(H[:, c]), cfg)
             trees.append(tree)
-            margins[:, c] += cfg.learning_rate * tree.outputs(X)
+            margins[:, c] += cfg.learning_rate * tree.weight[leaf_of]
 
     return BoostedEnsemble(
         n_classes=n_classes,
@@ -161,11 +167,13 @@ def extract_margins(m: BoostedEnsemble, f, n_rounds: int | None = None) -> np.nd
         n_rounds = m.rounds
     if not (0 <= n_rounds <= m.rounds):
         raise DataError(f"n_rounds must be in [0, {m.rounds}], got {n_rounds}")
+    C = m.n_classes
+    step = m.learning_rate * stacked_nodes(m.trees, "weight")
     margins = np.tile(m.base_score, (len(X), 1))
-    for r in range(n_rounds):
-        for c in range(m.n_classes):
-            tree = m.trees[r * m.n_classes + c]
-            margins[:, c] += m.learning_rate * tree.outputs(X)
+    for start, nodes in m.stack.blocks(X, n_rounds * C):
+        block = margins[start : start + len(nodes)]
+        for r in range(n_rounds):
+            block += step[nodes[:, r * C : (r + 1) * C]]
     return margins
 
 
@@ -177,7 +185,4 @@ def predict_gbt(m: BoostedEnsemble, f) -> np.ndarray:
 def extract_leaf_indices(m: BoostedEnsemble, f) -> np.ndarray:
     """(rows x total trees) matrix of depth-first leaf ordinals."""
     X = _coerce(m, f)
-    out = np.empty((len(X), len(m.trees)), dtype=np.int64)
-    for t, tree in enumerate(m.trees):
-        out[:, t] = tree.leaf_indices(X)
-    return out
+    return stacked_nodes(m.trees, "leaf_ordinal", np.int64)[m.stack.route(X)]

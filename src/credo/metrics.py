@@ -152,8 +152,8 @@ def _roc_points(scores: np.ndarray, positive: np.ndarray) -> np.ndarray:
 
 def _upper_hull(points: np.ndarray) -> np.ndarray:
     """Concave majorant of ROC points, left to right (monotone chain)."""
-    hull: list[np.ndarray] = []
-    for p in points:
+    hull: list[list[float]] = []
+    for p in points.tolist():  # Python floats: the same IEEE arithmetic, without numpy scalars
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])

@@ -10,19 +10,29 @@ gradient and hessian sums for boosting (:class:`GradientStat`), class counts
 for CART (:class:`CountStat`). A node splits on the largest strictly positive
 gain; ties go to the smallest feature index, then the smallest threshold.
 Trees grow depth-first into flat preorder arrays.
+
+Inference stacks the node arrays of a sequence of trees into one table
+(:class:`TreeStack`) and walks every tree at once, a block of rows at a time:
+the flat-array form of scoring a whole ensemble together (QuickScorer,
+Lucchese et al., SIGIR 2015).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+BLOCK_ROWS = 1024  # rows walked together; temporaries are BLOCK_ROWS x trees
 
 
 @dataclass(frozen=True)
 class FlatTree:
     """Preorder node arrays. ``feature[i] < 0`` marks a leaf; rows with
-    ``x[feature] <= threshold`` go to ``left``, the others to ``right``."""
+    ``x[feature] <= threshold`` go to ``left``, the others (NaN included)
+    to ``right``."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -33,18 +43,68 @@ class FlatTree:
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
+    @cached_property
+    def stack(self) -> TreeStack:
+        return TreeStack((self,))
+
     def route(self, X: np.ndarray) -> np.ndarray:
-        """Node index each row lands in, walked level by level."""
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            live = feat >= 0
-            if not live.any():
-                return node
-            rows = np.nonzero(live)[0]
-            cur = node[rows]
-            go_left = X[rows, feat[live]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
+        """Node index each row lands in: the one-tree walk."""
+        return self.stack.route(X)[:, 0]
+
+
+def stacked_nodes(trees, key: str, dtype=np.float64) -> np.ndarray:
+    """One per-node array of each tree, end to end: indexed by TreeStack
+    node ids."""
+    return np.concatenate([np.empty(0, dtype), *(getattr(t, key) for t in trees)])
+
+
+class TreeStack:
+    """The nodes of a sequence of trees in one table, walked all at once.
+
+    Tree t's nodes follow tree t-1's, so node ids are global and
+    ``roots[t]`` is tree t's first node. Each leaf is a self-loop (feature
+    0, threshold +inf, both children itself), so a row takes exactly
+    ``depth`` steps down every tree, ``node = children[2 node + not (x <=
+    threshold)]``, with no bookkeeping of the rows that have arrived.
+    """
+
+    def __init__(self, trees):
+        sizes = [len(t.feature) for t in trees]
+        self.roots = np.cumsum([0, *sizes])[:-1]
+        offset = np.repeat(self.roots, sizes)
+        feature = stacked_nodes(trees, "feature", np.int64)
+        leaf = feature < 0
+        left = stacked_nodes(trees, "left", np.int64) + offset
+        right = stacked_nodes(trees, "right", np.int64) + offset
+        self.depth, level = 0, self.roots
+        while (inner := level[~leaf[level]]).size:
+            self.depth, level = self.depth + 1, np.concatenate([left[inner], right[inner]])
+        node = np.arange(len(feature))
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.where(leaf, np.inf, stacked_nodes(trees, "threshold"))
+        self.children = np.column_stack([np.where(leaf, node, left), np.where(leaf, node, right)]).ravel()
+
+    def blocks(self, X: np.ndarray, n_trees: int | None = None):
+        """Yield ``(start, nodes)`` per block of BLOCK_ROWS rows of X, where
+        ``nodes[i, t]`` is the id of the leaf that row start + i reaches in
+        tree t, for the first ``n_trees`` trees (all by default)."""
+        roots = self.roots[:n_trees]
+        for start in range(0, len(X), BLOCK_ROWS):
+            x = X[start : start + BLOCK_ROWS]
+            at = np.arange(0, x.size, x.shape[1])[:, None]  # each row's offset in x.ravel()
+            x = x.ravel()
+            node = np.tile(roots, (len(at), 1))
+            for _ in range(self.depth):
+                go_right = ~(x[at + self.feature[node]] <= self.threshold[node])
+                node = self.children[2 * node + go_right]
+            yield start, node
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """(rows x trees) matrix of the leaf each row reaches in each tree."""
+        out = np.empty((len(X), len(self.roots)), dtype=np.int64)
+        for start, nodes in self.blocks(X):
+            out[start : start + len(nodes)] = nodes
+        return out
 
 
 @dataclass(frozen=True)
@@ -140,11 +200,13 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
     ``pick()``, when given, is called at each node that may split and returns
     the ascending feature ids to search there; otherwise all are searched.
     Returns the tree (leaf thresholds NaN), each node's split gain (0 at
-    leaves) and each node's statistic total.
+    leaves), each node's statistic total and the leaf each row of ``data``
+    lands in.
     """
     values = data.values
     d, n = values.shape
     go = np.zeros(n, dtype=bool)
+    leaf_of = np.empty(n, dtype=np.int64)  # each node on a row's path overwrites it
     feature, threshold, left, right, gains, totals = [], [], [], [], [], []
 
     def search(orders, total):
@@ -173,6 +235,7 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
         if parent >= 0:
             child_of[parent] = i
         total = stat.total(rows)
+        leaf_of[rows] = i
         feature.append(-1)
         threshold.append(np.nan)
         left.append(-1)
@@ -197,4 +260,4 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
         np.array(left, dtype=np.int64),
         np.array(right, dtype=np.int64),
     )
-    return tree, np.array(gains, dtype=np.float64), totals
+    return tree, np.array(gains, dtype=np.float64), totals, leaf_of

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
 
 from credo.errors import DataError, MetricConventionWarning
@@ -9,6 +11,8 @@ from credo.metrics import (
     confusion,
     evaluate,
     h_measure,
+    _roc_points,
+    _upper_hull,
 )
 
 
@@ -192,6 +196,40 @@ def test_hull_matches_grid_oracle(seed, n, p_pos):
     got = binary_h_measure(s, positive)
     want = _oracle_binary_h(s, positive)
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def _oracle_upper_hull(points):
+    """The hull loop over numpy rows, as first written."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return np.array(hull)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 300),
+    st.sampled_from(["random", "ties", "equal"]),
+)
+def test_upper_hull_bytes_match_numpy_row_loop(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    positive = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+    positive[:2] = [0, 1]
+    scores = {
+        "random": rng.uniform(size=n) + 0.3 * positive,
+        "ties": np.round(rng.uniform(size=n) + 0.5 * positive, 1),
+        "equal": np.full(n, 0.25),
+    }[kind]
+    points = _roc_points(scores, positive)
+    assert _upper_hull(points).tobytes() == _oracle_upper_hull(points).tobytes()
 
 
 def test_constant_scores_h_zero():

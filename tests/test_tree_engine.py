@@ -168,7 +168,7 @@ def test_gradient_trees_match_oracle(table, lam, gamma, mcw, max_depth):
     h = rng.uniform(0.01, 0.25, len(X))
     if lam == 0.0:
         mcw = max(mcw, 0.1)  # keep the denominators of both searches non-zero
-    flat, gain, totals = grow(presort(X), GradientStat(g, h, lam, gamma, mcw), max_depth)
+    flat, gain, totals, _ = grow(presort(X), GradientStat(g, h, lam, gamma, mcw), max_depth)
     oracle = _oracle_grow(
         X,
         np.arange(len(X)),
@@ -201,7 +201,7 @@ def test_count_trees_match_oracle(table, n_classes, criterion, min_leaf, max_dep
         return (lambda: np.sort(r.choice(d, size=max(1, d // 2), replace=False))) if sample_features else None
 
     stat = CountStat(y[rows], n_classes, criterion, min_leaf)
-    flat, gain, totals = grow(presort(X[rows]), stat, max_depth, picker(np.random.default_rng(seed)))
+    flat, gain, totals, _ = grow(presort(X[rows]), stat, max_depth, picker(np.random.default_rng(seed)))
     counts = [c for c, _ in totals]
     oracle = _oracle_grow(
         X,
