@@ -37,9 +37,6 @@ class RegressionTree(FlatTree):
     gain: np.ndarray
     leaf_ordinal: np.ndarray
 
-    def outputs(self, X: np.ndarray) -> np.ndarray:
-        return self.weight[self.route(X)]
-
 
 @dataclass(frozen=True)
 class GbtConfig:

@@ -107,12 +107,16 @@ def _forward(weights, biases, X):
     return acts
 
 
+def _cross_entropy(P, labels):
+    return -np.mean(np.log(np.clip(P[np.arange(len(P)), labels], 1e-300, None)))
+
+
 def mlp_gradients(weights, biases, X, Y):
     """Mean cross-entropy loss and its gradients for every parameter."""
     acts = _forward(weights, biases, X)
     P = acts[-1]
     n = len(X)
-    loss = -np.mean(np.log(np.clip(P[np.arange(n), Y.argmax(axis=1)], 1e-300, None)))
+    loss = _cross_entropy(P, Y.argmax(axis=1))
     delta = (P - Y) / n
     gW = [None] * len(weights)
     gb = [None] * len(biases)
@@ -145,12 +149,18 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
     sizes = (d, *cfg.hidden, n_classes)
     rng = np.random.default_rng(cfg.seed)  # initial weights, then the batch order
     init = init_mlp(sizes, rng)
-    weights, biases = list(init.weights), list(init.biases)
 
-    # Adam state, one slot per parameter array (weights then biases)
-    params = weights + biases
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    # every parameter is a view into one flat vector (weights then biases),
+    # so one Adam update per step covers them all
+    parts = init.weights + init.biases
+    flat = np.concatenate([p.ravel() for p in parts])
+    ends = np.cumsum([p.size for p in parts])
+    params = [flat[end - p.size : end].reshape(p.shape) for p, end in zip(parts, ends)]
+    weights, biases = params[: len(init.weights)], params[len(init.weights) :]
+
+    grad = np.empty_like(flat)
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     for epoch in range(cfg.epochs):
@@ -163,17 +173,16 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             t += 1
-            grads = gW + gb
-            for p, g, m_s, v_s in zip(params, grads, m_state, v_state):
-                m_s *= beta1
-                m_s += (1 - beta1) * g
-                v_s *= beta2
-                v_s += (1 - beta2) * g * g
-                m_hat = m_s / (1 - beta1**t)
-                v_hat = v_s / (1 - beta2**t)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            np.concatenate([g.ravel() for g in gW + gb], out=grad)
+            m_state *= beta1
+            m_state += (1 - beta1) * grad
+            v_state *= beta2
+            v_state += (1 - beta2) * grad * grad
+            m_hat = m_state / (1 - beta1**t)
+            v_hat = v_state / (1 - beta2**t)
+            flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    final_loss, _, _ = mlp_gradients(weights, biases, X, Y)
+    final_loss = _cross_entropy(_forward(weights, biases, X)[-1], y)
     return Mlp(sizes, tuple(weights), tuple(biases), float(final_loss))
 
 
@@ -239,10 +248,13 @@ def fit_hybrid(
     gbt_cfg: GbtConfig | None = None,
     mlp_cfg: MlpConfig | None = None,
     feature_mode: str = "margins",
+    booster: BoostedEnsemble | None = None,
 ) -> HybridXgDnn:
     """Stage 1 boosts on raw features; stage 2 fits the network head on the
-    derived features. The booster is frozen before stage 2 begins."""
-    booster = fit_gbt(train, gbt_cfg)
+    derived features. The booster is frozen before stage 2 begins. A given
+    `booster`, already fitted on `train` with `gbt_cfg`, replaces stage 1."""
+    if booster is None:
+        booster = fit_gbt(train, gbt_cfg)
     Z = derive_features(booster, train, feature_mode)
     head_train = numeric_frame(
         Z, [f"z{i}" for i in range(Z.shape[1])], target=train.target

@@ -173,9 +173,15 @@ def _reduce(train: Frame, test: Frame, lda_cfg: dict, timings: list[dict]):
     return _stage(timings, "lda", project)
 
 
-def _fit_and_score(train: Frame, test: Frame, model_cfg: dict, timings: list[dict]):
-    """One model: fit on train, then score its test-split probabilities."""
-    model = _stage(timings, "fit", lambda: fit_model(model_cfg["name"], train, model_cfg["params"]))
+def _fit_and_score(
+    train: Frame, test: Frame, model_cfg: dict, timings: list[dict], boosters: dict | None = None
+):
+    """One model: fit on train, then score its test-split probabilities.
+    `boosters` is compare's memo of the boosters fitted on this `train`."""
+    args = (model_cfg["name"], train, model_cfg["params"])
+    model = _stage(
+        timings, "fit", lambda: fit_model(*args) if boosters is None else fit_model(*args, boosters)
+    )
 
     def score():
         proba = np.asarray(model.predict_proba(test.feature_matrix()), dtype=float)
@@ -430,14 +436,16 @@ def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
 
     A preparation failure aborts the grid. A failed projection marks every
     reduced cell, and a failed fit or evaluation marks only its own cell.
+    The cells of one setting share each booster fitted for them, so gbt
+    and xgdnn with equal booster settings fit it once.
     """
 
-    def cell(entry: dict, with_lda: bool, frames) -> CompareCell:
+    def cell(entry: dict, with_lda: bool, frames, boosters: dict) -> CompareCell:
         """`frames` is the (train, test) pair, or the error that prevented it."""
         try:
             if isinstance(frames, PipelineError):
                 raise frames
-            metric_report = _fit_and_score(*frames, entry, [])[2]
+            metric_report = _fit_and_score(*frames, entry, [], boosters)[2]
         except PipelineError as e:
             return CompareCell(entry["name"], with_lda, None, str(e))
         values = {m: getattr(metric_report, m) for m in cfg["metrics"]}
@@ -450,11 +458,10 @@ def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
             reduced = _reduce(train, test, cfg["lda"], [])[1:]
         except PipelineError as e:
             reduced = e
-        rows = [
-            cell(entry, with_lda, frames)
-            for with_lda, frames in ((False, (train, test)), (True, reduced))
-            for entry in cfg["models"]
-        ]
+        rows = []
+        for with_lda, frames in ((False, (train, test)), (True, reduced)):
+            boosters: dict = {}  # the boosters fitted on this setting's train split
+            rows += [cell(entry, with_lda, frames, boosters) for entry in cfg["models"]]
     table = ComparisonTable(tuple(cfg["metrics"]), tuple(rows))
 
     out = Path(cfg["out_dir"])

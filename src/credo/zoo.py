@@ -60,8 +60,20 @@ def _fit_lda_classifier(train: Frame, cfg: LdaConfig) -> LdaClassifier:
     return LdaClassifier(fit_lda(train, cfg.n_components, cfg.ridge))
 
 
-def _fit_xgdnn(train: Frame, cfg: XgdnnConfig):
-    return fit_hybrid(train, cfg.gbt, cfg.mlp, cfg.feature_mode)
+def _fit_booster(train: Frame, cfg: GbtConfig, boosters: dict | None = None):
+    """The booster for `cfg` on `train`. `boosters` memoizes fits on this
+    one `train` by config; a failed fit is not stored, so the next caller
+    with the same config fails the same way."""
+    if boosters is None:
+        boosters = {}
+    if cfg not in boosters:
+        boosters[cfg] = fit_gbt(train, cfg)
+    return boosters[cfg]
+
+
+def _fit_xgdnn(train: Frame, cfg: XgdnnConfig, boosters: dict | None = None):
+    booster = _fit_booster(train, cfg.gbt, boosters)
+    return fit_hybrid(train, cfg.gbt, cfg.mlp, cfg.feature_mode, booster=booster)
 
 
 # model name -> (config class, fit function name). The fit function is looked
@@ -71,7 +83,7 @@ MODEL_FAMILIES = {
     "gnb": (GnbConfig, "fit_gnb"),
     "tree": (TreeConfig, "fit_tree"),
     "forest": (ForestConfig, "fit_forest"),
-    "gbt": (GbtConfig, "fit_gbt"),
+    "gbt": (GbtConfig, "_fit_booster"),
     "mlp": (MlpConfig, "fit_mlp"),
     "lda": (LdaConfig, "_fit_lda_classifier"),
     "xgdnn": (XgdnnConfig, "_fit_xgdnn"),
@@ -79,9 +91,15 @@ MODEL_FAMILIES = {
 MODEL_NAMES = tuple(MODEL_FAMILIES)
 
 
-def fit_model(name: str, train: Frame, params: dict):
-    """Fit the named model on `train` with its family's JSON params."""
+def fit_model(name: str, train: Frame, params: dict, boosters: dict | None = None):
+    """Fit the named model on `train` with its family's JSON params.
+
+    `boosters` is a memo of boosters fitted on this same `train`, keyed by
+    `GbtConfig`; the gbt and xgdnn families share it, so a booster is fitted
+    once per config. Without it every fit starts afresh.
+    """
     if name not in MODEL_FAMILIES:
         raise ConfigError(f"unknown model name {name!r}")
-    config_class, fit = MODEL_FAMILIES[name]
-    return globals()[fit](train, config_class(**params))
+    config_class, fit_name = MODEL_FAMILIES[name]
+    fit, cfg = globals()[fit_name], config_class(**params)
+    return fit(train, cfg, boosters) if name in ("gbt", "xgdnn") else fit(train, cfg)

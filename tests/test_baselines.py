@@ -85,6 +85,22 @@ def test_logreg_convergence_reported():
     assert not m2.converged
 
 
+@pytest.mark.parametrize("max_iter, converges", [(2, False), (5000, True)])
+def test_logreg_convergence_flag_matches_gradient(max_iter, converges):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] - X[:, 1] + rng.normal(size=40) > 0).astype(int)
+    l2, tol = 0.5, 1e-6
+    m = fit_logreg(_frame(X, y), l2=l2, max_iter=max_iter, tol=tol)
+    _, gW, gb = logreg_objective(m.weights, m.bias, X, np.eye(2)[y], l2)
+    gnorm = max(np.abs(gW).max(), np.abs(gb).max())
+    assert m.converged == converges
+    if m.converged:
+        assert gnorm < tol
+    else:
+        assert m.n_iter == max_iter and gnorm >= tol
+
+
 # ---------------------------------------------------- Gaussian naive Bayes
 
 

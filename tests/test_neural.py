@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,67 @@ def test_adam_zero_learning_rate_freezes_parameters():
         assert np.array_equal(bt, bv)
 
 
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _curved_table():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(203, 6))
+    y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int) + (X[:, 2] > 1)
+    return X, y
+
+
+# Recorded with the Adam update run one parameter array at a time and the
+# final loss read from a full gradient pass; batch size 202 leaves a 1-row
+# final batch.
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (
+            MlpConfig(hidden=(16, 8), epochs=5, batch_size=25, learning_rate=3e-3, seed=4),
+            "58d47d27b8648dfafc61a777331b0144a5460a5af620e78b93369813f81c35c0",
+        ),
+        (
+            MlpConfig(hidden=(7,), epochs=3, batch_size=202, learning_rate=1e-2, seed=1),
+            "afe19494f806b87b8a199cf7dfa34e8701ed9f768dd6f7c226648aa961a7f8d8",
+        ),
+    ],
+)
+def test_fit_mlp_bytes_are_golden(cfg, digest):
+    X, y = _curved_table()
+    m = fit_mlp(_frame(X, y), cfg)
+    assert _digest([*m.weights, *m.biases, [m.final_loss]]) == digest
+
+
+def test_final_loss_is_the_loss_at_the_returned_weights():
+    X, y = _curved_table()
+    m = fit_mlp(_frame(X, y), MlpConfig(hidden=(9, 5), epochs=4, batch_size=40, seed=3))
+    loss, _, _ = mlp_gradients(m.weights, m.biases, X, np.eye(3)[y])
+    assert m.final_loss == float(loss)
+
+
 # ---------------------------------------------------------------- hybrid
+
+
+@pytest.mark.parametrize("mode", ["margins", "leaf_onehot", "margins_plus_raw"])
+def test_hybrid_given_booster_skips_stage_one(mode, monkeypatch):
+    X, y = _curved_table()
+    train = _frame(X, y)
+    gcfg, mcfg = GbtConfig(rounds=3, max_depth=2), MlpConfig(hidden=(8,), epochs=3, seed=2)
+    own = fit_hybrid(train, gcfg, mcfg, mode)
+    booster = fit_gbt(train, gcfg)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_gbt called although a booster was given")
+
+    monkeypatch.setattr("credo.neural.fit_gbt", no_fit)
+    given = fit_hybrid(train, gcfg, mcfg, mode, booster=booster)
+    assert given.booster is booster
+    assert np.array_equal(given.predict_proba(X), own.predict_proba(X))
 
 
 def test_margins_mode_head_width_is_n_classes():

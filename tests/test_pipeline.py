@@ -307,7 +307,7 @@ def test_compare_keeps_going_after_one_model_fails(data_csv, tmp_path, monkeypat
 
     real = credo.zoo.fit_model
 
-    def flaky(name, train, params):
+    def flaky(name, train, params, boosters=None):
         if name == "tree":
             raise RuntimeError("no splits today")
         return real(name, train, params)
@@ -345,6 +345,70 @@ def test_compare_prepares_once(data_csv, tmp_path, monkeypatch):
     table, _ = cmd_compare(cfg)
     assert all(c.error is None for c in table.rows)
     assert calls == {"load_csv": 1, "smote": 1, "fit_lda": 1}
+
+
+def _count_booster_fits(monkeypatch) -> list:
+    """Record the config of every fit_gbt call, from the zoo or the hybrid."""
+    import credo.neural
+    import credo.zoo
+
+    calls = []
+    for module in (credo.zoo, credo.neural):
+        def counted(train, cfg=None, _real=module.fit_gbt):
+            calls.append(cfg)
+            return _real(train, cfg)
+
+        monkeypatch.setattr(module, "fit_gbt", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "hybrid_gbt, fits",
+    [({"rounds": 3, "max_depth": 2}, 2), ({"rounds": 2, "max_depth": 2}, 4)],
+    ids=["equal", "different"],
+)
+def test_compare_fits_each_booster_once_per_setting(data_csv, tmp_path, monkeypatch, hybrid_gbt, fits):
+    calls = _count_booster_fits(monkeypatch)
+    xgdnn = {"name": "xgdnn", "params": {"gbt": hybrid_gbt, "mlp": {"hidden": [8], "epochs": 3}}}
+    metrics = ["accuracy", "g_mean", "h_measure"]
+    cfg = make_cfg(
+        data_csv,
+        tmp_path / "cmp",
+        models=[{"name": "gbt", "params": {"rounds": 3, "max_depth": 2}}, xgdnn],
+        metrics=metrics,
+    )
+    table, _ = cmd_compare(cfg)
+    assert all(c.error is None for c in table.rows)
+    assert len(calls) == fits
+
+    # a shared booster changes no xgdnn value against a run of its own
+    for cell in table.rows[1::2]:
+        single = make_cfg(
+            data_csv, tmp_path / "single", model=xgdnn, lda={"enabled": cell.with_lda}, metrics=metrics
+        )
+        outcome = run_pipeline(single)
+        assert cell.model == "xgdnn"
+        assert cell.values == {m: getattr(outcome.metrics, m) for m in metrics}
+
+
+def test_compare_refits_a_failed_booster_and_fails_alike(data_csv, tmp_path, monkeypatch):
+    calls = _count_booster_fits(monkeypatch)
+
+    def boom(train, cfg=None):
+        calls.append(cfg)
+        raise RuntimeError("no boosting today")
+
+    monkeypatch.setattr("credo.zoo.fit_gbt", boom)
+    gbt = {"rounds": 3, "max_depth": 2}
+    cfg = make_cfg(
+        data_csv,
+        tmp_path / "cmp",
+        models=[{"name": "gbt", "params": gbt}, {"name": "xgdnn", "params": {"gbt": gbt}}],
+        metrics=["accuracy"],
+    )
+    table, _ = cmd_compare(cfg)
+    assert [c.error for c in table.rows] == ["stage 'fit' failed: no boosting today"] * 4
+    assert len(calls) == 4  # a failure is not remembered
 
 
 def test_compare_lda_failure_marks_only_reduced_cells(data_csv, tmp_path, monkeypatch):
