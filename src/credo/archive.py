@@ -223,31 +223,21 @@ def _unpack_xgdnn(arrays, params, schema):
     return HybridXgDnn(booster, params["feature_mode"], head)
 
 
+# family name -> (model class, pack, unpack)
 _CODECS = {
-    "logreg": (_pack_logreg, _unpack_logreg),
-    "gnb": (_pack_gnb, _unpack_gnb),
-    "tree": (_pack_tree, _unpack_tree),
-    "forest": (_pack_forest, _unpack_forest),
-    "gbt": (_pack_gbt, _unpack_gbt),
-    "mlp": (_pack_mlp, _unpack_mlp),
-    "lda": (_pack_lda, _unpack_lda),
-    "xgdnn": (_pack_xgdnn, _unpack_xgdnn),
+    "logreg": (LogisticModel, _pack_logreg, _unpack_logreg),
+    "gnb": (GaussianNBModel, _pack_gnb, _unpack_gnb),
+    "tree": (TreeModel, _pack_tree, _unpack_tree),
+    "forest": (ForestModel, _pack_forest, _unpack_forest),
+    "gbt": (BoostedEnsemble, _pack_gbt, _unpack_gbt),
+    "mlp": (Mlp, _pack_mlp, _unpack_mlp),
+    "lda": (LdaClassifier, _pack_lda, _unpack_lda),
+    "xgdnn": (HybridXgDnn, _pack_xgdnn, _unpack_xgdnn),
 }
-
-_TYPE_ORDER = (
-    (LogisticModel, "logreg"),
-    (GaussianNBModel, "gnb"),
-    (TreeModel, "tree"),
-    (ForestModel, "forest"),
-    (BoostedEnsemble, "gbt"),
-    (Mlp, "mlp"),
-    (LdaClassifier, "lda"),
-    (HybridXgDnn, "xgdnn"),
-)
 
 
 def model_type_of(model) -> str:
-    for cls, name in _TYPE_ORDER:
+    for name, (cls, _, _) in _CODECS.items():
         if isinstance(model, cls):
             return name
     raise DataError(f"cannot archive a {type(model).__name__}")
@@ -259,7 +249,7 @@ def model_type_of(model) -> str:
 def save_model(model, dir_path, feature_names, class_names, target_name: str = "target") -> dict:
     """Write the archive directory; returns the manifest that was stored."""
     mtype = model_type_of(model)
-    pack, _ = _CODECS[mtype]
+    _, pack, _ = _CODECS[mtype]
     arrays, params = pack(model)
 
     out = Path(dir_path)
@@ -315,5 +305,5 @@ def load_model(dir_path):
             raise DataError(f"array {name} holds {flat.size} values, shape {shape} needs {expected}")
         arrays[name] = flat.reshape(shape).astype(float)
 
-    _, unpack = _CODECS[mtype]
+    _, _, unpack = _CODECS[mtype]
     return unpack(arrays, manifest["params"], manifest["schema"]), manifest

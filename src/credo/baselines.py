@@ -2,9 +2,10 @@
 Gaussian naive Bayes, CART decision trees, and a bootstrap random forest.
 
 Each ``fit_*`` takes its family's frozen config, or that config's fields as
-keyword arguments. Every fitted model follows the same contract:
-``predict_proba`` maps a feature matrix (or all-numeric frame) to a
-row-stochastic C-column matrix and ``predict`` takes the argmax, breaking
+keyword arguments. This module also states the contract that every fitted
+model in the zoo keeps, once, as the ``Classifier`` base: ``predict_proba``
+maps a feature matrix (or all-numeric frame) of the model's width to a
+row-stochastic C-column matrix, and ``predict`` takes the argmax, breaking
 ties toward the smallest class index. Models are immutable after fitting;
 prediction is pure.
 """
@@ -27,22 +28,24 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def as_matrix(X) -> np.ndarray:
-    if isinstance(X, Frame):
-        X = X.feature_matrix()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError("expected a 2-D feature matrix")
-    return X
+def cross_entropy(P: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of each row's label; only the log is clipped."""
+    return -np.mean(np.log(np.clip(P[np.arange(len(P)), labels], 1e-300, None)))
 
 
-class _PredictMixin:
+class Classifier:
+    """The fitted-model contract. Subclasses provide ``n_features``,
+    ``n_classes`` and ``predict_proba``, which takes its input through
+    ``_coerce``."""
+
     def _coerce(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        if X.shape[1] != self.n_features:
-            raise DataError(
-                f"model expects {self.n_features} features, got {X.shape[1]}"
-            )
+        """`X`, a frame or an array, as a C-contiguous float64 matrix of
+        this model's width."""
+        if isinstance(X, Frame):
+            X = X.feature_matrix()
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DataError(f"model expects {self.n_features} features, got shape {X.shape}")
         return X
 
     def predict(self, X) -> np.ndarray:
@@ -65,7 +68,7 @@ class LogregConfig:
 
 
 @dataclass(frozen=True)
-class LogisticModel(_PredictMixin):
+class LogisticModel(Classifier):
     weights: np.ndarray
     bias: np.ndarray
     converged: bool
@@ -92,9 +95,7 @@ def logreg_objective(W, b, X, Y, l2):
     """
     n = len(X)
     P = softmax(X @ W + b)
-    # clip only inside the log; the gradient uses exact P
-    loss = -np.mean(np.log(np.clip(P[np.arange(n), Y.argmax(axis=1)], 1e-300, None)))
-    loss += 0.5 * l2 * float((W * W).sum())
+    loss = cross_entropy(P, Y.argmax(axis=1)) + 0.5 * l2 * float((W * W).sum())
     R = (P - Y) / n
     return loss, X.T @ R + l2 * W, R.sum(axis=0)
 
@@ -159,7 +160,7 @@ class GnbConfig:
 
 
 @dataclass(frozen=True)
-class GaussianNBModel(_PredictMixin):
+class GaussianNBModel(Classifier):
     means: np.ndarray
     variances: np.ndarray
     priors: np.ndarray
@@ -222,7 +223,7 @@ class TreeConfig:
 
 
 @dataclass(frozen=True)
-class TreeModel(FlatTree, _PredictMixin):
+class TreeModel(FlatTree, Classifier):
     """CART tree as flat preorder arrays (leaf thresholds NaN).
 
     ``counts[i]`` is the training class histogram at node i; leaves predict
@@ -285,7 +286,7 @@ class ForestConfig(TreeConfig):
 
 
 @dataclass(frozen=True)
-class ForestModel(_PredictMixin):
+class ForestModel(Classifier):
     trees: tuple[TreeModel, ...]
     n_classes: int
     n_features: int

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import sys
 import typing
 
 from .errors import ConfigError, DataError
@@ -80,6 +81,8 @@ def _as_int(v, path, minimum=None) -> int:
 def _as_number(v, path) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, "expected a number")
+    if not abs(v) <= sys.float_info.max:  # NaN, Infinity or an int past float range
+        _fail(path, "expected a finite number")
     return float(v)
 
 

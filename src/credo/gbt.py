@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
-from .baselines import as_matrix, softmax
+from .baselines import Classifier, softmax
 from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
@@ -60,7 +60,7 @@ class GbtConfig:
 
 
 @dataclass(frozen=True)
-class BoostedEnsemble:
+class BoostedEnsemble(Classifier):
     """trees holds rounds x n_classes trees, round-major: the tree for round
     r, class c sits at index r * n_classes + c."""
 
@@ -87,9 +87,6 @@ class BoostedEnsemble:
 
     def predict_proba(self, X) -> np.ndarray:
         return predict_gbt(self, X)
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
 
 
 def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig):
@@ -150,16 +147,9 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     )
 
 
-def _coerce(m: BoostedEnsemble, f) -> np.ndarray:
-    X = as_matrix(f)
-    if X.shape[1] != m.n_features:
-        raise DataError(f"ensemble expects {m.n_features} features, got {X.shape[1]}")
-    return X
-
-
 def extract_margins(m: BoostedEnsemble, f, n_rounds: int | None = None) -> np.ndarray:
     """Pre-softmax per-class scores; ``n_rounds`` truncates the ensemble."""
-    X = _coerce(m, f)
+    X = m._coerce(f)
     if n_rounds is None:
         n_rounds = m.rounds
     if not (0 <= n_rounds <= m.rounds):
@@ -181,5 +171,5 @@ def predict_gbt(m: BoostedEnsemble, f) -> np.ndarray:
 
 def extract_leaf_indices(m: BoostedEnsemble, f) -> np.ndarray:
     """(rows x total trees) matrix of depth-first leaf ordinals."""
-    X = _coerce(m, f)
+    X = m._coerce(f)
     return stacked_nodes(m.trees, "leaf_ordinal", np.int64)[m.stack.route(X)]

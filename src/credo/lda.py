@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .baselines import softmax
 from .errors import DataError, LdaClampWarning, NumericError
 from .frame import Frame, numeric_frame
 
@@ -197,10 +198,7 @@ def transform_lda(p: ProjectionLDA, f: Frame) -> Frame:
 def discriminant_proba(p: ProjectionLDA, X: np.ndarray) -> np.ndarray:
     """Softmax of the linear discriminant scores of the rows of X."""
     W, offsets = p.discriminant
-    scores = X @ W + offsets
-    scores -= scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(X @ W + offsets)
 
 
 def predict_lda(p: ProjectionLDA, f: Frame) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import as_matrix, softmax
+from .baselines import Classifier, cross_entropy, softmax
 from .errors import DataError, NumericError
 from .frame import Frame, numeric_frame, training_arrays
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
@@ -65,7 +65,7 @@ class XgdnnConfig:
 
 
 @dataclass(frozen=True)
-class Mlp:
+class Mlp(Classifier):
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -92,9 +92,6 @@ class Mlp:
     def predict_proba(self, X) -> np.ndarray:
         return predict_mlp(self, X)
 
-    def predict(self, X) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
-
 
 def _forward(weights, biases, X):
     """Activations per layer; the last entry is the softmax output."""
@@ -107,16 +104,12 @@ def _forward(weights, biases, X):
     return acts
 
 
-def _cross_entropy(P, labels):
-    return -np.mean(np.log(np.clip(P[np.arange(len(P)), labels], 1e-300, None)))
-
-
 def mlp_gradients(weights, biases, X, Y):
     """Mean cross-entropy loss and its gradients for every parameter."""
     acts = _forward(weights, biases, X)
     P = acts[-1]
     n = len(X)
-    loss = _cross_entropy(P, Y.argmax(axis=1))
+    loss = cross_entropy(P, Y.argmax(axis=1))
     delta = (P - Y) / n
     gW = [None] * len(weights)
     gb = [None] * len(biases)
@@ -182,22 +175,19 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
             v_hat = v_state / (1 - beta2**t)
             flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    final_loss = _cross_entropy(_forward(weights, biases, X)[-1], y)
+    final_loss = cross_entropy(_forward(weights, biases, X)[-1], y)
     return Mlp(sizes, tuple(weights), tuple(biases), float(final_loss))
 
 
 def predict_mlp(m: Mlp, f) -> np.ndarray:
-    X = as_matrix(f)
-    if X.shape[1] != m.n_features:
-        raise DataError(f"network expects {m.n_features} features, got {X.shape[1]}")
-    return _forward(m.weights, m.biases, X)[-1]
+    return _forward(m.weights, m.biases, m._coerce(f))[-1]
 
 
 # ------------------------------------------------------------ hybrid model
 
 
 @dataclass(frozen=True)
-class HybridXgDnn:
+class HybridXgDnn(Classifier):
     booster: BoostedEnsemble
     feature_mode: str
     head: Mlp
@@ -216,9 +206,6 @@ class HybridXgDnn:
     def predict_proba(self, X) -> np.ndarray:
         return predict_hybrid(self, X)
 
-    def predict(self, X) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
-
 
 def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarray:
     """Per-row head inputs from a frozen booster.
@@ -227,7 +214,7 @@ def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarra
     every tree (each row sums to the tree count). margins_plus_raw: margins
     next to the raw features.
     """
-    X = as_matrix(f)
+    X = booster._coerce(f)
     if feature_mode == "margins":
         return extract_margins(booster, X)
     if feature_mode == "margins_plus_raw":

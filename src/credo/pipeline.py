@@ -348,11 +348,15 @@ def _run_outputs(outcome: RunOutcome, out: Path):
         target_name=target,
     )
     for e in outcome.lime_explanations:
-        yield out / "explanations" / f"lime_row{e.row_index}.json", _json(e.to_dict())
-        yield out / "explanations" / f"lime_row{e.row_index}.csv", explanation_to_csv(e)
+        yield from _explanation_outputs(e, out / "explanations", f"lime_row{e.row_index}")
     if outcome.morris_screening is not None:
-        yield out / "explanations" / "morris.json", _json(outcome.morris_screening.to_dict())
-        yield out / "explanations" / "morris.csv", explanation_to_csv(outcome.morris_screening)
+        yield from _explanation_outputs(outcome.morris_screening, out / "explanations", "morris")
+
+
+def _explanation_outputs(explanation, out: Path, stem: str):
+    """An explanation's <stem>.json, then its <stem>.csv, under `out`."""
+    yield out / f"{stem}.json", _json(explanation.to_dict())
+    yield out / f"{stem}.csv", explanation_to_csv(explanation)
 
 
 def cmd_run(cfg: dict) -> tuple[RunOutcome, Path]:
@@ -501,14 +505,13 @@ def cmd_explain(
     out_dir: str = ".",
     seed: int = 0,
 ) -> dict:
-    """Explain an archived model against a processed CSV; writes files."""
+    """Explain an archived model against a processed CSV; writes the
+    explanation's JSON and CSV under out_dir/explanations, or neither."""
     if method not in ("lime", "morris"):
         raise DataError(f"unknown explain method {method!r}")
     model, manifest = load_model(archive_dir)
     background, X = _load_background(data_path, manifest)
 
-    out = Path(out_dir) / "explanations"
-    out.mkdir(parents=True, exist_ok=True)
     if method == "lime":
         if not 0 <= row < background.n_rows:
             raise DataError(f"row {row} out of range, data has {background.n_rows} rows")
@@ -516,8 +519,7 @@ def cmd_explain(
         explanation = lime_explain(
             model, background, X[row], cls, LimeConfig(seed=seed), row_index=row
         )
-        json_path = out / f"lime_row{row}.json"
-        csv_path = out / f"lime_row{row}.csv"
+        stem = f"lime_row{row}"
     else:
         ranges = np.column_stack([X.min(axis=0), X.max(axis=0)])
         output = "predicted_class_prob" if target_class is None else "class_prob"
@@ -529,14 +531,13 @@ def cmd_explain(
             cfg=MorrisConfig(seed=seed),
             feature_names=background.column_names,
         )
-        json_path = out / "morris.json"
-        csv_path = out / "morris.csv"
+        stem = "morris"
 
-    json_path.write_text(_json(explanation.to_dict()))
-    csv_path.write_text(explanation_to_csv(explanation))
+    out = Path(out_dir) / "explanations"
+    _write_outputs(_explanation_outputs(explanation, out, stem))
     return {
         "method": method,
-        "json": str(json_path),
-        "csv": str(csv_path),
+        "json": str(out / f"{stem}.json"),
+        "csv": str(out / f"{stem}.csv"),
         "explanation": explanation,
     }

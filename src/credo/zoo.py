@@ -1,10 +1,9 @@
 """One fitting interface over the eight model families.
 
-Every fitted object satisfies the same contract: ``n_classes``,
-``n_features``, row-stochastic ``predict_proba``, and ``predict`` as its
-argmax. The discriminant projection gets a thin adapter so it can stand
-in the zoo next to the other classifiers. Each family's parameters form a
-frozen config dataclass, which ``fit_model`` builds from JSON params.
+Every fitted object is a ``baselines.Classifier``. The discriminant
+projection gets a thin adapter so it can stand in the zoo next to the other
+classifiers. Each family's parameters form a frozen config dataclass, which
+``fit_model`` builds from JSON params.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import (
+    Classifier,
     ForestConfig,
     GnbConfig,
     LogregConfig,
@@ -23,7 +23,7 @@ from .baselines import (
     fit_logreg,
     fit_tree,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .frame import Frame
 from .gbt import GbtConfig, fit_gbt
 from .lda import LdaConfig, ProjectionLDA, discriminant_proba, fit_lda
@@ -33,7 +33,7 @@ __all__ = ["MODEL_FAMILIES", "MODEL_NAMES", "LdaClassifier", "fit_model"]
 
 
 @dataclass(frozen=True)
-class LdaClassifier:
+class LdaClassifier(Classifier):
     """Gaussian discriminant classifier over a fitted projection."""
 
     projection: ProjectionLDA
@@ -47,13 +47,7 @@ class LdaClassifier:
         return len(self.projection.class_priors)
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DataError(f"lda classifier expects {self.n_features} features, got shape {X.shape}")
-        return discriminant_proba(self.projection, X)
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
+        return discriminant_proba(self.projection, self._coerce(X))
 
 
 def _fit_lda_classifier(train: Frame, cfg: LdaConfig) -> LdaClassifier:

@@ -63,6 +63,17 @@ def test_round_trip_is_bit_exact(name, fitted, data, tmp_path):
     assert loaded.n_features == model.n_features
 
 
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_every_family_keeps_the_classifier_contract(name, fitted, data):
+    _, X_new = data
+    model = fitted[name]
+    with pytest.raises(DataError, match="expects 4 features"):
+        model.predict_proba(X_new[:, :3])
+    with pytest.raises(DataError, match="expects 4 features"):
+        model.predict_proba(X_new[0])
+    assert np.array_equal(model.predict(X_new), model.predict_proba(X_new).argmax(axis=1))
+
+
 def test_manifest_contents(fitted, tmp_path):
     manifest = save_model(fitted["gnb"], tmp_path / "m", FEATURES, CLASSES, target_name="status")
     assert manifest["format_version"] == FORMAT_VERSION

@@ -99,6 +99,23 @@ OUT_OF_BOUNDS = {
         {"explain": {"lime": {"kernel_width": 0}}},
         "config.explain.lime.kernel_width",
     ),
+    # json reads NaN, Infinity and integers past float range; NaN passes every bound check
+    "gbt_lam_nan": (
+        {"model": {"name": "gbt", "params": {"lam": float("nan")}}},
+        "config.model.params.lam",
+    ),
+    "mlp_learning_rate_inf": (
+        {"model": {"name": "mlp", "params": {"learning_rate": float("inf")}}},
+        "config.model.params.learning_rate",
+    ),
+    "lda_ridge_nan": (
+        {"model": {"name": "lda", "params": {"ridge": float("nan")}}},
+        "config.model.params.ridge",
+    ),
+    "gbt_lam_past_float_range": (
+        {"model": {"name": "gbt", "params": {"lam": 10**400}}},
+        "config.model.params.lam",
+    ),
 }
 
 
@@ -236,6 +253,18 @@ def test_explain_morris_with_target_class(tmp_path, data_csv):
     assert data["output"] == "class_prob"
 
 
+def test_explain_out_naming_a_file_is_a_write_error(tmp_path, data_csv, capsys):
+    assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
+    out = tmp_path / "out"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(taken)])
+    assert rc == 1
+    assert "error: stage 'write' failed" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_explain_missing_archive_exits_3(tmp_path, data_csv, capsys):
     rc = main(
         ["explain", "-m", "lime", "-a", str(tmp_path / "ghost"), "-d", data_csv]
@@ -280,6 +309,21 @@ def test_python_dash_m_runs_synth(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote 40 rows x 5 columns" in proc.stdout
     assert out.read_text().splitlines()[0] == "num_00,cat_0,cat_1,cat_2,status"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.optimize alone adds about 16 MB of peak RSS and 0.13 s to every
+    # command (scipy 1.17, 2-core Xeon), against the benchmark's 10 % RSS bound
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, credo.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "credo.cli" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.stats"}
 
 
 def test_synth_rejects_impossible_spec(tmp_path, capsys):

@@ -570,3 +570,21 @@ def test_cmd_explain_row_out_of_range(run_artifacts, tmp_path):
             row=10_000,
             out_dir=str(tmp_path),
         )
+
+
+def test_cmd_explain_cleans_up_after_write_failure(run_artifacts, tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    # the CSV is rendered after the JSON is written
+    monkeypatch.setattr("credo.pipeline.explanation_to_csv", boom)
+    _, run_out = run_artifacts
+    with pytest.raises(PipelineError, match="stage 'write'"):
+        cmd_explain(
+            archive_dir=str(run_out / "model"),
+            data_path=str(run_out / "processed_test.csv"),
+            method="lime",
+            row=1,
+            out_dir=str(tmp_path),
+        )
+    assert list(tmp_path.rglob("lime_row1.*")) == []
