@@ -40,6 +40,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path!r} is not valid JSON: {e}") from e
+    except ValueError as e:  # an integer literal past Python's digit limit, or bad UTF-8
+        raise ConfigError(f"config file {path!r} cannot be read: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at the top level")
     return raw

@@ -314,11 +314,17 @@ def _json(obj) -> str:
 def _write_outputs(outputs) -> None:
     """Write each (path, text or writer function) in order, rendering lazily
     if `outputs` is a generator. If one fails, remove what it and the
-    earlier ones created and raise a 'write' stage error."""
+    earlier ones created, directories included, and raise a 'write' stage
+    error."""
     created: list[Path] = []
     try:
         for path, content in outputs:
+            new_dirs, parent = [], path.parent
+            while not parent.exists():
+                new_dirs.append(parent)
+                parent = parent.parent
             path.parent.mkdir(parents=True, exist_ok=True)
+            created += reversed(new_dirs)
             created.append(path)
             if callable(content):
                 content(path)

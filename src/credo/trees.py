@@ -7,9 +7,13 @@ node sorts again: the pre-sorted column-block method of XGBoost (Chen &
 Guestrin, KDD 2016, section 4.1). Candidate thresholds are the midpoints of
 adjacent distinct sorted values, scored from prefix sums of a node statistic:
 gradient and hessian sums for boosting (:class:`GradientStat`), class counts
-for CART (:class:`CountStat`). A node splits on the largest strictly positive
-gain; ties go to the smallest feature index, then the smallest threshold.
-Trees grow depth-first into flat preorder arrays.
+for CART (:class:`CountStat`). A node's features are scored a block at a
+time: as many rows of its sorted block as fit in ``SEARCH_CELLS`` cells of
+statistic share one round of numpy calls, so a small node pays call overhead
+per block rather than per feature, and a node too large for two features
+goes one feature per call. A node splits on the largest strictly positive gain; ties go to the smallest
+feature index, then the smallest threshold. Trees grow depth-first into flat
+preorder arrays.
 
 Inference stacks the node arrays of a sequence of trees into one table
 (:class:`TreeStack`) and walks every tree at once, a block of rows at a time:
@@ -26,6 +30,7 @@ import numpy as np
 
 
 BLOCK_ROWS = 1024  # rows walked together; temporaries are BLOCK_ROWS x trees
+SEARCH_CELLS = 32768  # split search: features scored together x node rows x stat width
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,8 @@ class GradientStat:
     """Second-order boosting statistic: a node's total is (sum g, sum h), and
     each child must keep ``min_child_weight`` of hessian mass."""
 
+    width = 1  # cells of statistic per row
+
     def __init__(self, g, h, lam, gamma, min_child_weight):
         self.g, self.h = g, h
         self.lam, self.gamma, self.min_child_weight = lam, gamma, min_child_weight
@@ -135,24 +142,23 @@ class GradientStat:
     def splittable(self, total) -> bool:
         return True
 
-    def gains(self, order, cuts, total):
-        """Gain of cutting after each position in ``cuts`` of the sorted
-        ``order``; -inf where a child would be too light."""
+    def gains(self, orders, cut, total):
+        """(k, m-1) gain of cutting each sorted row of the (k, m) ``orders``
+        after each position; -inf where ``cut`` is False or a child would be
+        too light."""
         G, H = total
         lam, mcw = self.lam, self.min_child_weight
-        GL = np.cumsum(self.g[order])[cuts]
-        HL = np.cumsum(self.h[order])[cuts]
+        GL = np.cumsum(self.g.take(orders), axis=1)[:, :-1]
+        HL = np.cumsum(self.h.take(orders), axis=1)[:, :-1]
         GR, HR = G - GL, H - HL
-        ok = (HL >= mcw) & (HR >= mcw)
         parent = G * G / (H + lam)
         gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - self.gamma
-        gain[~ok] = -np.inf
-        return gain
+        return np.where(cut & (HL >= mcw) & (HR >= mcw), gain, -np.inf)
 
 
-def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Gini or entropy of each row of a class-count matrix."""
-    totals = counts.sum(axis=1, keepdims=True)
+def _impurity(counts: np.ndarray, totals, criterion: str) -> np.ndarray:
+    """Gini or entropy of each row of a class-count matrix whose rows sum to
+    ``totals``."""
     p = counts / totals
     if criterion == "gini":
         return 1.0 - (p * p).sum(axis=1)
@@ -167,29 +173,31 @@ class CountStat:
     def __init__(self, y, n_classes, criterion, min_leaf):
         self.y, self.n_classes = y, n_classes
         self.criterion, self.min_leaf = criterion, min_leaf
-        self.onehot = np.eye(n_classes)
+        self.onehot = np.eye(n_classes, dtype=np.int32)
+        self.width = n_classes
 
     def total(self, rows):
         counts = np.bincount(self.y[rows], minlength=self.n_classes).astype(np.float64)
-        return counts, _impurity(counts[None, :], self.criterion)[0]
+        return counts, _impurity(counts[None, :], len(rows), self.criterion)[0]
 
     def splittable(self, total) -> bool:
         return np.count_nonzero(total[0]) > 1
 
-    def gains(self, order, cuts, total):
-        """Impurity decrease of cutting after each position in ``cuts`` of the
-        sorted ``order``; -inf where a child would be too small."""
+    def gains(self, orders, cut, total):
+        """(k, m-1) impurity decrease of cutting each sorted row of the (k, m)
+        ``orders`` after each position; -inf where ``cut`` is False or a
+        child would be too small."""
         counts, parent = total
-        m = len(order)
-        left_n = cuts + 1
-        ok = (left_n >= self.min_leaf) & (m - left_n >= self.min_leaf)
-        left_n = left_n[ok]
-        left = np.cumsum(self.onehot[self.y[order]], axis=0)[cuts[ok]]
-        gain = np.full(len(cuts), -np.inf)
-        gain[ok] = (
+        m = orders.shape[1]
+        left_n = np.arange(1, m)
+        at, pos = np.nonzero(cut & (left_n >= self.min_leaf) & (m - left_n >= self.min_leaf))
+        left = np.cumsum(self.onehot.take(self.y.take(orders), axis=0), axis=1, dtype=np.int32)[at, pos]
+        left_n = left_n[pos]
+        gain = np.full(cut.shape, -np.inf)
+        gain[at, pos] = (
             parent
-            - (left_n / m) * _impurity(left, self.criterion)
-            - ((m - left_n) / m) * _impurity(counts - left, self.criterion)
+            - (left_n / m) * _impurity(left, left_n[:, None], self.criterion)
+            - ((m - left_n) / m) * _impurity(counts - left, (m - left_n)[:, None], self.criterion)
         )
         return gain
 
@@ -205,23 +213,32 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
     """
     values = data.values
     d, n = values.shape
+    flat_values = values.ravel()
     go = np.zeros(n, dtype=bool)
     leaf_of = np.empty(n, dtype=np.int64)  # each node on a row's path overwrites it
     feature, threshold, left, right, gains, totals = [], [], [], [], [], []
 
     def search(orders, total):
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for f in range(d) if pick is None else pick():
-            xs = values[f][orders[f]]
-            cuts = np.nonzero(xs[:-1] != xs[1:])[0]
-            if len(cuts) == 0:
+        features = np.arange(d) if pick is None else pick()
+        m = orders.shape[1]
+        k = max(1, SEARCH_CELLS // (m * stat.width))
+        for start in range(0, len(features), k):
+            fs = features[start : start + k]
+            block = orders[start : start + k] if pick is None else orders[fs]
+            xs = flat_values[block + n * fs[:, None]]
+            cut = xs[:, :-1] != xs[:, 1:]
+            if not cut.any():
                 continue
-            gain = stat.gains(orders[f], cuts, total)
-            k = int(np.argmax(gain))  # first max: smallest threshold
-            if gain[k] > best_gain:  # strict: smallest feature wins ties
-                best_gain = float(gain[k])
-                best_feature = int(f)
-                best_threshold = float(0.5 * (xs[cuts[k]] + xs[cuts[k] + 1]))
+            gain = stat.gains(block, cut, total)
+            at = gain.argmax(axis=1)  # first max: smallest threshold
+            best = gain[np.arange(len(fs)), at]
+            best[np.isnan(best)] = -np.inf  # a feature whose first max is NaN never wins
+            j = int(best.argmax())
+            if best[j] > best_gain:  # strict: smallest feature wins ties
+                best_gain = float(best[j])
+                best_feature = int(fs[j])
+                best_threshold = float(0.5 * (xs[j, at[j]] + xs[j, at[j] + 1]))
         return best_gain, best_feature, best_threshold
 
     # pending nodes: (rows, sorted block, depth, parent's child list, parent).

@@ -127,6 +127,14 @@ def test_run_out_of_bound_value_exits_2_before_reading_data(tmp_path, capsys, ex
     assert f"{path}:" in capsys.readouterr().err
 
 
+def test_run_integer_past_digit_limit_exits_2_before_reading_data(tmp_path, capsys):
+    # Python refuses to parse an integer literal of more than 4,300 digits
+    cfg = write_config(tmp_path, str(tmp_path / "absent.csv"), model={"name": "gbt", "params": {"rounds": 7}})
+    Path(cfg).write_text(Path(cfg).read_text().replace('"rounds": 7', '"rounds": ' + "1" * 5001))
+    assert main(["run", "-c", cfg]) == 2
+    assert "config file" in capsys.readouterr().err
+
+
 def test_run_missing_data_file(tmp_path, capsys):
     cfg = write_config(tmp_path, str(tmp_path / "absent.csv"))
     assert main(["run", "-c", cfg]) == 3

@@ -11,6 +11,7 @@ from credo.errors import DataError, PipelineError
 from credo.pipeline import (
     CompareCell,
     ComparisonTable,
+    _write_outputs,
     cmd_compare,
     cmd_explain,
     cmd_run,
@@ -268,6 +269,23 @@ def test_cmd_run_removes_partly_written_csv(data_csv, tmp_path, monkeypatch):
         cmd_run(cfg)
     leftover = list((tmp_path / "out").rglob("*")) if (tmp_path / "out").exists() else []
     assert leftover == []
+
+
+@pytest.mark.parametrize("out_exists", [False, True])
+def test_write_failure_removes_only_directories_it_created(tmp_path, out_exists):
+    out = tmp_path / "out"
+    if out_exists:
+        out.mkdir()
+
+    def outputs():
+        yield out / "explanations" / "a.json", "{}"
+        raise OSError("disk full")
+
+    with pytest.raises(PipelineError, match="stage 'write'"):
+        _write_outputs(outputs())
+    assert out.exists() == out_exists
+    assert not (out / "explanations").exists()
+    assert list(tmp_path.iterdir()) == ([out] if out_exists else [])
 
 
 # ------------------------------------------------------------- cmd_compare

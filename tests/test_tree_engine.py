@@ -3,13 +3,17 @@
 The oracle is the scan the engine replaced: at every node, sort each feature
 of the node's rows afresh (stable argsort), take prefix sums of the node
 statistic, and keep the first maximal gain. Whole trees grown both ways must
-be exactly equal, array for array.
+be exactly equal, array for array, whatever number of features the engine
+scores per numpy call (``trees.SEARCH_CELLS``).
 """
 
+from unittest.mock import patch
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from credo import trees
 from credo.baselines import fit_forest, fit_tree
 from credo.frame import numeric_frame
 from credo.gbt import GbtConfig, fit_gbt
@@ -282,3 +286,103 @@ def test_boosted_trees_match_oracle(table, max_depth):
             assert np.array_equal(tree.gain, o["gain"])
             assert np.array_equal(tree.weight, [-G_ / (H_ + cfg.lam) for G_, H_ in o["total"]])
             margins[:, c] += cfg.learning_rate * tree.weight[tree.route(X)]
+
+
+# ------------------------------------------------- blocked search budgets
+
+# a SEARCH_CELLS drawn as 1 (one feature per block), 2**40 (every node in one
+# block), or (k, offset): k * m * width + offset for the root's m rows, so the
+# root's blocks hold k or k - 1 features and the last one may be partial
+budgets = st.one_of(st.just(1), st.just(2**40), st.tuples(st.integers(1, 4), st.integers(-1, 1)))
+
+
+def _search_cells(budget, m, width):
+    if isinstance(budget, int):
+        return budget
+    k, offset = budget
+    return k * m * width + offset
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tie_heavy_tables(),
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([0.0, 0.05]),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.integers(1, 4),
+    st.booleans(),
+    budgets,
+)
+def test_blocked_gradient_search_matches_oracle(table, lam, gamma, mcw, max_depth, saturated, budget):
+    X, rng = table
+    g = rng.normal(size=len(X)).round(3)
+    h = rng.uniform(0.01, 0.25, len(X))
+    if saturated:
+        # rows of a saturated softmax (g = h = 0): with lam 0, gains of 0/0
+        # (NaN) and x/0 (inf)
+        done = rng.random(len(X)) < 0.3
+        g[done], h[done] = 0.0, 0.0
+    try:
+        with patch.object(trees, "SEARCH_CELLS", _search_cells(budget, len(X), 1)), np.errstate(all="ignore"):
+            flat, gain, totals, _ = grow(presort(X), GradientStat(g, h, lam, gamma, mcw), max_depth)
+            oracle = _oracle_grow(
+                X,
+                np.arange(len(X)),
+                lambda rows: (float(g[rows].sum()), float(h[rows].sum())),
+                lambda t: True,
+                lambda rows, features, t: _gradient_scan(X, rows, features, g, h, lam, gamma, mcw),
+                max_depth,
+            )
+    except ZeroDivisionError:  # a node's h sums to 0 with lam 0: it has no parent score
+        reject()
+    _assert_same_tree(flat, gain, totals, oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tie_heavy_tables(),
+    st.integers(2, 4),
+    st.sampled_from(["gini", "entropy"]),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 3]),
+    st.booleans(),
+    st.booleans(),
+    budgets,
+)
+def test_blocked_count_search_matches_oracle(
+    table, n_classes, criterion, min_leaf, max_depth, bootstrap, sample_features, budget
+):
+    X, rng = table
+    n, d = X.shape
+    y = rng.integers(0, n_classes, n)
+    rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
+    seed = int(rng.integers(2**32))
+
+    def picker(r):
+        # the forest's draw: a generator consumed once per splittable node
+        return (lambda: np.sort(r.choice(d, size=max(1, d // 2), replace=False))) if sample_features else None
+
+    stat = CountStat(y[rows], n_classes, criterion, min_leaf)
+    with patch.object(trees, "SEARCH_CELLS", _search_cells(budget, n, n_classes)):
+        flat, gain, totals, _ = grow(presort(X[rows]), stat, max_depth, picker(np.random.default_rng(seed)))
+    oracle = _oracle_grow(
+        X,
+        rows,
+        lambda r: np.bincount(y[r], minlength=n_classes).astype(np.float64),
+        lambda t: np.count_nonzero(t) > 1,
+        lambda r, features, t: _count_scan(X, r, features, y, n_classes, criterion, min_leaf),
+        max_depth,
+        picker(np.random.default_rng(seed)),
+    )
+    _assert_same_tree(flat, gain, [c for c, _ in totals], oracle)
+
+
+def test_nan_gain_skips_its_feature_not_its_block():
+    # feature 0's first cut is 0/0 (a saturated row first, lam 0), so its
+    # first max is NaN and it never wins; feature 1, in the same block, does
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
+    g, h = np.array([0.0, -1.0, 1.0, 1.0]), np.array([0.0, 0.25, 0.25, 0.25])
+    with patch.object(trees, "SEARCH_CELLS", 2**40), np.errstate(all="ignore"):
+        flat, gain, _, _ = grow(presort(X), GradientStat(g, h, 0.0, 0.0, 0.0), 1)
+    assert flat.feature.tolist() == [1, -1, -1]
+    assert flat.threshold[0] == 0.5 and gain[0] > 0
