@@ -39,13 +39,13 @@ from .frame import (
     split,
 )
 from .gbt import GbtConfig, fit_gbt
-from .lda import ProjectionLDA, fit_lda, predict_lda, transform_lda
+from .lda import ProjectionLDA, fit_lda, transform_lda
 from .metrics import MetricReport, evaluate, h_measure
 from .neural import MlpConfig, fit_hybrid, fit_mlp
 from .pipeline import ComparisonTable, RunOutcome, cmd_compare, cmd_explain, cmd_run, run_pipeline
 from .resample import SmoteConfig, smote
 from .synth import SynthSpec, write_synthetic
-from .zoo import MODEL_NAMES, LdaClassifier, fit_model
+from .zoo import MODEL_NAMES, fit_model
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "DataError",
     "Frame",
     "GbtConfig",
-    "LdaClassifier",
     "LimeConfig",
     "LimeExplanation",
     "MetricReport",
@@ -98,7 +97,6 @@ __all__ = [
     "load_model",
     "morris_screen",
     "numeric_frame",
-    "predict_lda",
     "rank_features",
     "resolve_config",
     "run_pipeline",

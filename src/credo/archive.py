@@ -19,7 +19,6 @@ from .errors import DataError
 from .gbt import BoostedEnsemble, RegressionTree
 from .lda import ProjectionLDA
 from .neural import HybridXgDnn, Mlp
-from .zoo import LdaClassifier
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_type_of", "save_model", "schema_hash"]
 
@@ -166,8 +165,7 @@ def _unpack_mlp(arrays, params, schema):
     return Mlp(sizes, weights, biases, None if loss is None else float(loss))
 
 
-def _pack_lda(m: LdaClassifier):
-    p = m.projection
+def _pack_lda(p: ProjectionLDA):
     arrays = {
         "class_means": p.class_means,
         "grand_mean": p.grand_mean,
@@ -186,7 +184,7 @@ def _pack_lda(m: LdaClassifier):
 
 
 def _unpack_lda(arrays, params, schema):
-    projection = ProjectionLDA(
+    return ProjectionLDA(
         feature_names=tuple(schema["features"]),
         class_means=arrays["class_means"],
         grand_mean=arrays["grand_mean"],
@@ -199,7 +197,6 @@ def _unpack_lda(arrays, params, schema):
         n_train=int(params["n_train"]),
         n_requested=int(params["n_requested"]),
     )
-    return LdaClassifier(projection)
 
 
 def _pack_xgdnn(m: HybridXgDnn):
@@ -231,7 +228,7 @@ _CODECS = {
     "forest": (ForestModel, _pack_forest, _unpack_forest),
     "gbt": (BoostedEnsemble, _pack_gbt, _unpack_gbt),
     "mlp": (Mlp, _pack_mlp, _unpack_mlp),
-    "lda": (LdaClassifier, _pack_lda, _unpack_lda),
+    "lda": (ProjectionLDA, _pack_lda, _unpack_lda),
     "xgdnn": (HybridXgDnn, _pack_xgdnn, _unpack_xgdnn),
 }
 

@@ -31,6 +31,10 @@ def exit_code_for(error: BaseException) -> int:
     return 1
 
 
+# SynthSpec fields settable from `credo synth`; each flag's default is the field's
+_SYNTH_FLAGS = ("rows", "features", "classes", "imbalance", "null_rate", "separation", "seed", "target_name")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
@@ -63,14 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     synth.add_argument("-o", "--output", required=True, help="CSV path to write")
-    synth.add_argument("--rows", type=int, default=20000)
-    synth.add_argument("--features", type=int, default=30)
-    synth.add_argument("--classes", type=int, default=10)
-    synth.add_argument("--imbalance", type=float, default=0.7)
-    synth.add_argument("--null-rate", type=float, default=0.02)
-    synth.add_argument("--separation", type=float, default=2.0)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--target-name", default="status")
+    for name in _SYNTH_FLAGS:
+        default = getattr(SynthSpec, name)
+        synth.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     return parser
 
 
@@ -113,16 +112,7 @@ def _explain(args) -> int:
 
 
 def _synth(args) -> int:
-    spec = SynthSpec(
-        rows=args.rows,
-        features=args.features,
-        classes=args.classes,
-        imbalance=args.imbalance,
-        null_rate=args.null_rate,
-        separation=args.separation,
-        seed=args.seed,
-        target_name=args.target_name,
-    )
+    spec = SynthSpec(**{name: getattr(args, name) for name in _SYNTH_FLAGS})
     summary = write_synthetic(args.output, spec)
     print(
         f"wrote {summary['rows']} rows x {summary['columns']} columns to {summary['path']} "

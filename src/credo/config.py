@@ -21,7 +21,7 @@ import typing
 
 from .errors import ConfigError, DataError
 from .explain import LimeConfig, MorrisConfig
-from .frame import check_null_threshold
+from .frame import check_null_threshold, check_train_fraction
 from .lda import LdaConfig
 from .resample import SmoteConfig
 from .zoo import MODEL_FAMILIES, MODEL_NAMES
@@ -208,8 +208,7 @@ def resolve_config(raw: dict) -> dict:
     split = _as_object(raw.get("split", {}), "config.split")
     _check_keys(split, "config.split", {"train_fraction", "seed"})
     fraction = _as_number(split.get("train_fraction", 0.8), "config.split.train_fraction")
-    if not 0 < fraction < 1:
-        _fail("config.split.train_fraction", "must lie strictly between 0 and 1")
+    _bounded("config.split.train_fraction", check_train_fraction, fraction)
     out["split"] = {
         "train_fraction": fraction,
         "seed": _as_int(split.get("seed", 7), "config.split.seed"),

@@ -465,6 +465,11 @@ def invert_scaler(frame: Frame, params: ScalerParams) -> Frame:
     return frame.with_features(X * params.scale + params.location, frame.column_names)
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    if not (0 < train_fraction < 1):
+        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
 def split(frame: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]:
     """Stratified train/test split, deterministic per seed.
 
@@ -474,8 +479,7 @@ def split(frame: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]
     """
     if frame.target is None:
         raise DataError("split needs an encoded target")
-    if not (0 < train_fraction < 1):
-        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_train_fraction(train_fraction)
     y = frame.target.labels
     n_classes = frame.target.n_classes
     counts = np.bincount(y, minlength=n_classes)

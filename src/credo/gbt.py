@@ -86,7 +86,8 @@ class BoostedEnsemble(Classifier):
         return TreeStack(self.trees)
 
     def predict_proba(self, X) -> np.ndarray:
-        return predict_gbt(self, X)
+        """Class probabilities: softmax over summed tree outputs plus base."""
+        return softmax(extract_margins(self, X))
 
 
 def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig):
@@ -162,11 +163,6 @@ def extract_margins(m: BoostedEnsemble, f, n_rounds: int | None = None) -> np.nd
         for r in range(n_rounds):
             block += step[nodes[:, r * C : (r + 1) * C]]
     return margins
-
-
-def predict_gbt(m: BoostedEnsemble, f) -> np.ndarray:
-    """Class probabilities: softmax over summed tree outputs plus base."""
-    return softmax(extract_margins(m, f))
 
 
 def extract_leaf_indices(m: BoostedEnsemble, f) -> np.ndarray:

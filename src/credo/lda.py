@@ -5,6 +5,8 @@ scatter relative to within-class scatter, solving S_b v = lambda (S_w + r I) v
 at most min(C-1, d) useful directions exist because rank(S_b) <= C-1.
 As a classifier: Gaussian class densities with a shared covariance estimated
 from S_w, giving linear discriminant scores that softmax to probabilities.
+One fitted :class:`ProjectionLDA` is both: the reducer's basis and the
+zoo's ``lda`` model.
 
 The generalized eigenproblem is symmetrized through a Cholesky factor of the
 regularized within-class scatter, so a plain symmetric eigensolver does the
@@ -20,14 +22,15 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .baselines import softmax
+from .baselines import Classifier, softmax
 from .errors import DataError, LdaClampWarning, NumericError
 from .frame import Frame, numeric_frame
 
 
 @dataclass(frozen=True)
-class ProjectionLDA:
-    """Fitted discriminant basis plus the sufficient statistics behind it.
+class ProjectionLDA(Classifier):
+    """Fitted discriminant basis plus the sufficient statistics behind it,
+    and the shared-covariance Gaussian classifier they define.
 
     ``components`` columns are normalized against the regularized
     within-class scatter (exactly S_w-normalized when ridge is 0) and ordered
@@ -55,6 +58,14 @@ class ProjectionLDA:
     def clamped(self) -> bool:
         return self.n_requested > self.n_components
 
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_priors)
+
     @cached_property
     def discriminant(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights W and offsets b of the class scores x'W + b, solved once.
@@ -69,6 +80,11 @@ class ProjectionLDA:
         except np.linalg.LinAlgError:
             raise NumericError("shared covariance is singular; use a positive ridge") from None
         return W, -0.5 * np.einsum("cd,dc->c", self.class_means, W) + np.log(self.class_priors)
+
+    def predict_proba(self, X) -> np.ndarray:
+        """Softmax of the linear discriminant scores of the rows of X."""
+        W, offsets = self.discriminant
+        return softmax(self._coerce(X) @ W + offsets)
 
 
 def scatter_matrices(X: np.ndarray, y: np.ndarray, n_classes: int):
@@ -178,29 +194,13 @@ def fit_lda(
     )
 
 
-def _check_features(p: ProjectionLDA, f: Frame) -> np.ndarray:
+def transform_lda(p: ProjectionLDA, f: Frame) -> Frame:
+    """Project rows to the discriminant space; columns LD1..LDm."""
     if f.column_names != p.feature_names:
         raise DataError(
             f"frame features {list(f.column_names)} do not match the fitted "
             f"features {list(p.feature_names)}"
         )
-    return f.feature_matrix()
-
-
-def transform_lda(p: ProjectionLDA, f: Frame) -> Frame:
-    """Project rows to the discriminant space; columns LD1..LDm."""
-    X = _check_features(p, f)
-    Z = (X - p.grand_mean) @ p.components
+    Z = (f.feature_matrix() - p.grand_mean) @ p.components
     names = [f"LD{i + 1}" for i in range(p.n_components)]
     return numeric_frame(Z, names, target=f.target)
-
-
-def discriminant_proba(p: ProjectionLDA, X: np.ndarray) -> np.ndarray:
-    """Softmax of the linear discriminant scores of the rows of X."""
-    W, offsets = p.discriminant
-    return softmax(X @ W + offsets)
-
-
-def predict_lda(p: ProjectionLDA, f: Frame) -> np.ndarray:
-    """Class probabilities from linear Gaussian discriminants."""
-    return discriminant_proba(p, _check_features(p, f))

@@ -90,7 +90,7 @@ class Mlp(Classifier):
         return self.layer_sizes[-1]
 
     def predict_proba(self, X) -> np.ndarray:
-        return predict_mlp(self, X)
+        return _forward(self.weights, self.biases, self._coerce(X))[-1]
 
 
 def _forward(weights, biases, X):
@@ -179,10 +179,6 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
     return Mlp(sizes, tuple(weights), tuple(biases), float(final_loss))
 
 
-def predict_mlp(m: Mlp, f) -> np.ndarray:
-    return _forward(m.weights, m.biases, m._coerce(f))[-1]
-
-
 # ------------------------------------------------------------ hybrid model
 
 
@@ -204,7 +200,7 @@ class HybridXgDnn(Classifier):
         return self.booster.n_features
 
     def predict_proba(self, X) -> np.ndarray:
-        return predict_hybrid(self, X)
+        return self.head.predict_proba(derive_features(self.booster, X, self.feature_mode))
 
 
 def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarray:
@@ -248,8 +244,3 @@ def fit_hybrid(
     )
     head = fit_mlp(head_train, mlp_cfg)
     return HybridXgDnn(booster, feature_mode, head)
-
-
-def predict_hybrid(h: HybridXgDnn, f) -> np.ndarray:
-    Z = derive_features(h.booster, f, h.feature_mode)
-    return predict_mlp(h.head, Z)

@@ -3,13 +3,13 @@
 ``prepare`` executes load -> drop sparse -> impute -> encode -> split ->
 scale -> [balance], and a cell runs [reduce] -> fit -> evaluate on its
 output. ``run_pipeline`` is preparation, one cell and [explain], timing each
-stage, recording every warning with its stable code, and echoing the exact
-settings used.  ``cmd_run`` adds the on-disk deliverables (report.json,
-metrics.csv, processed splits, a model archive, explanation files);
-``cmd_compare`` prepares once and renders each model with the discriminant
-reduction off and on as one matrix; ``cmd_explain`` replays a stored
-archive against a CSV.  Any stage failure aborts with the stage name and
-cause, and files written by the failed invocation are removed.
+stage, recording each distinct warning once with its stable code and its
+count, and echoing the exact settings used.  ``cmd_run`` adds the on-disk
+deliverables (report.json, metrics.csv, processed splits, a model archive,
+explanation files); ``cmd_compare`` prepares once and renders each model
+with the discriminant reduction off and on as one matrix; ``cmd_explain``
+replays a stored archive against a CSV.  Any stage failure aborts with the
+stage name and cause, and files written by the failed invocation are removed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import shutil
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,9 +179,8 @@ def _fit_and_score(
 ):
     """One model: fit on train, then score its test-split probabilities.
     `boosters` is compare's memo of the boosters fitted on this `train`."""
-    args = (model_cfg["name"], train, model_cfg["params"])
     model = _stage(
-        timings, "fit", lambda: fit_model(*args) if boosters is None else fit_model(*args, boosters)
+        timings, "fit", lambda: fit_model(model_cfg["name"], train, model_cfg["params"], boosters)
     )
 
     def score():
@@ -242,12 +242,14 @@ def run_pipeline(cfg: dict) -> RunOutcome:
 
             lime_explanations, morris_screening = _stage(timings, "explain", explain)
 
-    warning_entries = [
-        {
-            "code": w.message.code if isinstance(w.message, CredoWarning) else "EXTERNAL",
-            "message": str(w.message),
-        }
+    # one entry per distinct (code, message), in order of first occurrence
+    warning_counts = Counter(
+        (w.message.code if isinstance(w.message, CredoWarning) else "EXTERNAL", str(w.message))
         for w in caught
+    )
+    warning_entries = [
+        {"code": code, "message": message, "count": count}
+        for (code, message), count in warning_counts.items()
     ]
 
     report = {

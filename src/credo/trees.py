@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericError
 
 BLOCK_ROWS = 1024  # rows walked together; temporaries are BLOCK_ROWS x trees
 SEARCH_CELLS = 32768  # split search: features scored together x node rows x stat width
@@ -128,7 +129,8 @@ def presort(X: np.ndarray) -> Presorted:
 
 class GradientStat:
     """Second-order boosting statistic: a node's total is (sum g, sum h), and
-    each child must keep ``min_child_weight`` of hessian mass."""
+    each child must keep ``min_child_weight`` of hessian mass. A node whose
+    hessian sum plus ``lam`` is 0 has no Newton step and fails the fit."""
 
     width = 1  # cells of statistic per row
 
@@ -137,7 +139,10 @@ class GradientStat:
         self.lam, self.gamma, self.min_child_weight = lam, gamma, min_child_weight
 
     def total(self, rows):
-        return float(self.g[rows].sum()), float(self.h[rows].sum())
+        G, H = float(self.g[rows].sum()), float(self.h[rows].sum())
+        if H + self.lam == 0:
+            raise NumericError("a node's hessian sum plus lam is 0; boost with lam > 0")
+        return G, H
 
     def splittable(self, total) -> bool:
         return True

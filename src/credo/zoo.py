@@ -1,19 +1,13 @@
 """One fitting interface over the eight model families.
 
-Every fitted object is a ``baselines.Classifier``. The discriminant
-projection gets a thin adapter so it can stand in the zoo next to the other
-classifiers. Each family's parameters form a frozen config dataclass, which
-``fit_model`` builds from JSON params.
+Every fitted object is a ``baselines.Classifier``; the ``lda`` model is
+the fitted discriminant projection itself. Each family's parameters form a
+frozen config dataclass, which ``fit_model`` builds from JSON params.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .baselines import (
-    Classifier,
     ForestConfig,
     GnbConfig,
     LogregConfig,
@@ -26,32 +20,14 @@ from .baselines import (
 from .errors import ConfigError
 from .frame import Frame
 from .gbt import GbtConfig, fit_gbt
-from .lda import LdaConfig, ProjectionLDA, discriminant_proba, fit_lda
+from .lda import LdaConfig, ProjectionLDA, fit_lda
 from .neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp
 
-__all__ = ["MODEL_FAMILIES", "MODEL_NAMES", "LdaClassifier", "fit_model"]
+__all__ = ["MODEL_FAMILIES", "MODEL_NAMES", "fit_model"]
 
 
-@dataclass(frozen=True)
-class LdaClassifier(Classifier):
-    """Gaussian discriminant classifier over a fitted projection."""
-
-    projection: ProjectionLDA
-
-    @property
-    def n_features(self) -> int:
-        return len(self.projection.feature_names)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.projection.class_priors)
-
-    def predict_proba(self, X) -> np.ndarray:
-        return discriminant_proba(self.projection, self._coerce(X))
-
-
-def _fit_lda_classifier(train: Frame, cfg: LdaConfig) -> LdaClassifier:
-    return LdaClassifier(fit_lda(train, cfg.n_components, cfg.ridge))
+def _fit_lda(train: Frame, cfg: LdaConfig) -> ProjectionLDA:
+    return fit_lda(train, cfg.n_components, cfg.ridge)
 
 
 def _fit_booster(train: Frame, cfg: GbtConfig, boosters: dict | None = None):
@@ -79,7 +55,7 @@ MODEL_FAMILIES = {
     "forest": (ForestConfig, "fit_forest"),
     "gbt": (GbtConfig, "_fit_booster"),
     "mlp": (MlpConfig, "fit_mlp"),
-    "lda": (LdaConfig, "_fit_lda_classifier"),
+    "lda": (LdaConfig, "_fit_lda"),
     "xgdnn": (XgdnnConfig, "_fit_xgdnn"),
 }
 MODEL_NAMES = tuple(MODEL_FAMILIES)

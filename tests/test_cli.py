@@ -305,6 +305,12 @@ def test_synth_writes_csv(tmp_path, capsys):
     assert "wrote 200 rows x 7 columns" in capsys.readouterr().out
 
 
+def test_synth_flag_defaults_are_the_spec_defaults(tmp_path):
+    assert main(["synth", "-o", str(tmp_path / "a.csv"), "--rows", "200"]) == 0
+    write_synthetic(str(tmp_path / "b.csv"), SynthSpec(rows=200))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_python_dash_m_runs_synth(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -344,3 +350,26 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"learning_rate": 1.0},
+        {"learning_rate": 1.0, "min_child_weight": 0},
+        {"learning_rate": 0.5, "min_child_weight": 0},
+    ],
+    ids=["lr1", "lr1_mcw0", "lr05_mcw0"],
+)
+def test_gbt_lam_zero_at_a_saturated_node_exits_4(tmp_path, capsys, params):
+    data = tmp_path / "data.csv"
+    write_synthetic(str(data), SynthSpec(rows=300, seed=1))
+    cfg = write_config(
+        tmp_path,
+        str(data),
+        smote={"enabled": False},
+        model={"name": "gbt", "params": {"rounds": 30, "lam": 0, "max_depth": 6, **params}},
+    )
+    assert main(["run", "-c", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "stage 'fit'" in err and "lam" in err

@@ -10,7 +10,6 @@ from credo.gbt import (
     extract_leaf_indices,
     extract_margins,
     fit_gbt,
-    predict_gbt,
 )
 
 
@@ -67,7 +66,7 @@ def test_single_class_training_collapses():
     m = fit_gbt(f, GbtConfig(rounds=3, max_depth=3))
     for tree in m.trees:
         assert tree.feature.tolist() == [-1]  # bare root
-    proba = predict_gbt(m, f)
+    proba = m.predict_proba(f)
     assert (proba.argmax(axis=1) == 0).all()
     assert proba[:, 0] == pytest.approx(np.ones(8), abs=1e-9)
 
@@ -81,7 +80,7 @@ def test_xor_clusters_perfect_training_accuracy():
     y = np.repeat(labels, sizes)
     f = _frame(X, y)
     m = fit_gbt(f, GbtConfig(rounds=50, learning_rate=0.3, max_depth=2))
-    assert (predict_gbt(m, f).argmax(axis=1) == y).mean() == 1.0
+    assert (m.predict_proba(f).argmax(axis=1) == y).mean() == 1.0
 
 
 def test_training_loss_nonincreasing_without_split_penalty():
@@ -152,7 +151,7 @@ def test_determinism():
     cfg = GbtConfig(rounds=5, max_depth=3)
     a = fit_gbt(f, cfg)
     b = fit_gbt(f, cfg)
-    assert np.array_equal(predict_gbt(a, X), predict_gbt(b, X))
+    assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
 # ----------------------------------------------------------- predictions
@@ -170,7 +169,7 @@ def test_zero_rounds_predicts_base_softmax():
     m = _zero_round_ensemble([0.2, -0.1, 0.5])
     X = np.random.default_rng(0).normal(size=(6, 2))
     want = softmax(np.tile(m.base_score, (6, 1)))
-    assert predict_gbt(m, X) == pytest.approx(want, abs=1e-15)
+    assert m.predict_proba(X) == pytest.approx(want, abs=1e-15)
     assert extract_margins(m, X) == pytest.approx(np.tile(m.base_score, (6, 1)))
 
 
@@ -180,7 +179,7 @@ def test_probabilities_row_stochastic():
     y = rng.integers(0, 4, 40)
     y[:4] = [0, 1, 2, 3]
     m = fit_gbt(_frame(X, y), GbtConfig(rounds=4, max_depth=2))
-    proba = predict_gbt(m, rng.normal(size=(25, 3)))
+    proba = m.predict_proba(rng.normal(size=(25, 3)))
     assert proba.shape == (25, 4)
     assert proba.sum(axis=1) == pytest.approx(np.ones(25), abs=1e-9)
     assert proba.min() >= 0.0
@@ -193,7 +192,7 @@ def test_softmax_of_margins_is_predict():
     y[:2] = [0, 1]
     m = fit_gbt(_frame(X, y), GbtConfig(rounds=3, max_depth=2))
     Q = rng.normal(size=(10, 2))
-    assert softmax(extract_margins(m, Q)) == pytest.approx(predict_gbt(m, Q), abs=1e-12)
+    assert softmax(extract_margins(m, Q)) == pytest.approx(m.predict_proba(Q), abs=1e-12)
 
 
 def test_margins_monotone_on_fitted_class():
@@ -208,7 +207,7 @@ def test_margins_monotone_on_fitted_class():
 def test_dimension_mismatch():
     m = fit_gbt(_frame(FIX_X, FIX_Y), FIX_CFG)
     with pytest.raises(DataError, match="expects 1 features"):
-        predict_gbt(m, np.zeros((3, 2)))
+        m.predict_proba(np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------- leaf indices

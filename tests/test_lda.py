@@ -6,8 +6,7 @@ from scipy.stats import multivariate_normal
 
 from credo.errors import DataError, LdaClampWarning, NumericError
 from credo.frame import numeric_frame
-from credo.lda import fit_lda, predict_lda, scatter_matrices, transform_lda
-from credo.zoo import LdaClassifier
+from credo.lda import fit_lda, scatter_matrices, transform_lda
 
 
 def _frame(X, y):
@@ -175,7 +174,7 @@ def _three_class_fixture(seed=11, n=60):
 def test_predict_at_class_mean_is_that_class():
     f = _three_class_fixture()
     p = fit_lda(f, n_components=2)
-    proba = predict_lda(p, numeric_frame(p.class_means, ["x0", "x1"]))
+    proba = p.predict_proba(numeric_frame(p.class_means, ["x0", "x1"]))
     assert proba.argmax(axis=1).tolist() == [0, 1, 2]
 
 
@@ -187,14 +186,14 @@ def test_equal_class_means_yield_priors():
     y = np.array([0] * 4 + [1] * 8)
     p = fit_lda(_frame(X, y), n_components=1)
     queries = numeric_frame(np.array([[0.3, -2.0], [4.0, 4.0], [0.0, 0.0]]), ["x0", "x1"])
-    proba = predict_lda(p, queries)
+    proba = p.predict_proba(queries)
     assert proba == pytest.approx(np.tile([1 / 3, 2 / 3], (3, 1)), abs=1e-12)
 
 
 def test_predict_matches_density_oracle():
     f = _three_class_fixture()
     p = fit_lda(f, n_components=2)
-    proba = predict_lda(p, f)
+    proba = p.predict_proba(f)
     acc = (proba.argmax(axis=1) == f.labels).mean()
     assert acc >= 0.9
 
@@ -211,7 +210,7 @@ def test_predict_matches_density_oracle():
 def test_predict_rows_sum_to_one():
     f = _three_class_fixture(seed=2)
     p = fit_lda(f, n_components=2)
-    proba = predict_lda(p, f)
+    proba = p.predict_proba(f)
     assert proba.sum(axis=1) == pytest.approx(np.ones(f.n_rows), abs=1e-12)
     assert proba.min() >= 0.0
 
@@ -223,8 +222,8 @@ def test_location_invariance_after_refit():
     p1 = fit_lda(f, n_components=2)
     p2 = fit_lda(_frame(X + shift, f.labels), n_components=2)
     q = X[:10]
-    pr1 = predict_lda(p1, numeric_frame(q, ["x0", "x1"]))
-    pr2 = predict_lda(p2, numeric_frame(q + shift, ["x0", "x1"]))
+    pr1 = p1.predict_proba(numeric_frame(q, ["x0", "x1"]))
+    pr2 = p2.predict_proba(numeric_frame(q + shift, ["x0", "x1"]))
     assert pr1 == pytest.approx(pr2, abs=1e-8)
 
 
@@ -234,17 +233,17 @@ def test_classifier_solves_discriminant_once(monkeypatch):
     solve = np.linalg.solve
     calls = []
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
-    clf = LdaClassifier(p)
+    clf = p
     X = f.feature_matrix()
     first = clf.predict_proba(X)
     for _ in range(3):
         assert np.array_equal(clf.predict_proba(X[:7]), first[:7])
-    assert np.array_equal(predict_lda(p, f), first)
+    assert np.array_equal(p.predict_proba(f), first)
     assert len(calls) == 1
 
 
 def test_classifier_checks_feature_count():
-    clf = LdaClassifier(fit_lda(_three_class_fixture(), n_components=2))
+    clf = fit_lda(_three_class_fixture(), n_components=2)
     with pytest.raises(DataError, match="expects 2 features"):
         clf.predict_proba(np.zeros((4, 3)))
     with pytest.raises(DataError, match="expects 2 features"):
@@ -254,7 +253,7 @@ def test_classifier_checks_feature_count():
 def test_singular_shared_covariance_fails_at_every_prediction():
     p = fit_lda(_three_class_fixture(), n_components=2)
     broken = replace(p, within_scatter=np.zeros((2, 2)), ridge=0.0)
-    clf = LdaClassifier(broken)
+    clf = broken
     for _ in range(2):  # a failed solve is not cached
         with pytest.raises(NumericError, match="singular"):
             clf.predict_proba(np.zeros((1, 2)))

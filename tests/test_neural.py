@@ -5,7 +5,7 @@ import pytest
 
 from credo.errors import DataError
 from credo.frame import numeric_frame
-from credo.gbt import GbtConfig, fit_gbt, predict_gbt
+from credo.gbt import GbtConfig, fit_gbt
 from credo.neural import (
     HybridXgDnn,
     Mlp,
@@ -15,8 +15,6 @@ from credo.neural import (
     fit_mlp,
     init_mlp,
     mlp_gradients,
-    predict_hybrid,
-    predict_mlp,
 )
 
 
@@ -31,7 +29,7 @@ def test_zero_weights_give_uniform_output():
     sizes = (3, 5, 4)
     m = Mlp(sizes, (np.zeros((3, 5)), np.zeros((5, 4))), (np.zeros(5), np.zeros(4)))
     X = np.random.default_rng(0).normal(size=(7, 3))
-    assert predict_mlp(m, X) == pytest.approx(np.full((7, 4), 0.25), abs=1e-15)
+    assert m.predict_proba(X) == pytest.approx(np.full((7, 4), 0.25), abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -96,7 +94,7 @@ def test_forward_pass_hand_computed():
     z = np.array([[-0.7, 3.1], [0.6, 0.3]])
     e = np.exp(z)
     want = e / e.sum(axis=1, keepdims=True)
-    assert predict_mlp(m, X) == pytest.approx(want, abs=1e-12)
+    assert m.predict_proba(X) == pytest.approx(want, abs=1e-12)
 
 
 def test_predict_contract_and_determinism():
@@ -106,11 +104,11 @@ def test_predict_contract_and_determinism():
     y[:3] = [0, 1, 2]
     m = fit_mlp(_frame(X, y), MlpConfig(hidden=(8,), epochs=5, batch_size=8, seed=1))
     Q = rng.normal(size=(12, 4))
-    proba = predict_mlp(m, Q)
+    proba = m.predict_proba(Q)
     assert proba.sum(axis=1) == pytest.approx(np.ones(12), abs=1e-9)
-    assert np.array_equal(proba, predict_mlp(m, Q))
+    assert np.array_equal(proba, m.predict_proba(Q))
     with pytest.raises(DataError, match="expects 4 features"):
-        predict_mlp(m, np.zeros((2, 7)))
+        m.predict_proba(np.zeros((2, 7)))
 
 
 def test_same_seed_same_network():
@@ -261,12 +259,12 @@ def test_hybrid_composition_and_row_order():
     )
     Q = rng.normal(size=(15, 4))
     # composition equals the manual two-step application
-    manual = predict_mlp(h.head, derive_features(h.booster, Q, h.feature_mode))
-    assert np.array_equal(predict_hybrid(h, Q), manual)
+    manual = h.head.predict_proba(derive_features(h.booster, Q, h.feature_mode))
+    assert np.array_equal(h.predict_proba(Q), manual)
     # pure map over rows: permuting input permutes output identically
     perm = rng.permutation(15)
-    assert np.array_equal(predict_hybrid(h, Q[perm]), predict_hybrid(h, Q)[perm])
-    assert np.array_equal(predict_hybrid(h, Q), predict_hybrid(h, Q))
+    assert np.array_equal(h.predict_proba(Q[perm]), h.predict_proba(Q)[perm])
+    assert np.array_equal(h.predict_proba(Q), h.predict_proba(Q))
 
 
 def test_hybrid_competitive_on_blobs():
@@ -284,11 +282,11 @@ def test_hybrid_competitive_on_blobs():
         gcfg = GbtConfig(rounds=10, max_depth=3, seed=s)
         mcfg = MlpConfig(hidden=(32,), epochs=20, batch_size=128, learning_rate=3e-3, seed=s)
         booster = fit_gbt(train, gcfg)
-        boost_pred = predict_gbt(booster, Xte).argmax(axis=1)
+        boost_pred = booster.predict_proba(Xte).argmax(axis=1)
         boost_acc = (boost_pred == yte).mean()
         mlp_acc = (fit_mlp(train, mcfg).predict(Xte) == yte).mean()
         hybrid = fit_hybrid(train, gcfg, mcfg, "margins")
-        hybrid_pred = predict_hybrid(hybrid, Xte).argmax(axis=1)
+        hybrid_pred = hybrid.predict_proba(Xte).argmax(axis=1)
         hybrid_acc = (hybrid_pred == yte).mean()
         assert hybrid_acc >= max(boost_acc, mlp_acc) - 0.02
         disagreements.append((hybrid_pred != boost_pred).mean())
@@ -304,7 +302,7 @@ def test_head_input_width_validated():
     booster = fit_gbt(_frame(X, y), GbtConfig(rounds=2, max_depth=2))
     head = init_mlp((2, 4, 2), seed=0)  # margins mode: width 2 matches
     h = HybridXgDnn(booster, "margins", head)
-    assert predict_hybrid(h, X).shape == (30, 2)
+    assert h.predict_proba(X).shape == (30, 2)
     with pytest.raises(DataError, match="feature_mode"):
         HybridXgDnn(booster, "nope", head)
 

@@ -145,6 +145,26 @@ def test_lda_clamp_is_reported_as_warning(data_csv, tmp_path):
     assert "LDA_COMPONENTS_CLAMPED" in codes
 
 
+def test_repeated_warnings_are_counted_once(data_csv, tmp_path, monkeypatch):
+    import warnings
+
+    import credo.zoo
+
+    real = credo.zoo.fit_model
+
+    def noisy(name, train, params, boosters):
+        for message in ("overflow in exp", "overflow in exp", "slow start", "overflow in exp"):
+            warnings.warn(message, RuntimeWarning)
+        return real(name, train, params, boosters)
+
+    monkeypatch.setattr("credo.pipeline.fit_model", noisy)
+    rep = run_pipeline(make_cfg(data_csv, tmp_path)).report
+    assert rep["warnings"] == [
+        {"code": "EXTERNAL", "message": "overflow in exp", "count": 3},
+        {"code": "EXTERNAL", "message": "slow start", "count": 1},
+    ]
+
+
 def test_determinism_across_runs(data_csv, tmp_path):
     cfg = make_cfg(data_csv, tmp_path, model={"name": "forest", "params": {"n_trees": 5}})
     a = run_pipeline(cfg)
@@ -190,7 +210,7 @@ def test_missing_data_file_fails_in_load(tmp_path):
 
 
 def test_stage_failure_names_fit(data_csv, tmp_path, monkeypatch):
-    def boom(name, train, params):
+    def boom(name, train, params, boosters):
         raise RuntimeError("solver exploded")
 
     monkeypatch.setattr("credo.pipeline.fit_model", boom)

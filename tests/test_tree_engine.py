@@ -10,11 +10,13 @@ scores per numpy call (``trees.SEARCH_CELLS``).
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from credo import trees
 from credo.baselines import fit_forest, fit_tree
+from credo.errors import NumericError
 from credo.frame import numeric_frame
 from credo.gbt import GbtConfig, fit_gbt
 from credo.trees import CountStat, GradientStat, grow, presort
@@ -333,7 +335,7 @@ def test_blocked_gradient_search_matches_oracle(table, lam, gamma, mcw, max_dept
                 lambda rows, features, t: _gradient_scan(X, rows, features, g, h, lam, gamma, mcw),
                 max_depth,
             )
-    except ZeroDivisionError:  # a node's h sums to 0 with lam 0: it has no parent score
+    except NumericError:  # a node's h sums to 0 with lam 0: it has no parent score
         reject()
     _assert_same_tree(flat, gain, totals, oracle)
 
@@ -386,3 +388,12 @@ def test_nan_gain_skips_its_feature_not_its_block():
         flat, gain, _, _ = grow(presort(X), GradientStat(g, h, 0.0, 0.0, 0.0), 1)
     assert flat.feature.tolist() == [1, -1, -1]
     assert flat.threshold[0] == 0.5 and gain[0] > 0
+
+
+def test_node_without_hessian_mass_under_lam_zero_is_a_numeric_error():
+    # every row saturated (h = 0) and lam 0: the root has no Newton step
+    X = np.array([[0.0], [1.0], [2.0]])
+    g, h = np.array([0.0, -1.0, 1.0]), np.zeros(3)
+    with pytest.raises(NumericError, match="lam"):
+        grow(presort(X), GradientStat(g, h, 0.0, 0.0, 0.0), 1)
+    grow(presort(X), GradientStat(g, h, 1e-12, 0.0, 0.0), 1)  # any positive lam has one
