@@ -4,19 +4,41 @@ An archive is a directory holding manifest.json (model family, schema,
 schema hash, scalar params), shapes.json (array name -> dimensions), and
 one <name>.f64 file per array: the raw C-order values as little-endian
 IEEE-754 doubles. Every family in the zoo round-trips bit-exactly.
+
+A family's frozen model dataclass is its archive format: each field is
+stored by one rule, chosen by its name and type hint.
+
+- ``n_classes``, ``n_features`` and ``feature_names`` come from the
+  manifest schema.
+- An ``np.ndarray`` field is one ``<name>.f64`` file.
+- A tuple of trees is ``tree_sizes`` (nodes per tree) plus one
+  ``tree_<key>`` file per node array, concatenated over the trees.
+- A tuple of arrays is one file per item, named by the field's initial
+  and the item's index (``w0``, ``b0``, ...).
+- A nested model is stored by these same rules, its field name prefixing
+  its files (``booster_tree_weight``) and keying its params.
+- Every other field is a JSON param, cast back through its type hint.
+
+Node and feature ids (``feature``, ``left``, ``right``, ``leaf_ordinal``)
+are read back as int64. A new family needs no archive code, only an entry
+in the family table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import json
+import typing
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import ForestModel, GaussianNBModel, LogisticModel, TreeModel
 from .errors import DataError
-from .gbt import BoostedEnsemble, RegressionTree
+from .gbt import BoostedEnsemble
 from .lda import ProjectionLDA
 from .neural import HybridXgDnn, Mlp
 
@@ -34,207 +56,139 @@ def schema_hash(feature_names, class_names, target_name: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-# ------------------------------------------------------- per-family codecs
+# ------------------------------------------------------------ field rules
 
+# family name (the manifest's "model") -> model class
+_FAMILIES = {
+    "logreg": LogisticModel,
+    "gnb": GaussianNBModel,
+    "tree": TreeModel,
+    "forest": ForestModel,
+    "gbt": BoostedEnsemble,
+    "mlp": Mlp,
+    "lda": ProjectionLDA,
+    "xgdnn": HybridXgDnn,
+}
 
-def _pack_logreg(m: LogisticModel):
-    arrays = {
-        "weights": m.weights,
-        "bias": m.bias,
-        "loss_history": np.asarray(m.loss_history, dtype=float),
-    }
-    return arrays, {"converged": bool(m.converged), "n_iter": int(m.n_iter)}
-
-
-def _unpack_logreg(arrays, params, schema):
-    return LogisticModel(
-        arrays["weights"],
-        arrays["bias"],
-        bool(params["converged"]),
-        int(params["n_iter"]),
-        arrays["loss_history"],
-    )
-
-
-def _pack_gnb(m: GaussianNBModel):
-    return {"means": m.means, "variances": m.variances, "priors": m.priors}, {}
-
-
-def _unpack_gnb(arrays, params, schema):
-    return GaussianNBModel(arrays["means"], arrays["variances"], arrays["priors"])
-
-
-_CART_KEYS = ("feature", "threshold", "left", "right", "counts")
-_GBT_KEYS = ("feature", "threshold", "left", "right", "weight", "gain", "leaf_ordinal")
+_SCHEMA_FIELDS = {
+    "n_classes": lambda schema: len(schema["classes"]),
+    "n_features": lambda schema: len(schema["features"]),
+    "feature_names": lambda schema: tuple(schema["features"]),
+}
 _INDEX_KEYS = {"feature", "left", "right", "leaf_ordinal"}
 
 
-def _tree_fields(arrays: dict, keys, prefix: str = "", part: slice = slice(None)) -> dict:
-    """One tree's node arrays: node and feature ids back to int64, the rest copied."""
-    return {
-        k: arrays[prefix + k][part].astype(np.int64) if k in _INDEX_KEYS else arrays[prefix + k][part].copy()
-        for k in keys
+@cache
+def _layout(cls) -> tuple:
+    """(name, rule, type) per field of `cls`, in order; the type is the tree
+    class of a tuple of trees, else the field's type hint."""
+    hints = typing.get_type_hints(cls)
+    layout = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
+        if f.name in _SCHEMA_FIELDS:
+            rule = "schema"
+        elif hint is np.ndarray:
+            rule = "array"
+        elif item is np.ndarray:
+            rule = "arrays"
+        elif dataclasses.is_dataclass(item):
+            rule, hint = "trees", item
+        elif dataclasses.is_dataclass(hint):
+            rule = "model"
+        else:
+            rule = "param"
+        layout.append((f.name, rule, hint))
+    return tuple(layout)
+
+
+def _pack(model) -> tuple[dict, dict]:
+    """The (arrays, params) a model is stored as."""
+    arrays, params = {}, {}
+    for name, rule, hint in _layout(type(model)):
+        value = getattr(model, name)
+        if rule == "array":
+            arrays[name] = value
+        elif rule == "arrays":
+            arrays.update((f"{name[0]}{i}", a) for i, a in enumerate(value))
+        elif rule == "trees":
+            arrays["tree_sizes"] = np.asarray([len(t.feature) for t in value], dtype=float)
+            for key, tree_rule, _ in _layout(hint):
+                if tree_rule == "array":
+                    parts = [np.asarray(getattr(t, key), dtype=float) for t in value]
+                    arrays[f"tree_{key}"] = np.concatenate(parts) if parts else np.empty(0)
+        elif rule == "model":
+            inner, params[name] = _pack(value)
+            arrays.update((f"{name}_{k}", a) for k, a in inner.items())
+        elif rule == "param":
+            params[name] = list(value) if isinstance(value, tuple) else value
+    return arrays, params
+
+
+def _entry(table, key: str, what: str):
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise DataError(f"archive is missing {what} {key}") from None
+
+
+def _column(arrays: dict, key: str, name: str) -> np.ndarray:
+    """Array `key`, as int64 if field `name` holds node or feature ids."""
+    dtype = np.int64 if name in _INDEX_KEYS else np.float64
+    return _entry(arrays, key, "array").astype(dtype, copy=False)
+
+
+def _cast(hint, value):
+    """A JSON param as its field's type."""
+    args = typing.get_args(hint)
+    try:
+        if typing.get_origin(hint) is tuple:
+            return tuple(_cast(args[0], v) for v in value)
+        if args:  # an optional scalar, `T | None`
+            return None if value is None else _cast(args[0], value)
+        return hint(value)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"archived param {value!r} is not a {hint}: {e}") from None
+
+
+def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
+    ends = np.cumsum(_entry(arrays, f"{prefix}tree_sizes", "array").astype(np.int64))
+    columns = {
+        name: _column(arrays, f"{prefix}tree_{name}", name)
+        for name, rule, _ in _layout(tree_cls)
+        if rule == "array"
     }
-
-
-def _pack_trees(trees, keys) -> dict:
-    """Concatenate each node array over the trees, with per-tree node counts."""
-    arrays = {"tree_sizes": np.asarray([len(t.feature) for t in trees], dtype=float)}
-    for key in keys:
-        parts = [np.asarray(getattr(t, key), dtype=float) for t in trees]
-        arrays[f"tree_{key}"] = np.concatenate(parts) if parts else np.empty(0)
-    return arrays
-
-
-def _unpack_trees(arrays, keys, make) -> tuple:
-    offsets = np.concatenate([[0], np.cumsum(arrays["tree_sizes"].astype(np.int64))])
     return tuple(
-        make(**_tree_fields(arrays, keys, "tree_", slice(a, b)))
-        for a, b in zip(offsets[:-1], offsets[1:])
+        _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, schema)
+        for a, b in zip(np.concatenate([[0], ends[:-1]]), ends)
     )
 
 
-def _pack_tree(m: TreeModel):
-    return {k: getattr(m, k) for k in _CART_KEYS}, {}
-
-
-def _unpack_tree(arrays, params, schema):
-    return TreeModel(
-        **_tree_fields(arrays, _CART_KEYS),
-        n_classes=len(schema["classes"]),
-        n_features=len(schema["features"]),
-    )
-
-
-def _pack_forest(m: ForestModel):
-    return _pack_trees(m.trees, _CART_KEYS), {}
-
-
-def _unpack_forest(arrays, params, schema):
-    n_classes, n_features = len(schema["classes"]), len(schema["features"])
-    trees = _unpack_trees(
-        arrays, _CART_KEYS, lambda **f: TreeModel(**f, n_classes=n_classes, n_features=n_features)
-    )
-    return ForestModel(trees, n_classes, n_features)
-
-
-def _pack_gbt(m: BoostedEnsemble):
-    arrays = {**_pack_trees(m.trees, _GBT_KEYS), "base_score": m.base_score}
-    params = {
-        "rounds": m.rounds,
-        "learning_rate": m.learning_rate,
-        "lam": m.lam,
-        "gamma": m.gamma,
-        "min_child_weight": m.min_child_weight,
-    }
-    return arrays, params
-
-
-def _unpack_gbt(arrays, params, schema):
-    return BoostedEnsemble(
-        n_classes=len(schema["classes"]),
-        n_features=len(schema["features"]),
-        rounds=int(params["rounds"]),
-        learning_rate=float(params["learning_rate"]),
-        lam=float(params["lam"]),
-        gamma=float(params["gamma"]),
-        min_child_weight=float(params["min_child_weight"]),
-        base_score=arrays["base_score"].copy(),
-        trees=_unpack_trees(arrays, _GBT_KEYS, RegressionTree),
-    )
-
-
-def _pack_mlp(m: Mlp):
-    arrays = {}
-    for i, (W, b) in enumerate(zip(m.weights, m.biases)):
-        arrays[f"w{i}"] = W
-        arrays[f"b{i}"] = b
-    params = {
-        "layer_sizes": [int(s) for s in m.layer_sizes],
-        "final_loss": None if m.final_loss is None else float(m.final_loss),
-    }
-    return arrays, params
-
-
-def _unpack_mlp(arrays, params, schema):
-    sizes = tuple(int(s) for s in params["layer_sizes"])
-    k = len(sizes) - 1
-    weights = tuple(arrays[f"w{i}"] for i in range(k))
-    biases = tuple(arrays[f"b{i}"] for i in range(k))
-    loss = params["final_loss"]
-    return Mlp(sizes, weights, biases, None if loss is None else float(loss))
-
-
-def _pack_lda(p: ProjectionLDA):
-    arrays = {
-        "class_means": p.class_means,
-        "grand_mean": p.grand_mean,
-        "within_scatter": p.within_scatter,
-        "between_scatter": p.between_scatter,
-        "components": p.components,
-        "eigenvalues": p.eigenvalues,
-        "class_priors": p.class_priors,
-    }
-    params = {
-        "ridge": float(p.ridge),
-        "n_train": int(p.n_train),
-        "n_requested": int(p.n_requested),
-    }
-    return arrays, params
-
-
-def _unpack_lda(arrays, params, schema):
-    return ProjectionLDA(
-        feature_names=tuple(schema["features"]),
-        class_means=arrays["class_means"],
-        grand_mean=arrays["grand_mean"],
-        within_scatter=arrays["within_scatter"],
-        between_scatter=arrays["between_scatter"],
-        components=arrays["components"],
-        eigenvalues=arrays["eigenvalues"],
-        class_priors=arrays["class_priors"],
-        ridge=float(params["ridge"]),
-        n_train=int(params["n_train"]),
-        n_requested=int(params["n_requested"]),
-    )
-
-
-def _pack_xgdnn(m: HybridXgDnn):
-    booster_arrays, booster_params = _pack_gbt(m.booster)
-    head_arrays, head_params = _pack_mlp(m.head)
-    arrays = {f"booster_{k}": v for k, v in booster_arrays.items()}
-    arrays.update({f"head_{k}": v for k, v in head_arrays.items()})
-    params = {
-        "feature_mode": m.feature_mode,
-        "booster": booster_params,
-        "head": head_params,
-    }
-    return arrays, params
-
-
-def _unpack_xgdnn(arrays, params, schema):
-    booster_arrays = {k[len("booster_"):]: v for k, v in arrays.items() if k.startswith("booster_")}
-    head_arrays = {k[len("head_"):]: v for k, v in arrays.items() if k.startswith("head_")}
-    booster = _unpack_gbt(booster_arrays, params["booster"], schema)
-    head = _unpack_mlp(head_arrays, params["head"], schema)
-    return HybridXgDnn(booster, params["feature_mode"], head)
-
-
-# family name -> (model class, pack, unpack)
-_CODECS = {
-    "logreg": (LogisticModel, _pack_logreg, _unpack_logreg),
-    "gnb": (GaussianNBModel, _pack_gnb, _unpack_gnb),
-    "tree": (TreeModel, _pack_tree, _unpack_tree),
-    "forest": (ForestModel, _pack_forest, _unpack_forest),
-    "gbt": (BoostedEnsemble, _pack_gbt, _unpack_gbt),
-    "mlp": (Mlp, _pack_mlp, _unpack_mlp),
-    "lda": (ProjectionLDA, _pack_lda, _unpack_lda),
-    "xgdnn": (HybridXgDnn, _pack_xgdnn, _unpack_xgdnn),
-}
+def _unpack(cls, arrays: dict, params: dict, schema: dict, prefix: str = ""):
+    """Rebuild a `cls` from its arrays (file names under `prefix`), its
+    params and the manifest schema."""
+    kwargs = {}
+    for name, rule, hint in _layout(cls):
+        if rule == "schema":
+            kwargs[name] = _SCHEMA_FIELDS[name](schema)
+        elif rule == "array":
+            kwargs[name] = _column(arrays, prefix + name, name)
+        elif rule == "arrays":
+            keys = (f"{prefix}{name[0]}{i}" for i in itertools.count())
+            kwargs[name] = tuple(arrays[k] for k in itertools.takewhile(arrays.__contains__, keys))
+        elif rule == "trees":
+            kwargs[name] = _unpack_trees(hint, arrays, schema, prefix)
+        elif rule == "model":
+            inner = _entry(params, name, "param")
+            kwargs[name] = _unpack(hint, arrays, inner, schema, f"{prefix}{name}_")
+        else:
+            kwargs[name] = _cast(hint, _entry(params, name, "param"))
+    return cls(**kwargs)
 
 
 def model_type_of(model) -> str:
-    for name, (cls, _, _) in _CODECS.items():
+    for name, cls in _FAMILIES.items():
         if isinstance(model, cls):
             return name
     raise DataError(f"cannot archive a {type(model).__name__}")
@@ -246,8 +200,7 @@ def model_type_of(model) -> str:
 def save_model(model, dir_path, feature_names, class_names, target_name: str = "target") -> dict:
     """Write the archive directory; returns the manifest that was stored."""
     mtype = model_type_of(model)
-    _, pack, _ = _CODECS[mtype]
-    arrays, params = pack(model)
+    arrays, params = _pack(model)
 
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,7 +241,7 @@ def load_model(dir_path):
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported archive format_version {manifest.get('format_version')!r}")
     mtype = manifest.get("model")
-    if mtype not in _CODECS:
+    if mtype not in _FAMILIES:
         raise DataError(f"unknown archived model type {mtype!r}")
 
     arrays = {}
@@ -302,5 +255,12 @@ def load_model(dir_path):
             raise DataError(f"array {name} holds {flat.size} values, shape {shape} needs {expected}")
         arrays[name] = flat.reshape(shape).astype(float)
 
-    _, _, unpack = _CODECS[mtype]
-    return unpack(arrays, manifest["params"], manifest["schema"]), manifest
+    schema = manifest["schema"]
+    model = _unpack(_FAMILIES[mtype], arrays, manifest.get("params", {}), schema)
+    n_features, n_classes = len(schema["features"]), len(schema["classes"])
+    if (model.n_features, model.n_classes) != (n_features, n_classes):
+        raise DataError(
+            f"archived {mtype} has {model.n_features} features and {model.n_classes} "
+            f"classes, its schema {n_features} and {n_classes}"
+        )
+    return model, manifest

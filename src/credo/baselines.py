@@ -28,6 +28,13 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, n_classes) indicator matrix of integer labels."""
+    Y = np.zeros((len(labels), n_classes))
+    Y[np.arange(len(labels)), labels] = 1.0
+    return Y
+
+
 def cross_entropy(P: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of each row's label; only the log is clipped."""
     return -np.mean(np.log(np.clip(P[np.arange(len(P)), labels], 1e-300, None)))
@@ -109,11 +116,9 @@ def fit_logreg(train: Frame, cfg: LogregConfig | None = None, **params) -> Logis
     cfg = cfg or LogregConfig(**params)
     l2, max_iter, tol = cfg.l2, cfg.max_iter, cfg.tol
     X, y, n_classes = training_arrays(train)
-    n, d = X.shape
-    Y = np.zeros((n, n_classes))
-    Y[np.arange(n), y] = 1.0
+    Y = one_hot(y, n_classes)
 
-    W = np.zeros((d, n_classes))
+    W = np.zeros((X.shape[1], n_classes))
     b = np.zeros(n_classes)
     loss, gW, gb = logreg_objective(W, b, X, Y, l2)
     history = [loss]

@@ -36,8 +36,9 @@ _SYNTH_FLAGS = ("rows", "features", "classes", "imbalance", "null_rate", "separa
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument(
         "--smote-before-split",
         action="store_true",
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("-c", "--config", required=True, help="JSON config path")
 
     explain = sub.add_parser(
-        "explain", parents=[common], help="explain an archived model on a processed CSV"
+        "explain", parents=[out], help="explain an archived model on a processed CSV"
     )
     explain.add_argument("-m", "--method", required=True, choices=("lime", "morris"))
     explain.add_argument("-a", "--archive", required=True, help="model archive directory")

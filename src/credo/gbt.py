@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
-from .baselines import Classifier, softmax
+from .baselines import Classifier, one_hot, softmax
 from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
@@ -116,8 +116,7 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     cfg = cfg or GbtConfig()
     X, y, n_classes = training_arrays(train)
     n = len(X)
-    Y = np.zeros((n, n_classes))
-    Y[np.arange(n), y] = 1.0
+    Y = one_hot(y, n_classes)
     priors = np.clip(np.bincount(y, minlength=n_classes) / n, 1e-15, None)
     base_score = np.log(priors)
 

@@ -81,6 +81,15 @@ class ProjectionLDA(Classifier):
             raise NumericError("shared covariance is singular; use a positive ridge") from None
         return W, -0.5 * np.einsum("cd,dc->c", self.class_means, W) + np.log(self.class_priors)
 
+    def _coerce(self, X) -> np.ndarray:
+        """The base check, and a frame must hold the fitted columns in their fitted order."""
+        if isinstance(X, Frame) and X.column_names != self.feature_names:
+            raise DataError(
+                f"frame features {list(X.column_names)} do not match the fitted "
+                f"features {list(self.feature_names)}"
+            )
+        return super()._coerce(X)
+
     def predict_proba(self, X) -> np.ndarray:
         """Softmax of the linear discriminant scores of the rows of X."""
         W, offsets = self.discriminant
@@ -196,11 +205,6 @@ def fit_lda(
 
 def transform_lda(p: ProjectionLDA, f: Frame) -> Frame:
     """Project rows to the discriminant space; columns LD1..LDm."""
-    if f.column_names != p.feature_names:
-        raise DataError(
-            f"frame features {list(f.column_names)} do not match the fitted "
-            f"features {list(p.feature_names)}"
-        )
-    Z = (f.feature_matrix() - p.grand_mean) @ p.components
+    Z = (p._coerce(f) - p.grand_mean) @ p.components
     names = [f"LD{i + 1}" for i in range(p.n_components)]
     return numeric_frame(Z, names, target=f.target)

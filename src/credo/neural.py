@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import Classifier, cross_entropy, softmax
+from .baselines import Classifier, cross_entropy, one_hot, softmax
 from .errors import DataError, NumericError
 from .frame import Frame, numeric_frame, training_arrays
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
@@ -136,8 +136,7 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
     cfg = cfg or MlpConfig()
     X, y, n_classes = training_arrays(train)
     n, d = X.shape
-    Y = np.zeros((n, n_classes))
-    Y[np.arange(n), y] = 1.0
+    Y = one_hot(y, n_classes)
 
     sizes = (d, *cfg.hidden, n_classes)
     rng = np.random.default_rng(cfg.seed)  # initial weights, then the batch order

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from credo import archive
 from credo.archive import FORMAT_VERSION, load_model, model_type_of, save_model, schema_hash
 from credo.errors import DataError
 from credo.frame import numeric_frame
+from credo.neural import Mlp, init_mlp
 from credo.zoo import fit_model
 
 FEATURES = ["f0", "f1", "f2", "f3"]
@@ -291,3 +294,63 @@ def test_cart_archive_bytes_are_golden(name, tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     digests["predict_proba"] = hashlib.sha256(model.predict_proba(X).tobytes()).hexdigest()
     assert digests == GOLDEN_ARCHIVES[name]
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        (("shapes", "booster_tree_weight"), "missing array booster_tree_weight"),
+        (("params", "booster", "lam"), "missing param lam"),
+        (("params", "head"), "missing param head"),
+        (("shapes", "head_w1"), "one weight/bias pair"),
+    ],
+)
+def test_broken_nested_archive_is_a_data_error(drop, message, fitted, tmp_path):
+    save_model(fitted["xgdnn"], tmp_path, FEATURES, CLASSES)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    shapes = json.loads((tmp_path / "shapes.json").read_text())
+    table = {"shapes": shapes, "params": manifest["params"]}[drop[0]]
+    for key in drop[1:-1]:
+        table = table[key]
+    del table[drop[-1]]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "shapes.json").write_text(json.dumps(shapes))
+    with pytest.raises(DataError, match=message):
+        load_model(tmp_path)
+
+
+@dataclass(frozen=True)
+class Toy:
+    """A model family unknown to the archive module: one field per rule."""
+
+    n_features: int
+    scale: np.ndarray
+    layers: tuple[np.ndarray, ...]
+    sizes: tuple[int, ...]
+    temperature: float | None
+    head: Mlp
+
+    @property
+    def n_classes(self) -> int:
+        return self.head.n_classes
+
+
+def test_a_new_family_needs_no_archive_code(monkeypatch, tmp_path):
+    monkeypatch.setitem(archive._FAMILIES, "toy", Toy)
+    toy = Toy(4, np.arange(4.0), (np.ones((2, 2)), np.zeros(3)), (4, 3), None, init_mlp((4, 5, 3), 0))
+    save_model(toy, tmp_path, FEATURES, CLASSES)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "head_b0.f64", "head_b1.f64", "head_w0.f64", "head_w1.f64",
+        "l0.f64", "l1.f64", "manifest.json", "scale.f64", "shapes.json",
+    ]
+    loaded, manifest = load_model(tmp_path)
+    assert manifest["params"] == {
+        "head": {"final_loss": None, "layer_sizes": [4, 5, 3]},
+        "sizes": [4, 3],
+        "temperature": None,
+    }
+    assert loaded.sizes == (4, 3) and loaded.temperature is None and loaded.n_features == 4
+    assert np.array_equal(loaded.scale, toy.scale)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.layers, toy.layers))
+    X = np.random.default_rng(0).normal(size=(5, 4))
+    assert np.array_equal(loaded.head.predict_proba(X), toy.head.predict_proba(X))

@@ -281,6 +281,48 @@ def test_explain_missing_archive_exits_3(tmp_path, data_csv, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def _drop_bias(manifest, shapes):
+    del shapes["bias"]
+
+
+def _drop_param(manifest, shapes):
+    del manifest["params"]["n_iter"]
+
+
+def _transpose_weights(manifest, shapes):
+    shapes["weights"] = shapes["weights"][::-1]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_drop_bias, "missing array bias"),
+        (_drop_param, "missing param n_iter"),
+        (_transpose_weights, "its schema"),
+    ],
+    ids=["missing_array", "missing_param", "reshaped_weights"],
+)
+def test_explain_broken_archive_exits_3(tmp_path, data_csv, capsys, tamper, message):
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": "logreg"})]) == 0
+    out = tmp_path / "out"
+    files = [out / "model" / "manifest.json", out / "model" / "shapes.json"]
+    manifest, shapes = (json.loads(p.read_text()) for p in files)
+    tamper(manifest, shapes)
+    for path, data in zip(files, (manifest, shapes)):
+        path.write_text(json.dumps(data))
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
+def test_explain_rejects_smote_before_split(tmp_path, data_csv):
+    archive = ["-a", str(tmp_path / "model"), "-d", data_csv]
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "-m", "lime", *archive, "--smote-before-split"])
+    assert exc.value.code == 2
+
+
 def test_synth_writes_csv(tmp_path, capsys):
     out = tmp_path / "synth.csv"
     rc = main(

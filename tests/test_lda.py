@@ -250,6 +250,21 @@ def test_classifier_checks_feature_count():
         clf.predict_proba(np.zeros(2))
 
 
+def test_classifier_rejects_a_frame_with_reordered_columns():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 4)) + np.repeat(np.eye(3, 4) * 3.0, 20, axis=0)
+    f = _frame(X, np.repeat(np.arange(3), 20))
+    p = fit_lda(f)
+    names = ["x2", "x0", "x3", "x1"]
+    reordered = numeric_frame(X[:, [2, 0, 3, 1]], names)
+    with pytest.raises(DataError, match="do not match"):
+        p.predict_proba(reordered)
+    with pytest.raises(DataError, match="do not match"):
+        transform_lda(p, reordered)
+    # a matrix carries no names, and a frame with the fitted columns passes
+    assert np.array_equal(p.predict_proba(f), p.predict_proba(X))
+
+
 def test_singular_shared_covariance_fails_at_every_prediction():
     p = fit_lda(_three_class_fixture(), n_components=2)
     broken = replace(p, within_scatter=np.zeros((2, 2)), ridge=0.0)
