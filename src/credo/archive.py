@@ -153,15 +153,18 @@ def _cast(hint, value):
 
 
 def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
-    ends = np.cumsum(_entry(arrays, f"{prefix}tree_sizes", "array").astype(np.int64))
+    sizes = _entry(arrays, f"{prefix}tree_sizes", "array").astype(np.int64)
+    ends = np.cumsum(np.append(0, sizes))
     columns = {
         name: _column(arrays, f"{prefix}tree_{name}", name)
         for name, rule, _ in _layout(tree_cls)
         if rule == "array"
     }
+    if any(len(c) != ends[-1] for c in columns.values()):
+        raise DataError(f"archive arrays {prefix}tree_* disagree with tree_sizes ({ends[-1]} nodes)")
     return tuple(
         _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, schema)
-        for a, b in zip(np.concatenate([[0], ends[:-1]]), ends)
+        for a, b in zip(ends[:-1], ends[1:])
     )
 
 
@@ -255,7 +258,10 @@ def load_model(dir_path):
             raise DataError(f"array {name} holds {flat.size} values, shape {shape} needs {expected}")
         arrays[name] = flat.reshape(shape).astype(float)
 
-    schema = manifest["schema"]
+    schema = _entry(manifest, "schema", "manifest key")
+    keys = ("features", "classes", "target")
+    if schema_hash(*(_entry(schema, k, "schema key") for k in keys)) != manifest.get("schema_hash"):
+        raise DataError("archive schema_hash does not match its schema")
     model = _unpack(_FAMILIES[mtype], arrays, manifest.get("params", {}), schema)
     n_features, n_classes = len(schema["features"]), len(schema["classes"])
     if (model.n_features, model.n_classes) != (n_features, n_classes):

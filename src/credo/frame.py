@@ -1,9 +1,9 @@
 """Column-typed tabular datasets and the supervised preprocessing chain.
 
 A :class:`Frame` is an immutable table of named columns, each either numeric
-or categorical, with an explicit missing-value mask and an optional encoded
-integer target. All operations return new frames; a frame is safe to share
-across threads once constructed.
+or categorical (see :class:`Column`), and an optional encoded integer
+target. All operations return new frames; a frame is safe to share across
+threads once constructed.
 
 The preprocessing chain, in pipeline order:
 
@@ -14,15 +14,15 @@ CSV conventions: RFC-4180-style, UTF-8 (a leading byte-order mark is
 accepted), header row required, ``,`` delimiter, ``"`` quoting. The tokens
 ``""``, ``"NA"`` and ``"null"`` (case-sensitive) are read as missing. A cell
 is a number iff Python's ``float()`` accepts it (so ``" 1.5"``, ``"1_000"``
-and ``"+2"`` are numbers) and the value is finite. ``write_csv`` renders
-the processed splits and the synthetic data under the same conventions.
+and ``"+2"`` are numbers) and the value is finite. A categorical level keeps
+its spelling (``"1_000"`` and ``"1000"`` are two). ``write_csv`` renders the
+processed splits and the synthetic data under the same conventions.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,62 +37,53 @@ _AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
 _WRITE_BLOCK_ROWS = 4096
 
 
-def _parse_finite(cell: str) -> float | None:
-    """Return the float value of ``cell`` if it is a finite number, else None."""
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _finite_floats(cells) -> tuple[np.ndarray, np.ndarray] | None:
-    """The column as float64 with NaN in missing slots, and its missing mask;
-    None if an observed cell is not a finite number. One ``float()`` pass."""
+def _finite_floats(cells) -> np.ndarray | None:
+    """The column as float64 with NaN in missing slots; None if an observed
+    cell is not a finite number. One ``float()`` pass."""
     try:
         values = np.array(list(map(float, map(_AS_NAN.get, cells, cells))))
     except ValueError:
         return None
-    missing = np.isnan(values)
-    nan_cells = [cells[i] for i in np.flatnonzero(missing).tolist()]
+    nan_cells = [cells[i] for i in np.flatnonzero(np.isnan(values)).tolist()]
     if not MISSING_TOKENS.issuperset(nan_cells) or np.isinf(values).any():
         return None  # a cell spelled a NaN or an infinity
-    return values, missing
+    return values
 
 
 @dataclass(frozen=True)
 class Column:
     """One column of a frame.
 
-    ``values`` is float64 with NaN in missing slots for numeric columns, and
-    an object array of strings (None in missing slots) for categorical ones.
-    Arrays are treated as read-only by convention.
+    A numeric column's ``values`` are float64, NaN exactly where a cell is
+    missing. A categorical column's ``values`` are int32 codes into
+    ``levels``, its distinct spellings sorted, and -1 where a cell is
+    missing. Arrays are treated as read-only by convention.
     """
 
     kind: str
     values: np.ndarray
-    missing_mask: np.ndarray
+    levels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"unknown column kind {self.kind!r}")
-        if len(self.values) != len(self.missing_mask):
-            raise DataError("values and missing_mask lengths differ")
-        if self.kind == NUMERIC:
-            observed = self.values[~self.missing_mask]
-            if observed.size and not np.all(np.isfinite(observed)):
-                raise DataError("numeric column has non-finite observed cells")
+        if self.kind == NUMERIC and np.isinf(self.values).any():
+            raise DataError("numeric column has non-finite observed cells")
 
     @property
     def n_rows(self) -> int:
         return len(self.values)
 
     @property
+    def missing_mask(self) -> np.ndarray:
+        return np.isnan(self.values) if self.kind == NUMERIC else self.values < 0
+
+    @property
     def null_fraction(self) -> float:
         return float(np.count_nonzero(self.missing_mask)) / self.n_rows
 
     def take(self, idx: np.ndarray) -> "Column":
-        return Column(self.kind, self.values[idx], self.missing_mask[idx])
+        return Column(self.kind, self.values[idx], self.levels)
 
 
 @dataclass(frozen=True)
@@ -201,10 +192,13 @@ def numeric_frame(
 
     Either pass a ready ``target`` or ``labels`` (with optional
     ``class_names``; defaults to ``c0..c{k-1}`` covering the labels).
+    Every cell must be a finite number.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("matrix must be 2-D")
+    if np.isnan(matrix).any():
+        raise DataError("numeric column has non-finite observed cells")
     n, d = matrix.shape
     if names is None:
         names = [f"x{i}" for i in range(d)]
@@ -215,8 +209,7 @@ def numeric_frame(
             k = max(k, 2)
             class_names = tuple(f"c{i}" for i in range(k))
         target = EncodedTarget(labels, class_names)
-    mask = np.zeros(n, dtype=bool)
-    cols = tuple(Column(NUMERIC, np.ascontiguousarray(matrix[:, j]), mask) for j in range(d))
+    cols = tuple(Column(NUMERIC, np.ascontiguousarray(matrix[:, j])) for j in range(d))
     return Frame(tuple(names), cols, n, target)
 
 
@@ -272,20 +265,18 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     columns = []
     for name, cells in zip(header, cells_by_column):
         hint = hints.get(name)
-        parsed = None if hint == CATEGORICAL else _finite_floats(cells)
-        if parsed is not None:
-            columns.append(Column(NUMERIC, *parsed))
+        values = None if hint == CATEGORICAL else _finite_floats(cells)
+        if values is not None:
+            columns.append(Column(NUMERIC, values))
             continue
-        missing = np.fromiter(map(MISSING_TOKENS.__contains__, cells), dtype=bool, count=n_rows)
         if hint == NUMERIC:
-            bad = next(
-                i for i, (c, m) in enumerate(zip(cells, missing), 1)
-                if not m and _parse_finite(c) is None
-            )
+            bad = next(i for i, c in enumerate(cells, 1) if _finite_floats((c,)) is None)
             raise DataError(f"column {name!r} hinted numeric but data row {bad} does not parse")
-        values = np.array(cells, dtype=object)
-        values[missing] = None
-        columns.append(Column(CATEGORICAL, values, missing))
+        levels = sorted(set(cells) - MISSING_TOKENS)
+        code = dict.fromkeys(MISSING_TOKENS, -1)
+        code.update(zip(levels, range(len(levels))))
+        values = np.fromiter(map(code.__getitem__, cells), dtype=np.int32, count=n_rows)
+        columns.append(Column(CATEGORICAL, values, tuple(levels)))
 
     return Frame(tuple(header), tuple(columns), n_rows)
 
@@ -351,22 +342,18 @@ def impute(frame: Frame) -> Frame:
     """
     new_cols = []
     for name, col in zip(frame.column_names, frame.columns):
-        if not col.missing_mask.any():
+        missing = col.missing_mask
+        if not missing.any():
             new_cols.append(col)
             continue
-        if col.missing_mask.all():
+        if missing.all():
             raise DataError(f"column {name!r} is entirely missing; drop it before imputing")
-        observed = col.values[~col.missing_mask]
-        if col.kind == NUMERIC:
-            fill = float(np.median(observed))
-            values = col.values.copy()
-            values[col.missing_mask] = fill
-        else:
-            uniq, counts = np.unique(observed.astype(str), return_counts=True)
-            fill = str(min(uniq[counts == counts.max()]))
-            values = col.values.copy()
-            values[col.missing_mask] = fill
-        new_cols.append(Column(col.kind, values, np.zeros(frame.n_rows, dtype=bool)))
+        observed = col.values[~missing]
+        values = col.values.copy()
+        # bincount's first maximum is the smallest level, the documented tie-break
+        fill = np.median(observed) if col.kind == NUMERIC else np.bincount(observed).argmax()
+        values[missing] = fill
+        new_cols.append(Column(col.kind, values, col.levels))
     return Frame(frame.column_names, tuple(new_cols), frame.n_rows, frame.target)
 
 
@@ -374,8 +361,8 @@ def encode(frame: Frame, target_name: str) -> Frame:
     """Label-encode the target and one-hot the remaining categorical features.
 
     Classes are ordered lexicographically. Each categorical feature column
-    ``c`` becomes one 0/1 column per category, named ``c=value`` and summing
-    to 1 per row. Missing cells must be imputed first.
+    ``c`` becomes one 0/1 column per category present in the frame, named
+    ``c=value`` and summing to 1 per row. Missing cells must be imputed first.
     """
     if target_name not in frame.column_names:
         raise DataError(f"unknown target column {target_name!r}")
@@ -387,15 +374,11 @@ def encode(frame: Frame, target_name: str) -> Frame:
     if target_col.missing_mask.any():
         raise DataError(f"target {target_name!r} has missing values")
 
-    raw = target_col.values.astype(str)
-    class_names = tuple(sorted(set(raw.tolist())))
-    index = {c: i for i, c in enumerate(class_names)}
-    labels = np.fromiter((index[v] for v in raw), dtype=np.int64, count=frame.n_rows)
-    target = EncodedTarget(labels, class_names)
+    present, labels = np.unique(target_col.values, return_inverse=True)
+    target = EncodedTarget(labels, tuple(target_col.levels[c] for c in present))
 
     names: list[str] = []
     cols: list[Column] = []
-    no_missing = np.zeros(frame.n_rows, dtype=bool)
     for name, col in zip(frame.column_names, frame.columns):
         if name == target_name:
             continue
@@ -405,10 +388,9 @@ def encode(frame: Frame, target_name: str) -> Frame:
             continue
         if col.missing_mask.any():
             raise DataError(f"categorical column {name!r} has missing values; impute first")
-        values = col.values.astype(str)
-        for category in sorted(set(values.tolist())):
-            names.append(f"{name}={category}")
-            cols.append(Column(NUMERIC, (values == category).astype(np.float64), no_missing))
+        for c in np.unique(col.values):
+            names.append(f"{name}={col.levels[c]}")
+            cols.append(Column(NUMERIC, (col.values == c).astype(np.float64)))
     return Frame(tuple(names), tuple(cols), frame.n_rows, target)
 
 

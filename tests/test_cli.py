@@ -293,14 +293,40 @@ def _transpose_weights(manifest, shapes):
     shapes["weights"] = shapes["weights"][::-1]
 
 
+def _drop_schema(manifest, shapes):
+    del manifest["schema"]
+
+
+def _drop_schema_key(key):
+    return lambda manifest, shapes: manifest["schema"].pop(key)
+
+
+def _edit_schema_hash(manifest, shapes):
+    manifest["schema_hash"] = "0" * 16
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
         (_drop_bias, "missing array bias"),
         (_drop_param, "missing param n_iter"),
         (_transpose_weights, "its schema"),
+        (_drop_schema, "missing manifest key schema"),
+        (_drop_schema_key("features"), "missing schema key features"),
+        (_drop_schema_key("classes"), "missing schema key classes"),
+        (_drop_schema_key("target"), "missing schema key target"),
+        (_edit_schema_hash, "schema_hash does not match"),
     ],
-    ids=["missing_array", "missing_param", "reshaped_weights"],
+    ids=[
+        "missing_array",
+        "missing_param",
+        "reshaped_weights",
+        "missing_schema",
+        "missing_features",
+        "missing_classes",
+        "missing_target",
+        "edited_schema_hash",
+    ],
 )
 def test_explain_broken_archive_exits_3(tmp_path, data_csv, capsys, tamper, message):
     assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": "logreg"})]) == 0
@@ -314,6 +340,23 @@ def test_explain_broken_archive_exits_3(tmp_path, data_csv, capsys, tamper, mess
     rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
     assert rc == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["cut", "padded"])
+def test_explain_gbt_archive_with_a_wrong_tree_array_exits_3(tmp_path, data_csv, capsys, change):
+    model = {"name": "gbt", "params": {"rounds": 2, "max_depth": 2}}
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model=model)]) == 0
+    out = tmp_path / "out"
+    weights, shapes_path = out / "model" / "tree_weight.f64", out / "model" / "shapes.json"
+    raw = weights.read_bytes()
+    weights.write_bytes(raw[:-8] if change < 0 else raw + raw[-8:])  # one double less or more
+    shapes = json.loads(shapes_path.read_text())
+    shapes["tree_weight"][0] += change
+    shapes_path.write_text(json.dumps(shapes))
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert "disagree with tree_sizes" in capsys.readouterr().err
 
 
 def test_explain_rejects_smote_before_split(tmp_path, data_csv):

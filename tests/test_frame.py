@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from credo.errors import DataError
@@ -50,7 +50,7 @@ def test_missing_tokens_are_case_sensitive(csv_file):
     b = f.column("b")
     assert b.kind == CATEGORICAL
     assert b.missing_mask.tolist() == [True, False]
-    assert b.values[1] == "na"
+    assert b.levels[b.values[1]] == "na"
 
 
 def test_non_finite_cells_force_categorical(csv_file):
@@ -61,7 +61,8 @@ def test_non_finite_cells_force_categorical(csv_file):
 def test_quoted_cells_with_commas(csv_file):
     f = load_csv(csv_file('a,b\n"1,5",2\n"x",3\n'))
     assert f.column("a").kind == CATEGORICAL
-    assert f.column("a").values[0] == "1,5"
+    a = f.column("a")
+    assert a.levels[a.values[0]] == "1,5"
 
 
 def test_ragged_row_reports_index(csv_file):
@@ -80,7 +81,8 @@ def test_schema_hint_overrides_inference(csv_file):
     path = csv_file("code,v\n1,2\n2,3\n")
     f = load_csv(path, schema_hints={"code": "categorical"})
     assert f.column("code").kind == CATEGORICAL
-    assert f.column("code").values[0] == "1"
+    code = f.column("code")
+    assert code.levels[code.values[0]] == "1"
 
 
 def test_schema_hint_errors(csv_file):
@@ -96,11 +98,26 @@ def test_duplicate_header_rejected(csv_file):
         load_csv(csv_file("a,a\n1,2\n"))
 
 
+def _cells(column):
+    """A column's cells: the float64 bytes of a numeric column, else the
+    level of each categorical cell, None where it is missing."""
+    if column.kind == NUMERIC:
+        return column.values.tobytes()
+    return [None if c < 0 else column.levels[c] for c in column.values.tolist()]
+
+
+def _load_csv_cells(path, schema_hints=None):
+    frame = load_csv(path, schema_hints)
+    columns = [(c.kind, c.missing_mask.tobytes(), _cells(c)) for c in frame.columns]
+    return frame.column_names, frame.n_rows, columns
+
+
 def _load_csv_cell_by_cell(path, schema_hints=None):
-    """The loader as it was before columnar conversion: one float() per cell.
+    """The loader as it was before columnar conversion: one float() per cell,
+    strings for categorical cells.
 
     Kept as the oracle for :func:`load_csv`, which must match it in kinds,
-    masks, value bytes and error messages.
+    masks, cells and error messages.
     """
 
     def parse_finite(cell):
@@ -152,9 +169,10 @@ def _load_csv_cell_by_cell(path, schema_hints=None):
             )
         else:
             values = np.array([None if m else c for c, m in zip(cells, missing)], dtype=object)
-        columns.append(Column(kind, values, missing))
+        cells = values.tobytes() if kind == NUMERIC else values.tolist()
+        columns.append((kind, missing.tobytes(), cells))
 
-    return Frame(tuple(header), tuple(columns), len(rows))
+    return tuple(header), len(rows), columns
 
 
 ORACLE_CELLS = [
@@ -205,20 +223,11 @@ def csv_tables(draw):
     return buf.getvalue(), hints
 
 
-def _outcome(loader, path, hints):
+def _outcome(fn, *args):
     try:
-        frame = loader(path, schema_hints=hints)
+        return fn(*args)
     except DataError as e:
         return "error", str(e)
-    columns = [
-        (
-            c.kind,
-            c.missing_mask.tobytes(),
-            c.values.tobytes() if c.kind == NUMERIC else c.values.tolist(),
-        )
-        for c in frame.columns
-    ]
-    return frame.column_names, frame.n_rows, columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,7 +241,7 @@ def test_load_csv_matches_cell_by_cell_oracle(table):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         expected = _outcome(_load_csv_cell_by_cell, path, hints)
-        assert _outcome(load_csv, path, hints) == expected
+        assert _outcome(_load_csv_cells, path, hints) == expected
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 1e-5, 0.1]
@@ -276,8 +285,7 @@ def _frame_with_null_fractions(fractions, n_rows=100):
     for frac in fractions:
         mask = np.zeros(n_rows, dtype=bool)
         mask[: int(round(frac * n_rows))] = True
-        values = np.where(mask, np.nan, 1.0)
-        cols.append(Column(NUMERIC, values, mask))
+        cols.append(Column(NUMERIC, np.where(mask, np.nan, 1.0)))
     names = tuple(f"f{i}" for i in range(len(fractions)))
     return Frame(names, tuple(cols), n_rows)
 
@@ -323,15 +331,17 @@ def test_impute_numeric_median(csv_file):
 def test_impute_categorical_mode(csv_file):
     f = load_csv(csv_file("c\na\nb\nb\nNA\n"))
     filled = impute(f)
-    assert filled.column("c").values.tolist() == ["a", "b", "b", "b"]
+    c = filled.column("c")
+    assert [c.levels[code] for code in c.values] == ["a", "b", "b", "b"]
 
 
 def test_impute_mode_tie_lexicographic(csv_file):
     f = load_csv(csv_file("c\nb\na\nNA\nNA\n"))
     filled = impute(f)
     # a and b tie at count 1; the smaller value wins
-    assert filled.column("c").values[2] == "a"
-    assert filled.column("c").values[3] == "a"
+    c = filled.column("c")
+    assert c.levels[c.values[2]] == "a"
+    assert c.levels[c.values[3]] == "a"
 
 
 def test_impute_all_missing_column_errors(csv_file):
@@ -352,7 +362,7 @@ def test_impute_preserves_observed_cells(cells):
     if mask.all():
         return
     values = np.array([np.nan if c is None else c for c in cells])
-    f = Frame(("a",), (Column(NUMERIC, values, mask),), len(cells))
+    f = Frame(("a",), (Column(NUMERIC, values),), len(cells))
     filled = impute(f)
     out = filled.column("a").values
     assert np.array_equal(out[~mask], values[~mask])
@@ -411,6 +421,94 @@ def test_encode_one_hot_group_sums_to_one(csv_file):
     X = enc.feature_matrix()
     assert np.array_equal(X[:, g_cols].sum(axis=1), np.ones(4))
     assert np.array_equal(X[:, h_cols].sum(axis=1), np.ones(4))
+
+
+def test_trailing_nul_keeps_its_own_level(csv_file):
+    # numpy's fixed-width strings drop a trailing NUL; a level keeps its spelling
+    f = load_csv(csv_file("g,t\na\x00,a\x00\na,a\nNA,b\na\x00,b\n"), {"t": CATEGORICAL})
+    enc = encode(impute(f), "t")
+    assert enc.target.class_names == ("a", "a\x00", "b")
+    assert enc.target.labels.tolist() == [1, 0, 2, 2]
+    assert enc.column_names == ("g=a", "g=a\x00")
+    assert enc.feature_matrix()[:, 1].tolist() == [1.0, 0.0, 1.0, 1.0]  # a\x00 is the mode
+
+
+def _impute_encode_by_strings(frame, cells, target):
+    """:func:`impute` then :func:`encode` on categorical cells held as
+    strings (None where missing): categories by ``astype(str)`` and
+    ``sorted(set(...))``, the mode's ties to the smallest value.
+
+    Kept as the reference for the coded columns. Returns the imputed cells
+    of each column (as :func:`_cells` gives them), the feature names, the
+    feature matrix bytes, the class names and the labels.
+    """
+    imputed, names, features = [], [], []
+    for name, col in zip(frame.column_names, frame.columns):
+        if col.kind == NUMERIC:
+            values = col.values.copy()
+            missing = np.isnan(values)
+            if missing.any():
+                values[missing] = float(np.median(values[~missing]))
+            if np.isinf(values).any():  # the median of two cells near the float limit
+                raise DataError("numeric column has non-finite observed cells")
+            imputed.append(values.tobytes())
+            names.append(name)
+            features.append(values)
+            continue
+        values = np.array(cells[name], dtype=object)
+        missing = np.array([c is None for c in cells[name]])
+        if missing.any():
+            uniq, counts = np.unique(values[~missing].astype(str), return_counts=True)
+            values[missing] = str(min(uniq[counts == counts.max()]))
+        imputed.append(values.tolist())
+        raw = values.astype(str)
+        categories = sorted(set(raw.tolist()))
+        if name == target:
+            class_names = tuple(categories)
+            labels = [categories.index(v) for v in raw.tolist()]
+            continue
+        for category in categories:
+            names.append(f"{name}={category}")
+            features.append((raw == category).astype(np.float64))
+    return imputed, tuple(names), np.column_stack(features).tobytes(), class_names, labels
+
+
+def _impute_encode(frame, target):
+    imputed = impute(frame)
+    enc = encode(imputed, target)
+    cells = [_cells(c) for c in imputed.columns]
+    X = enc.feature_matrix().tobytes()
+    return cells, enc.column_names, X, enc.target.class_names, enc.labels.tolist()
+
+
+TEXT_CELLS = st.one_of(
+    st.sampled_from(["", "NA", "null", "a", "b", "ab", "B", "1_000", "1000", "é"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"), max_size=3),
+)
+NUMBER_CELLS = st.one_of(
+    st.sampled_from(["", "NA"]), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_impute_encode_match_string_reference(data):
+    n = data.draw(st.integers(2, 12))
+    pools = data.draw(st.lists(st.sampled_from([TEXT_CELLS, NUMBER_CELLS]), min_size=1, max_size=3))
+    table = {f"f{j}": data.draw(st.lists(pool, min_size=n, max_size=n)) for j, pool in enumerate(pools)}
+    table["t"] = data.draw(st.lists(st.sampled_from(["x", "y", "z", "x "]), min_size=n, max_size=n))
+    assume(len(set(table["t"])) > 1)
+    assume(all(not MISSING_TOKENS.issuperset(cells) for cells in table.values()))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(table)
+            writer.writerows(zip(*table.values()))
+        frame = load_csv(path, {"t": CATEGORICAL})
+    cells = {name: [None if c in MISSING_TOKENS else c for c in col] for name, col in table.items()}
+    expected = _outcome(_impute_encode_by_strings, frame, cells, "t")
+    assert _outcome(_impute_encode, frame, "t") == expected
 
 
 def test_encode_errors(csv_file):

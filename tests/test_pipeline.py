@@ -15,6 +15,7 @@ from credo.pipeline import (
     cmd_compare,
     cmd_explain,
     cmd_run,
+    prepare,
     run_pipeline,
 )
 from credo.synth import SynthSpec, write_synthetic
@@ -200,6 +201,18 @@ def test_lime_row_out_of_range(data_csv, tmp_path):
         run_pipeline(cfg)
     assert isinstance(exc.value.cause, DataError)
     assert "out of range" in str(exc.value)
+
+
+def test_a_level_only_on_dropped_rows_gets_no_column(tmp_path):
+    # g=z occurs only on the row whose target is missing; h=r occurs on kept rows too
+    rows = "".join(f"{'ab'[i % 2]},{'rs'[i % 3 > 0]},{i},{'pq'[i % 2]}\n" for i in range(1, 9))
+    path = tmp_path / "levels.csv"
+    path.write_text("g,h,x,status\nz,r,0,NA\n" + rows)
+    cfg = make_cfg(str(path), tmp_path, smote={"enabled": False}, scaler="none")
+    train, test, info = prepare(cfg, [])
+    assert info["rows"]["dropped_missing_target"] == 1
+    assert train.column_names == ("g=a", "g=b", "h=r", "h=s", "x")
+    assert info["class_names"] == ["p", "q"]
 
 
 def test_missing_data_file_fails_in_load(tmp_path):
