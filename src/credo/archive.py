@@ -8,8 +8,7 @@ IEEE-754 doubles. Every family in the zoo round-trips bit-exactly.
 A family's frozen model dataclass is its archive format: each field is
 stored by one rule, chosen by its name and type hint.
 
-- ``n_classes``, ``n_features`` and ``feature_names`` come from the
-  manifest schema.
+- ``n_classes`` and ``feature_names`` come from the manifest schema.
 - An ``np.ndarray`` field is one ``<name>.f64`` file.
 - A tuple of trees is ``tree_sizes`` (nodes per tree) plus one
   ``tree_<key>`` file per node array, concatenated over the trees.
@@ -20,8 +19,9 @@ stored by one rule, chosen by its name and type hint.
 - Every other field is a JSON param, cast back through its type hint.
 
 Node and feature ids (``feature``, ``left``, ``right``, ``leaf_ordinal``)
-are read back as int64. A new family needs no archive code, only an entry
-in the family table.
+are read back as int64, and every loaded tree must be the preorder form
+that training writes. A new family needs no archive code, only an entry in
+the family table.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .errors import DataError
 from .gbt import BoostedEnsemble
 from .lda import ProjectionLDA
 from .neural import HybridXgDnn, Mlp
+from .trees import FlatTree
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_type_of", "save_model", "schema_hash"]
 
@@ -72,7 +73,6 @@ _FAMILIES = {
 
 _SCHEMA_FIELDS = {
     "n_classes": lambda schema: len(schema["classes"]),
-    "n_features": lambda schema: len(schema["features"]),
     "feature_names": lambda schema: tuple(schema["features"]),
 }
 _INDEX_KEYS = {"feature", "left", "right", "leaf_ordinal"}
@@ -152,6 +152,23 @@ def _cast(hint, value):
         raise DataError(f"archived param {value!r} is not a {hint}: {e}") from None
 
 
+def _check_nodes(feature, left, right, sizes, n_features: int) -> None:
+    """Raise unless the node arrays hold trees of `sizes` nodes, end to end,
+    in the preorder form training writes: every inner node splits on a
+    feature in [0, n_features) and has two later nodes of its own tree as
+    children, and every leaf's feature and children are -1. A walk of such
+    a tree reads only its row's cells and ends."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ok = (sizes >= 1).all() and len(feature) == len(left) == len(right) == sizes.sum()
+    if ok:
+        size = np.repeat(sizes, sizes)
+        node = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        inner = (feature < n_features) & (node < left) & (node < right) & (np.maximum(left, right) < size)
+        ok = np.where(feature >= 0, inner, (feature == -1) & (left == -1) & (right == -1)).all()
+    if not ok:
+        raise DataError(f"archived tree nodes do not form a preorder tree over {n_features} features")
+
+
 def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
     sizes = _entry(arrays, f"{prefix}tree_sizes", "array").astype(np.int64)
     ends = np.cumsum(np.append(0, sizes))
@@ -162,6 +179,7 @@ def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
     }
     if any(len(c) != ends[-1] for c in columns.values()):
         raise DataError(f"archive arrays {prefix}tree_* disagree with tree_sizes ({ends[-1]} nodes)")
+    _check_nodes(columns["feature"], columns["left"], columns["right"], sizes, len(schema["features"]))
     return tuple(
         _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, schema)
         for a, b in zip(ends[:-1], ends[1:])
@@ -200,8 +218,9 @@ def model_type_of(model) -> str:
 # --------------------------------------------------------------- save/load
 
 
-def save_model(model, dir_path, feature_names, class_names, target_name: str = "target") -> dict:
-    """Write the archive directory; returns the manifest that was stored."""
+def save_model(model, dir_path, class_names, target_name: str = "target") -> dict:
+    """Write the archive directory; returns the manifest that was stored.
+    The schema's features are the model's ``feature_names``."""
     mtype = model_type_of(model)
     arrays, params = _pack(model)
 
@@ -218,11 +237,11 @@ def save_model(model, dir_path, feature_names, class_names, target_name: str = "
         "format_version": FORMAT_VERSION,
         "model": mtype,
         "schema": {
-            "features": list(feature_names),
+            "features": list(model.feature_names),
             "classes": list(class_names),
             "target": target_name,
         },
-        "schema_hash": schema_hash(feature_names, class_names, target_name),
+        "schema_hash": schema_hash(model.feature_names, class_names, target_name),
         "params": params,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -259,11 +278,18 @@ def load_model(dir_path):
         arrays[name] = flat.reshape(shape).astype(float)
 
     schema = _entry(manifest, "schema", "manifest key")
-    keys = ("features", "classes", "target")
-    if schema_hash(*(_entry(schema, k, "schema key") for k in keys)) != manifest.get("schema_hash"):
+    for key in ("features", "classes", "target"):
+        value = _entry(schema, key, "schema key")
+        names = [value] if key == "target" else value
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            kind = "a string" if key == "target" else "a list of strings"
+            raise DataError(f"archive schema key {key} is {value!r}, not {kind}")
+    if schema_hash(schema["features"], schema["classes"], schema["target"]) != manifest.get("schema_hash"):
         raise DataError("archive schema_hash does not match its schema")
     model = _unpack(_FAMILIES[mtype], arrays, manifest.get("params", {}), schema)
     n_features, n_classes = len(schema["features"]), len(schema["classes"])
+    if isinstance(model, FlatTree):
+        _check_nodes(model.feature, model.left, model.right, [len(model.feature)], n_features)
     if (model.n_features, model.n_classes) != (n_features, n_classes):
         raise DataError(
             f"archived {mtype} has {model.n_features} features and {model.n_classes} "

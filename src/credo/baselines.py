@@ -41,14 +41,24 @@ def cross_entropy(P: np.ndarray, labels: np.ndarray) -> float:
 
 
 class Classifier:
-    """The fitted-model contract. Subclasses provide ``n_features``,
-    ``n_classes`` and ``predict_proba``, which takes its input through
-    ``_coerce``."""
+    """The fitted-model contract. Subclasses provide ``feature_names`` (the
+    columns they were fit on), ``n_classes`` and ``predict_proba``, which
+    takes its input through ``_coerce``; ``n_features`` counts the names
+    unless a family's arrays fix the width."""
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
 
     def _coerce(self, X) -> np.ndarray:
-        """`X`, a frame or an array, as a C-contiguous float64 matrix of
-        this model's width."""
+        """`X`, a frame holding the fitted columns in their fitted order or
+        an array of this model's width, as a C-contiguous float64 matrix."""
         if isinstance(X, Frame):
+            if X.column_names != self.feature_names:
+                raise DataError(
+                    f"frame features {list(X.column_names)} do not match the fitted "
+                    f"features {list(self.feature_names)}"
+                )
             X = X.feature_matrix()
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -81,6 +91,7 @@ class LogisticModel(Classifier):
     converged: bool
     n_iter: int
     loss_history: np.ndarray  # initial loss plus one entry per accepted step
+    feature_names: tuple[str, ...]
 
     @property
     def n_features(self) -> int:
@@ -149,7 +160,7 @@ def fit_logreg(train: Frame, cfg: LogregConfig | None = None, **params) -> Logis
             break  # no descent direction progress left at float precision
     else:
         it = max_iter
-    return LogisticModel(W, b, converged, it, np.array(history))
+    return LogisticModel(W, b, converged, it, np.array(history), train.column_names)
 
 
 # ---------------------------------------------------- Gaussian naive Bayes
@@ -169,6 +180,7 @@ class GaussianNBModel(Classifier):
     means: np.ndarray
     variances: np.ndarray
     priors: np.ndarray
+    feature_names: tuple[str, ...]
 
     @property
     def n_features(self) -> int:
@@ -206,7 +218,7 @@ def fit_gnb(train: Frame, cfg: GnbConfig | None = None, **params) -> GaussianNBM
     if floor <= 0.0:
         floor = var_smoothing
     variances = np.maximum(variances, floor)
-    return GaussianNBModel(means, variances, counts / len(y))
+    return GaussianNBModel(means, variances, counts / len(y), train.column_names)
 
 
 # ------------------------------------------------------------ CART tree
@@ -237,7 +249,7 @@ class TreeModel(FlatTree, Classifier):
 
     counts: np.ndarray
     n_classes: int
-    n_features: int
+    feature_names: tuple[str, ...]
 
     @property
     def node_proba(self) -> np.ndarray:
@@ -248,7 +260,7 @@ class TreeModel(FlatTree, Classifier):
         return self.node_proba[self.route(self._coerce(X))]
 
 
-def _grow_cart(data: Presorted, y, n_classes, cfg: TreeConfig, pick=None) -> TreeModel:
+def _grow_cart(data: Presorted, y, n_classes, names, cfg: TreeConfig, pick=None) -> TreeModel:
     stat = CountStat(y, n_classes, cfg.criterion, cfg.min_leaf)
     flat, _, totals, _ = grow(data, stat, cfg.max_depth, pick)
     return TreeModel(
@@ -258,7 +270,7 @@ def _grow_cart(data: Presorted, y, n_classes, cfg: TreeConfig, pick=None) -> Tre
         flat.right,
         np.vstack([counts for counts, _ in totals]),
         n_classes,
-        len(data.values),
+        names,
     )
 
 
@@ -267,7 +279,7 @@ def fit_tree(train: Frame, cfg: TreeConfig | None = None, **params) -> TreeModel
     strict impurity decrease."""
     cfg = cfg or TreeConfig(**params)
     X, y, n_classes = training_arrays(train)
-    return _grow_cart(presort(X), y, n_classes, cfg)
+    return _grow_cart(presort(X), y, n_classes, train.column_names, cfg)
 
 
 # --------------------------------------------------------- random forest
@@ -294,7 +306,7 @@ class ForestConfig(TreeConfig):
 class ForestModel(Classifier):
     trees: tuple[TreeModel, ...]
     n_classes: int
-    n_features: int
+    feature_names: tuple[str, ...]
 
     @cached_property
     def stack(self) -> TreeStack:
@@ -332,5 +344,5 @@ def fit_forest(train: Frame, cfg: ForestConfig | None = None, **params) -> Fores
         if mtry < d:
             def pick(r=rng):
                 return np.sort(r.choice(d, size=mtry, replace=False))
-        trees.append(_grow_cart(presort(X[rows]), y[rows], n_classes, cfg, pick))
-    return ForestModel(tuple(trees), n_classes, d)
+        trees.append(_grow_cart(presort(X[rows]), y[rows], n_classes, train.column_names, cfg, pick))
+    return ForestModel(tuple(trees), n_classes, train.column_names)

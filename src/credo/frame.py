@@ -173,13 +173,6 @@ class Frame:
             target,
         )
 
-    def with_features(self, matrix: np.ndarray, names: list[str] | tuple[str, ...]) -> "Frame":
-        """New frame with the given numeric feature matrix, target carried over."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != self.n_rows:
-            raise DataError("feature matrix shape does not match frame rows")
-        return numeric_frame(matrix, names, target=self.target)
-
 
 def numeric_frame(
     matrix: np.ndarray,
@@ -334,6 +327,18 @@ def drop_sparse_features(frame: Frame, threshold: float) -> Frame:
     )
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of finite values, kept finite: two middle values whose
+    sum overflows are averaged by halves."""
+    with np.errstate(over="ignore"):
+        median = np.median(values)
+    if np.isfinite(median):
+        return median
+    k = len(values) // 2
+    a, b = np.partition(values, [k - 1, k])[k - 1 : k + 1]
+    return a / 2 + b / 2
+
+
 def impute(frame: Frame) -> Frame:
     """Fill missing cells: numeric by column median, categorical by mode.
 
@@ -351,7 +356,7 @@ def impute(frame: Frame) -> Frame:
         observed = col.values[~missing]
         values = col.values.copy()
         # bincount's first maximum is the smallest level, the documented tie-break
-        fill = np.median(observed) if col.kind == NUMERIC else np.bincount(observed).argmax()
+        fill = _median(observed) if col.kind == NUMERIC else np.bincount(observed).argmax()
         values[missing] = fill
         new_cols.append(Column(col.kind, values, col.levels))
     return Frame(frame.column_names, tuple(new_cols), frame.n_rows, frame.target)
@@ -437,14 +442,14 @@ def apply_scaler(frame: Frame, params: ScalerParams) -> Frame:
     are returned unclamped."""
     _check_scaler_columns(frame, params)
     X = frame.feature_matrix()
-    return frame.with_features((X - params.location) / params.scale, frame.column_names)
+    return numeric_frame((X - params.location) / params.scale, frame.column_names, target=frame.target)
 
 
 def invert_scaler(frame: Frame, params: ScalerParams) -> Frame:
     """Undo :func:`apply_scaler`; exact per column since every scale > 0."""
     _check_scaler_columns(frame, params)
     X = frame.feature_matrix()
-    return frame.with_features(X * params.scale + params.location, frame.column_names)
+    return numeric_frame(X * params.scale + params.location, frame.column_names, target=frame.target)
 
 
 def check_train_fraction(train_fraction: float) -> None:

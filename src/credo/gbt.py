@@ -65,7 +65,7 @@ class BoostedEnsemble(Classifier):
     r, class c sits at index r * n_classes + c."""
 
     n_classes: int
-    n_features: int
+    feature_names: tuple[str, ...]
     rounds: int
     learning_rate: float
     lam: float
@@ -136,7 +136,7 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
 
     return BoostedEnsemble(
         n_classes=n_classes,
-        n_features=X.shape[1],
+        feature_names=train.column_names,
         rounds=cfg.rounds,
         learning_rate=cfg.learning_rate,
         lam=cfg.lam,

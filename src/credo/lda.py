@@ -59,10 +59,6 @@ class ProjectionLDA(Classifier):
         return self.n_requested > self.n_components
 
     @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
-    @property
     def n_classes(self) -> int:
         return len(self.class_priors)
 
@@ -80,15 +76,6 @@ class ProjectionLDA(Classifier):
         except np.linalg.LinAlgError:
             raise NumericError("shared covariance is singular; use a positive ridge") from None
         return W, -0.5 * np.einsum("cd,dc->c", self.class_means, W) + np.log(self.class_priors)
-
-    def _coerce(self, X) -> np.ndarray:
-        """The base check, and a frame must hold the fitted columns in their fitted order."""
-        if isinstance(X, Frame) and X.column_names != self.feature_names:
-            raise DataError(
-                f"frame features {list(X.column_names)} do not match the fitted "
-                f"features {list(self.feature_names)}"
-            )
-        return super()._coerce(X)
 
     def predict_proba(self, X) -> np.ndarray:
         """Softmax of the linear discriminant scores of the rows of X."""

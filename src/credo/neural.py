@@ -12,7 +12,7 @@ raw features), then fits the network head on those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class Mlp(Classifier):
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     final_loss: float | None = None
+    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -175,7 +176,7 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
             flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
     final_loss = cross_entropy(_forward(weights, biases, X)[-1], y)
-    return Mlp(sizes, tuple(weights), tuple(biases), float(final_loss))
+    return Mlp(sizes, tuple(weights), tuple(biases), float(final_loss), train.column_names)
 
 
 # ------------------------------------------------------------ hybrid model
@@ -195,8 +196,8 @@ class HybridXgDnn(Classifier):
         return self.head.n_classes
 
     @property
-    def n_features(self) -> int:
-        return self.booster.n_features
+    def feature_names(self) -> tuple[str, ...]:
+        return self.booster.feature_names
 
     def predict_proba(self, X) -> np.ndarray:
         return self.head.predict_proba(derive_features(self.booster, X, self.feature_mode))
@@ -234,12 +235,14 @@ def fit_hybrid(
 ) -> HybridXgDnn:
     """Stage 1 boosts on raw features; stage 2 fits the network head on the
     derived features. The booster is frozen before stage 2 begins. A given
-    `booster`, already fitted on `train` with `gbt_cfg`, replaces stage 1."""
+    `booster`, already fitted on `train` with `gbt_cfg`, replaces stage 1.
+    The head scores only derived arrays, by width; it carries the input
+    names, as the archive restores it."""
     if booster is None:
         booster = fit_gbt(train, gbt_cfg)
     Z = derive_features(booster, train, feature_mode)
     head_train = numeric_frame(
         Z, [f"z{i}" for i in range(Z.shape[1])], target=train.target
     )
-    head = fit_mlp(head_train, mlp_cfg)
+    head = replace(fit_mlp(head_train, mlp_cfg), feature_names=train.column_names)
     return HybridXgDnn(booster, feature_mode, head)

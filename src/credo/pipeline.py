@@ -351,7 +351,6 @@ def _run_outputs(outcome: RunOutcome, out: Path):
     yield out / "model", lambda path: save_model(
         outcome.model,
         path,
-        feature_names=outcome.train.column_names,
         class_names=outcome.train.target.class_names,
         target_name=target,
     )

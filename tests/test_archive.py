@@ -9,6 +9,7 @@ import pytest
 
 from credo import archive
 from credo.archive import FORMAT_VERSION, load_model, model_type_of, save_model, schema_hash
+from credo.baselines import Classifier
 from credo.errors import DataError
 from credo.frame import numeric_frame
 from credo.neural import Mlp, init_mlp
@@ -55,7 +56,7 @@ def test_round_trip_is_bit_exact(name, fitted, data, tmp_path):
     model = fitted[name]
     before = model.predict_proba(X_new)
 
-    save_model(model, tmp_path / name, FEATURES, CLASSES)
+    save_model(model, tmp_path / name, CLASSES)
     loaded, manifest = load_model(tmp_path / name)
 
     after = loaded.predict_proba(X_new)
@@ -77,8 +78,24 @@ def test_every_family_keeps_the_classifier_contract(name, fitted, data):
     assert np.array_equal(model.predict(X_new), model.predict_proba(X_new).argmax(axis=1))
 
 
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_every_family_checks_its_feature_names(name, fitted, data, tmp_path):
+    _, X_new = data
+    model = fitted[name]
+    assert model.feature_names == tuple(FEATURES)
+    with pytest.raises(DataError, match="do not match"):
+        model.predict_proba(numeric_frame(X_new[:, ::-1], FEATURES[::-1]))
+    from_frame = model.predict_proba(numeric_frame(X_new, FEATURES))
+    assert np.array_equal(from_frame, model.predict_proba(X_new))
+    save_model(model, tmp_path, CLASSES)
+    loaded, _ = load_model(tmp_path)
+    assert loaded.feature_names == model.feature_names
+    if name == "xgdnn":
+        assert loaded.head.feature_names == model.head.feature_names == tuple(FEATURES)
+
+
 def test_manifest_contents(fitted, tmp_path):
-    manifest = save_model(fitted["gnb"], tmp_path / "m", FEATURES, CLASSES, target_name="status")
+    manifest = save_model(fitted["gnb"], tmp_path / "m", CLASSES, target_name="status")
     assert manifest["format_version"] == FORMAT_VERSION
     assert manifest["schema"] == {
         "features": FEATURES,
@@ -94,7 +111,7 @@ def test_manifest_contents(fitted, tmp_path):
 
 
 def test_array_files_are_little_endian_doubles(fitted, tmp_path):
-    save_model(fitted["gnb"], tmp_path / "m", FEATURES, CLASSES)
+    save_model(fitted["gnb"], tmp_path / "m", CLASSES)
     raw = (tmp_path / "m" / "priors.f64").read_bytes()
     assert np.allclose(np.frombuffer(raw, dtype="<f8").sum(), 1.0)
 
@@ -113,14 +130,14 @@ def test_missing_manifest(tmp_path):
 
 
 def test_corrupt_manifest(fitted, tmp_path):
-    save_model(fitted["gnb"], tmp_path, FEATURES, CLASSES)
+    save_model(fitted["gnb"], tmp_path, CLASSES)
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(DataError, match="unreadable"):
         load_model(tmp_path)
 
 
 def test_wrong_format_version(fitted, tmp_path):
-    manifest = save_model(fitted["gnb"], tmp_path, FEATURES, CLASSES)
+    manifest = save_model(fitted["gnb"], tmp_path, CLASSES)
     manifest["format_version"] = 99
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="format_version"):
@@ -128,7 +145,7 @@ def test_wrong_format_version(fitted, tmp_path):
 
 
 def test_unknown_model_type(fitted, tmp_path):
-    manifest = save_model(fitted["gnb"], tmp_path, FEATURES, CLASSES)
+    manifest = save_model(fitted["gnb"], tmp_path, CLASSES)
     manifest["model"] = "perceptron9000"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="perceptron9000"):
@@ -136,14 +153,14 @@ def test_unknown_model_type(fitted, tmp_path):
 
 
 def test_missing_array_file(fitted, tmp_path):
-    save_model(fitted["gnb"], tmp_path, FEATURES, CLASSES)
+    save_model(fitted["gnb"], tmp_path, CLASSES)
     (tmp_path / "means.f64").unlink()
     with pytest.raises(DataError, match="means.f64"):
         load_model(tmp_path)
 
 
 def test_truncated_array_file(fitted, tmp_path):
-    save_model(fitted["gnb"], tmp_path, FEATURES, CLASSES)
+    save_model(fitted["gnb"], tmp_path, CLASSES)
     raw = (tmp_path / "means.f64").read_bytes()
     (tmp_path / "means.f64").write_bytes(raw[:-8])
     with pytest.raises(DataError, match="means"):
@@ -157,7 +174,7 @@ def test_unarchivable_object():
 
 def test_loaded_arrays_are_writable(fitted, data, tmp_path):
     # frombuffer yields read-only views; the loader must hand back copies
-    save_model(fitted["logreg"], tmp_path, FEATURES, CLASSES)
+    save_model(fitted["logreg"], tmp_path, CLASSES)
     loaded, _ = load_model(tmp_path)
     loaded.weights[0, 0] = 0.0
 
@@ -290,7 +307,7 @@ def test_cart_archive_bytes_are_golden(name, tmp_path):
     X, y = _tie_heavy_table()
     train = numeric_frame(X, FEATURES, labels=y, class_names=CLASSES)
     model = fit_model(name, train, GOLDEN_PARAMS[name])
-    save_model(model, tmp_path, FEATURES, CLASSES)
+    save_model(model, tmp_path, CLASSES)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     digests["predict_proba"] = hashlib.sha256(model.predict_proba(X).tobytes()).hexdigest()
     assert digests == GOLDEN_ARCHIVES[name]
@@ -306,7 +323,7 @@ def test_cart_archive_bytes_are_golden(name, tmp_path):
     ],
 )
 def test_broken_nested_archive_is_a_data_error(drop, message, fitted, tmp_path):
-    save_model(fitted["xgdnn"], tmp_path, FEATURES, CLASSES)
+    save_model(fitted["xgdnn"], tmp_path, CLASSES)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     shapes = json.loads((tmp_path / "shapes.json").read_text())
     table = {"shapes": shapes, "params": manifest["params"]}[drop[0]]
@@ -320,10 +337,10 @@ def test_broken_nested_archive_is_a_data_error(drop, message, fitted, tmp_path):
 
 
 @dataclass(frozen=True)
-class Toy:
+class Toy(Classifier):
     """A model family unknown to the archive module: one field per rule."""
 
-    n_features: int
+    feature_names: tuple[str, ...]
     scale: np.ndarray
     layers: tuple[np.ndarray, ...]
     sizes: tuple[int, ...]
@@ -337,8 +354,8 @@ class Toy:
 
 def test_a_new_family_needs_no_archive_code(monkeypatch, tmp_path):
     monkeypatch.setitem(archive._FAMILIES, "toy", Toy)
-    toy = Toy(4, np.arange(4.0), (np.ones((2, 2)), np.zeros(3)), (4, 3), None, init_mlp((4, 5, 3), 0))
-    save_model(toy, tmp_path, FEATURES, CLASSES)
+    toy = Toy(tuple(FEATURES), np.arange(4.0), (np.ones((2, 2)), np.zeros(3)), (4, 3), None, init_mlp((4, 5, 3), 0))
+    save_model(toy, tmp_path, CLASSES)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "head_b0.f64", "head_b1.f64", "head_w0.f64", "head_w1.f64",
         "l0.f64", "l1.f64", "manifest.json", "scale.f64", "shapes.json",

@@ -305,6 +305,10 @@ def _edit_schema_hash(manifest, shapes):
     manifest["schema_hash"] = "0" * 16
 
 
+def _features_not_a_list(manifest, shapes):
+    manifest["schema"]["features"] = 5
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -316,6 +320,7 @@ def _edit_schema_hash(manifest, shapes):
         (_drop_schema_key("classes"), "missing schema key classes"),
         (_drop_schema_key("target"), "missing schema key target"),
         (_edit_schema_hash, "schema_hash does not match"),
+        (_features_not_a_list, "schema key features is 5, not a list of strings"),
     ],
     ids=[
         "missing_array",
@@ -326,6 +331,7 @@ def _edit_schema_hash(manifest, shapes):
         "missing_classes",
         "missing_target",
         "edited_schema_hash",
+        "features_not_a_list",
     ],
 )
 def test_explain_broken_archive_exits_3(tmp_path, data_csv, capsys, tamper, message):
@@ -357,6 +363,28 @@ def test_explain_gbt_archive_with_a_wrong_tree_array_exits_3(tmp_path, data_csv,
     rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
     assert rc == 3
     assert "disagree with tree_sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, field, node",
+    [("gbt", "feature", 0), ("tree", "feature", 0), ("gbt", "left", 1)],
+    ids=["feature_past_width", "cart_feature_past_width", "child_to_ancestor"],
+)
+def test_explain_archive_with_a_bad_tree_node_exits_3(tmp_path, data_csv, capsys, model, field, node):
+    params = {"rounds": 2, "max_depth": 2} if model == "gbt" else {"max_depth": 2}
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": model, "params": params})]) == 0
+    model_dir = tmp_path / "out" / "model"
+    width = len(json.loads((model_dir / "manifest.json").read_text())["schema"]["features"])
+    prefix = "tree_" if model == "gbt" else ""
+    assert (np.fromfile(model_dir / f"{prefix}feature.f64", dtype="<f8")[: node + 1] >= 0).all()
+    path = model_dir / f"{prefix}{field}.f64"
+    values = np.fromfile(path, dtype="<f8")
+    values[node] = width if field == "feature" else 0  # node 1 is the root's left child
+    values.tofile(path)
+    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert f"do not form a preorder tree over {width} features" in capsys.readouterr().err
 
 
 def test_explain_rejects_smote_before_split(tmp_path, data_csv):

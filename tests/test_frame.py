@@ -328,6 +328,15 @@ def test_impute_numeric_median(csv_file):
     assert not filled.column("a").missing_mask.any()
 
 
+def test_impute_median_of_huge_cells_stays_finite(csv_file, recwarn):
+    # the two middle cells' sum overflows; their halves do not
+    f = load_csv(csv_file("a,y\n1.7e308,p\n1.7e308,q\nNA,p\n1e308,q\n1e308,p\n"))
+    filled = impute(f).column("a").values
+    assert filled[2] == 1e308 / 2 + 1.7e308 / 2
+    assert np.isfinite(filled).all()
+    assert not recwarn.list
+
+
 def test_impute_categorical_mode(csv_file):
     f = load_csv(csv_file("c\na\nb\nb\nNA\n"))
     filled = impute(f)

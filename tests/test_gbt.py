@@ -159,7 +159,7 @@ def test_determinism():
 
 def _zero_round_ensemble(base):
     return BoostedEnsemble(
-        n_classes=len(base), n_features=2, rounds=0, learning_rate=0.3,
+        n_classes=len(base), feature_names=("x0", "x1"), rounds=0, learning_rate=0.3,
         lam=1.0, gamma=0.0, min_child_weight=1.0,
         base_score=np.asarray(base, dtype=float), trees=(),
     )
