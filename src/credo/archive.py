@@ -152,21 +152,29 @@ def _cast(hint, value):
         raise DataError(f"archived param {value!r} is not a {hint}: {e}") from None
 
 
-def _check_nodes(feature, left, right, sizes, n_features: int) -> None:
+def _check_nodes(feature, left, right, sizes, n_features: int, leaf_ordinal=None) -> None:
     """Raise unless the node arrays hold trees of `sizes` nodes, end to end,
     in the preorder form training writes: every inner node splits on a
     feature in [0, n_features) and has two later nodes of its own tree as
     children, and every leaf's feature and children are -1. A walk of such
-    a tree reads only its row's cells and ends."""
+    a tree reads only its row's cells and ends. A `leaf_ordinal`, where
+    given, must be each leaf's depth-first rank among its tree's leaves and
+    -1 at inner nodes."""
     sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
     ok = (sizes >= 1).all() and len(feature) == len(left) == len(right) == sizes.sum()
     if ok:
         size = np.repeat(sizes, sizes)
-        node = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        node = np.arange(len(feature)) - np.repeat(starts, sizes)
         inner = (feature < n_features) & (node < left) & (node < right) & (np.maximum(left, right) < size)
         ok = np.where(feature >= 0, inner, (feature == -1) & (left == -1) & (right == -1)).all()
     if not ok:
         raise DataError(f"archived tree nodes do not form a preorder tree over {n_features} features")
+    if leaf_ordinal is not None:
+        leaves = np.cumsum(feature < 0)
+        before = np.append(0, leaves)[starts]  # leaves of the earlier trees
+        if not np.array_equal(leaf_ordinal, np.where(feature < 0, leaves - 1 - np.repeat(before, sizes), -1)):
+            raise DataError("archived leaf ordinals are not each leaf's depth-first rank in its tree")
 
 
 def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
@@ -179,7 +187,10 @@ def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
     }
     if any(len(c) != ends[-1] for c in columns.values()):
         raise DataError(f"archive arrays {prefix}tree_* disagree with tree_sizes ({ends[-1]} nodes)")
-    _check_nodes(columns["feature"], columns["left"], columns["right"], sizes, len(schema["features"]))
+    _check_nodes(
+        columns["feature"], columns["left"], columns["right"], sizes, len(schema["features"]),
+        columns.get("leaf_ordinal"),
+    )
     return tuple(
         _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, schema)
         for a, b in zip(ends[:-1], ends[1:])
@@ -259,6 +270,8 @@ def load_model(dir_path):
         shapes = json.loads((root / "shapes.json").read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"unreadable archive under {dir_path}: {e}") from e
+    if not (isinstance(manifest, dict) and isinstance(shapes, dict)):
+        raise DataError(f"archive under {dir_path}: manifest.json and shapes.json must hold JSON objects")
 
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported archive format_version {manifest.get('format_version')!r}")

@@ -15,14 +15,20 @@ accepted), header row required, ``,`` delimiter, ``"`` quoting. The tokens
 ``""``, ``"NA"`` and ``"null"`` (case-sensitive) are read as missing. A cell
 is a number iff Python's ``float()`` accepts it (so ``" 1.5"``, ``"1_000"``
 and ``"+2"`` are numbers) and the value is finite. A categorical level keeps
-its spelling (``"1_000"`` and ``"1000"`` are two). ``write_csv`` renders the
-processed splits and the synthetic data under the same conventions.
+its spelling (``"1_000"`` and ``"1000"`` are two). A byte that is not UTF-8
+or a field past csv's size limit is a :class:`DataError` naming its line.
+``load_csv`` reads and ``write_csv`` renders a block of ``_BLOCK_CELLS``
+cells at a time; ``write_csv`` renders the processed splits and the
+synthetic data under the same conventions.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import re
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +40,18 @@ CATEGORICAL = "categorical"
 
 MISSING_TOKENS = frozenset({"", "NA", "null"})
 _AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
-_WRITE_BLOCK_ROWS = 4096
+# cells in a block of rows that load_csv reads or write_csv renders at a
+# time; a block of cells as Python strings takes about 100 bytes a cell
+_BLOCK_CELLS = 1 << 16
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_CELLS // max(1, width))
 
 
 def _finite_floats(cells) -> np.ndarray | None:
-    """The column as float64 with NaN in missing slots; None if an observed
+    """The cells as float64 with NaN in missing slots; None if an observed
     cell is not a finite number. One ``float()`` pass."""
     try:
         values = np.array(list(map(float, map(_AS_NAN.get, cells, cells))))
@@ -216,6 +229,70 @@ def training_arrays(train: Frame) -> tuple[np.ndarray, np.ndarray, int]:
     return X, train.labels, train.target.n_classes
 
 
+def _records(path: str):
+    """The CSV records of ``path``, header first. A byte sequence that is
+    not UTF-8, or a field past csv's size limit, is a DataError naming the
+    line."""
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: line {_undecodable_line(path)}: not UTF-8 ({e.reason})") from e
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from e
+
+
+def _undecodable_line(path: str) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, counting
+    lines as ``csv.reader`` does. The decoder fails a whole buffer at a
+    time, so the line is found again here."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        return next(n for n, line in enumerate(fh, 1) if _ESCAPED_BYTE.search(line))
+
+
+def _blocks(path: str, records, width: int):
+    """The data rows of ``records`` in lists of ``_block_rows(width)``,
+    blank lines skipped; a row of another width is a DataError."""
+    size = _block_rows(width)
+    block = []
+    for i, row in enumerate(records, start=1):
+        if not row:
+            continue  # blank line
+        if len(row) != width:
+            raise DataError(f"{path}: data row {i}: expected {width} cells, got {len(row)}")
+        block.append(row)
+        if len(block) == size:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
+def _codes(spelling: dict, cells) -> np.ndarray:
+    """``cells`` as int32 codes through ``spelling`` (cell -> code, the
+    missing tokens -1), where each new cell first takes the next code."""
+    new = set(cells).difference(spelling)
+    spelling.update(zip(new, itertools.count(len(spelling) - len(MISSING_TOKENS))))
+    return np.fromiter(map(spelling.__getitem__, cells), dtype=np.int32, count=len(cells))
+
+
+def _joined_column(numeric: bool, chunks: list, spelling: dict) -> Column:
+    """The column of a CSV column's chunks: float64 values, or codes in
+    first-seen order, which become codes into the sorted levels."""
+    if numeric:
+        return Column(NUMERIC, np.concatenate(chunks))
+    seen = [cell for cell, code in spelling.items() if code >= 0]  # in code order
+    order = sorted(range(len(seen)), key=seen.__getitem__)
+    recode = np.full(len(seen) + 1, -1, dtype=np.int32)  # code -1 reads the last entry
+    recode[order] = np.arange(len(seen))
+    return Column(CATEGORICAL, recode[np.concatenate(chunks)], tuple(seen[i] for i in order))
+
+
 def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     """Load a CSV file, inferring numeric/categorical kinds per column.
 
@@ -223,54 +300,70 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     ``schema_hints`` ({name: "numeric"|"categorical"}) overrides inference.
     Raises :class:`DataError` on an empty file, ragged rows, or a hint that
     contradicts the data.
+
+    The rows are read a block at a time, ``_BLOCK_CELLS`` cells, and each
+    cell is parsed once, into a float64 chunk while its column is numeric
+    so far, else into int32 codes. A column that turns categorical after
+    its first block reads its earlier cells from the file again. So memory
+    beyond the columns is one block, and the spellings of each categorical
+    column.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    hints = dict(schema_hints or {})
+    with closing(_records(path)) as records:
+        header = next(records, None)
         if header is None:
             raise DataError(f"{path}: empty file")
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue  # blank line
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: data row {i}: expected {len(header)} cells, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
+        width = len(header)
+        numeric = [hints.get(name) != CATEGORICAL for name in header]
+        chunks = [[] for _ in header]
+        spellings = [dict.fromkeys(MISSING_TOKENS, -1) for _ in header]
+        bad_rows = {}  # a hinted numeric column -> its first data row that does not parse
+        n_rows = 0
+        for block in _blocks(path, records, width):
+            cells_by_column = list(zip(*block))
+            late = []
+            for j, cells in enumerate(cells_by_column):
+                if not numeric[j] or j in bad_rows:
+                    continue
+                values = _finite_floats(cells)
+                if values is not None:
+                    chunks[j].append(values)
+                    continue
+                chunks[j] = []
+                if hints.get(header[j]) == NUMERIC:
+                    bad_rows[j] = n_rows + next(
+                        i for i, c in enumerate(cells, 1) if _finite_floats((c,)) is None
+                    )
+                else:
+                    numeric[j] = False
+                    late.append(j)
+            if n_rows and late:  # code these columns' earlier rows, read again
+                with closing(_records(path)) as again:
+                    next(again)
+                    n_blocks = n_rows // _block_rows(width)  # every earlier block is full
+                    for earlier in itertools.islice(_blocks(path, again, width), n_blocks):
+                        for j in late:
+                            chunks[j].append(_codes(spellings[j], [row[j] for row in earlier]))
+            for j, cells in enumerate(cells_by_column):
+                if not numeric[j]:
+                    chunks[j].append(_codes(spellings[j], cells))
+            n_rows += len(block)
+            del block, cells_by_column  # before the next block is read
+    if not n_rows:
         raise DataError(f"{path}: no data rows")
 
-    hints = dict(schema_hints or {})
     for name in hints:
         if name not in header:
             raise DataError(f"schema hint for unknown column {name!r}")
         if hints[name] not in (NUMERIC, CATEGORICAL):
             raise DataError(f"schema hint for {name!r} must be 'numeric' or 'categorical'")
+    if bad_rows:
+        j = min(bad_rows)
+        raise DataError(f"column {header[j]!r} hinted numeric but data row {bad_rows[j]} does not parse")
 
-    n_rows = len(rows)
-    cells_by_column = list(zip(*rows))
-    del rows
     columns = []
-    for name, cells in zip(header, cells_by_column):
-        hint = hints.get(name)
-        values = None if hint == CATEGORICAL else _finite_floats(cells)
-        if values is not None:
-            columns.append(Column(NUMERIC, values))
-            continue
-        if hint == NUMERIC:
-            bad = next(i for i, c in enumerate(cells, 1) if _finite_floats((c,)) is None)
-            raise DataError(f"column {name!r} hinted numeric but data row {bad} does not parse")
-        levels = sorted(set(cells) - MISSING_TOKENS)
-        code = dict.fromkeys(MISSING_TOKENS, -1)
-        code.update(zip(levels, range(len(levels))))
-        values = np.fromiter(map(code.__getitem__, cells), dtype=np.int32, count=n_rows)
-        columns.append(Column(CATEGORICAL, values, tuple(levels)))
-
+    for is_numeric, spelling in zip(numeric, spellings):
+        columns.append(_joined_column(is_numeric, chunks.pop(0), spelling))  # frees its chunks
     return Frame(tuple(header), tuple(columns), n_rows)
 
 
@@ -293,8 +386,9 @@ def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None
     csv.writer(fh, lineterminator="\n").writerow(header)
     d = X.shape[1]
     words = [np.array([_quoted(w) for w in names], dtype=object) for names in levels]
-    for start in range(0, len(X), _WRITE_BLOCK_ROWS):
-        block = slice(start, start + _WRITE_BLOCK_ROWS)
+    rows = _block_rows(d + len(words))
+    for start in range(0, len(X), rows):
+        block = slice(start, start + rows)
         cells = np.empty((len(X[block]), d + len(words)), dtype=object)
         for j in range(d):
             cells[:, j] = list(map(repr, X[block, j].tolist()))

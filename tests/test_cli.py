@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -385,6 +386,73 @@ def test_explain_archive_with_a_bad_tree_node_exits_3(tmp_path, data_csv, capsys
     rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
     assert rc == 3
     assert f"do not form a preorder tree over {width} features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "node, ordinal",
+    [("first_leaf", 99), ("root", 0), ("swapped", None)],
+    ids=["past_leaf_count", "inner_node", "swapped_leaves"],
+)
+def test_explain_xgdnn_archive_with_a_bad_leaf_ordinal_exits_3(tmp_path, data_csv, capsys, node, ordinal):
+    params = {"gbt": {"rounds": 2, "max_depth": 2}, "mlp": {"epochs": 2}, "feature_mode": "leaf_onehot"}
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": "xgdnn", "params": params})]) == 0
+    model_dir = tmp_path / "out" / "model"
+    path = model_dir / "booster_tree_leaf_ordinal.f64"
+    values = np.fromfile(path, dtype="<f8")
+    leaves = np.flatnonzero(values >= 0)
+    if node == "swapped":
+        values[leaves[:2]] = values[leaves[1::-1]]
+    else:
+        values[leaves[0] if node == "first_leaf" else 0] = ordinal
+    assert values[0] == -1 or node == "root"  # the first tree's root is an inner node
+    values.tofile(path)
+    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert "leaf ordinals are not each leaf's depth-first rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "shapes.json"])
+def test_explain_archive_json_that_is_not_an_object_exits_3(tmp_path, data_csv, capsys, name):
+    assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
+    model_dir = tmp_path / "out" / "model"
+    (model_dir / name).write_text("[1, 2]")
+    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert "must hold JSON objects" in capsys.readouterr().err
+
+
+def _not_utf8(line: bytes) -> bytes:
+    return b"caf\xe9" + line  # a Latin-1 e-acute
+
+
+def _field_past_limit(line: bytes) -> bytes:
+    return b'"' + b"x" * (csv.field_size_limit() + 1) + b'"' + line[line.index(b","):]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "explain"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_not_utf8, "line 50: not UTF-8"), (_field_past_limit, "line 50: field larger than field limit")],
+    ids=["latin1_byte", "field_past_limit"],
+)
+def test_unreadable_csv_exits_3_naming_its_line(tmp_path, data_csv, capsys, command, damage, message):
+    source = Path(data_csv)
+    if command == "explain":
+        assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
+        source = tmp_path / "out" / "processed_test.csv"
+    lines = source.read_bytes().split(b"\n")
+    lines[49] = damage(lines[49])  # well inside the decoder's first buffer
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    if command == "explain":
+        argv = ["explain", "-m", "lime", "-a", str(tmp_path / "out" / "model"), "-d", str(bad)]
+    else:
+        argv = [command, "-c", write_config(tmp_path, str(bad), models=[{"name": "gnb"}])]
+    assert main([*argv, "--out", str(tmp_path / "again")]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err
 
 
 def test_explain_rejects_smote_before_split(tmp_path, data_csv):

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from credo.frame import (
     split,
     write_csv,
 )
+from credo.synth import SynthSpec, write_synthetic
 
 
 # ---------------------------------------------------------------- load_csv
@@ -234,14 +236,39 @@ def _outcome(fn, *args):
 @given(csv_tables())
 @example(("\n\n\n", None))  # an empty header over blank lines only
 @example(("a\n\n1\n\nx\n", {"a": NUMERIC}))
+@example(("a,b\n1000,x\n1_000,y\n\n2,z\nword,w\n1000,v\n", None))  # a turns categorical late
+@example(("a,b\n1,2\n3,x\ny,4\n", {"a": NUMERIC, "b": NUMERIC}))  # b fails first, a is reported
+@example(("a,b\nx,1\n\n2,3\n\n4\n", {"a": NUMERIC}))  # a ragged row after a hint failure
+@example(("a,b\n1,2\n\n3,4\n\n\nx,5\n", {"a": NUMERIC}))  # row numbers skip blank lines
 def test_load_csv_matches_cell_by_cell_oracle(table):
     text, hints = table
+    width = max(1, len(next(csv.reader(io.StringIO(text)), [])))
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         expected = _outcome(_load_csv_cell_by_cell, path, hints)
         assert _outcome(_load_csv_cells, path, hints) == expected
+        for block_rows in (1, 2, 3):  # every block boundary, and a re-read per late column
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("credo.frame._BLOCK_CELLS", block_rows * width)
+                assert _outcome(_load_csv_cells, path, hints) == expected, block_rows
+
+
+def test_load_csv_memory_is_the_columns_and_one_block(tmp_path, monkeypatch):
+    # a reader that holds every cell as a Python string until the transpose
+    # peaks near 10x the arrays; a block of 4,096 cells is about 0.4 MB here
+    path = str(tmp_path / "t.csv")
+    write_synthetic(path, SynthSpec(rows=4000, seed=1))
+    monkeypatch.setattr("credo.frame._BLOCK_CELLS", 4096)
+    tracemalloc.start()
+    try:
+        frame = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(c.values.nbytes for c in frame.columns)
+    assert peak < 3 * arrays, (peak, arrays)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 1e-5, 0.1]
@@ -272,7 +299,7 @@ def test_write_csv_matches_csv_writer(n, d, words, data):
         writer.writerow(row + [words[codes[i]]])
     actual = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("credo.frame._WRITE_BLOCK_ROWS", block_rows)
+        mp.setattr("credo.frame._BLOCK_CELLS", block_rows * (d + 1))
         write_csv(actual, header, X, codes.reshape(n, 1), [words], missing=missing)
     assert actual.getvalue() == expected.getvalue()
 
