@@ -1,7 +1,8 @@
 """Flat-file model store.
 
 An archive is a directory holding manifest.json (model family, schema,
-schema hash, scalar params), shapes.json (array name -> dimensions), and
+schema hash, scalar params), shapes.json (array name -> its list of
+non-negative sizes; a name holds no ``/``, ``\\`` or ``..``), and
 one <name>.f64 file per array: the raw C-order values as little-endian
 IEEE-754 doubles. Every family in the zoo round-trips bit-exactly.
 
@@ -30,6 +31,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import typing
 from functools import cache
 from pathlib import Path
@@ -281,11 +283,15 @@ def load_model(dir_path):
 
     arrays = {}
     for name, shape in shapes.items():
+        if any(part in name for part in ("/", "\\", "..")):
+            raise DataError(f"archive array name {name!r} is not a plain file name")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise DataError(f"array {name} has shape {shape!r}, not a list of sizes")
         path = root / f"{name}.f64"
         if not path.is_file():
             raise DataError(f"archive is missing array file {name}.f64")
         flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if flat.size != expected:
             raise DataError(f"array {name} holds {flat.size} values, shape {shape} needs {expected}")
         arrays[name] = flat.reshape(shape).astype(float)

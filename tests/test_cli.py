@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ def test_smote_before_split_flag(tmp_path, data_csv):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["preprocessing"]["smote"]["path"] == "before_split"
     assert report["config"]["smote"]["before_split"] is True
+
+
+def test_one_parser_keeps_no_flag_between_calls(tmp_path, data_csv, monkeypatch):
+    # main reuses one parser, so a flag of one call must not reach the next
+    monkeypatch.setattr("credo.cli.build_parser", None)
+    seen = []
+
+    def cmd_compare(cfg):
+        seen.append(cfg["smote"]["before_split"])
+        return SimpleNamespace(to_csv=lambda: ""), cfg["out_dir"]
+
+    monkeypatch.setattr("credo.cli.cmd_compare", cmd_compare)
+    cfg = write_config(tmp_path, data_csv)
+    assert main(["run", "-c", cfg, "--smote-before-split"]) == 0
+    assert main(["compare", "-c", cfg]) == 0
+    assert seen == [False]
 
 
 def test_compare_prints_matrix(tmp_path, data_csv, capsys):
@@ -310,6 +327,16 @@ def _features_not_a_list(manifest, shapes):
     manifest["schema"]["features"] = 5
 
 
+def _set_shape(shape):
+    def tamper(manifest, shapes):
+        shapes["weights"] = shape(shapes["weights"]) if callable(shape) else shape
+    return tamper
+
+
+def _array_outside_archive(manifest, shapes):
+    shapes["../x"] = shapes.pop("bias")
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -322,6 +349,11 @@ def _features_not_a_list(manifest, shapes):
         (_drop_schema_key("target"), "missing schema key target"),
         (_edit_schema_hash, "schema_hash does not match"),
         (_features_not_a_list, "schema key features is 5, not a list of strings"),
+        (_set_shape("x"), "shape 'x', not a list of sizes"),
+        (_set_shape({"a": 1}), "shape {'a': 1}, not a list of sizes"),
+        # two negative sizes whose product is the file's value count
+        (_set_shape(lambda sizes: [-1, -sizes[0] * sizes[1]]), "not a list of sizes"),
+        (_array_outside_archive, "array name '../x' is not a plain file name"),
     ],
     ids=[
         "missing_array",
@@ -333,6 +365,10 @@ def _features_not_a_list(manifest, shapes):
         "missing_target",
         "edited_schema_hash",
         "features_not_a_list",
+        "shape_a_string",
+        "shape_an_object",
+        "negative_sizes",
+        "name_outside_archive",
     ],
 )
 def test_explain_broken_archive_exits_3(tmp_path, data_csv, capsys, tamper, message):

@@ -304,6 +304,38 @@ def test_write_csv_matches_csv_writer(n, d, words, data):
     assert actual.getvalue() == expected.getvalue()
 
 
+def test_write_csv_renders_repeated_cells_like_csv_writer(monkeypatch):
+    # a block's column that repeats its values renders each distinct float
+    # once; values count as distinct by their bits, so -0.0 and 0.0 stay apart
+    n, block_rows = 50, 16  # 4 blocks, the last partial
+    specials = [0.0, -0.0, math.nan, math.copysign(math.nan, -1), math.inf, -math.inf, 5e-324]
+    X = np.column_stack([
+        np.where(np.arange(n) % 3 == 0, -0.5773502691896258, 1.7320508075688772),  # one-hot, z-scored
+        np.resize(specials, n),  # each block repeats every special
+        np.arange(n) / 7 - 3,  # all distinct
+    ])
+    codes = np.column_stack([np.arange(n) % 2, np.arange(n) % 3])
+    levels = [("no", "yes"), ("a", "b,c", 'd"')]
+    missing = np.zeros((n, 4), dtype=bool)  # the three float columns and the first code column
+    missing[np.arange(n) % 5 == 1, 0] = True
+    missing[np.arange(n) % 4 == 2, 1] = True
+    missing[[0, 17, 49], 2] = True
+    missing[np.arange(n) % 6 == 3, 3] = True
+    header = ["h0", "h1", "h2", "k0", "k1"]
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(n):
+        row = [repr(float(x)) for x in X[i]] + [levels[c][codes[i, c]] for c in range(2)]
+        writer.writerow(["NA" if j < 4 and missing[i, j] else cell for j, cell in enumerate(row)])
+    actual = io.StringIO()
+    monkeypatch.setattr("credo.frame._BLOCK_CELLS", block_rows * len(header))
+    write_csv(actual, header, X, codes, levels, missing=missing)
+    assert actual.getvalue() == expected.getvalue()
+    assert ",0.0," in actual.getvalue() and ",-0.0," in actual.getvalue()
+
+
 # ---------------------------------------------- drop_sparse_features
 
 
