@@ -8,7 +8,16 @@ forest, boosted-tree and neural families, six evaluation metrics, and local
 """
 
 from .archive import load_model, save_model
-from .baselines import fit_forest, fit_gnb, fit_logreg, fit_tree
+from .baselines import (
+    ForestConfig,
+    GnbConfig,
+    LogregConfig,
+    TreeConfig,
+    fit_forest,
+    fit_gnb,
+    fit_logreg,
+    fit_tree,
+)
 from .config import METRIC_NAMES, SCALER_MODES, load_config, resolve_config
 from .errors import (
     ConfigError,
@@ -39,9 +48,9 @@ from .frame import (
     split,
 )
 from .gbt import GbtConfig, fit_gbt
-from .lda import ProjectionLDA, fit_lda, transform_lda
+from .lda import LdaConfig, ProjectionLDA, fit_lda, transform_lda
 from .metrics import MetricReport, evaluate, h_measure
-from .neural import MlpConfig, fit_hybrid, fit_mlp
+from .neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp
 from .pipeline import ComparisonTable, RunOutcome, cmd_compare, cmd_explain, cmd_run, run_pipeline
 from .resample import SmoteConfig, smote
 from .synth import SynthSpec, write_synthetic
@@ -58,10 +67,14 @@ __all__ = [
     "CredoError",
     "CredoWarning",
     "DataError",
+    "ForestConfig",
     "Frame",
     "GbtConfig",
+    "GnbConfig",
+    "LdaConfig",
     "LimeConfig",
     "LimeExplanation",
+    "LogregConfig",
     "MetricReport",
     "MlpConfig",
     "MorrisConfig",
@@ -72,6 +85,8 @@ __all__ = [
     "RunOutcome",
     "SmoteConfig",
     "SynthSpec",
+    "TreeConfig",
+    "XgdnnConfig",
     "apply_scaler",
     "cmd_compare",
     "cmd_explain",

@@ -12,6 +12,7 @@ prediction is pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,15 @@ import numpy as np
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
 from .trees import CountStat, FlatTree, Presorted, TreeStack, grow, presort
+
+
+def check_nonnegative(**values) -> None:
+    """Raise DataError unless each named value is a number in [0, largest
+    float]. The chained bound is false for NaN, so NaN fails it too, as do
+    infinity and an int past float range."""
+    for name, value in values.items():
+        if not 0 <= value <= sys.float_info.max:
+            raise DataError(f"{name} must be finite and >= 0, got {value}")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -80,8 +90,9 @@ class LogregConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.l2, self.max_iter, self.tol) < 0:
-            raise DataError("l2, max_iter and tol must be >= 0")
+        if self.max_iter < 0:
+            raise DataError(f"max_iter must be >= 0, got {self.max_iter}")
+        check_nonnegative(l2=self.l2, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -171,8 +182,7 @@ class GnbConfig:
     var_smoothing: float = 1e-9
 
     def __post_init__(self):
-        if self.var_smoothing < 0:
-            raise DataError(f"var_smoothing must be >= 0, got {self.var_smoothing}")
+        check_nonnegative(var_smoothing=self.var_smoothing)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame, training_arrays
-from .baselines import Classifier, one_hot, softmax
+from .baselines import Classifier, check_nonnegative, one_hot, softmax
 from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
@@ -55,8 +55,7 @@ class GbtConfig:
             raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if self.max_depth < 1:
             raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.lam < 0 or self.gamma < 0 or self.min_child_weight < 0:
-            raise DataError("lam, gamma and min_child_weight must be >= 0")
+        check_nonnegative(lam=self.lam, gamma=self.gamma, min_child_weight=self.min_child_weight)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .baselines import Classifier, softmax
+from .baselines import Classifier, check_nonnegative, softmax
 from .errors import DataError, LdaClampWarning, NumericError
 from .frame import Frame, numeric_frame
 
@@ -110,8 +109,8 @@ class LdaConfig:
     def __post_init__(self):
         if self.n_components is not None and self.n_components < 1:
             raise DataError(f"n_components must be >= 1, got {self.n_components}")
-        if self.ridge is not None and self.ridge < 0:
-            raise DataError(f"ridge must be >= 0, got {self.ridge}")
+        if self.ridge is not None:
+            check_nonnegative(ridge=self.ridge)
 
 
 def fit_lda(
@@ -151,6 +150,10 @@ def fit_lda(
             f"(min of classes-1 and feature count)",
             LdaClampWarning,
         )
+
+    # scipy is imported here, not at module level: only fitting needs it, so
+    # loading credo or scoring a fitted model never pays for scipy.linalg
+    from scipy.linalg import solve_triangular
 
     A = S_w + ridge * np.eye(d)
     A = 0.5 * (A + A.T)

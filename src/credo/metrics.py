@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DataError, MetricConventionWarning
 
@@ -165,14 +164,19 @@ def _upper_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
-def _beta_c_integral(u: float, v: float, a: float, b: float) -> float:
-    """Integral of c * Beta(c; a, b) density over [u, v]."""
-    return a / (a + b) * (betainc(a + 1.0, b, v) - betainc(a + 1.0, b, u))
+def _beta_integrals(u: np.ndarray, v: np.ndarray, a: float, b: float):
+    """Integrals of c and of (1 - c) times the Beta(c; a, b) density over
+    each interval [u_i, v_i].
 
+    scipy is imported here, once per binary problem, not at module level:
+    only scoring an H-measure needs it, so loading credo never pays for
+    scipy.special.
+    """
+    from scipy.special import betainc
 
-def _beta_1mc_integral(u: float, v: float, a: float, b: float) -> float:
-    """Integral of (1 - c) * Beta(c; a, b) density over [u, v]."""
-    return b / (a + b) * (betainc(a, b + 1.0, v) - betainc(a, b + 1.0, u))
+    c_part = a / (a + b) * (betainc(a + 1.0, b, v) - betainc(a + 1.0, b, u))
+    rest = b / (a + b) * (betainc(a, b + 1.0, v) - betainc(a, b + 1.0, u))
+    return c_part, rest
 
 
 def binary_h_measure(scores: np.ndarray, positive: np.ndarray, a: float = 2.0, b: float = 2.0) -> float:
@@ -199,16 +203,17 @@ def binary_h_measure(scores: np.ndarray, positive: np.ndarray, a: float = 2.0, b
     hi = np.concatenate([[1.0], switch])
     lo = np.concatenate([switch, [0.0]])
 
+    # one betainc call per term: the hull intervals, then the reference's
+    # [0, pi1] (always positive, loss c*pi0) and [pi1, 1] (always negative,
+    # loss (1-c)*pi1)
+    c_part, rest = _beta_integrals(np.append(lo, (0.0, pi1)), np.append(hi, (pi1, 1.0)), a, b)
     numer = 0.0
-    for (fpr, tpr), u, v in zip(hull, lo, hi):
+    for (fpr, tpr), u, v, c_int, rest_int in zip(hull, lo, hi, c_part, rest):
         if v <= u:
             continue  # collinear vertices can produce empty intervals
-        numer += pi0 * fpr * _beta_c_integral(u, v, a, b)
-        numer += pi1 * (1.0 - tpr) * _beta_1mc_integral(u, v, a, b)
-
-    # reference: always-positive (loss c*pi0) below c* = pi1, always-negative
-    # (loss (1-c)*pi1) above
-    denom = pi0 * _beta_c_integral(0.0, pi1, a, b) + pi1 * _beta_1mc_integral(pi1, 1.0, a, b)
+        numer += pi0 * fpr * c_int
+        numer += pi1 * (1.0 - tpr) * rest_int
+    denom = pi0 * c_part[-2] + pi1 * rest[-1]
     return 1.0 - numer / denom
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import Classifier, cross_entropy, one_hot, softmax
+from .baselines import Classifier, check_nonnegative, cross_entropy, one_hot, softmax
 from .errors import DataError, NumericError
 from .frame import Frame, numeric_frame, training_arrays
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
@@ -40,8 +40,7 @@ class MlpConfig:
             raise DataError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise DataError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        check_nonnegative(learning_rate=self.learning_rate)
 
 
 def _check_feature_mode(feature_mode: str):

@@ -153,12 +153,27 @@ class GradientStat:
         too light."""
         G, H = total
         lam, mcw = self.lam, self.min_child_weight
-        GL = np.cumsum(self.g.take(orders), axis=1)[:, :-1]
-        HL = np.cumsum(self.h.take(orders), axis=1)[:, :-1]
-        GR, HR = G - GL, H - HL
-        parent = G * G / (H + lam)
-        gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - self.gamma
-        return np.where(cut & (HL >= mcw) & (HR >= mcw), gain, -np.inf)
+        # 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)) - gamma, computed
+        # in place in the formula's own operation order: four float (k, m-1)
+        # arrays and the same rounding as the formula written out. Prefix
+        # sums stop before each row's last position, after which no cut lies.
+        GL = np.cumsum(self.g.take(orders[:, :-1]), axis=1)
+        HL = np.cumsum(self.h.take(orders[:, :-1]), axis=1)
+        ok = cut & (HL >= mcw)
+        gain = np.multiply(GL, GL)
+        denom = np.add(HL, lam)
+        gain /= denom
+        GR = np.subtract(G, GL, out=GL)
+        HR = np.subtract(H, HL, out=HL)
+        ok &= HR >= mcw
+        right = np.multiply(GR, GR, out=GR)
+        right /= np.add(HR, lam, out=denom)
+        gain += right
+        gain -= G * G / (H + lam)
+        gain *= 0.5
+        gain -= self.gamma
+        gain[~ok] = -np.inf
+        return gain
 
 
 def _impurity(counts: np.ndarray, totals, criterion: str) -> np.ndarray:

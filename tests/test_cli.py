@@ -557,6 +557,61 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.stats"}
 
 
+# scipy.linalg and scipy.special, with the numpy.f2py they pull in, cost about
+# 0.4 s and 25 MB per process (scipy 1.17, 2-core Xeon); only fitting LDA and
+# scoring the H-measure compute with them, so every other command stays clear
+SCIPY_FREE = "import sys\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')], sorted(sys.modules)\n"
+
+
+def _probe(code: str) -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["credo", "credo.cli"])
+def test_import_loads_no_scipy(module):
+    _probe(f"import {module}\n" + SCIPY_FREE)
+
+
+def test_synth_loads_no_scipy(tmp_path):
+    argv = ["synth", "-o", str(tmp_path / "x.csv"), "--rows", "200", "--seed", "1"]
+    _probe(f"from credo.cli import main\nassert main({argv!r}) == 0\n" + SCIPY_FREE)
+
+
+@pytest.mark.parametrize(
+    "model", [{"name": "lda"}, {"name": "xgdnn", "params": {"gbt": {"rounds": 2, "max_depth": 2}}}],
+    ids=["lda", "xgdnn"],
+)
+def test_explain_loads_no_scipy(tmp_path, data_csv, model):
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model=model)]) == 0
+    out = tmp_path / "out"
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
+    calls = [["explain", "-m", method, *archive, "--out", str(tmp_path / method)]
+             for method in ("lime", "morris")]
+    _probe(f"from credo.cli import main\nassert [main(a) for a in {calls!r}] == [0, 0]\n" + SCIPY_FREE)
+    assert (tmp_path / "lime" / "explanations").is_dir()
+    assert (tmp_path / "morris" / "explanations" / "morris.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "call, module",
+    [
+        ("fit_lda(numeric_frame([[0.0], [1.0], [3.0], [4.0]], labels=[0, 0, 1, 1]))", "scipy.linalg"),
+        ("h_measure([0, 0, 1, 1], [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])", "scipy.special"),
+    ],
+    ids=["fit_lda", "h_measure"],
+)
+def test_scipy_loads_where_credo_computes_with_it(call, module):
+    _probe(
+        "import sys\nfrom credo import fit_lda, h_measure, numeric_frame\n"
+        f"assert {module!r} not in sys.modules\n{call}\nassert {module!r} in sys.modules\n"
+    )
+
+
 def test_synth_rejects_impossible_spec(tmp_path, capsys):
     rc = main(["synth", "-o", str(tmp_path / "x.csv"), "--rows", "20", "--classes", "10"])
     assert rc == 2

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credo.baselines import softmax
 from credo.errors import DataError
@@ -11,6 +15,7 @@ from credo.gbt import (
     extract_margins,
     fit_gbt,
 )
+from credo.trees import GradientStat
 
 
 def _frame(X, y, class_names=None):
@@ -236,3 +241,47 @@ def test_config_validation():
         GbtConfig(learning_rate=1.5)
     with pytest.raises(DataError):
         GbtConfig(lam=-1.0)
+
+
+def _gains_as_written(g, h, orders, cut, total, lam, gamma, mcw):
+    """GradientStat.gains as one expression, the form it replaced."""
+    G, H = total
+    GL = np.cumsum(g.take(orders), axis=1)[:, :-1]
+    HL = np.cumsum(h.take(orders), axis=1)[:, :-1]
+    GR, HR = G - GL, H - HL
+    gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)) - gamma
+    return np.where(cut & (HL >= mcw) & (HR >= mcw), gain, -np.inf)
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out.tobytes(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([1.0, 0.3, 0.05]),
+)
+def test_gains_bytes_and_warnings_match_the_formula(seed, lam, gamma, mcw, hessian_share):
+    # a zero hessian prefix with lam 0 gives 0/0 cells: NaN and numpy's
+    # divide warnings must come out as the formula gives them
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(3, 40)), int(rng.integers(1, 5))
+    g = rng.normal(size=n)
+    h = rng.uniform(size=n) * (rng.uniform(size=n) < hessian_share)
+    m = int(rng.integers(2, n + 1))
+    orders = np.stack([rng.permutation(n)[:m] for _ in range(k)])
+    cut = rng.uniform(size=(k, m - 1)) < 0.8
+    total = (float(g[orders[0]].sum()), float(h[orders[0]].sum()))
+    if total[1] + lam == 0:
+        return
+    stat = GradientStat(g, h, lam, gamma, mcw)
+    assert _with_warnings(stat.gains, orders, cut, total) == _with_warnings(
+        _gains_as_written, g, h, orders, cut, total, lam, gamma, mcw
+    )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 from scipy.stats import beta as beta_dist
 
 from credo.errors import DataError, MetricConventionWarning
@@ -230,6 +231,49 @@ def test_upper_hull_bytes_match_numpy_row_loop(seed, n, kind):
     }[kind]
     points = _roc_points(scores, positive)
     assert _upper_hull(points).tobytes() == _oracle_upper_hull(points).tobytes()
+
+
+def _binary_h_per_vertex(scores, positive, a, b):
+    """binary_h_measure with one scalar betainc pair per hull vertex, as
+    first written."""
+    n1 = int(positive.sum())
+    pi0, pi1 = (len(positive) - n1) / len(positive), n1 / len(positive)
+
+    def c_int(u, v):
+        return a / (a + b) * (betainc(a + 1.0, b, v) - betainc(a + 1.0, b, u))
+
+    def rest_int(u, v):
+        return b / (a + b) * (betainc(a, b + 1.0, v) - betainc(a, b + 1.0, u))
+
+    hull = _upper_hull(_roc_points(scores, positive))
+    dfpr, dtpr = np.diff(hull[:, 0]), np.diff(hull[:, 1])
+    switch = pi1 * dtpr / (pi0 * dfpr + pi1 * dtpr)
+    numer = 0.0
+    for (fpr, tpr), u, v in zip(hull, np.concatenate([switch, [0.0]]), np.concatenate([[1.0], switch])):
+        if v > u:
+            numer += pi0 * fpr * c_int(u, v)
+            numer += pi1 * (1.0 - tpr) * rest_int(u, v)
+    return 1.0 - numer / (pi0 * c_int(0.0, pi1) + pi1 * rest_int(pi1, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 300),
+    st.sampled_from(["random", "ties", "equal"]),
+    st.sampled_from([(2.0, 2.0), (0.5, 3.0), (4.0, 1.5)]),
+)
+def test_binary_h_bytes_match_per_vertex_loop(seed, n, kind, ab):
+    rng = np.random.default_rng(seed)
+    positive = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+    positive[:2] = [0, 1]
+    scores = {
+        "random": rng.uniform(size=n) + 0.3 * positive,
+        "ties": np.round(rng.uniform(size=n) + 0.5 * positive, 1),
+        "equal": np.full(n, 0.25),
+    }[kind]
+    got = binary_h_measure(scores, positive, *ab)
+    assert np.float64(got).tobytes() == np.float64(_binary_h_per_vertex(scores, positive, *ab)).tobytes()
 
 
 def test_constant_scores_h_zero():
