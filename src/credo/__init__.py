@@ -38,6 +38,7 @@ from .explain import (
 )
 from .frame import (
     Frame,
+    Table,
     apply_scaler,
     drop_sparse_features,
     encode,
@@ -85,6 +86,7 @@ __all__ = [
     "RunOutcome",
     "SmoteConfig",
     "SynthSpec",
+    "Table",
     "TreeConfig",
     "XgdnnConfig",
     "apply_scaler",

@@ -1,14 +1,14 @@
-"""Column-typed tabular datasets and the supervised preprocessing chain.
+"""Typed-column tables, model-ready frames and the preprocessing chain.
 
-A :class:`Frame` is an immutable table of named columns, each either numeric
-or categorical (see :class:`Column`), and an optional encoded integer
-target. All operations return new frames; a frame is safe to share across
-threads once constructed.
+A :class:`Table` is what a CSV holds: named typed columns (see
+:class:`Column`) that may miss cells. A :class:`Frame` is what a model
+takes: feature names, one read-only float64 matrix and an optional encoded
+target. Both are immutable, so safe to share across threads.
 
-The preprocessing chain, in pipeline order:
+The preprocessing chain, in pipeline order (``encode`` makes the frame):
 
-    load_csv -> drop_sparse_features -> impute -> encode -> split
-    -> fit_scaler / apply_scaler
+    Table: load_csv -> drop_sparse_features -> impute -> encode
+    Frame: split -> fit_scaler / apply_scaler
 
 CSV conventions: RFC-4180-style, UTF-8 (a leading byte-order mark is
 accepted), header row required, ``,`` delimiter, ``"`` quoting. The tokens
@@ -67,7 +67,7 @@ def _finite_floats(cells) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class Column:
-    """One column of a frame.
+    """One typed column of a :class:`Table`.
 
     A numeric column's ``values`` are float64, NaN exactly where a cell is
     missing. A categorical column's ``values`` are int32 codes into
@@ -82,8 +82,6 @@ class Column:
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"unknown column kind {self.kind!r}")
-        if self.kind == NUMERIC and np.isinf(self.values).any():
-            raise DataError("numeric column has non-finite observed cells")
 
     @property
     def n_rows(self) -> int:
@@ -96,9 +94,6 @@ class Column:
     @property
     def null_fraction(self) -> float:
         return float(np.count_nonzero(self.missing_mask)) / self.n_rows
-
-    def take(self, idx: np.ndarray) -> "Column":
-        return Column(self.kind, self.values[idx], self.levels)
 
 
 @dataclass(frozen=True)
@@ -125,27 +120,28 @@ class EncodedTarget:
         return len(self.class_names)
 
 
+def _check_names(names: tuple[str, ...], width: int) -> None:
+    if len(names) != width:
+        raise DataError(f"{len(names)} column names for {width} columns")
+    if len(set(names)) != len(names):
+        raise DataError("column names must be unique")
+    if any(not name for name in names):
+        raise DataError("column names must be non-empty")
+
+
 @dataclass(frozen=True)
-class Frame:
-    """Immutable column-typed table with an optional encoded target."""
+class Table:
+    """Named typed columns, cells possibly missing, and no target."""
 
     column_names: tuple[str, ...]
     columns: tuple[Column, ...]
     n_rows: int
-    target: EncodedTarget | None = None
 
     def __post_init__(self):
-        if len(self.column_names) != len(self.columns):
-            raise DataError("column_names and columns lengths differ")
-        if len(set(self.column_names)) != len(self.column_names):
-            raise DataError("column names must be unique")
-        if any(not name for name in self.column_names):
-            raise DataError("column names must be non-empty")
+        _check_names(self.column_names, len(self.columns))
         for name, col in zip(self.column_names, self.columns):
             if col.n_rows != self.n_rows:
-                raise DataError(f"column {name!r} has {col.n_rows} rows, frame has {self.n_rows}")
-        if self.target is not None and len(self.target.labels) != self.n_rows:
-            raise DataError("target length differs from n_rows")
+                raise DataError(f"column {name!r} has {col.n_rows} rows, table has {self.n_rows}")
 
     @property
     def n_features(self) -> int:
@@ -158,17 +154,46 @@ class Frame:
             raise DataError(f"no column named {name!r}") from None
         return self.columns[i]
 
-    def feature_matrix(self) -> np.ndarray:
-        """All-numeric feature matrix of shape (n_rows, n_features).
+    def select_rows(self, idx: np.ndarray) -> "Table":
+        columns = tuple(Column(c.kind, c.values[idx], c.levels) for c in self.columns)
+        return Table(self.column_names, columns, len(idx))
 
-        Missing cells surface as NaN; categorical columns are an error.
-        """
-        bad = [n for n, c in zip(self.column_names, self.columns) if c.kind != NUMERIC]
-        if bad:
-            raise DataError(f"categorical columns present, encode first: {bad}")
-        if not self.columns:
-            return np.empty((self.n_rows, 0))
-        return np.column_stack([c.values for c in self.columns])
+
+@dataclass(frozen=True)
+class Frame:
+    """Feature names, an (n_rows, n_features) ``matrix`` and an optional
+    encoded target. The frame keeps a read-only C-order float64 view of
+    ``matrix`` (C order fixes the summation order of axis-0 reductions)
+    and rejects a missing or non-finite cell."""
+
+    column_names: tuple[str, ...]
+    matrix: np.ndarray
+    target: EncodedTarget | None = None
+
+    def __post_init__(self):
+        X = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if X.ndim != 2:
+            raise DataError("matrix must be 2-D")
+        _check_names(self.column_names, X.shape[1])
+        if not np.isfinite(X).all():
+            raise DataError("feature matrix has missing or non-finite cells; impute before encoding")
+        if self.target is not None and len(self.target.labels) != len(X):
+            raise DataError("target length differs from n_rows")
+        X = X.view()  # the caller's array keeps its own flags
+        X.flags.writeable = False
+        object.__setattr__(self, "matrix", X)
+
+    @property
+    def n_rows(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.matrix.shape[1]
+
+    def feature_matrix(self) -> np.ndarray:
+        """The read-only (n_rows, n_features) matrix."""
+        return self.matrix
 
     @property
     def labels(self) -> np.ndarray:
@@ -177,16 +202,10 @@ class Frame:
         return self.target.labels
 
     def select_rows(self, idx: np.ndarray) -> "Frame":
-        idx = np.asarray(idx)
         target = None
         if self.target is not None:
             target = EncodedTarget(self.target.labels[idx], self.target.class_names)
-        return Frame(
-            self.column_names,
-            tuple(c.take(idx) for c in self.columns),
-            int(len(idx)),
-            target,
-        )
+        return Frame(self.column_names, self.matrix[idx], target)
 
 
 def numeric_frame(
@@ -196,7 +215,7 @@ def numeric_frame(
     labels: np.ndarray | None = None,
     class_names: tuple[str, ...] | None = None,
 ) -> Frame:
-    """Build an all-numeric frame from a matrix.
+    """Build a frame from a matrix, keeping a read-only view of it.
 
     Either pass a ready ``target`` or ``labels`` (with optional
     ``class_names``; defaults to ``c0..c{k-1}`` covering the labels).
@@ -205,11 +224,8 @@ def numeric_frame(
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("matrix must be 2-D")
-    if np.isnan(matrix).any():
-        raise DataError("numeric column has non-finite observed cells")
-    n, d = matrix.shape
     if names is None:
-        names = [f"x{i}" for i in range(d)]
+        names = [f"x{i}" for i in range(matrix.shape[1])]
     if target is None and labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if class_names is None:
@@ -217,18 +233,12 @@ def numeric_frame(
             k = max(k, 2)
             class_names = tuple(f"c{i}" for i in range(k))
         target = EncodedTarget(labels, class_names)
-    cols = tuple(Column(NUMERIC, np.ascontiguousarray(matrix[:, j])) for j in range(d))
-    return Frame(tuple(names), cols, n, target)
+    return Frame(tuple(names), matrix, target)
 
 
 def training_arrays(train: Frame) -> tuple[np.ndarray, np.ndarray, int]:
-    """Feature matrix, labels and class count of an encoded, imputed frame."""
-    if train.target is None:
-        raise DataError("training frame needs an encoded target")
-    X = train.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("training frame has missing cells; impute first")
-    return X, train.labels, train.target.n_classes
+    """Feature matrix, labels and class count of a labelled frame."""
+    return train.feature_matrix(), train.labels, train.target.n_classes
 
 
 def _records(path: str):
@@ -295,7 +305,7 @@ def _joined_column(numeric: bool, chunks: list, spelling: dict) -> Column:
     return Column(CATEGORICAL, recode[np.concatenate(chunks)], tuple(seen[i] for i in order))
 
 
-def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
+def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Table:
     """Load a CSV file, inferring numeric/categorical kinds per column.
 
     A column is numeric iff every non-missing cell parses as a finite number;
@@ -366,7 +376,7 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Frame:
     columns = []
     for is_numeric, spelling in zip(numeric, spellings):
         columns.append(_joined_column(is_numeric, chunks.pop(0), spelling))  # frees its chunks
-    return Frame(tuple(header), tuple(columns), n_rows)
+    return Table(tuple(header), tuple(columns), n_rows)
 
 
 def _quoted(cell: str) -> str:
@@ -422,20 +432,19 @@ def check_null_threshold(threshold: float) -> None:
         raise DataError(f"threshold must be in (0, 1], got {threshold}")
 
 
-def drop_sparse_features(frame: Frame, threshold: float) -> Frame:
+def drop_sparse_features(table: Table, threshold: float) -> Table:
     """Drop every column whose null fraction strictly exceeds ``threshold``.
 
     A column at exactly the threshold is kept; column order is preserved.
     """
     check_null_threshold(threshold)
-    keep = [i for i, c in enumerate(frame.columns) if c.null_fraction <= threshold]
+    keep = [i for i, c in enumerate(table.columns) if c.null_fraction <= threshold]
     if not keep:
         raise DataError("all features sparse")
-    return Frame(
-        tuple(frame.column_names[i] for i in keep),
-        tuple(frame.columns[i] for i in keep),
-        frame.n_rows,
-        frame.target,
+    return Table(
+        tuple(table.column_names[i] for i in keep),
+        tuple(table.columns[i] for i in keep),
+        table.n_rows,
     )
 
 
@@ -451,14 +460,14 @@ def _median(values: np.ndarray) -> float:
     return a / 2 + b / 2
 
 
-def impute(frame: Frame) -> Frame:
+def impute(table: Table) -> Table:
     """Fill missing cells: numeric by column median, categorical by mode.
 
     Mode ties break to the lexicographically smallest value. A fully missing
     column is an error; it should have been dropped.
     """
     new_cols = []
-    for name, col in zip(frame.column_names, frame.columns):
+    for name, col in zip(table.column_names, table.columns):
         missing = col.missing_mask
         if not missing.any():
             new_cols.append(col)
@@ -471,19 +480,19 @@ def impute(frame: Frame) -> Frame:
         fill = _median(observed) if col.kind == NUMERIC else np.bincount(observed).argmax()
         values[missing] = fill
         new_cols.append(Column(col.kind, values, col.levels))
-    return Frame(frame.column_names, tuple(new_cols), frame.n_rows, frame.target)
+    return Table(table.column_names, tuple(new_cols), table.n_rows)
 
 
-def encode(frame: Frame, target_name: str) -> Frame:
+def encode(table: Table, target_name: str) -> Frame:
     """Label-encode the target and one-hot the remaining categorical features.
 
     Classes are ordered lexicographically. Each categorical feature column
-    ``c`` becomes one 0/1 column per category present in the frame, named
+    ``c`` becomes one 0/1 column per category present in the table, named
     ``c=value`` and summing to 1 per row. Missing cells must be imputed first.
     """
-    if target_name not in frame.column_names:
+    if target_name not in table.column_names:
         raise DataError(f"unknown target column {target_name!r}")
-    target_col = frame.column(target_name)
+    target_col = table.column(target_name)
     if target_col.kind != CATEGORICAL:
         raise DataError(
             f"target {target_name!r} is numeric; hint it categorical at load time"
@@ -495,20 +504,23 @@ def encode(frame: Frame, target_name: str) -> Frame:
     target = EncodedTarget(labels, tuple(target_col.levels[c] for c in present))
 
     names: list[str] = []
-    cols: list[Column] = []
-    for name, col in zip(frame.column_names, frame.columns):
+    columns: list[np.ndarray] = []  # float64 values, or a one-hot column as bools
+    for name, col in zip(table.column_names, table.columns):
         if name == target_name:
             continue
         if col.kind == NUMERIC:
             names.append(name)
-            cols.append(col)
+            columns.append(col.values)
             continue
         if col.missing_mask.any():
             raise DataError(f"categorical column {name!r} has missing values; impute first")
         for c in np.unique(col.values):
             names.append(f"{name}={col.levels[c]}")
-            cols.append(Column(NUMERIC, (col.values == c).astype(np.float64)))
-    return Frame(tuple(names), tuple(cols), frame.n_rows, target)
+            columns.append(col.values == c)
+    matrix = np.empty((table.n_rows, len(columns)))
+    for j, values in enumerate(columns):
+        matrix[:, j] = values
+    return Frame(tuple(names), matrix, target)
 
 
 @dataclass(frozen=True)
@@ -529,8 +541,6 @@ def fit_scaler(frame: Frame, mode: str = "zscore") -> ScalerParams:
     if mode not in ("zscore", "minmax"):
         raise DataError(f"unknown scaler mode {mode!r}")
     X = frame.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("frame has missing cells; impute before scaling")
     if mode == "zscore":
         location = X.mean(axis=0)
         scale = X.std(axis=0)
@@ -553,15 +563,15 @@ def apply_scaler(frame: Frame, params: ScalerParams) -> Frame:
     """Scale features with fitted params. Values outside the training range
     are returned unclamped."""
     _check_scaler_columns(frame, params)
-    X = frame.feature_matrix()
-    return numeric_frame((X - params.location) / params.scale, frame.column_names, target=frame.target)
+    Z = frame.feature_matrix() - params.location
+    Z /= params.scale
+    return Frame(frame.column_names, Z, frame.target)
 
 
 def invert_scaler(frame: Frame, params: ScalerParams) -> Frame:
     """Undo :func:`apply_scaler`; exact per column since every scale > 0."""
     _check_scaler_columns(frame, params)
-    X = frame.feature_matrix()
-    return numeric_frame(X * params.scale + params.location, frame.column_names, target=frame.target)
+    return Frame(frame.column_names, frame.feature_matrix() * params.scale + params.location, frame.target)
 
 
 def check_train_fraction(train_fraction: float) -> None:
@@ -576,10 +586,8 @@ def split(frame: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]
     corrected by the largest-remainder rule so the total equals
     ``round(train_fraction * n_rows)``.
     """
-    if frame.target is None:
-        raise DataError("split needs an encoded target")
+    y = frame.labels
     check_train_fraction(train_fraction)
-    y = frame.target.labels
     n_classes = frame.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
     small = [int(c) for c in np.nonzero(counts < 2)[0]]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import Classifier, check_nonnegative, softmax
 from .errors import DataError, LdaClampWarning, NumericError
-from .frame import Frame, numeric_frame
+from .frame import Frame, numeric_frame, training_arrays
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,7 @@ def fit_lda(
     must be positive whenever S_w is singular.
     """
     LdaConfig(n_components, ridge)  # raises on out-of-bound values
-    if train.target is None:
-        raise DataError("fit_lda needs an encoded target")
-    X = train.feature_matrix()
-    y = train.labels
-    n_classes = train.target.n_classes
+    X, y, n_classes = training_arrays(train)
     counts = np.bincount(y, minlength=n_classes)
     if np.count_nonzero(counts) < 2:
         raise DataError("fit_lda needs at least 2 classes present")

@@ -100,21 +100,24 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     target = cfg["target"]
 
     def load():
-        frame = load_csv(cfg["data"], schema_hints={target: "categorical"})
-        mask = frame.column(target).missing_mask
+        table = load_csv(cfg["data"], schema_hints={target: "categorical"})
+        mask = table.column(target).missing_mask
+        if mask.all():
+            raise DataError(f"target {target!r} is missing in every row")
         if mask.any():
-            frame = frame.select_rows(np.flatnonzero(~mask))
-        return frame, int(mask.sum())
+            table = table.select_rows(np.flatnonzero(~mask))
+        return table, int(mask.sum())
 
-    frame, dropped_rows = _stage(timings, "load", load)
-    n_loaded = frame.n_rows
+    table, dropped_rows = _stage(timings, "load", load)
+    n_loaded = table.n_rows
 
-    before_names = frame.column_names
-    frame = _stage(timings, "drop_sparse", lambda: drop_sparse_features(frame, cfg["null_threshold"]))
-    dropped_columns = [n for n in before_names if n not in frame.column_names]
+    before_names = table.column_names
+    table = _stage(timings, "drop_sparse", lambda: drop_sparse_features(table, cfg["null_threshold"]))
+    dropped_columns = [n for n in before_names if n not in table.column_names]
 
-    frame = _stage(timings, "impute", lambda: impute(frame))
-    frame = _stage(timings, "encode", lambda: encode(frame, target))
+    table = _stage(timings, "impute", lambda: impute(table))
+    frame = _stage(timings, "encode", lambda: encode(table, target))
+    del table
 
     smote_cfg = cfg["smote"]
     smote_path = "disabled"
@@ -136,6 +139,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     train, test = _stage(
         timings, "split", lambda: split(frame, cfg["split"]["train_fraction"], cfg["split"]["seed"])
     )
+    del frame  # the splits hold their own rows
 
     if cfg["scaler"] != "none":
         def scale():
@@ -483,7 +487,7 @@ def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
 # ------------------------------------------------------------- cmd_explain
 
 
-def _load_background(data_path: str, manifest: dict) -> tuple[Frame, np.ndarray]:
+def _load_background(data_path: str, manifest: dict) -> Frame:
     data = load_csv(data_path)
     features = manifest["schema"]["features"]
     target = manifest["schema"]["target"]
@@ -497,10 +501,7 @@ def _load_background(data_path: str, manifest: dict) -> tuple[Frame, np.ndarray]
     bad_kind = [n for n in features if data.column(n).kind != "numeric"]
     if bad_kind:
         raise DataError(f"columns are not numeric: {bad_kind}")
-    X = np.column_stack([data.column(n).values for n in features]).astype(float)
-    if np.isnan(X).any():
-        raise DataError("data has missing cells in feature columns, impute first")
-    return numeric_frame(X, names=list(features)), X
+    return numeric_frame(np.column_stack([data.column(n).values for n in features]), features)
 
 
 def cmd_explain(
@@ -517,7 +518,8 @@ def cmd_explain(
     if method not in ("lime", "morris"):
         raise DataError(f"unknown explain method {method!r}")
     model, manifest = load_model(archive_dir)
-    background, X = _load_background(data_path, manifest)
+    background = _load_background(data_path, manifest)
+    X = background.feature_matrix()
 
     if method == "lime":
         if not 0 <= row < background.n_rows:

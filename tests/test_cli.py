@@ -175,6 +175,21 @@ def test_one_parser_keeps_no_flag_between_calls(tmp_path, data_csv, monkeypatch)
     assert seen == [False]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_target_missing_in_every_row_exits_3_and_leaves_out_alone(tmp_path, capsys, command):
+    data = tmp_path / "no_target.csv"
+    data.write_text("a,b,status\n1,2,\n3,4,NA\n")
+    out = tmp_path / "taken"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine")
+    cfg = write_config(tmp_path, str(data), models=[{"name": "gnb"}])
+    assert main([command, "-c", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err and "target 'status' is missing in every row" in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "mine"
+
+
 def test_compare_prints_matrix(tmp_path, data_csv, capsys):
     cfg = write_config(
         tmp_path,

@@ -17,6 +17,7 @@ from credo.frame import (
     NUMERIC,
     Column,
     Frame,
+    Table,
     apply_scaler,
     drop_sparse_features,
     encode,
@@ -28,6 +29,8 @@ from credo.frame import (
     split,
     write_csv,
 )
+from credo.lda import fit_lda, transform_lda
+from credo.resample import SmoteConfig, smote
 from credo.synth import SynthSpec, write_synthetic
 
 
@@ -346,7 +349,7 @@ def _frame_with_null_fractions(fractions, n_rows=100):
         mask[: int(round(frac * n_rows))] = True
         cols.append(Column(NUMERIC, np.where(mask, np.nan, 1.0)))
     names = tuple(f"f{i}" for i in range(len(fractions)))
-    return Frame(names, tuple(cols), n_rows)
+    return Table(names, tuple(cols), n_rows)
 
 
 def test_drop_sparse_strictly_greater():
@@ -430,7 +433,7 @@ def test_impute_preserves_observed_cells(cells):
     if mask.all():
         return
     values = np.array([np.nan if c is None else c for c in cells])
-    f = Frame(("a",), (Column(NUMERIC, values),), len(cells))
+    f = Table(("a",), (Column(NUMERIC, values),), len(cells))
     filled = impute(f)
     out = filled.column("a").values
     assert np.array_equal(out[~mask], values[~mask])
@@ -516,9 +519,12 @@ def _impute_encode_by_strings(frame, cells, target):
             values = col.values.copy()
             missing = np.isnan(values)
             if missing.any():
-                values[missing] = float(np.median(values[~missing]))
-            if np.isinf(values).any():  # the median of two cells near the float limit
-                raise DataError("numeric column has non-finite observed cells")
+                observed = np.sort(values[~missing])
+                k = len(observed) // 2
+                median = observed[k] if len(observed) % 2 else (observed[k - 1] + observed[k]) / 2
+                if math.isinf(median):  # two middle cells whose sum overflows: average by halves
+                    median = observed[k - 1] / 2 + observed[k] / 2
+                values[missing] = median
             imputed.append(values.tobytes())
             names.append(name)
             features.append(values)
@@ -588,6 +594,69 @@ def test_encode_errors(csv_file):
     g = load_csv(csv_file("c,t\n,x\nu,y\n"))
     with pytest.raises(DataError, match="impute first"):
         encode(g, "t")
+
+
+# ------------------------------------------------------ the feature matrix
+
+
+def _assert_read_only_matrix(frame):
+    X = frame.feature_matrix()
+    assert X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+
+
+def test_every_frame_holds_one_read_only_c_order_matrix(csv_file):
+    A = np.arange(24, dtype=np.float64).reshape(8, 3)
+    viewed = numeric_frame(A, labels=[0, 1] * 4)
+    assert np.shares_memory(viewed.feature_matrix(), A)  # a view, not a copy
+    assert A.flags.writeable  # the caller's array keeps its flag
+    assert numeric_frame(np.asfortranarray(A)).feature_matrix().flags.c_contiguous
+
+    rows = "".join(f"{i % 7},{'uv'[i % 2]},{'ab'[i % 5 == 0]}\n" for i in range(40))
+    encoded = encode(load_csv(csv_file("x,g,t\n" + rows)), "t")
+    train, test = split(encoded, 0.5, seed=0)
+    scaled = apply_scaler(train, fit_scaler(train))
+    balanced = smote(scaled, SmoteConfig(k_neighbors=2, seed=0))
+    assert balanced.n_rows > scaled.n_rows
+    reduced = transform_lda(fit_lda(scaled), scaled)
+    for frame in (viewed, encoded, train, test, scaled, balanced, reduced):
+        assert isinstance(frame, Frame)
+        _assert_read_only_matrix(frame)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_a_frame_rejects_a_missing_or_non_finite_cell(cell):
+    with pytest.raises(DataError, match="impute"):
+        numeric_frame(np.array([[0.0, 1.0], [cell, 2.0]]))
+
+
+def test_each_stage_peaks_within_a_multiple_of_the_feature_matrix(tmp_path):
+    # a frame of columns, stacked and split again around each stage, peaks
+    # near 2.5x the matrix in scale; one matrix per frame keeps it near 1x
+    path = str(tmp_path / "t.csv")
+    write_synthetic(path, SynthSpec(rows=4000, seed=3))
+    table = drop_sparse_features(load_csv(path, {"status": CATEGORICAL}), 0.5)
+
+    def peak(stage):
+        tracemalloc.start()
+        try:
+            return stage(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def scale():
+        params = fit_scaler(train, "zscore")
+        return apply_scaler(train, params), apply_scaler(test, params)
+
+    imputed, impute_peak = peak(lambda: impute(table))
+    encoded, encode_peak = peak(lambda: encode(imputed, "status"))
+    (train, test), split_peak = peak(lambda: split(encoded, 0.8, seed=0))
+    _, scale_peak = peak(scale)
+    matrix = encoded.feature_matrix().nbytes
+    peaks = {"impute": impute_peak, "encode": encode_peak, "split": split_peak, "scale": scale_peak}
+    bounds = {"impute": 2.0, "encode": 1.5, "split": 1.25, "scale": 1.5}
+    assert {k: v / matrix for k, v in peaks.items() if v > bounds[k] * matrix} == {}
 
 
 # --------------------------------------------------------------- scaler
