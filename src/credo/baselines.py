@@ -310,6 +310,7 @@ class ForestConfig(TreeConfig):
             raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.mtry is not None and self.mtry < 1:
             raise DataError(f"mtry must be >= 1, got {self.mtry}")
+        check_nonnegative(seed=self.seed)
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def resolve_config(raw: dict) -> dict:
     _bounded("config.split.train_fraction", check_train_fraction, fraction)
     out["split"] = {
         "train_fraction": fraction,
-        "seed": _as_int(split.get("seed", 7), "config.split.seed"),
+        "seed": _as_int(split.get("seed", 7), "config.split.seed", minimum=0),
     }
 
     out["lda"] = _section(LdaConfig, raw.get("lda", {}), "config.lda", enabled=False)

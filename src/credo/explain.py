@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import check_nonnegative
 from .errors import DataError
 from .frame import Frame
 
@@ -55,6 +56,7 @@ class LimeConfig:
             raise DataError("kernel_width must be positive")
         if self.n_features is not None and self.n_features < 1:
             raise DataError("n_features must be at least 1")
+        check_nonnegative(seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ class MorrisConfig:
             raise DataError("n_levels must be at least 2")
         if self.step is not None and not 0 < self.step <= 1:
             raise DataError("step must lie in (0, 1]")
+        check_nonnegative(seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,6 @@ def lime_explain(
     stds = X.std(axis=0)
     if not (stds > 0).any():
         raise DataError("background has zero variance in every feature")
-    safe = np.where(stds > 0, stds, 1.0)
 
     kw = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d)
     rng = np.random.default_rng(cfg.seed)
@@ -222,8 +224,9 @@ def lime_explain(
     ybar = float(pi @ y) / sw
     Uc = U - ubar
     yc = y - ybar
-    A = (Uc * pi[:, None]).T @ Uc + _RIDGE * np.eye(d)
-    w = np.linalg.solve(A, (Uc * pi[:, None]).T @ yc)
+    weighted = (Uc * pi[:, None]).T
+    A = weighted @ Uc + _RIDGE * np.eye(d)
+    w = np.linalg.solve(A, weighted @ yc)
     intercept = ybar - float(ubar @ w)
 
     pred = intercept + U @ w

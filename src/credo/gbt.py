@@ -55,7 +55,9 @@ class GbtConfig:
             raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if self.max_depth < 1:
             raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        check_nonnegative(lam=self.lam, gamma=self.gamma, min_child_weight=self.min_child_weight)
+        check_nonnegative(
+            lam=self.lam, gamma=self.gamma, min_child_weight=self.min_child_weight, seed=self.seed
+        )
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ class MlpConfig:
             raise DataError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_nonnegative(learning_rate=self.learning_rate)
+        check_nonnegative(learning_rate=self.learning_rate, seed=self.seed)
 
 
 def _check_feature_mode(feature_mode: str):

@@ -8,8 +8,9 @@ count, and echoing the exact settings used.  ``cmd_run`` adds the on-disk
 deliverables (report.json, metrics.csv, processed splits, a model archive,
 explanation files); ``cmd_compare`` prepares once and renders each model
 with the discriminant reduction off and on as one matrix; ``cmd_explain``
-replays a stored archive against a CSV.  Any stage failure aborts with the
-stage name and cause, and files written by the failed invocation are removed.
+replays a stored archive against a CSV through the run's explanation step.
+Any stage failure aborts with the stage name and cause, and files written by
+the failed invocation are removed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .archive import load_model, save_model
-from .errors import CredoWarning, DataError, PipelineError
+from .errors import ConfigError, CredoWarning, DataError, PipelineError
 from .explain import (
     LimeConfig,
     MorrisConfig,
@@ -196,6 +197,36 @@ def _fit_and_score(
     return model, proba, metric_report
 
 
+def _explain(model, background: Frame, X, rows, lime_cfg, morris_cfg, target_class=None, classes=None):
+    """LIME for each row of `X` in `rows`, against `background`, then Morris
+    over the background's column ranges if `morris_cfg` is given.
+
+    LIME explains `target_class`, else `classes[r]`, else the model's
+    prediction for row r; Morris reads `target_class`'s probability if it
+    is given, else the probability of the class predicted at the midpoint.
+    """
+    lime_out = []
+    for r in rows:
+        if not 0 <= r < len(X):
+            raise DataError(f"row {r} out of range, data has {len(X)} rows")
+        cls = target_class
+        if cls is None:
+            cls = classes[r] if classes is not None else model.predict(X[r : r + 1])[0]
+        lime_out.append(lime_explain(model, background, X[r], int(cls), lime_cfg, row_index=r))
+    screening = None
+    if morris_cfg is not None:
+        B = background.feature_matrix()
+        screening = morris_screen(
+            model,
+            np.column_stack([B.min(axis=0), B.max(axis=0)]),
+            "predicted_class_prob" if target_class is None else "class_prob",
+            target_class=target_class,
+            cfg=morris_cfg,
+            feature_names=background.column_names,
+        )
+    return lime_out, screening
+
+
 def run_pipeline(cfg: dict) -> RunOutcome:
     """Execute one resolved configuration end to end, nothing written."""
     timings: list[dict] = []
@@ -214,37 +245,18 @@ def run_pipeline(cfg: dict) -> RunOutcome:
         model, proba, metric_report = _fit_and_score(train, test, cfg["model"], timings)
 
         explain_cfg = cfg["explain"]
-        lime_explanations: list = []
-        morris_screening = None
+        lime_explanations, morris_screening = [], None
         if explain_cfg["lime_rows"] or explain_cfg["morris"]["enabled"]:
-            def explain():
-                X_test = test.feature_matrix()
-                lime_conf = LimeConfig(**explain_cfg["lime"])
-                lime_out = []
-                for r in explain_cfg["lime_rows"]:
-                    if r >= test.n_rows:
-                        raise DataError(f"lime row {r} out of range, test split has {test.n_rows} rows")
-                    lime_out.append(
-                        lime_explain(
-                            model,
-                            train,
-                            X_test[r],
-                            int(np.argmax(proba[r])),
-                            lime_conf,
-                            row_index=r,
-                        )
-                    )
-                screening = None
-                if explain_cfg["morris"]["enabled"]:
-                    X_train = train.feature_matrix()
-                    ranges = np.column_stack([X_train.min(axis=0), X_train.max(axis=0)])
-                    morris = {k: v for k, v in explain_cfg["morris"].items() if k != "enabled"}
-                    screening = morris_screen(
-                        model, ranges, cfg=MorrisConfig(**morris), feature_names=train.column_names
-                    )
-                return lime_out, screening
-
-            lime_explanations, morris_screening = _stage(timings, "explain", explain)
+            morris = {k: v for k, v in explain_cfg["morris"].items() if k != "enabled"}
+            lime_explanations, morris_screening = _stage(timings, "explain", lambda: _explain(
+                model,
+                train,
+                test.feature_matrix(),
+                explain_cfg["lime_rows"],
+                LimeConfig(**explain_cfg["lime"]),
+                MorrisConfig(**morris) if explain_cfg["morris"]["enabled"] else None,
+                classes=proba.argmax(axis=1),
+            ))
 
     # one entry per distinct (code, message), in order of first occurrence
     warning_counts = Counter(
@@ -409,27 +421,6 @@ class ComparisonTable:
                              cell.error or ""])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "ComparisonTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header[:2] != ["model", "lda"] or header[-1] != "error":
-            raise DataError("not a comparison table: bad header")
-        metric_names = tuple(header[2:-1])
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            model, lda_flag, *cells, error = record
-            if error:
-                rows.append(CompareCell(model, lda_flag == "on", None, error))
-            else:
-                values = {
-                    m: (float(c) / 100.0 if c else None) for m, c in zip(metric_names, cells)
-                }
-                rows.append(CompareCell(model, lda_flag == "on", values, None))
-        return cls(metric_names, tuple(rows))
-
     def to_dict(self) -> dict:
         return {
             "metrics": list(self.metric_names),
@@ -517,30 +508,22 @@ def cmd_explain(
     explanation's JSON and CSV under out_dir/explanations, or neither."""
     if method not in ("lime", "morris"):
         raise DataError(f"unknown explain method {method!r}")
+    try:  # a bad seed is a setting's error, reported before any file is read
+        lime_cfg, morris_cfg = LimeConfig(seed=seed), MorrisConfig(seed=seed)
+    except DataError as e:
+        raise ConfigError(str(e)) from None
     model, manifest = load_model(archive_dir)
     background = _load_background(data_path, manifest)
-    X = background.feature_matrix()
-
-    if method == "lime":
-        if not 0 <= row < background.n_rows:
-            raise DataError(f"row {row} out of range, data has {background.n_rows} rows")
-        cls = int(model.predict(X[row : row + 1])[0]) if target_class is None else int(target_class)
-        explanation = lime_explain(
-            model, background, X[row], cls, LimeConfig(seed=seed), row_index=row
-        )
-        stem = f"lime_row{row}"
-    else:
-        ranges = np.column_stack([X.min(axis=0), X.max(axis=0)])
-        output = "predicted_class_prob" if target_class is None else "class_prob"
-        explanation = morris_screen(
-            model,
-            ranges,
-            output,
-            target_class=target_class,
-            cfg=MorrisConfig(seed=seed),
-            feature_names=background.column_names,
-        )
-        stem = "morris"
+    lime_out, screening = _explain(
+        model,
+        background,
+        background.feature_matrix(),
+        [row] if method == "lime" else [],
+        lime_cfg,
+        morris_cfg if method == "morris" else None,
+        target_class,
+    )
+    explanation, stem = (lime_out[0], f"lime_row{row}") if method == "lime" else (screening, "morris")
 
     out = Path(out_dir) / "explanations"
     _write_outputs(_explanation_outputs(explanation, out, stem))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import check_nonnegative
 from .errors import DataError, SmoteKClampWarning
 from .frame import EncodedTarget, Frame, numeric_frame, training_arrays
 
@@ -32,6 +33,7 @@ class SmoteConfig:
             raise DataError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.target_count is not None and self.target_count < 1:
             raise DataError(f"target_count must be >= 1, got {self.target_count}")
+        check_nonnegative(seed=self.seed)
 
 
 def _neighbor_indices(X: np.ndarray, k: int) -> np.ndarray:

@@ -55,6 +55,8 @@ class SynthSpec:
             raise ConfigError("separation may not be negative")
         if not self.target_name:
             raise ConfigError("target_name must be non-empty")
+        if self.seed < 0:
+            raise ConfigError("seed may not be negative")
 
 
 def class_counts(spec: SynthSpec) -> np.ndarray:

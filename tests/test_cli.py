@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import credo.pipeline
 from credo.cli import exit_code_for, main
 from credo.errors import ConfigError, DataError, NumericError, PipelineError
 from credo.synth import SynthSpec, write_synthetic
@@ -135,6 +136,69 @@ def test_run_integer_past_digit_limit_exits_2_before_reading_data(tmp_path, caps
     Path(cfg).write_text(Path(cfg).read_text().replace('"rounds": 7', '"rounds": ' + "1" * 5001))
     assert main(["run", "-c", cfg]) == 2
     assert "config file" in capsys.readouterr().err
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record each call of ``credo.pipeline.<name>``, which still runs."""
+    calls = []
+    real = getattr(credo.pipeline, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(f"credo.pipeline.{name}", spy)
+    return calls
+
+
+NEGATIVE_SEEDS = {
+    "split": ({"split": {"seed": -1}}, "config.split.seed"),
+    "smote": ({"smote": {"seed": -1}}, "config.smote.seed"),
+    "lime": ({"explain": {"lime_rows": [0], "lime": {"seed": -1}}}, "config.explain.lime.seed"),
+    "morris": ({"explain": {"morris": {"enabled": True, "seed": -1}}}, "config.explain.morris.seed"),
+    "forest": ({"model": {"name": "forest", "params": {"seed": -1}}}, "config.model.params.seed"),
+    "gbt": ({"model": {"name": "gbt", "params": {"seed": -1}}}, "config.model.params.seed"),
+    "mlp": ({"model": {"name": "mlp", "params": {"seed": -1}}}, "config.model.params.seed"),
+    "xgdnn_gbt": (
+        {"model": {"name": "xgdnn", "params": {"gbt": {"seed": -1}}}},
+        "config.model.params.gbt.seed",
+    ),
+    "xgdnn_mlp": (
+        {"model": {"name": "xgdnn", "params": {"mlp": {"seed": -1}}}},
+        "config.model.params.mlp.seed",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("extra,path", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
+def test_negative_seed_exits_2_before_reading_data(
+    tmp_path, data_csv, capsys, monkeypatch, command, extra, path
+):
+    loads = _spy(monkeypatch, "load_csv")
+    assert main([command, "-c", write_config(tmp_path, data_csv, **extra)]) == 2
+    assert f"{path}:" in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["lime", "morris"])
+def test_explain_negative_seed_exits_2_before_reading_the_archive(
+    tmp_path, data_csv, capsys, monkeypatch, method
+):
+    archive_loads = _spy(monkeypatch, "load_model")
+    csv_loads = _spy(monkeypatch, "load_csv")
+    archive = ["-a", str(tmp_path / "model"), "-d", data_csv]
+    assert main(["explain", "-m", method, *archive, "--seed", "-1"]) == 2
+    assert "seed must be finite and >= 0, got -1" in capsys.readouterr().err
+    assert archive_loads == [] and csv_loads == []
+
+
+def test_synth_negative_seed_exits_2_without_writing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "-o", str(out), "--rows", "200", "--seed", "-1"]) == 2
+    assert "seed may not be negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_missing_data_file(tmp_path, capsys):
@@ -292,6 +356,26 @@ def test_explain_morris_with_target_class(tmp_path, data_csv):
     assert rc == 0
     data = json.loads((tmp_path / "exp" / "explanations" / "morris.json").read_text())
     assert data["output"] == "class_prob"
+
+
+XGDNN_SMALL = {"name": "xgdnn", "params": {"gbt": {"rounds": 3, "max_depth": 2}, "mlp": {"hidden": [8], "epochs": 2}}}
+
+
+@pytest.mark.parametrize("model", [{"name": "gnb"}, XGDNN_SMALL], ids=["gnb", "xgdnn"])
+@pytest.mark.parametrize("lda", [False, True], ids=["lda_off", "lda_on"])
+def test_explain_morris_on_the_train_split_writes_the_runs_files(tmp_path, data_csv, model, lda):
+    # run and explain share one explanation path: Morris over a run's own
+    # archive and processed train split repeats the run's screening byte for byte
+    cfg = write_config(
+        tmp_path, data_csv, model=model, lda={"enabled": lda}, explain={"morris": {"enabled": True, "seed": 3}}
+    )
+    assert main(["run", "-c", cfg]) == 0
+    out = tmp_path / "out"
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_train.csv")]
+    assert main(["explain", "-m", "morris", *archive, "--seed", "3", "--out", str(tmp_path / "exp")]) == 0
+    for name in ("morris.json", "morris.csv"):
+        replayed = (tmp_path / "exp" / "explanations" / name).read_bytes()
+        assert replayed == (out / "explanations" / name).read_bytes()
 
 
 def test_explain_out_naming_a_file_is_a_write_error(tmp_path, data_csv, capsys):

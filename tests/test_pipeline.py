@@ -1,5 +1,7 @@
 """End-to-end orchestration: run, compare, and archive replay."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -477,22 +479,23 @@ def test_compare_lda_failure_marks_only_reduced_cells(data_csv, tmp_path, monkey
     ] * 2
 
 
-def test_compare_csv_round_trip(data_csv, tmp_path):
+def test_compare_csv_renders_every_cell(data_csv, tmp_path):
     cfg = make_cfg(data_csv, tmp_path / "cmp", metrics=["accuracy", "f1"])
-    table, _ = cmd_compare(cfg)
-    back = ComparisonTable.from_csv(table.to_csv())
-    assert back.metric_names == table.metric_names
-    assert [(c.model, c.with_lda, c.error) for c in back.rows] == [
-        (c.model, c.with_lda, c.error) for c in table.rows
+    table, out = cmd_compare(cfg)
+    text = table.to_csv()
+    header, *records = csv.reader(io.StringIO(text))
+    assert header == ["model", "lda", *table.metric_names, "error"]
+    assert [(r[0], r[1], r[-1]) for r in records] == [
+        (c.model, "on" if c.with_lda else "off", "") for c in table.rows
     ]
-    for before, after in zip(table.rows, back.rows):
-        for m in table.metric_names:
-            assert after.values[m] == pytest.approx(before.values[m], abs=5e-5)
-    # a second render is stable
-    assert back.to_csv() == table.to_csv()
+    for cell, record in zip(table.rows, records):
+        for m, rendered in zip(table.metric_names, record[2:-1]):
+            assert float(rendered) / 100.0 == pytest.approx(cell.values[m], abs=5e-5)
+    # a second render is stable, and it is the file written
+    assert table.to_csv() == text == (out / "compare.csv").read_text()
 
 
-def test_compare_round_trip_preserves_error_rows():
+def test_compare_csv_renders_error_rows():
     table = ComparisonTable(
         ("accuracy",),
         (
@@ -500,15 +503,9 @@ def test_compare_round_trip_preserves_error_rows():
             CompareCell("mlp", True, None, "stage 'fit' failed: nope"),
         ),
     )
-    back = ComparisonTable.from_csv(table.to_csv())
-    assert back.rows[0].values == {"accuracy": 0.9123}
-    assert back.rows[1].error == "stage 'fit' failed: nope"
-    assert back.rows[1].values is None
-
-
-def test_compare_from_csv_rejects_other_tables():
-    with pytest.raises(DataError, match="bad header"):
-        ComparisonTable.from_csv("metric,value\naccuracy,0.9\n")
+    assert table.to_csv() == (
+        "model,lda,accuracy,error\ngnb,off,91.23,\nmlp,on,,stage 'fit' failed: nope\n"
+    )
 
 
 # ------------------------------------------------------------- cmd_explain
