@@ -7,7 +7,7 @@ the stack does not fall behind whichever single stage is stronger.
 
 import numpy as np
 
-from credo import GbtConfig, MlpConfig, fit_gbt, fit_hybrid, fit_mlp, numeric_frame, split
+from credo import GbtConfig, MlpConfig, XgdnnConfig, fit_gbt, fit_hybrid, fit_mlp, numeric_frame, split
 
 
 def accuracy(model, test):
@@ -29,7 +29,7 @@ def main():
 
         acc_g = accuracy(fit_gbt(train, gbt_cfg), test)
         acc_m = accuracy(fit_mlp(train, mlp_cfg), test)
-        acc_h = accuracy(fit_hybrid(train, gbt_cfg, mlp_cfg, "margins_plus_raw"), test)
+        acc_h = accuracy(fit_hybrid(train, XgdnnConfig(gbt_cfg, mlp_cfg, "margins_plus_raw")), test)
 
         edge = acc_h - max(acc_g, acc_m)
         verdict = "ahead" if edge > 0 else f"{100 * edge:+.2f}pp"

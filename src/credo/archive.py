@@ -21,8 +21,9 @@ stored by one rule, chosen by its name and type hint.
 
 Node and feature ids (``feature``, ``left``, ``right``, ``leaf_ordinal``)
 are read back as int64, and every loaded tree must be the preorder form
-that training writes. A new family needs no archive code, only an entry in
-the family table.
+that training writes. Every stored value must be finite, except that a
+CART leaf's threshold may be NaN. A new family needs no archive code, only
+an entry in ``zoo.MODEL_FAMILIES``, whose key the manifest's "model" names.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import ForestModel, GaussianNBModel, LogisticModel, TreeModel
 from .errors import DataError
-from .gbt import BoostedEnsemble
-from .lda import ProjectionLDA
-from .neural import HybridXgDnn, Mlp
 from .trees import FlatTree
+from .zoo import MODEL_FAMILIES
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_type_of", "save_model", "schema_hash"]
 
@@ -60,18 +58,6 @@ def schema_hash(feature_names, class_names, target_name: str) -> str:
 
 
 # ------------------------------------------------------------ field rules
-
-# family name (the manifest's "model") -> model class
-_FAMILIES = {
-    "logreg": LogisticModel,
-    "gnb": GaussianNBModel,
-    "tree": TreeModel,
-    "forest": ForestModel,
-    "gbt": BoostedEnsemble,
-    "mlp": Mlp,
-    "lda": ProjectionLDA,
-    "xgdnn": HybridXgDnn,
-}
 
 _SCHEMA_FIELDS = {
     "n_classes": lambda schema: len(schema["classes"]),
@@ -154,17 +140,17 @@ def _cast(hint, value):
         raise DataError(f"archived param {value!r} is not a {hint}: {e}") from None
 
 
-def _check_nodes(feature, left, right, sizes, n_features: int, leaf_ordinal=None) -> None:
+def _check_nodes(feature, threshold, left, right, sizes, n_features: int, leaf_ordinal=None) -> None:
     """Raise unless the node arrays hold trees of `sizes` nodes, end to end,
     in the preorder form training writes: every inner node splits on a
-    feature in [0, n_features) and has two later nodes of its own tree as
-    children, and every leaf's feature and children are -1. A walk of such
-    a tree reads only its row's cells and ends. A `leaf_ordinal`, where
-    given, must be each leaf's depth-first rank among its tree's leaves and
-    -1 at inner nodes."""
+    feature in [0, n_features) at a threshold that is not NaN and has two
+    later nodes of its own tree as children, and every leaf's feature and
+    children are -1. A walk of such a tree reads only its row's cells and
+    ends. A `leaf_ordinal`, where given, must be each leaf's depth-first
+    rank among its tree's leaves and -1 at inner nodes."""
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    ok = (sizes >= 1).all() and len(feature) == len(left) == len(right) == sizes.sum()
+    ok = (sizes >= 1).all() and len(feature) == len(threshold) == len(left) == len(right) == sizes.sum()
     if ok:
         size = np.repeat(sizes, sizes)
         node = np.arange(len(feature)) - np.repeat(starts, sizes)
@@ -172,6 +158,8 @@ def _check_nodes(feature, left, right, sizes, n_features: int, leaf_ordinal=None
         ok = np.where(feature >= 0, inner, (feature == -1) & (left == -1) & (right == -1)).all()
     if not ok:
         raise DataError(f"archived tree nodes do not form a preorder tree over {n_features} features")
+    if np.isnan(threshold[feature >= 0]).any():
+        raise DataError("archived tree has a NaN threshold at an inner node")
     if leaf_ordinal is not None:
         leaves = np.cumsum(feature < 0)
         before = np.append(0, leaves)[starts]  # leaves of the earlier trees
@@ -190,8 +178,8 @@ def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
     if any(len(c) != ends[-1] for c in columns.values()):
         raise DataError(f"archive arrays {prefix}tree_* disagree with tree_sizes ({ends[-1]} nodes)")
     _check_nodes(
-        columns["feature"], columns["left"], columns["right"], sizes, len(schema["features"]),
-        columns.get("leaf_ordinal"),
+        columns["feature"], columns["threshold"], columns["left"], columns["right"], sizes,
+        len(schema["features"]), columns.get("leaf_ordinal"),
     )
     return tuple(
         _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, schema)
@@ -222,7 +210,7 @@ def _unpack(cls, arrays: dict, params: dict, schema: dict, prefix: str = ""):
 
 
 def model_type_of(model) -> str:
-    for name, cls in _FAMILIES.items():
+    for name, (*_, cls) in MODEL_FAMILIES.items():
         if isinstance(model, cls):
             return name
     raise DataError(f"cannot archive a {type(model).__name__}")
@@ -278,7 +266,7 @@ def load_model(dir_path):
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported archive format_version {manifest.get('format_version')!r}")
     mtype = manifest.get("model")
-    if mtype not in _FAMILIES:
+    if not (isinstance(mtype, str) and mtype in MODEL_FAMILIES):
         raise DataError(f"unknown archived model type {mtype!r}")
 
     arrays = {}
@@ -294,6 +282,9 @@ def load_model(dir_path):
         expected = math.prod(shape)
         if flat.size != expected:
             raise DataError(f"array {name} holds {flat.size} values, shape {shape} needs {expected}")
+        # NaN marks a CART leaf's threshold; _check_nodes refuses it at an inner node
+        if not (np.isfinite(flat) | np.isnan(flat) & name.endswith("threshold")).all():
+            raise DataError(f"array {name} holds a non-finite value")
         arrays[name] = flat.reshape(shape).astype(float)
 
     schema = _entry(manifest, "schema", "manifest key")
@@ -305,10 +296,12 @@ def load_model(dir_path):
             raise DataError(f"archive schema key {key} is {value!r}, not {kind}")
     if schema_hash(schema["features"], schema["classes"], schema["target"]) != manifest.get("schema_hash"):
         raise DataError("archive schema_hash does not match its schema")
-    model = _unpack(_FAMILIES[mtype], arrays, manifest.get("params", {}), schema)
+    model = _unpack(MODEL_FAMILIES[mtype][2], arrays, manifest.get("params", {}), schema)
     n_features, n_classes = len(schema["features"]), len(schema["classes"])
     if isinstance(model, FlatTree):
-        _check_nodes(model.feature, model.left, model.right, [len(model.feature)], n_features)
+        _check_nodes(
+            model.feature, model.threshold, model.left, model.right, [len(model.feature)], n_features
+        )
     if (model.n_features, model.n_classes) != (n_features, n_classes):
         raise DataError(
             f"archived {mtype} has {model.n_features} features and {model.n_classes} "

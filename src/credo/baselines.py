@@ -1,13 +1,12 @@
 """Non-boosted, non-neural classifiers: multinomial logistic regression,
 Gaussian naive Bayes, CART decision trees, and a bootstrap random forest.
 
-Each ``fit_*`` takes its family's frozen config, or that config's fields as
-keyword arguments. This module also states the contract that every fitted
-model in the zoo keeps, once, as the ``Classifier`` base: ``predict_proba``
-maps a feature matrix (or all-numeric frame) of the model's width to a
-row-stochastic C-column matrix, and ``predict`` takes the argmax, breaking
-ties toward the smallest class index. Models are immutable after fitting;
-prediction is pure.
+This module also states the contract that every fitted model in the zoo
+keeps, once, as the ``Classifier`` base: ``predict_proba`` maps a feature
+matrix (or all-numeric frame) of the model's width to a row-stochastic
+C-column matrix, and ``predict`` takes the argmax, breaking ties toward the
+smallest class index. Models are immutable after fitting; prediction is
+pure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, NumericError
-from .frame import Frame, training_arrays
+from .frame import Frame
 from .trees import CountStat, FlatTree, Presorted, TreeStack, grow, presort
 
 
@@ -137,7 +136,7 @@ def fit_logreg(train: Frame, cfg: LogregConfig | None = None, **params) -> Logis
     """
     cfg = cfg or LogregConfig(**params)
     l2, max_iter, tol = cfg.l2, cfg.max_iter, cfg.tol
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     Y = one_hot(y, n_classes)
 
     W = np.zeros((X.shape[1], n_classes))
@@ -217,7 +216,7 @@ def fit_gnb(train: Frame, cfg: GnbConfig | None = None, **params) -> GaussianNBM
     """Per-class Gaussian likelihoods with a shared variance floor of
     ``var_smoothing`` times the largest overall feature variance."""
     var_smoothing = (cfg or GnbConfig(**params)).var_smoothing
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
     empty = [int(c) for c in np.nonzero(counts == 0)[0]]
     if empty:
@@ -288,7 +287,7 @@ def fit_tree(train: Frame, cfg: TreeConfig | None = None, **params) -> TreeModel
     """Greedy CART over midpoints of sorted distinct values; splits only on a
     strict impurity decrease."""
     cfg = cfg or TreeConfig(**params)
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     return _grow_cart(presort(X), y, n_classes, train.column_names, cfg)
 
 
@@ -340,7 +339,7 @@ def fit_forest(train: Frame, cfg: ForestConfig | None = None, **params) -> Fores
     features (default round(sqrt(d))). Per-tree seeds are pre-drawn, so any
     training schedule gives the same forest."""
     cfg = cfg or ForestConfig(**params)
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     n, d = X.shape
     mtry = max(1, int(round(np.sqrt(d)))) if cfg.mtry is None else cfg.mtry
     if mtry > d:

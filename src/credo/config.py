@@ -2,8 +2,9 @@
 
 Every validation failure names the offending key with a dotted path
 (e.g. ``config.smote.k_neighbors: expected an integer``) so a bad file
-can be fixed without reading source. ``resolve_config`` returns a fully
-defaulted plain dict, which downstream reports echo verbatim.
+can be fixed without reading source. ``resolve_config`` returns a plain
+dict with every section setting defaulted, which downstream reports echo
+verbatim; model params are validated but kept as given.
 
 Model params and the smote, lda and explainer sections are checked
 against the frozen config dataclasses that the code consumes: keys and
@@ -179,11 +180,13 @@ _TOP_KEYS = {
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate `raw` and return the fully defaulted configuration.
+    """Validate `raw` and return the resolved configuration.
 
     The result always carries both a single `model` and a `models` list
-    (they agree when only one was given); every optional knob is filled
-    with its default so reports can echo the exact settings used.
+    (they agree when only one was given); every optional section setting
+    is filled with its default so reports can echo the settings used. A
+    model's params are validated against its config class and kept as
+    given: the defaults of those left out are not filled in.
     """
     raw = _as_object(raw, "config")
     _check_keys(raw, "config", _TOP_KEYS)

@@ -237,11 +237,6 @@ def numeric_frame(
     return Frame(tuple(names), matrix, target)
 
 
-def training_arrays(train: Frame) -> tuple[np.ndarray, np.ndarray, int]:
-    """Feature matrix, labels and class count of a labelled frame."""
-    return train.feature_matrix(), train.labels, train.target.n_classes
-
-
 def _records(path: str):
     """The CSV records of ``path``, header first. A byte sequence that is
     not UTF-8, or a field past csv's size limit, is a DataError naming the

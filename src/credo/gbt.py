@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, NumericError
-from .frame import Frame, training_arrays
+from .frame import Frame
 from .baselines import Classifier, check_nonnegative, one_hot, softmax
 from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
@@ -115,7 +115,7 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     class absent from training saturates and contributes nothing further).
     """
     cfg = cfg or GbtConfig()
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     n = len(X)
     Y = one_hot(y, n_classes)
     priors = np.clip(np.bincount(y, minlength=n_classes) / n, 1e-15, None)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import Classifier, check_nonnegative, softmax
 from .errors import DataError, LdaClampWarning, NumericError
-from .frame import Frame, numeric_frame, training_arrays
+from .frame import Frame, numeric_frame
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,16 @@ class LdaConfig:
             check_nonnegative(ridge=self.ridge)
 
 
-def fit_lda(
-    train: Frame, n_components: int | None = None, ridge: float | None = None
-) -> ProjectionLDA:
+def fit_lda(train: Frame, cfg: LdaConfig | None = None, **params) -> ProjectionLDA:
     """Fit the discriminant basis on an all-numeric labeled frame.
 
     ``n_components`` defaults to min(C-1, d) and is clamped to it with a
     :class:`LdaClampWarning`; ``ridge`` defaults to 1e-6 * trace(S_w)/d and
     must be positive whenever S_w is singular.
     """
-    LdaConfig(n_components, ridge)  # raises on out-of-bound values
-    X, y, n_classes = training_arrays(train)
+    cfg = cfg or LdaConfig(**params)
+    n_components, ridge = cfg.n_components, cfg.ridge
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
     if np.count_nonzero(counts) < 2:
         raise DataError("fit_lda needs at least 2 classes present")

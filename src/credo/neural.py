@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import Classifier, check_nonnegative, cross_entropy, one_hot, softmax
 from .errors import DataError, NumericError
-from .frame import Frame, numeric_frame, training_arrays
+from .frame import Frame, numeric_frame
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
 
 FEATURE_MODES = ("margins", "leaf_onehot", "margins_plus_raw")
@@ -134,7 +134,7 @@ def init_mlp(layer_sizes, seed: int | np.random.Generator) -> Mlp:
 
 def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
     cfg = cfg or MlpConfig()
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     n, d = X.shape
     Y = one_hot(y, n_classes)
 
@@ -226,22 +226,19 @@ def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarra
 
 
 def fit_hybrid(
-    train: Frame,
-    gbt_cfg: GbtConfig | None = None,
-    mlp_cfg: MlpConfig | None = None,
-    feature_mode: str = "margins",
-    booster: BoostedEnsemble | None = None,
+    train: Frame, cfg: XgdnnConfig | None = None, booster: BoostedEnsemble | None = None
 ) -> HybridXgDnn:
     """Stage 1 boosts on raw features; stage 2 fits the network head on the
     derived features. The booster is frozen before stage 2 begins. A given
-    `booster`, already fitted on `train` with `gbt_cfg`, replaces stage 1.
+    `booster`, already fitted on `train` with ``cfg.gbt``, replaces stage 1.
     The head scores only derived arrays, by width; it carries the input
     names, as the archive restores it."""
+    cfg = cfg or XgdnnConfig()
     if booster is None:
-        booster = fit_gbt(train, gbt_cfg)
-    Z = derive_features(booster, train, feature_mode)
+        booster = fit_gbt(train, cfg.gbt)
+    Z = derive_features(booster, train, cfg.feature_mode)
     head_train = numeric_frame(
         Z, [f"z{i}" for i in range(Z.shape[1])], target=train.target
     )
-    head = replace(fit_mlp(head_train, mlp_cfg), feature_names=train.column_names)
-    return HybridXgDnn(booster, feature_mode, head)
+    head = replace(fit_mlp(head_train, cfg.mlp), feature_names=train.column_names)
+    return HybridXgDnn(booster, cfg.feature_mode, head)

@@ -173,7 +173,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
 def _reduce(train: Frame, test: Frame, lda_cfg: dict, timings: list[dict]):
     """Fit the discriminant projection on train; project both splits."""
     def project():
-        projection = fit_lda(train, lda_cfg["n_components"], lda_cfg["ridge"])
+        projection = fit_lda(train, n_components=lda_cfg["n_components"], ridge=lda_cfg["ridge"])
         return projection, transform_lda(projection, train), transform_lda(projection, test)
 
     return _stage(timings, "lda", project)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import check_nonnegative
 from .errors import DataError, SmoteKClampWarning
-from .frame import EncodedTarget, Frame, numeric_frame, training_arrays
+from .frame import EncodedTarget, Frame, numeric_frame
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def smote(train: Frame, cfg: SmoteConfig | None = None) -> Frame:
     warns (:class:`SmoteKClampWarning`) when k is clamped to class size - 1.
     """
     cfg = cfg or SmoteConfig()
-    X, y, n_classes = training_arrays(train)
+    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
     target = cfg.target_count if cfg.target_count is not None else int(counts.max())
 

@@ -2,16 +2,23 @@
 
 Every fitted object is a ``baselines.Classifier``; the ``lda`` model is
 the fitted discriminant projection itself. Each family's parameters form a
-frozen config dataclass, which ``fit_model`` builds from JSON params.
+frozen config dataclass, which ``fit_model`` builds from JSON params, and
+each family's fit function takes the training frame and that config:
+``fit_<family>(train, cfg)``. The baselines and ``fit_lda`` also take the
+config's fields as keyword arguments in its place.
 """
 
 from __future__ import annotations
 
 from .baselines import (
     ForestConfig,
+    ForestModel,
+    GaussianNBModel,
     GnbConfig,
+    LogisticModel,
     LogregConfig,
     TreeConfig,
+    TreeModel,
     fit_forest,
     fit_gnb,
     fit_logreg,
@@ -19,44 +26,24 @@ from .baselines import (
 )
 from .errors import ConfigError
 from .frame import Frame
-from .gbt import GbtConfig, fit_gbt
+from .gbt import BoostedEnsemble, GbtConfig, fit_gbt
 from .lda import LdaConfig, ProjectionLDA, fit_lda
-from .neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp
+from .neural import HybridXgDnn, Mlp, MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp
 
 __all__ = ["MODEL_FAMILIES", "MODEL_NAMES", "fit_model"]
 
-
-def _fit_lda(train: Frame, cfg: LdaConfig) -> ProjectionLDA:
-    return fit_lda(train, cfg.n_components, cfg.ridge)
-
-
-def _fit_booster(train: Frame, cfg: GbtConfig, boosters: dict | None = None):
-    """The booster for `cfg` on `train`. `boosters` memoizes fits on this
-    one `train` by config; a failed fit is not stored, so the next caller
-    with the same config fails the same way."""
-    if boosters is None:
-        boosters = {}
-    if cfg not in boosters:
-        boosters[cfg] = fit_gbt(train, cfg)
-    return boosters[cfg]
-
-
-def _fit_xgdnn(train: Frame, cfg: XgdnnConfig, boosters: dict | None = None):
-    booster = _fit_booster(train, cfg.gbt, boosters)
-    return fit_hybrid(train, cfg.gbt, cfg.mlp, cfg.feature_mode, booster=booster)
-
-
-# model name -> (config class, fit function name). The fit function is looked
-# up in this module at call time, so a wrapper installed on it is honoured.
+# model name -> (config class, fit function name, model class). The fit
+# function is looked up in this module at call time, so a wrapper installed
+# on it is honoured. The archive names a family by its key here.
 MODEL_FAMILIES = {
-    "logreg": (LogregConfig, "fit_logreg"),
-    "gnb": (GnbConfig, "fit_gnb"),
-    "tree": (TreeConfig, "fit_tree"),
-    "forest": (ForestConfig, "fit_forest"),
-    "gbt": (GbtConfig, "_fit_booster"),
-    "mlp": (MlpConfig, "fit_mlp"),
-    "lda": (LdaConfig, "_fit_lda"),
-    "xgdnn": (XgdnnConfig, "_fit_xgdnn"),
+    "logreg": (LogregConfig, "fit_logreg", LogisticModel),
+    "gnb": (GnbConfig, "fit_gnb", GaussianNBModel),
+    "tree": (TreeConfig, "fit_tree", TreeModel),
+    "forest": (ForestConfig, "fit_forest", ForestModel),
+    "gbt": (GbtConfig, "fit_gbt", BoostedEnsemble),
+    "mlp": (MlpConfig, "fit_mlp", Mlp),
+    "lda": (LdaConfig, "fit_lda", ProjectionLDA),
+    "xgdnn": (XgdnnConfig, "fit_hybrid", HybridXgDnn),
 }
 MODEL_NAMES = tuple(MODEL_FAMILIES)
 
@@ -66,10 +53,17 @@ def fit_model(name: str, train: Frame, params: dict, boosters: dict | None = Non
 
     `boosters` is a memo of boosters fitted on this same `train`, keyed by
     `GbtConfig`; the gbt and xgdnn families share it, so a booster is fitted
-    once per config. Without it every fit starts afresh.
+    once per config. A failed fit is not stored, so the next caller with the
+    same config fails the same way. Without a memo every fit starts afresh.
     """
     if name not in MODEL_FAMILIES:
         raise ConfigError(f"unknown model name {name!r}")
-    config_class, fit_name = MODEL_FAMILIES[name]
+    config_class, fit_name, _ = MODEL_FAMILIES[name]
     fit, cfg = globals()[fit_name], config_class(**params)
-    return fit(train, cfg, boosters) if name in ("gbt", "xgdnn") else fit(train, cfg)
+    if name not in ("gbt", "xgdnn"):
+        return fit(train, cfg)
+    boosters = {} if boosters is None else boosters
+    gbt_cfg = cfg if name == "gbt" else cfg.gbt
+    if gbt_cfg not in boosters:
+        boosters[gbt_cfg] = fit_gbt(train, gbt_cfg)
+    return boosters[cfg] if name == "gbt" else fit(train, cfg, booster=boosters[gbt_cfg])

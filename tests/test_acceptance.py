@@ -28,7 +28,7 @@ from credo.frame import apply_scaler, fit_scaler, numeric_frame, split
 from credo.gbt import GbtConfig, extract_margins, fit_gbt
 from credo.lda import fit_lda, scatter_matrices, transform_lda
 from credo.metrics import basic_metrics, binary_h_measure, h_measure
-from credo.neural import MlpConfig, fit_hybrid, fit_mlp, init_mlp, mlp_gradients
+from credo.neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp, init_mlp, mlp_gradients
 from credo.resample import SmoteConfig, smote
 from credo.synth import SynthSpec, write_synthetic
 
@@ -112,7 +112,7 @@ def test_criterion_02_lda_matches_generalized_eig_oracle():
             ridge = 1e-3
 
             frame = numeric_frame(X, labels=labels, class_names=tuple(f"c{i}" for i in range(n_classes)))
-            mine = fit_lda(frame, m, ridge)
+            mine = fit_lda(frame, n_components=m, ridge=ridge)
             evals, vecs = _lda_oracle(X, labels, n_classes, m, ridge)
 
             assert np.allclose(mine.eigenvalues, np.maximum(evals, 0.0), rtol=1e-8, atol=1e-10)
@@ -126,7 +126,7 @@ def test_criterion_02_lda_matches_generalized_eig_oracle():
         X = rng.normal(size=(60, 21)) + labels[:, None] * 0.8
         frame = numeric_frame(X, labels=labels, class_names=tuple(f"c{i}" for i in range(10)))
         with pytest.warns(LdaClampWarning):
-            clamped = fit_lda(frame, 21, 1e-3)
+            clamped = fit_lda(frame, n_components=21, ridge=1e-3)
         assert clamped.components.shape == (21, 9)
         assert clamped.n_components == 9
     assert t.seconds < 5.0
@@ -275,16 +275,16 @@ def test_criterion_05_hybrid_ranks_with_components_and_shrugs_off_lda():
                                 learning_rate=3e-3, seed=seed)
             acc_gbt = _accuracy(fit_gbt(train, gbt_cfg), test)
             acc_mlp = _accuracy(fit_mlp(train, mlp_cfg), test)
-            hybrid = fit_hybrid(train, gbt_cfg, mlp_cfg, "margins_plus_raw")
+            hybrid = fit_hybrid(train, XgdnnConfig(gbt_cfg, mlp_cfg, "margins_plus_raw"))
             acc_hybrid = _accuracy(hybrid, test)
             assert acc_hybrid >= max(acc_gbt, acc_mlp) - 0.02, (
                 f"seed {seed}: hybrid {acc_hybrid:.4f} vs "
                 f"components {acc_gbt:.4f}/{acc_mlp:.4f}"
             )
 
-            projection = fit_lda(train, 4)
+            projection = fit_lda(train, n_components=4)
             train_r, test_r = transform_lda(projection, train), transform_lda(projection, test)
-            reduced_hybrid = fit_hybrid(train_r, gbt_cfg, mlp_cfg, "margins_plus_raw")
+            reduced_hybrid = fit_hybrid(train_r, XgdnnConfig(gbt_cfg, mlp_cfg, "margins_plus_raw"))
             acc_reduced = _accuracy(reduced_hybrid, test_r)
             assert abs(acc_reduced - acc_hybrid) <= 0.03, (
                 f"seed {seed}: {acc_reduced:.4f} with reduction vs {acc_hybrid:.4f} without"

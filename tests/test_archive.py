@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from credo import archive
 from credo.archive import FORMAT_VERSION, load_model, model_type_of, save_model, schema_hash
 from credo.baselines import Classifier
 from credo.errors import DataError
 from credo.frame import numeric_frame
 from credo.neural import Mlp, init_mlp
-from credo.zoo import fit_model
+from credo.zoo import MODEL_FAMILIES, fit_model
 
 FEATURES = ["f0", "f1", "f2", "f3"]
 CLASSES = ("c0", "c1", "c2")
@@ -50,7 +49,7 @@ def fitted(data):
     return {name: fit_model(name, train, dict(p)) for name, p in PARAMS.items()}
 
 
-@pytest.mark.parametrize("name", sorted(PARAMS))
+@pytest.mark.parametrize("name", sorted(MODEL_FAMILIES))
 def test_round_trip_is_bit_exact(name, fitted, data, tmp_path):
     _, X_new = data
     model = fitted[name]
@@ -58,6 +57,7 @@ def test_round_trip_is_bit_exact(name, fitted, data, tmp_path):
 
     save_model(model, tmp_path / name, CLASSES)
     loaded, manifest = load_model(tmp_path / name)
+    assert type(model) is type(loaded) is MODEL_FAMILIES[name][2]
 
     after = loaded.predict_proba(X_new)
     assert np.array_equal(before, after)
@@ -146,10 +146,11 @@ def test_wrong_format_version(fitted, tmp_path):
 
 def test_unknown_model_type(fitted, tmp_path):
     manifest = save_model(fitted["gnb"], tmp_path, CLASSES)
-    manifest["model"] = "perceptron9000"
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="perceptron9000"):
-        load_model(tmp_path)
+    for model, shown in (("perceptron9000", "perceptron9000"), (["gnb"], r"\['gnb'\]")):
+        manifest["model"] = model
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=shown):
+            load_model(tmp_path)
 
 
 def test_missing_array_file(fitted, tmp_path):
@@ -170,6 +171,36 @@ def test_truncated_array_file(fitted, tmp_path):
 def test_unarchivable_object():
     with pytest.raises(DataError, match="dict"):
         model_type_of({})
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_a_non_finite_stored_value_is_a_data_error(name, fitted, tmp_path):
+    save_model(fitted[name], tmp_path, CLASSES)
+    clean = {p: p.read_bytes() for p in tmp_path.glob("*.f64")}
+    for path, raw in clean.items():
+        values = np.frombuffer(raw, dtype="<f8").copy()
+        at = 0
+        if path.stem.endswith("threshold"):  # NaN is a leaf's mark: put it at an inner node
+            feature = np.fromfile(path.with_name(path.name.replace("threshold", "feature")), dtype="<f8")
+            at = np.flatnonzero(feature >= 0)[0]
+        for bad in (np.nan, np.inf):
+            values[at] = bad
+            path.write_bytes(values.tobytes())
+            with pytest.raises(DataError, match="non-finite|NaN threshold"):
+                load_model(tmp_path)
+        path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("name", ["tree", "forest"])
+def test_a_nan_leaf_threshold_loads(name, fitted, data, tmp_path):
+    _, X_new = data
+    save_model(fitted[name], tmp_path, CLASSES)
+    prefix = "tree_" if name == "forest" else ""
+    feature = np.fromfile(tmp_path / f"{prefix}feature.f64", dtype="<f8")
+    threshold = np.fromfile(tmp_path / f"{prefix}threshold.f64", dtype="<f8")
+    assert np.isnan(threshold[feature < 0]).all() and np.isfinite(threshold[feature >= 0]).all()
+    loaded, _ = load_model(tmp_path)
+    assert np.array_equal(loaded.predict_proba(X_new), fitted[name].predict_proba(X_new))
 
 
 def test_loaded_arrays_are_writable(fitted, data, tmp_path):
@@ -353,7 +384,7 @@ class Toy(Classifier):
 
 
 def test_a_new_family_needs_no_archive_code(monkeypatch, tmp_path):
-    monkeypatch.setitem(archive._FAMILIES, "toy", Toy)
+    monkeypatch.setitem(MODEL_FAMILIES, "toy", (None, None, Toy))  # the archive reads only the class
     toy = Toy(tuple(FEATURES), np.arange(4.0), (np.ones((2, 2)), np.zeros(3)), (4, 3), None, init_mlp((4, 5, 3), 0))
     save_model(toy, tmp_path, CLASSES)
     assert sorted(p.name for p in tmp_path.iterdir()) == [

@@ -524,6 +524,26 @@ def test_explain_archive_with_a_bad_tree_node_exits_3(tmp_path, data_csv, capsys
 
 
 @pytest.mark.parametrize(
+    "model, field, message",
+    [("logreg", "weights", "array weights holds a non-finite value"),
+     ("tree", "threshold", "NaN threshold at an inner node")],
+    ids=["logreg_weight", "cart_root_threshold"],
+)
+def test_explain_archive_with_a_nan_exits_3(tmp_path, data_csv, capsys, model, field, message):
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": model})]) == 0
+    model_dir = tmp_path / "out" / "model"
+    path = model_dir / f"{field}.f64"
+    values = np.fromfile(path, dtype="<f8")
+    values[0] = np.nan  # the weight of feature 0, or the root's threshold
+    values.tofile(path)
+    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
     "node, ordinal",
     [("first_leaf", 99), ("root", 0), ("swapped", None)],
     ids=["past_leaf_count", "inner_node", "swapped_leaves"],

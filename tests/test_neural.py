@@ -10,6 +10,7 @@ from credo.neural import (
     HybridXgDnn,
     Mlp,
     MlpConfig,
+    XgdnnConfig,
     derive_features,
     fit_hybrid,
     fit_mlp,
@@ -188,14 +189,14 @@ def test_hybrid_given_booster_skips_stage_one(mode, monkeypatch):
     X, y = _curved_table()
     train = _frame(X, y)
     gcfg, mcfg = GbtConfig(rounds=3, max_depth=2), MlpConfig(hidden=(8,), epochs=3, seed=2)
-    own = fit_hybrid(train, gcfg, mcfg, mode)
+    own = fit_hybrid(train, XgdnnConfig(gcfg, mcfg, mode))
     booster = fit_gbt(train, gcfg)
 
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_gbt called although a booster was given")
 
     monkeypatch.setattr("credo.neural.fit_gbt", no_fit)
-    given = fit_hybrid(train, gcfg, mcfg, mode, booster=booster)
+    given = fit_hybrid(train, XgdnnConfig(gcfg, mcfg, mode), booster=booster)
     assert given.booster is booster
     assert np.array_equal(given.predict_proba(X), own.predict_proba(X))
 
@@ -207,9 +208,9 @@ def test_margins_mode_head_width_is_n_classes():
     y[:10] = np.arange(10)
     h = fit_hybrid(
         _frame(X, y),
-        GbtConfig(rounds=2, max_depth=2),
-        MlpConfig(hidden=(8,), epochs=2, batch_size=64),
-        "margins",
+        XgdnnConfig(
+            GbtConfig(rounds=2, max_depth=2), MlpConfig(hidden=(8,), epochs=2, batch_size=64), "margins"
+        ),
     )
     assert h.head.layer_sizes[0] == 10
 
@@ -240,8 +241,10 @@ def test_single_class_hybrid_collapses():
     f = _frame(X, np.zeros(8, dtype=int), class_names=("a", "b"))
     h = fit_hybrid(
         f,
-        GbtConfig(rounds=2, max_depth=2),
-        MlpConfig(hidden=(4,), epochs=50, batch_size=8, learning_rate=0.01),
+        XgdnnConfig(
+            GbtConfig(rounds=2, max_depth=2),
+            MlpConfig(hidden=(4,), epochs=50, batch_size=8, learning_rate=0.01),
+        ),
     )
     assert (h.predict(X) == 0).all()
 
@@ -253,9 +256,11 @@ def test_hybrid_composition_and_row_order():
     y[:3] = [0, 1, 2]
     h = fit_hybrid(
         _frame(X, y),
-        GbtConfig(rounds=3, max_depth=2),
-        MlpConfig(hidden=(8,), epochs=4, batch_size=32),
-        "margins_plus_raw",
+        XgdnnConfig(
+            GbtConfig(rounds=3, max_depth=2),
+            MlpConfig(hidden=(8,), epochs=4, batch_size=32),
+            "margins_plus_raw",
+        ),
     )
     Q = rng.normal(size=(15, 4))
     # composition equals the manual two-step application
@@ -285,7 +290,7 @@ def test_hybrid_competitive_on_blobs():
         boost_pred = booster.predict_proba(Xte).argmax(axis=1)
         boost_acc = (boost_pred == yte).mean()
         mlp_acc = (fit_mlp(train, mcfg).predict(Xte) == yte).mean()
-        hybrid = fit_hybrid(train, gcfg, mcfg, "margins")
+        hybrid = fit_hybrid(train, XgdnnConfig(gcfg, mcfg, "margins"))
         hybrid_pred = hybrid.predict_proba(Xte).argmax(axis=1)
         hybrid_acc = (hybrid_pred == yte).mean()
         assert hybrid_acc >= max(boost_acc, mlp_acc) - 0.02

@@ -24,7 +24,7 @@ def _float_fields(cls, prefix=()):
 
 
 FLOAT_FIELDS = [
-    (name, path) for name, (cls, _) in MODEL_FAMILIES.items() for path in _float_fields(cls)
+    (name, path) for name, (cls, *_) in MODEL_FAMILIES.items() for path in _float_fields(cls)
 ]
 
 
