@@ -7,7 +7,7 @@ classifier of the original features: it is the zoo's ``lda`` model.
 
 import numpy as np
 
-from credo import fit_lda, numeric_frame, split, transform_lda
+from credo import LdaConfig, fit_lda, numeric_frame, split, transform_lda
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
                           class_names=tuple(f"grade_{c}" for c in "ABCDE"))
     train, test = split(frame, 0.8, seed=1)
 
-    projection = fit_lda(train, n_components=4)
+    projection = fit_lda(train, LdaConfig(n_components=4))
     print(f"kept {projection.n_components} of {d} dimensions")
     print("eigenvalues (between/within separation per axis):")
     for i, ev in enumerate(projection.eigenvalues):

@@ -103,6 +103,13 @@ class LogisticModel(Classifier):
     loss_history: np.ndarray  # initial loss plus one entry per accepted step
     feature_names: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
+            raise DataError(
+                f"weights {self.weights.shape} must be (features, classes) and bias "
+                f"{self.bias.shape} one entry per class"
+            )
+
     @property
     def n_features(self) -> int:
         return self.weights.shape[0]
@@ -128,13 +135,13 @@ def logreg_objective(W, b, X, Y, l2):
     return loss, X.T @ R + l2 * W, R.sum(axis=0)
 
 
-def fit_logreg(train: Frame, cfg: LogregConfig | None = None, **params) -> LogisticModel:
+def fit_logreg(train: Frame, cfg: LogregConfig | None = None) -> LogisticModel:
     """Full-batch gradient descent with Armijo backtracking line search.
 
     Stops when the gradient max-norm drops below ``tol`` (converged) or at
     ``max_iter``; the flag is recorded on the model.
     """
-    cfg = cfg or LogregConfig(**params)
+    cfg = cfg or LogregConfig()
     l2, max_iter, tol = cfg.l2, cfg.max_iter, cfg.tol
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     Y = one_hot(y, n_classes)
@@ -191,6 +198,18 @@ class GaussianNBModel(Classifier):
     priors: np.ndarray
     feature_names: tuple[str, ...]
 
+    def __post_init__(self):
+        shape = self.means.shape
+        if len(shape) != 2 or self.variances.shape != shape or self.priors.shape != shape[:1]:
+            raise DataError(
+                f"means {shape} and variances {self.variances.shape} must be (classes, "
+                f"features) and priors {self.priors.shape} one entry per class"
+            )
+        if not ((self.priors >= 0) & (self.priors <= 1)).all():
+            raise DataError("class priors must lie in [0, 1]")
+        if not (self.variances > 0).all():
+            raise DataError("class variances must be positive")
+
     @property
     def n_features(self) -> int:
         return self.means.shape[1]
@@ -212,10 +231,10 @@ class GaussianNBModel(Classifier):
         return softmax(scores)
 
 
-def fit_gnb(train: Frame, cfg: GnbConfig | None = None, **params) -> GaussianNBModel:
+def fit_gnb(train: Frame, cfg: GnbConfig | None = None) -> GaussianNBModel:
     """Per-class Gaussian likelihoods with a shared variance floor of
     ``var_smoothing`` times the largest overall feature variance."""
-    var_smoothing = (cfg or GnbConfig(**params)).var_smoothing
+    var_smoothing = (cfg or GnbConfig()).var_smoothing
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
     empty = [int(c) for c in np.nonzero(counts == 0)[0]]
@@ -260,6 +279,15 @@ class TreeModel(FlatTree, Classifier):
     n_classes: int
     feature_names: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.counts.shape != (len(self.feature), self.n_classes):
+            raise DataError(
+                f"counts {self.counts.shape} must be one row per node and one column per "
+                f"class, ({len(self.feature)}, {self.n_classes})"
+            )
+        if not (self.counts >= 0).all():
+            raise DataError("class counts must be non-negative")
+
     @property
     def node_proba(self) -> np.ndarray:
         c = self.counts
@@ -283,10 +311,10 @@ def _grow_cart(data: Presorted, y, n_classes, names, cfg: TreeConfig, pick=None)
     )
 
 
-def fit_tree(train: Frame, cfg: TreeConfig | None = None, **params) -> TreeModel:
+def fit_tree(train: Frame, cfg: TreeConfig | None = None) -> TreeModel:
     """Greedy CART over midpoints of sorted distinct values; splits only on a
     strict impurity decrease."""
-    cfg = cfg or TreeConfig(**params)
+    cfg = cfg or TreeConfig()
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     return _grow_cart(presort(X), y, n_classes, train.column_names, cfg)
 
@@ -334,11 +362,11 @@ class ForestModel(Classifier):
         return out / len(self.trees)
 
 
-def fit_forest(train: Frame, cfg: ForestConfig | None = None, **params) -> ForestModel:
+def fit_forest(train: Frame, cfg: ForestConfig | None = None) -> ForestModel:
     """Bootstrap forest of CART trees, each split drawn from ``mtry`` random
     features (default round(sqrt(d))). Per-tree seeds are pre-drawn, so any
     training schedule gives the same forest."""
-    cfg = cfg or ForestConfig(**params)
+    cfg = cfg or ForestConfig()
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     n, d = X.shape
     mtry = max(1, int(round(np.sqrt(d)))) if cfg.mtry is None else cfg.mtry

@@ -38,21 +38,15 @@ _SYNTH_FLAGS = ("rows", "features", "classes", "imbalance", "null_rate", "separa
 def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="DIR", help="output directory (overrides the config)")
-    common = argparse.ArgumentParser(add_help=False, parents=[out])
-    common.add_argument(
-        "--smote-before-split",
-        action="store_true",
-        help="oversample the whole table before splitting instead of the training split only",
-    )
 
     parser = argparse.ArgumentParser(prog="credo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[common], help="execute one configured pipeline")
+    run = sub.add_parser("run", parents=[out], help="execute one configured pipeline")
     run.add_argument("-c", "--config", required=True, help="JSON config path")
 
     compare = sub.add_parser(
-        "compare", parents=[common], help="run each configured model with LDA off and on"
+        "compare", parents=[out], help="run each configured model with LDA off and on"
     )
     compare.add_argument("-c", "--config", required=True, help="JSON config path")
 
@@ -78,8 +72,6 @@ def _resolved(args) -> dict:
     cfg = resolve_config(load_config(args.config))
     if args.out:
         cfg["out_dir"] = args.out
-    if args.smote_before_split:
-        cfg["smote"]["before_split"] = True
     return cfg
 
 

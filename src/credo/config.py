@@ -10,6 +10,8 @@ Model params and the smote, lda and explainer sections are checked
 against the frozen config dataclasses that the code consumes: keys and
 types come from their fields, bounds from their ``__post_init__``, so each
 bound is stated once and a value that passes here is accepted downstream.
+Every field of those dataclasses is settable from JSON, and the section
+echo carries each one, so no setting exists that a config cannot reach.
 """
 
 from __future__ import annotations
@@ -123,15 +125,15 @@ def _value(hint, v, path):
     return _SCALARS[hint](v, path)
 
 
-def _build(cls, raw, path: str, extra=(), hidden=()):
+def _build(cls, raw, path: str, extra=()):
     """Construct dataclass `cls` from the JSON object `raw`.
 
     Absent fields keep their defaults. Keys in `extra` are allowed but left
-    to the caller; fields in `hidden` are not settable from JSON. Each given
-    field is bounds-checked on its own first, so an error names its path.
+    to the caller. Each given field is bounds-checked on its own first, so
+    an error names its path.
     """
     raw = _as_object(raw, path)
-    fields = [f.name for f in dataclasses.fields(cls) if f.name not in hidden]
+    fields = [f.name for f in dataclasses.fields(cls)]
     _check_keys(raw, path, {*fields, *extra})
     hints = typing.get_type_hints(cls)
     kwargs = {name: _value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
@@ -143,11 +145,10 @@ def _build(cls, raw, path: str, extra=(), hidden=()):
 # ---------------------------------------------------------------- resolve
 
 
-def _section(cls, raw, path: str, hidden=(), **flags) -> dict:
-    """The settable fields of config dataclass `cls`, plus the section's
-    on/off `flags` (name=default), with every default filled."""
-    cfg = _build(cls, raw, path, flags, hidden)
-    out = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls) if f.name not in hidden}
+def _section(cls, raw, path: str, **flags) -> dict:
+    """The fields of config dataclass `cls`, plus the section's on/off
+    `flags` (name=default), with every default filled."""
+    out = dataclasses.asdict(_build(cls, raw, path, flags))
     out.update({name: _as_bool(raw.get(name, on), f"{path}.{name}") for name, on in flags.items()})
     return out
 
@@ -204,8 +205,7 @@ def resolve_config(raw: dict) -> dict:
     _bounded("config.null_threshold", check_null_threshold, out["null_threshold"])
 
     out["smote"] = _section(
-        SmoteConfig, raw.get("smote", {}), "config.smote", hidden={"target_count"},
-        enabled=True, before_split=False,
+        SmoteConfig, raw.get("smote", {}), "config.smote", enabled=True, before_split=False
     )
 
     split = _as_object(raw.get("split", {}), "config.split")
@@ -258,8 +258,7 @@ def resolve_config(raw: dict) -> dict:
         ],
         "lime": _section(LimeConfig, explain.get("lime", {}), "config.explain.lime"),
         "morris": _section(
-            MorrisConfig, explain.get("morris", {}), "config.explain.morris", hidden={"step"},
-            enabled=False,
+            MorrisConfig, explain.get("morris", {}), "config.explain.morris", enabled=False
         ),
     }
     return out

@@ -102,11 +102,8 @@ class LimeExplanation:
 
 @dataclass(frozen=True)
 class MorrisConfig:
-    """step None means the classic n_levels / (2 * (n_levels - 1))."""
-
     n_trajectories: int = 20
     n_levels: int = 4
-    step: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -114,8 +111,6 @@ class MorrisConfig:
             raise DataError("need at least 2 trajectories, effect spread is undefined below that")
         if self.n_levels < 2:
             raise DataError("n_levels must be at least 2")
-        if self.step is not None and not 0 < self.step <= 1:
-            raise DataError("step must lie in (0, 1]")
         check_nonnegative(seed=self.seed)
 
 
@@ -139,7 +134,6 @@ class MorrisScreening:
     ranges: np.ndarray
     excluded: tuple[str, ...]
     seed: int
-    output: str = "predicted_class_prob"
     target_class: int | None = None
 
     def __post_init__(self):
@@ -149,6 +143,12 @@ class MorrisScreening:
                 raise DataError(f"{nm} must have one entry per feature")
         if self.ranges.shape != (d, 2):
             raise DataError("ranges must be (n_features, 2)")
+
+    @property
+    def output(self) -> str:
+        """The scalar screened: a given class's probability, or that of the
+        class predicted at the midpoint of the ranges."""
+        return "predicted_class_prob" if self.target_class is None else "class_prob"
 
     def to_dict(self) -> dict:
         return {
@@ -282,7 +282,6 @@ def build_trajectories(n_features: int, n_trajectories: int, n_levels: int, step
 def morris_screen(
     model,
     ranges,
-    output: str = "predicted_class_prob",
     target_class: int | None = None,
     cfg: MorrisConfig = MorrisConfig(),
     feature_names: tuple[str, ...] | None = None,
@@ -291,11 +290,12 @@ def morris_screen(
 
     ranges is (n_features, 2) [min, max] rows; zero-width rows are held
     at their constant value, excluded from screening, and reported.
-    output picks the scalar under study: "class_prob" reads the given
-    target_class column, "predicted_class_prob" (default) reads the
-    class the model predicts at the midpoint of the ranges.  Elementary
-    effects divide by the unit-cube step, so a feature's effects scale
-    with its range width.
+    The scalar under study is the probability of `target_class` if it is
+    given, else of the class the model predicts at the midpoint of the
+    ranges.  Trajectories move by Morris's classic step
+    n_levels / (2 * (n_levels - 1)) of the unit cube, and elementary
+    effects divide by it, so a feature's effects scale with its range
+    width.
     """
     ranges = np.asarray(ranges, dtype=float)
     if ranges.ndim != 2 or ranges.shape[1] != 2:
@@ -317,22 +317,18 @@ def morris_screen(
         raise DataError("every feature range has zero width, nothing to screen")
     excluded = tuple(feature_names[i] for i in np.flatnonzero(width == 0))
 
-    step = cfg.step if cfg.step is not None else cfg.n_levels / (2.0 * (cfg.n_levels - 1))
+    step = cfg.n_levels / (2.0 * (cfg.n_levels - 1))
 
     def to_actual(unit_active: np.ndarray) -> np.ndarray:
         full = np.broadcast_to(ranges[:, 0], unit_active.shape[:-1] + (d,)).copy()
         full[..., active] += unit_active * width[active]
         return full
 
-    if output == "class_prob":
-        if target_class is None:
-            raise DataError("class_prob output needs a target_class")
+    if target_class is not None:
         cls = int(target_class)
-    elif output == "predicted_class_prob":
+    else:
         midpoint = to_actual(np.full(active.size, 0.5))
         cls = int(np.argmax(model.predict_proba(midpoint[None, :])[0]))
-    else:
-        raise DataError(f"unknown output {output!r}")
     if not 0 <= cls < model.n_classes:
         raise DataError(f"target_class {cls} out of range for {model.n_classes} classes")
 
@@ -368,7 +364,6 @@ def morris_screen(
         ranges=ranges.copy(),
         excluded=excluded,
         seed=cfg.seed,
-        output=output,
         target_class=None if target_class is None else int(target_class),
     )
 

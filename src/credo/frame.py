@@ -580,6 +580,16 @@ def check_train_fraction(train_fraction: float) -> None:
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
 
+def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
+    """Whole counts summing to `total` from real `quotas` that sum to it:
+    the floor of each quota, with the shortfall handed out one each by
+    descending remainder, ties to the smaller index."""
+    counts = np.floor(quotas).astype(np.int64)
+    order = np.argsort(counts - quotas, kind="stable")  # descending remainder
+    counts[order[: total - int(counts.sum())]] += 1
+    return counts
+
+
 def split(frame: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]:
     """Stratified train/test split, deterministic per seed.
 
@@ -595,16 +605,7 @@ def split(frame: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]
     if small:
         raise DataError(f"classes with fewer than 2 rows cannot be split: {small}")
 
-    quotas = train_fraction * counts
-    base = np.floor(quotas).astype(np.int64)
-    total = int(round(train_fraction * frame.n_rows))
-    short = total - int(base.sum())
-    remainders = quotas - base
-    # hand out the shortfall by descending remainder, ties to the smaller class
-    order = sorted(range(n_classes), key=lambda c: (-remainders[c], c))
-    take = base.copy()
-    for c in order[:short]:
-        take[c] += 1
+    take = largest_remainder(train_fraction * counts, int(round(train_fraction * frame.n_rows)))
     take = np.minimum(take, counts)
 
     rng = np.random.default_rng(seed)

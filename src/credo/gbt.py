@@ -46,7 +46,6 @@ class GbtConfig:
     lam: float = 1.0
     gamma: float = 0.0
     min_child_weight: float = 1.0
-    seed: int = 0  # reserved; exact greedy training is fully deterministic
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -55,9 +54,7 @@ class GbtConfig:
             raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if self.max_depth < 1:
             raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        check_nonnegative(
-            lam=self.lam, gamma=self.gamma, min_child_weight=self.min_child_weight, seed=self.seed
-        )
+        check_nonnegative(lam=self.lam, gamma=self.gamma, min_child_weight=self.min_child_weight)
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,14 @@ class LdaConfig:
             check_nonnegative(ridge=self.ridge)
 
 
-def fit_lda(train: Frame, cfg: LdaConfig | None = None, **params) -> ProjectionLDA:
+def fit_lda(train: Frame, cfg: LdaConfig | None = None) -> ProjectionLDA:
     """Fit the discriminant basis on an all-numeric labeled frame.
 
     ``n_components`` defaults to min(C-1, d) and is clamped to it with a
     :class:`LdaClampWarning`; ``ridge`` defaults to 1e-6 * trace(S_w)/d and
     must be positive whenever S_w is singular.
     """
-    cfg = cfg or LdaConfig(**params)
+    cfg = cfg or LdaConfig()
     n_components, ridge = cfg.n_components, cfg.ridge
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     counts = np.bincount(y, minlength=n_classes)

@@ -222,15 +222,12 @@ def h_measure(
     scores: np.ndarray,
     a: float = 2.0,
     b: float = 2.0,
-    return_detail: bool = False,
-):
+) -> float:
     """Macro H-measure over one-vs-rest problems.
 
     ``scores`` is the (n, C) row-stochastic probability matrix; column c is
     the score for class c against the rest. Classes absent from the truth (or
-    covering all of it) have no binary problem and are skipped; with
-    ``return_detail`` the skipped class list and per-class values are
-    returned alongside the macro value.
+    covering all of it) have no binary problem and are skipped.
     """
     y = np.asarray(true_labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -243,19 +240,12 @@ def h_measure(
     if a <= 0 or b <= 0:
         raise DataError("Beta severity parameters must be positive")
 
-    n_classes = scores.shape[1]
-    per_class: dict[int, float] = {}
-    skipped: list[int] = []
-    for c in range(n_classes):
+    values = []
+    for c in range(scores.shape[1]):
         positive = (y == c).astype(np.int64)
-        if positive.sum() in (0, len(y)):
-            skipped.append(c)
-            continue
-        per_class[c] = binary_h_measure(scores[:, c], positive, a, b)
-    macro = float(np.mean(list(per_class.values())))
-    if return_detail:
-        return macro, per_class, skipped
-    return macro
+        if positive.sum() not in (0, len(y)):
+            values.append(binary_h_measure(scores[:, c], positive, a, b))
+    return float(np.mean(values))
 
 
 def evaluate(true_labels, predicted_labels, proba: np.ndarray, n_classes: int) -> MetricReport:

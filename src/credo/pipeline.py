@@ -48,7 +48,7 @@ from .frame import (
     split,
     write_csv,
 )
-from .lda import fit_lda, transform_lda
+from .lda import LdaConfig, fit_lda, transform_lda
 from .metrics import MetricReport, evaluate
 from .resample import SmoteConfig, smote
 from .zoo import fit_model
@@ -173,7 +173,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
 def _reduce(train: Frame, test: Frame, lda_cfg: dict, timings: list[dict]):
     """Fit the discriminant projection on train; project both splits."""
     def project():
-        projection = fit_lda(train, n_components=lda_cfg["n_components"], ridge=lda_cfg["ridge"])
+        projection = fit_lda(train, LdaConfig(lda_cfg["n_components"], lda_cfg["ridge"]))
         return projection, transform_lda(projection, train), transform_lda(projection, test)
 
     return _stage(timings, "lda", project)
@@ -219,7 +219,6 @@ def _explain(model, background: Frame, X, rows, lime_cfg, morris_cfg, target_cla
         screening = morris_screen(
             model,
             np.column_stack([B.min(axis=0), B.max(axis=0)]),
-            "predicted_class_prob" if target_class is None else "class_prob",
             target_class=target_class,
             cfg=morris_cfg,
             feature_names=background.column_names,

@@ -26,13 +26,10 @@ from .frame import EncodedTarget, Frame, numeric_frame
 class SmoteConfig:
     k_neighbors: int = 5
     seed: int = 0
-    target_count: int | None = None
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise DataError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if self.target_count is not None and self.target_count < 1:
-            raise DataError(f"target_count must be >= 1, got {self.target_count}")
         check_nonnegative(seed=self.seed)
 
 
@@ -57,8 +54,7 @@ def _neighbor_indices(X: np.ndarray, k: int) -> np.ndarray:
 
 
 def smote(train: Frame, cfg: SmoteConfig | None = None) -> Frame:
-    """Oversample every class up to ``cfg.target_count`` (default: the size of
-    the largest class).
+    """Oversample every class up to the size of the largest class.
 
     Original rows come first in the output, in their input order; synthetic
     rows follow, grouped by ascending class label. Deterministic per seed.
@@ -68,7 +64,7 @@ def smote(train: Frame, cfg: SmoteConfig | None = None) -> Frame:
     cfg = cfg or SmoteConfig()
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
-    target = cfg.target_count if cfg.target_count is not None else int(counts.max())
+    target = int(counts.max())
 
     rng = np.random.default_rng(cfg.seed)
     synth_blocks: list[np.ndarray] = []

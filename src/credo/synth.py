@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .frame import write_csv
+from .frame import largest_remainder, write_csv
 
 __all__ = ["SynthSpec", "class_counts", "write_synthetic"]
 
@@ -66,12 +66,7 @@ def class_counts(spec: SynthSpec) -> np.ndarray:
     remainder, then repaired so no class drops below 10 rows.
     """
     mass = spec.imbalance ** np.arange(spec.classes)
-    quota = spec.rows * mass / mass.sum()
-    counts = np.floor(quota).astype(np.int64)
-    short = spec.rows - int(counts.sum())
-    order = sorted(range(spec.classes), key=lambda c: (-(quota[c] - counts[c]), c))
-    for c in order[:short]:
-        counts[c] += 1
+    counts = largest_remainder(spec.rows * mass / mass.sum(), spec.rows)
     while counts.min() < 10:
         counts[int(np.argmin(counts))] += 1
         counts[int(np.argmax(counts))] -= 1

@@ -4,8 +4,7 @@ Every fitted object is a ``baselines.Classifier``; the ``lda`` model is
 the fitted discriminant projection itself. Each family's parameters form a
 frozen config dataclass, which ``fit_model`` builds from JSON params, and
 each family's fit function takes the training frame and that config:
-``fit_<family>(train, cfg)``. The baselines and ``fit_lda`` also take the
-config's fields as keyword arguments in its place.
+``fit_<family>(train, cfg=None)``, where no config means its defaults.
 """
 
 from __future__ import annotations

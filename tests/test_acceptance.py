@@ -26,7 +26,7 @@ from credo.explain import (
 )
 from credo.frame import apply_scaler, fit_scaler, numeric_frame, split
 from credo.gbt import GbtConfig, extract_margins, fit_gbt
-from credo.lda import fit_lda, scatter_matrices, transform_lda
+from credo.lda import LdaConfig, fit_lda, scatter_matrices, transform_lda
 from credo.metrics import basic_metrics, binary_h_measure, h_measure
 from credo.neural import MlpConfig, XgdnnConfig, fit_hybrid, fit_mlp, init_mlp, mlp_gradients
 from credo.resample import SmoteConfig, smote
@@ -112,7 +112,7 @@ def test_criterion_02_lda_matches_generalized_eig_oracle():
             ridge = 1e-3
 
             frame = numeric_frame(X, labels=labels, class_names=tuple(f"c{i}" for i in range(n_classes)))
-            mine = fit_lda(frame, n_components=m, ridge=ridge)
+            mine = fit_lda(frame, LdaConfig(n_components=m, ridge=ridge))
             evals, vecs = _lda_oracle(X, labels, n_classes, m, ridge)
 
             assert np.allclose(mine.eigenvalues, np.maximum(evals, 0.0), rtol=1e-8, atol=1e-10)
@@ -126,7 +126,7 @@ def test_criterion_02_lda_matches_generalized_eig_oracle():
         X = rng.normal(size=(60, 21)) + labels[:, None] * 0.8
         frame = numeric_frame(X, labels=labels, class_names=tuple(f"c{i}" for i in range(10)))
         with pytest.warns(LdaClampWarning):
-            clamped = fit_lda(frame, n_components=21, ridge=1e-3)
+            clamped = fit_lda(frame, LdaConfig(n_components=21, ridge=1e-3))
         assert clamped.components.shape == (21, 9)
         assert clamped.n_components == 9
     assert t.seconds < 5.0
@@ -270,7 +270,7 @@ def test_criterion_05_hybrid_ranks_with_components_and_shrugs_off_lda():
             params = fit_scaler(train, "zscore")
             train, test = apply_scaler(train, params), apply_scaler(test, params)
 
-            gbt_cfg = GbtConfig(rounds=12, max_depth=3, seed=seed)
+            gbt_cfg = GbtConfig(rounds=12, max_depth=3)
             mlp_cfg = MlpConfig(hidden=(32,), epochs=25, batch_size=128,
                                 learning_rate=3e-3, seed=seed)
             acc_gbt = _accuracy(fit_gbt(train, gbt_cfg), test)
@@ -282,7 +282,7 @@ def test_criterion_05_hybrid_ranks_with_components_and_shrugs_off_lda():
                 f"components {acc_gbt:.4f}/{acc_mlp:.4f}"
             )
 
-            projection = fit_lda(train, n_components=4)
+            projection = fit_lda(train, LdaConfig(n_components=4))
             train_r, test_r = transform_lda(projection, train), transform_lda(projection, test)
             reduced_hybrid = fit_hybrid(train_r, XgdnnConfig(gbt_cfg, mlp_cfg, "margins_plus_raw"))
             acc_reduced = _accuracy(reduced_hybrid, test_r)
@@ -370,14 +370,14 @@ def test_criterion_08_morris_analytics():
     with Timer() as t:
         affine = FnModel(lambda X: 0.5 + 0.2 * X[:, 0] - 0.1 * X[:, 1], 2)
         ranges = np.array([[0.0, 2.0], [-1.0, 3.0]])
-        scr = morris_screen(affine, ranges, output="class_prob", target_class=1,
+        scr = morris_screen(affine, ranges, target_class=1,
                             cfg=MorrisConfig(n_trajectories=8, seed=0))
         assert np.allclose(scr.mu_star, [0.2 * 2.0, 0.1 * 4.0], atol=1e-10)
         assert np.all(scr.sigma <= 1e-10)
 
         product = FnModel(lambda X: X[:, 0] * X[:, 1], 2)
         unit = np.array([[0.0, 1.0], [0.0, 1.0]])
-        scr2 = morris_screen(product, unit, output="class_prob", target_class=1,
+        scr2 = morris_screen(product, unit, target_class=1,
                              cfg=MorrisConfig(n_trajectories=12, seed=1))
         assert np.all(scr2.sigma > 0)
 

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from credo.baselines import (
+    ForestConfig,
+    GnbConfig,
+    LogregConfig,
+    TreeConfig,
     fit_forest,
     fit_gnb,
     fit_logreg,
@@ -23,14 +27,14 @@ def _frame(X, y):
 def test_logreg_separable_perfect_accuracy():
     X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    m = fit_logreg(_frame(X, y), l2=1e-4)
+    m = fit_logreg(_frame(X, y), LogregConfig(l2=1e-4))
     assert (m.predict(X) == y).mean() == 1.0
 
 
 def test_logreg_zero_iterations_is_uniform():
     X = np.random.default_rng(0).normal(size=(8, 3))
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-    m = fit_logreg(_frame(X, y), max_iter=0)
+    m = fit_logreg(_frame(X, y), LogregConfig(max_iter=0))
     assert m.predict_proba(X) == pytest.approx(np.full((8, 3), 1 / 3), abs=1e-12)
 
 
@@ -71,7 +75,7 @@ def test_logreg_loss_nonincreasing():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
-    m = fit_logreg(_frame(X, y), max_iter=80)
+    m = fit_logreg(_frame(X, y), LogregConfig(max_iter=80))
     assert np.all(np.diff(m.loss_history) <= 1e-15)
     assert m.n_iter >= 1
 
@@ -79,9 +83,9 @@ def test_logreg_loss_nonincreasing():
 def test_logreg_convergence_reported():
     X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
     y = np.array([0, 1, 0, 1])
-    m = fit_logreg(_frame(X, y), l2=1.0, max_iter=5000, tol=1e-8)
+    m = fit_logreg(_frame(X, y), LogregConfig(l2=1.0, max_iter=5000, tol=1e-8))
     assert m.converged
-    m2 = fit_logreg(_frame(X, y), l2=1.0, max_iter=1, tol=1e-12)
+    m2 = fit_logreg(_frame(X, y), LogregConfig(l2=1.0, max_iter=1, tol=1e-12))
     assert not m2.converged
 
 
@@ -91,7 +95,7 @@ def test_logreg_convergence_flag_matches_gradient(max_iter, converges):
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] - X[:, 1] + rng.normal(size=40) > 0).astype(int)
     l2, tol = 0.5, 1e-6
-    m = fit_logreg(_frame(X, y), l2=l2, max_iter=max_iter, tol=tol)
+    m = fit_logreg(_frame(X, y), LogregConfig(l2=l2, max_iter=max_iter, tol=tol))
     _, gW, gb = logreg_objective(m.weights, m.bias, X, np.eye(2)[y], l2)
     gnorm = max(np.abs(gW).max(), np.abs(gb).max())
     assert m.converged == converges
@@ -116,7 +120,7 @@ def test_gnb_class_independent_feature_gives_priors():
 def test_gnb_matches_hand_computation():
     X = np.array([[0.0], [2.0], [4.0], [6.0]])
     y = np.array([0, 0, 1, 1])
-    m = fit_gnb(_frame(X, y), var_smoothing=0.0)
+    m = fit_gnb(_frame(X, y), GnbConfig(var_smoothing=0.0))
     x = 2.5
     # class 0: mean 1, population var 1; class 1: mean 5, var 1; priors 1/2
     d0 = np.exp(-((x - 1.0) ** 2) / 2.0) / np.sqrt(2 * np.pi)
@@ -202,7 +206,7 @@ def test_tree_xor_depth_two():
     sizes = [40, 10, 40, 10]
     X = np.repeat(centers, sizes, axis=0)
     y = np.repeat(labels, sizes)
-    m = fit_tree(_frame(X, y), max_depth=2)
+    m = fit_tree(_frame(X, y), TreeConfig(max_depth=2))
     assert m.feature[0] == 0 and m.threshold[0] == 0.5
     assert (m.predict(X) == y).mean() == 1.0
 
@@ -220,15 +224,15 @@ def test_tree_monotone_transform_invariance():
         M[:, 1] = np.exp(M[:, 1])  # strictly increasing
         return M
 
-    m1 = fit_tree(_frame(X, y), max_depth=4)
-    m2 = fit_tree(_frame(transform(X), y), max_depth=4)
+    m1 = fit_tree(_frame(X, y), TreeConfig(max_depth=4))
+    m2 = fit_tree(_frame(transform(X), y), TreeConfig(max_depth=4))
     assert np.array_equal(m1.predict(Xt), m2.predict(transform(Xt)))
 
 
 def test_tree_min_leaf_blocks_splits():
     X = np.arange(6, dtype=float)[:, None]
     y = np.array([0, 0, 0, 1, 1, 1])
-    m = fit_tree(_frame(X, y), min_leaf=4)
+    m = fit_tree(_frame(X, y), TreeConfig(min_leaf=4))
     assert m.feature[0] < 0
 
 
@@ -251,7 +255,7 @@ def test_forest_degenerates_to_tree():
     y[:2] = [0, 1]
     f = _frame(X, y)
     tree = fit_tree(f)
-    forest = fit_forest(f, n_trees=1, mtry=4, bootstrap=False)
+    forest = fit_forest(f, ForestConfig(n_trees=1, mtry=4, bootstrap=False))
     assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
 
 
@@ -261,10 +265,10 @@ def test_forest_deterministic_per_seed():
     y = rng.integers(0, 3, 60)
     y[:3] = [0, 1, 2]
     f = _frame(X, y)
-    a = fit_forest(f, n_trees=8, seed=4)
-    b = fit_forest(f, n_trees=8, seed=4)
+    a = fit_forest(f, ForestConfig(n_trees=8, seed=4))
+    b = fit_forest(f, ForestConfig(n_trees=8, seed=4))
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
-    c = fit_forest(f, n_trees=8, seed=5)
+    c = fit_forest(f, ForestConfig(n_trees=8, seed=5))
     assert not np.array_equal(a.predict_proba(X), c.predict_proba(X))
 
 
@@ -279,7 +283,7 @@ def test_forest_beats_single_tree_on_blobs():
     train, test = blobs(30), blobs(30)
     tree_acc = (fit_tree(train).predict(test.feature_matrix()) == test.labels).mean()
     forest_accs = [
-        (fit_forest(train, n_trees=25, seed=s).predict(test.feature_matrix()) == test.labels).mean()
+        (fit_forest(train, ForestConfig(n_trees=25, seed=s)).predict(test.feature_matrix()) == test.labels).mean()
         for s in range(5)
     ]
     assert np.mean(forest_accs) > tree_acc
@@ -289,10 +293,10 @@ def test_forest_beats_single_tree_on_blobs():
 
 
 @pytest.mark.parametrize("fitter", [
-    lambda f: fit_logreg(f, max_iter=50),
+    lambda f: fit_logreg(f, LogregConfig(max_iter=50)),
     fit_gnb,
     fit_tree,
-    lambda f: fit_forest(f, n_trees=5, seed=0),
+    lambda f: fit_forest(f, ForestConfig(n_trees=5, seed=0)),
 ])
 def test_row_stochastic_contract(fitter):
     rng = np.random.default_rng(23)

@@ -151,33 +151,38 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
+# each config's error names the key; a gbt stage has no seed, so its
+# `seed` is an unknown key, refused just as early
 NEGATIVE_SEEDS = {
-    "split": ({"split": {"seed": -1}}, "config.split.seed"),
-    "smote": ({"smote": {"seed": -1}}, "config.smote.seed"),
-    "lime": ({"explain": {"lime_rows": [0], "lime": {"seed": -1}}}, "config.explain.lime.seed"),
-    "morris": ({"explain": {"morris": {"enabled": True, "seed": -1}}}, "config.explain.morris.seed"),
-    "forest": ({"model": {"name": "forest", "params": {"seed": -1}}}, "config.model.params.seed"),
-    "gbt": ({"model": {"name": "gbt", "params": {"seed": -1}}}, "config.model.params.seed"),
-    "mlp": ({"model": {"name": "mlp", "params": {"seed": -1}}}, "config.model.params.seed"),
+    "split": ({"split": {"seed": -1}}, "config.split.seed:"),
+    "smote": ({"smote": {"seed": -1}}, "config.smote.seed:"),
+    "lime": ({"explain": {"lime_rows": [0], "lime": {"seed": -1}}}, "config.explain.lime.seed:"),
+    "morris": ({"explain": {"morris": {"enabled": True, "seed": -1}}}, "config.explain.morris.seed:"),
+    "forest": ({"model": {"name": "forest", "params": {"seed": -1}}}, "config.model.params.seed:"),
+    "gbt": (
+        {"model": {"name": "gbt", "params": {"seed": -1}}},
+        "config.model.params: unknown key 'seed'",
+    ),
+    "mlp": ({"model": {"name": "mlp", "params": {"seed": -1}}}, "config.model.params.seed:"),
     "xgdnn_gbt": (
         {"model": {"name": "xgdnn", "params": {"gbt": {"seed": -1}}}},
-        "config.model.params.gbt.seed",
+        "config.model.params.gbt: unknown key 'seed'",
     ),
     "xgdnn_mlp": (
         {"model": {"name": "xgdnn", "params": {"mlp": {"seed": -1}}}},
-        "config.model.params.mlp.seed",
+        "config.model.params.mlp.seed:",
     ),
 }
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("extra,path", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
+@pytest.mark.parametrize("extra,message", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
 def test_negative_seed_exits_2_before_reading_data(
-    tmp_path, data_csv, capsys, monkeypatch, command, extra, path
+    tmp_path, data_csv, capsys, monkeypatch, command, extra, message
 ):
     loads = _spy(monkeypatch, "load_csv")
     assert main([command, "-c", write_config(tmp_path, data_csv, **extra)]) == 2
-    assert f"{path}:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert loads == []
     assert not (tmp_path / "out").exists()
 
@@ -215,28 +220,20 @@ def test_out_flag_overrides_config(tmp_path, data_csv):
     assert not (tmp_path / "out").exists()
 
 
-def test_smote_before_split_flag(tmp_path, data_csv):
-    cfg = write_config(tmp_path, data_csv)
-    assert main(["run", "-c", cfg, "--smote-before-split"]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["preprocessing"]["smote"]["path"] == "before_split"
-    assert report["config"]["smote"]["before_split"] is True
-
-
 def test_one_parser_keeps_no_flag_between_calls(tmp_path, data_csv, monkeypatch):
     # main reuses one parser, so a flag of one call must not reach the next
     monkeypatch.setattr("credo.cli.build_parser", None)
     seen = []
 
     def cmd_compare(cfg):
-        seen.append(cfg["smote"]["before_split"])
+        seen.append(cfg["out_dir"])
         return SimpleNamespace(to_csv=lambda: ""), cfg["out_dir"]
 
     monkeypatch.setattr("credo.cli.cmd_compare", cmd_compare)
     cfg = write_config(tmp_path, data_csv)
-    assert main(["run", "-c", cfg, "--smote-before-split"]) == 0
+    assert main(["run", "-c", cfg, "--out", str(tmp_path / "elsewhere")]) == 0
     assert main(["compare", "-c", cfg]) == 0
-    assert seen == [False]
+    assert seen == [str(tmp_path / "out")]
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -441,7 +438,7 @@ def _array_outside_archive(manifest, shapes):
     [
         (_drop_bias, "missing array bias"),
         (_drop_param, "missing param n_iter"),
-        (_transpose_weights, "its schema"),
+        (_transpose_weights, "must be (features, classes)"),
         (_drop_schema, "missing manifest key schema"),
         (_drop_schema_key("features"), "missing schema key features"),
         (_drop_schema_key("classes"), "missing schema key classes"),
@@ -543,6 +540,45 @@ def test_explain_archive_with_a_nan_exits_3(tmp_path, data_csv, capsys, model, f
     assert not (tmp_path / "exp").exists()
 
 
+def _set_first(value):
+    def edit(values):
+        values.flat[0] = value
+        return values
+    return edit
+
+
+IMPOSSIBLE_VALUES = {
+    "tree_counts_cut": ("tree", "counts", lambda a: a[:-1], "must be one row per node"),
+    "tree_count_negative": ("tree", "counts", _set_first(-1.0), "counts must be non-negative"),
+    "gnb_prior_negative": ("gnb", "priors", _set_first(-0.5), "priors must lie in [0, 1]"),
+    "gnb_prior_extra": ("gnb", "priors", lambda a: np.append(a, 0.0), "priors (4,) one entry per class"),
+    "gnb_variance_zero": ("gnb", "variances", _set_first(0.0), "variances must be positive"),
+    "gnb_variance_negative": ("gnb", "variances", _set_first(-1.0), "variances must be positive"),
+    "logreg_bias_long": ("logreg", "bias", lambda a: np.append(a, 0.0), "bias (4,) one entry per class"),
+}
+
+
+@pytest.mark.parametrize(
+    "model, name, edit, message", IMPOSSIBLE_VALUES.values(), ids=IMPOSSIBLE_VALUES.keys()
+)
+def test_explain_archive_with_an_impossible_value_exits_3(
+    tmp_path, data_csv, capsys, model, name, edit, message
+):
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": model})]) == 0
+    model_dir = tmp_path / "out" / "model"
+    path = model_dir / f"{name}.f64"
+    shapes = json.loads((model_dir / "shapes.json").read_text())
+    values = edit(np.fromfile(path, dtype="<f8").reshape(shapes[name]))
+    values.tofile(path)
+    shapes[name] = list(values.shape)
+    (model_dir / "shapes.json").write_text(json.dumps(shapes))
+    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
 @pytest.mark.parametrize(
     "node, ordinal",
     [("first_leaf", 99), ("root", 0), ("swapped", None)],
@@ -608,13 +644,6 @@ def test_unreadable_csv_exits_3_naming_its_line(tmp_path, data_csv, capsys, comm
     assert main([*argv, "--out", str(tmp_path / "again")]) == 3
     err = capsys.readouterr().err
     assert f"{bad}: {message}" in err
-
-
-def test_explain_rejects_smote_before_split(tmp_path, data_csv):
-    archive = ["-a", str(tmp_path / "model"), "-d", data_csv]
-    with pytest.raises(SystemExit) as exc:
-        main(["explain", "-m", "lime", *archive, "--smote-before-split"])
-    assert exc.value.code == 2
 
 
 def test_synth_writes_csv(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Run-config loading, validation, and defaulting."""
 
+import dataclasses
 import json
 
 import pytest
 
 from credo.config import METRIC_NAMES, load_config, resolve_config
 from credo.errors import ConfigError
+from credo.explain import LimeConfig, MorrisConfig
+from credo.lda import LdaConfig
+from credo.resample import SmoteConfig
+from credo.zoo import MODEL_FAMILIES
 
 MINIMAL = {"data": "d.csv", "target": "status", "model": {"name": "gnb"}}
 
@@ -119,6 +124,66 @@ def test_explicit_values_survive():
 def test_resolved_config_round_trips_through_resolve():
     cfg = resolve(extra={"lda": {"enabled": True}})
     assert resolve_config(cfg) == cfg
+
+
+# Every field of every config class that JSON reaches can be set from JSON
+# and reaches the run: sections are echoed in full, model params build the
+# family's config. A knob that JSON cannot set, or a section field left out
+# of the echo, fails here.
+
+SECTIONS = {
+    SmoteConfig: ("smote",),
+    LdaConfig: ("lda",),
+    LimeConfig: ("explain", "lime"),
+    MorrisConfig: ("explain", "morris"),
+}
+# tried in order; the first one the field accepts and that is not its default
+CANDIDATES = (1, 2, True, False, "entropy", "margins_plus_raw", [3], {"rounds": 2}, {"epochs": 2})
+
+
+def _nest(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _settable(cls, name, extra):
+    """The config that `extra(value)` resolves to for the first candidate
+    value of field `name` that resolves, and that value."""
+    default = getattr(cls(), name)
+    for value in CANDIDATES:
+        if value == default:
+            continue
+        try:
+            return resolve(extra=extra(value)), value
+        except ConfigError:
+            continue
+    raise AssertionError(f"{cls.__name__}.{name} cannot be set from JSON")
+
+
+@pytest.mark.parametrize("cls", SECTIONS, ids=lambda c: c.__name__)
+def test_every_section_field_is_settable_and_echoed(cls):
+    path = SECTIONS[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert set(names) <= set(_at(resolve(), path))
+    for name in names:
+        cfg, value = _settable(cls, name, lambda v: _nest(path, {name: v}))
+        assert _at(cfg, path)[name] == value
+
+
+@pytest.mark.parametrize("name", MODEL_FAMILIES)
+def test_every_model_param_is_settable(name):
+    cls = MODEL_FAMILIES[name][0]
+    for field in dataclasses.fields(cls):
+        cfg, value = _settable(cls, field.name, lambda v: {"model": {"name": name, "params": {field.name: v}}})
+        assert cfg["model"]["params"] == {field.name: value}
+        assert getattr(cls(**cfg["model"]["params"]), field.name) != getattr(cls(), field.name)
 
 
 # ------------------------------------------------------------------ errors

@@ -150,7 +150,7 @@ def test_trajectory_structure():
 
 def test_constant_model_screens_to_zero():
     m = FnModel(lambda X: np.full(len(X), 0.4), 3)
-    s = morris_screen(m, [[0, 1]] * 3, "class_prob", target_class=1)
+    s = morris_screen(m, [[0, 1]] * 3, target_class=1)
     assert s.mu == pytest.approx(np.zeros(3), abs=1e-15)
     assert s.mu_star == pytest.approx(np.zeros(3), abs=1e-15)
     assert s.sigma == pytest.approx(np.zeros(3), abs=1e-15)
@@ -158,7 +158,7 @@ def test_constant_model_screens_to_zero():
 
 def test_linear_model_exact():
     m = FnModel(lambda X: 3.0 * X[:, 0] + 0.0 * X[:, 1], 2)
-    s = morris_screen(m, [[0, 1], [0, 1]], "class_prob", target_class=1)
+    s = morris_screen(m, [[0, 1], [0, 1]], target_class=1)
     assert abs(s.mu_star[0] - 3.0) <= 1e-10
     assert abs(s.mu_star[1]) <= 1e-10
     assert (s.sigma <= 1e-10).all()
@@ -166,7 +166,7 @@ def test_linear_model_exact():
 
 def test_affine_model_range_scaled():
     m = FnModel(lambda X: 2.0 * X[:, 0] - 1.0 * X[:, 1] + 5.0, 2)
-    s = morris_screen(m, [[0, 2], [-1, 3]], "class_prob", target_class=1)
+    s = morris_screen(m, [[0, 2], [-1, 3]], target_class=1)
     # coefficient times range width, sign preserved in mu
     assert s.mu == pytest.approx([4.0, -4.0], abs=1e-10)
     assert s.mu_star == pytest.approx([4.0, 4.0], abs=1e-10)
@@ -176,7 +176,7 @@ def test_affine_model_range_scaled():
 
 def test_interaction_raises_sigma():
     m = FnModel(lambda X: X[:, 0] * X[:, 1], 2)
-    s = morris_screen(m, [[0, 1], [0, 1]], "class_prob", target_class=1, cfg=MorrisConfig(seed=0))
+    s = morris_screen(m, [[0, 1], [0, 1]], target_class=1, cfg=MorrisConfig(seed=0))
     assert (s.sigma > 0).all()
     assert (s.mu_star >= np.abs(s.mu) - 1e-15).all()
 
@@ -186,8 +186,9 @@ def test_predicted_class_prob_resolves_at_midpoint():
     m = FnModel(lambda X: 3.0 * X[:, 0], 2)
     s = morris_screen(m, [[0, 1], [0, 1]])
     assert abs(s.mu_star[0] - 3.0) <= 1e-10
-    t = morris_screen(m, [[0, 1], [0, 1]], "class_prob", target_class=0)
+    t = morris_screen(m, [[0, 1], [0, 1]], target_class=0)
     assert t.mu == pytest.approx([-3.0, 0.0], abs=1e-10)
+    assert (s.output, t.output) == ("predicted_class_prob", "class_prob")
 
 
 def test_degenerate_features_excluded():
@@ -195,7 +196,6 @@ def test_degenerate_features_excluded():
     s = morris_screen(
         m,
         [[0, 1], [2, 2], [0, 1]],
-        "class_prob",
         target_class=1,
         feature_names=("a", "b", "c"),
     )
@@ -208,19 +208,19 @@ def test_degenerate_features_excluded():
 
 def test_morris_determinism_and_errors():
     m = FnModel(lambda X: X[:, 0] * X[:, 1], 2)
-    a = morris_screen(m, [[0, 1], [0, 1]], "class_prob", target_class=1, cfg=MorrisConfig(seed=4))
-    b = morris_screen(m, [[0, 1], [0, 1]], "class_prob", target_class=1, cfg=MorrisConfig(seed=4))
+    a = morris_screen(m, [[0, 1], [0, 1]], target_class=1, cfg=MorrisConfig(seed=4))
+    b = morris_screen(m, [[0, 1], [0, 1]], target_class=1, cfg=MorrisConfig(seed=4))
     assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
     with pytest.raises(DataError, match="trajectories"):
         MorrisConfig(n_trajectories=1)
     with pytest.raises(DataError, match="finite"):
-        morris_screen(m, [[0, np.inf], [0, 1]], "class_prob", target_class=1)
+        morris_screen(m, [[0, np.inf], [0, 1]], target_class=1)
     with pytest.raises(DataError, match="exceed"):
-        morris_screen(m, [[1, 0], [0, 1]], "class_prob", target_class=1)
+        morris_screen(m, [[1, 0], [0, 1]], target_class=1)
     with pytest.raises(DataError, match="zero width"):
-        morris_screen(m, [[1, 1], [0, 0]], "class_prob", target_class=1)
+        morris_screen(m, [[1, 1], [0, 0]], target_class=1)
     with pytest.raises(DataError, match="target_class"):
-        morris_screen(m, [[0, 1], [0, 1]], "class_prob")
+        morris_screen(m, [[0, 1], [0, 1]], target_class=2)
 
 
 # --------------------------------------------------------------- ranking
@@ -306,7 +306,7 @@ def test_to_dict_round_trip_fields():
     assert d["features"][0] == {"name": "a", "weight": 0.6, "importance": 0.6}
     assert d["n_samples"] == 100
     m = FnModel(lambda X: X[:, 0], 2)
-    s = morris_screen(m, [[0, 1], [1, 1]], "class_prob", target_class=1)
+    s = morris_screen(m, [[0, 1], [1, 1]], target_class=1)
     sd = s.to_dict()
     assert sd["features"][1]["mu_star"] is None
     assert sd["excluded"] == ["x1"]

@@ -6,7 +6,7 @@ from scipy.stats import multivariate_normal
 
 from credo.errors import DataError, LdaClampWarning, NumericError
 from credo.frame import numeric_frame
-from credo.lda import fit_lda, scatter_matrices, transform_lda
+from credo.lda import LdaConfig, fit_lda, scatter_matrices, transform_lda
 
 
 def _frame(X, y):
@@ -31,7 +31,7 @@ def test_component_cap_with_clamp_warning():
     X = rng.normal(size=(400, 107))
     y = np.repeat(np.arange(10), 40)
     with pytest.warns(LdaClampWarning, match="capped at 9"):
-        p = fit_lda(_frame(X, y), n_components=21)
+        p = fit_lda(_frame(X, y), LdaConfig(n_components=21))
     assert p.components.shape == (107, 9)
     assert p.n_requested == 21
     assert p.clamped
@@ -47,7 +47,7 @@ def test_separation_along_one_axis():
         np.full(2 * n, 2.0),
     ])
     y = np.repeat([0, 1], n)
-    p = fit_lda(_frame(X, y), n_components=1)
+    p = fit_lda(_frame(X, y), LdaConfig(n_components=1))
     v = p.components[:, 0]
     direction = np.abs(v) / np.linalg.norm(v)
     assert direction[1] == pytest.approx(1.0, abs=1e-6)
@@ -56,7 +56,7 @@ def test_separation_along_one_axis():
 
 def test_projection_matches_dense_oracle():
     ridge = 1e-8
-    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), n_components=1, ridge=ridge)
+    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1, ridge=ridge))
     evals, vecs = _oracle_projection(SIX_POINTS, SIX_LABELS, 2, ridge)
     v = vecs[:, 0]
     # match the fitted normalization (unit regularized-scatter norm) and sign
@@ -70,7 +70,7 @@ def test_projection_matches_dense_oracle():
 
 
 def test_eigenvalues_match_oracle_at_zero_ridge():
-    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), n_components=1, ridge=0.0)
+    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1, ridge=0.0))
     evals, _ = _oracle_projection(SIX_POINTS, SIX_LABELS, 2, 0.0)
     assert p.eigenvalues[0] == pytest.approx(evals[0], rel=1e-8)
     # S_w-normalization holds exactly at ridge 0
@@ -82,28 +82,28 @@ def test_singular_scatter_needs_ridge():
     X = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [5.0, 6.0], [5.0, 6.0], [5.0, 6.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     with pytest.raises(NumericError, match="positive ridge"):
-        fit_lda(_frame(X, y), n_components=1, ridge=0.0)
+        fit_lda(_frame(X, y), LdaConfig(n_components=1, ridge=0.0))
 
 
 def test_fit_validation():
     with pytest.raises(DataError, match="n_components"):
-        fit_lda(_frame(SIX_POINTS, SIX_LABELS), n_components=0)
+        fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=0))
     with pytest.raises(DataError, match="fewer than 2"):
-        fit_lda(_frame(np.eye(3), [0, 0, 1]), n_components=1)
+        fit_lda(_frame(np.eye(3), [0, 0, 1]), LdaConfig(n_components=1))
 
 
 # ------------------------------------------------------------- transform
 
 
 def test_transform_centers_grand_mean():
-    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), n_components=1)
+    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1))
     f = numeric_frame(p.grand_mean[None, :], ["x0", "x1"])
     out = transform_lda(p, f).feature_matrix()
     assert out == pytest.approx(np.zeros((1, 1)), abs=1e-12)
 
 
 def test_transform_shape_and_names():
-    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), n_components=1)
+    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1))
     out = transform_lda(p, _frame(SIX_POINTS, SIX_LABELS))
     assert out.column_names == ("LD1",)
     assert out.feature_matrix().shape == (6, 1)
@@ -115,7 +115,7 @@ def test_transform_is_affine():
     X = rng.normal(size=(40, 4))
     y = rng.integers(0, 3, 40)
     y[:6] = [0, 0, 1, 1, 2, 2]
-    p = fit_lda(_frame(X, y), n_components=2)
+    p = fit_lda(_frame(X, y), LdaConfig(n_components=2))
     a, b_row = X[0], X[1]
     alpha = 0.3
     names = ["x0", "x1", "x2", "x3"]
@@ -126,7 +126,7 @@ def test_transform_is_affine():
 
 
 def test_transform_dimension_mismatch():
-    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), n_components=1)
+    p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1))
     with pytest.raises(DataError, match="do not match"):
         transform_lda(p, numeric_frame(np.zeros((2, 3))))
 
@@ -134,7 +134,7 @@ def test_transform_dimension_mismatch():
 def test_projected_separation_matches_original():
     # nearest-centroid accuracy survives the 2-D -> 1-D projection
     f = _frame(SIX_POINTS, SIX_LABELS)
-    p = fit_lda(f, n_components=1)
+    p = fit_lda(f, LdaConfig(n_components=1))
     z = transform_lda(p, f).feature_matrix()
 
     def centroid_acc(M):
@@ -150,7 +150,7 @@ def test_between_class_ratio_nonincreasing():
     means = rng.normal(scale=4.0, size=(4, 5))
     X = np.vstack([rng.normal(means[c], 1.0, size=(25, 5)) for c in range(4)])
     y = np.repeat(np.arange(4), 25)
-    p = fit_lda(_frame(X, y), n_components=3)
+    p = fit_lda(_frame(X, y), LdaConfig(n_components=3))
     reg = p.within_scatter + p.ridge * np.eye(5)
     ratios = [
         (v @ p.between_scatter @ v) / (v @ reg @ v) for v in p.components.T
@@ -173,7 +173,7 @@ def _three_class_fixture(seed=11, n=60):
 
 def test_predict_at_class_mean_is_that_class():
     f = _three_class_fixture()
-    p = fit_lda(f, n_components=2)
+    p = fit_lda(f, LdaConfig(n_components=2))
     proba = p.predict_proba(numeric_frame(p.class_means, ["x0", "x1"]))
     assert proba.argmax(axis=1).tolist() == [0, 1, 2]
 
@@ -184,7 +184,7 @@ def test_equal_class_means_yield_priors():
     X1 = 2.0 * np.vstack([X0, 0.5 * X0])
     X = np.vstack([X0, X1])
     y = np.array([0] * 4 + [1] * 8)
-    p = fit_lda(_frame(X, y), n_components=1)
+    p = fit_lda(_frame(X, y), LdaConfig(n_components=1))
     queries = numeric_frame(np.array([[0.3, -2.0], [4.0, 4.0], [0.0, 0.0]]), ["x0", "x1"])
     proba = p.predict_proba(queries)
     assert proba == pytest.approx(np.tile([1 / 3, 2 / 3], (3, 1)), abs=1e-12)
@@ -192,7 +192,7 @@ def test_equal_class_means_yield_priors():
 
 def test_predict_matches_density_oracle():
     f = _three_class_fixture()
-    p = fit_lda(f, n_components=2)
+    p = fit_lda(f, LdaConfig(n_components=2))
     proba = p.predict_proba(f)
     acc = (proba.argmax(axis=1) == f.labels).mean()
     assert acc >= 0.9
@@ -209,7 +209,7 @@ def test_predict_matches_density_oracle():
 
 def test_predict_rows_sum_to_one():
     f = _three_class_fixture(seed=2)
-    p = fit_lda(f, n_components=2)
+    p = fit_lda(f, LdaConfig(n_components=2))
     proba = p.predict_proba(f)
     assert proba.sum(axis=1) == pytest.approx(np.ones(f.n_rows), abs=1e-12)
     assert proba.min() >= 0.0
@@ -219,8 +219,8 @@ def test_location_invariance_after_refit():
     f = _three_class_fixture(seed=4)
     X = f.feature_matrix()
     shift = np.array([100.0, -250.0])
-    p1 = fit_lda(f, n_components=2)
-    p2 = fit_lda(_frame(X + shift, f.labels), n_components=2)
+    p1 = fit_lda(f, LdaConfig(n_components=2))
+    p2 = fit_lda(_frame(X + shift, f.labels), LdaConfig(n_components=2))
     q = X[:10]
     pr1 = p1.predict_proba(numeric_frame(q, ["x0", "x1"]))
     pr2 = p2.predict_proba(numeric_frame(q + shift, ["x0", "x1"]))
@@ -229,7 +229,7 @@ def test_location_invariance_after_refit():
 
 def test_classifier_solves_discriminant_once(monkeypatch):
     f = _three_class_fixture(seed=5)
-    p = fit_lda(f, n_components=2)
+    p = fit_lda(f, LdaConfig(n_components=2))
     solve = np.linalg.solve
     calls = []
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
@@ -243,7 +243,7 @@ def test_classifier_solves_discriminant_once(monkeypatch):
 
 
 def test_classifier_checks_feature_count():
-    clf = fit_lda(_three_class_fixture(), n_components=2)
+    clf = fit_lda(_three_class_fixture(), LdaConfig(n_components=2))
     with pytest.raises(DataError, match="expects 2 features"):
         clf.predict_proba(np.zeros((4, 3)))
     with pytest.raises(DataError, match="expects 2 features"):
@@ -266,7 +266,7 @@ def test_classifier_rejects_a_frame_with_reordered_columns():
 
 
 def test_singular_shared_covariance_fails_at_every_prediction():
-    p = fit_lda(_three_class_fixture(), n_components=2)
+    p = fit_lda(_three_class_fixture(), LdaConfig(n_components=2))
     broken = replace(p, within_scatter=np.zeros((2, 2)), ridge=0.0)
     clf = broken
     for _ in range(2):  # a failed solve is not cached

@@ -282,13 +282,12 @@ def test_constant_scores_h_zero():
     assert binary_h_measure(s, positive) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_degenerate_class_skipped_and_reported():
-    y = np.array([0, 1, 0, 1])
-    scores = np.full((4, 3), 1 / 3)
-    macro, per_class, skipped = h_measure(y, scores, return_detail=True)
-    assert skipped == [2]
-    assert set(per_class) == {0, 1}
-    assert macro == pytest.approx(np.mean([per_class[0], per_class[1]]))
+def test_degenerate_class_skipped():
+    # class 2 is absent from the truth, so the macro averages classes 0 and 1 only
+    y = np.array([0, 1, 0, 0, 1])
+    scores = np.array([[0.5, 0.3, 0.2], [0.2, 0.7, 0.1], [0.6, 0.1, 0.3], [0.3, 0.4, 0.3], [0.1, 0.5, 0.4]])
+    parts = [binary_h_measure(scores[:, c], (y == c).astype(np.int64)) for c in (0, 1)]
+    assert h_measure(y, scores) == np.mean(parts)
 
 
 def test_h_measure_errors():

@@ -284,7 +284,7 @@ def test_hybrid_competitive_on_blobs():
     Xte, yte = test.feature_matrix(), test.labels
     disagreements = []
     for s in range(3):
-        gcfg = GbtConfig(rounds=10, max_depth=3, seed=s)
+        gcfg = GbtConfig(rounds=10, max_depth=3)
         mcfg = MlpConfig(hidden=(32,), epochs=20, batch_size=128, learning_rate=3e-3, seed=s)
         booster = fit_gbt(train, gcfg)
         boost_pred = booster.predict_proba(Xte).argmax(axis=1)

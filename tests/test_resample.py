@@ -111,15 +111,6 @@ def test_single_row_class_errors():
         smote(_frame(X, y), SmoteConfig(seed=0))
 
 
-def test_explicit_target_count():
-    X = np.arange(12, dtype=float).reshape(6, 2)
-    y = np.array([0, 0, 0, 1, 1, 1])
-    out = smote(_frame(X, y), SmoteConfig(k_neighbors=2, seed=7, target_count=10))
-    assert np.bincount(out.labels).tolist() == [10, 10]
-
-
 def test_config_validation():
     with pytest.raises(DataError):
         SmoteConfig(k_neighbors=0)
-    with pytest.raises(DataError):
-        SmoteConfig(target_count=0)

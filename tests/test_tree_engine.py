@@ -15,7 +15,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from credo import trees
-from credo.baselines import fit_forest, fit_tree
+from credo.baselines import ForestConfig, TreeConfig, fit_forest, fit_tree
 from credo.errors import NumericError
 from credo.frame import numeric_frame
 from credo.gbt import GbtConfig, fit_gbt
@@ -247,8 +247,8 @@ def test_fitted_tree_and_forest_match_oracle(table, mtry, max_depth):
         assert np.array_equal(model.left, o["left"]) and np.array_equal(model.right, o["right"])
         assert np.array_equal(model.counts, np.vstack(o["total"]))
 
-    check(fit_tree(train, max_depth=max_depth), oracle(np.arange(n), None))
-    forest = fit_forest(train, n_trees=3, mtry=mtry, max_depth=max_depth, seed=5)
+    check(fit_tree(train, TreeConfig(max_depth=max_depth)), oracle(np.arange(n), None))
+    forest = fit_forest(train, ForestConfig(n_trees=3, mtry=mtry, max_depth=max_depth, seed=5))
     # fit_forest's sampling protocol: one generator per pre-spawned seed draws
     # the bootstrap rows, then the feature subset at each splittable node
     for tree, ss in zip(forest.trees, np.random.SeedSequence(5).spawn(3)):

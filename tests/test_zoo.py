@@ -9,7 +9,7 @@ import pytest
 import credo
 from credo.errors import DataError
 from credo.frame import numeric_frame
-from credo.lda import fit_lda
+from credo.lda import LdaConfig, fit_lda
 from credo.zoo import MODEL_FAMILIES, fit_model
 
 
@@ -60,7 +60,7 @@ def test_a_non_finite_float_param_is_a_data_error(name, path, value):
 def test_fit_lda_rejects_a_non_finite_ridge(ridge):
     train = numeric_frame(np.arange(8.0).reshape(4, 2), labels=[0, 0, 1, 1])
     with pytest.raises(DataError, match="ridge"):
-        fit_lda(train, ridge=ridge)
+        fit_lda(train, LdaConfig(ridge=ridge))
 
 
 @pytest.mark.parametrize("name", MODEL_FAMILIES)
