@@ -21,9 +21,10 @@ stored by one rule, chosen by its name and type hint.
 
 Node and feature ids (``feature``, ``left``, ``right``, ``leaf_ordinal``)
 are read back as int64, and every loaded tree must be the preorder form
-that training writes. Every stored value must be finite, except that a
-CART leaf's threshold may be NaN. A new family needs no archive code, only
-an entry in ``zoo.MODEL_FAMILIES``, whose key the manifest's "model" names.
+that training writes. Every stored value, array or param, must be finite,
+except that a CART leaf's threshold may be NaN. A new family needs no
+archive code, only an entry in ``zoo.MODEL_FAMILIES``, whose key the
+manifest's "model" names.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ def _column(arrays: dict, key: str, name: str) -> np.ndarray:
 
 
 def _cast(hint, value):
-    """A JSON param as its field's type."""
+    """A JSON param as its field's type; a number must be finite."""
     args = typing.get_args(hint)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError(f"archived param {value!r} is not finite")
     try:
         if typing.get_origin(hint) is tuple:
             return tuple(_cast(args[0], v) for v in value)

@@ -10,6 +10,7 @@ Model params and the smote, lda and explainer sections are checked
 against the frozen config dataclasses that the code consumes: keys and
 types come from their fields, bounds from their ``__post_init__``, so each
 bound is stated once and a value that passes here is accepted downstream.
+``model_config`` is the one reader of model params, ``zoo.fit_model``'s too.
 Every field of those dataclasses is settable from JSON, and the section
 echo carries each one, so no setting exists that a config cannot reach.
 """
@@ -29,7 +30,7 @@ from .lda import LdaConfig
 from .resample import SmoteConfig
 from .zoo import MODEL_FAMILIES, MODEL_NAMES
 
-__all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "resolve_config"]
+__all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "model_config", "resolve_config"]
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "g_mean", "h_measure", "f1")
 SCALER_MODES = ("zscore", "minmax", "none")
@@ -142,6 +143,13 @@ def _build(cls, raw, path: str, extra=()):
     return _bounded(path, cls, **kwargs)
 
 
+def model_config(name: str, params, path: str):
+    """Model family `name`'s config, read from its JSON `params` at `path`."""
+    if name not in MODEL_FAMILIES:
+        raise ConfigError(f"unknown model name {name!r}")
+    return _build(MODEL_FAMILIES[name][0], params, path)
+
+
 # ---------------------------------------------------------------- resolve
 
 
@@ -160,7 +168,7 @@ def _check_model_entry(entry, path: str) -> dict:
         _fail(path, "missing required key 'name'")
     name = _as_string(entry["name"], f"{path}.name", choices=MODEL_NAMES)
     params = entry.get("params", {})
-    _build(MODEL_FAMILIES[name][0], params, f"{path}.params")
+    model_config(name, params, f"{path}.params")
     return {"name": name, "params": copy.deepcopy(params)}
 
 

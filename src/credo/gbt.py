@@ -73,6 +73,11 @@ class BoostedEnsemble(Classifier):
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):
+        # the booster's settings obey its config's bounds, but it may have 0 rounds
+        GbtConfig(
+            learning_rate=self.learning_rate, lam=self.lam, gamma=self.gamma,
+            min_child_weight=self.min_child_weight,
+        )
         if len(self.trees) != self.rounds * self.n_classes:
             raise DataError("tree count must equal rounds x n_classes")
         for t in self.trees:

@@ -49,6 +49,23 @@ class ProjectionLDA(Classifier):
     n_train: int
     n_requested: int
 
+    def __post_init__(self):
+        d, C, m = len(self.feature_names), len(self.class_priors), len(self.eigenvalues)
+        for name, shape in (
+            ("class_means", (C, d)), ("grand_mean", (d,)), ("within_scatter", (d, d)),
+            ("between_scatter", (d, d)), ("components", (d, m)), ("eigenvalues", (m,)), ("class_priors", (C,)),
+        ):
+            if getattr(self, name).shape != shape:
+                raise DataError(
+                    f"{name} {getattr(self, name).shape} must be {shape} for {d} features, "
+                    f"{C} classes and {m} components"
+                )
+        if not ((self.class_priors >= 0) & (self.class_priors <= 1)).all():
+            raise DataError("class priors must lie in [0, 1]")
+        if self.n_train <= C:
+            raise DataError(f"n_train must exceed the class count {C}, got {self.n_train}")
+        check_nonnegative(ridge=self.ridge)
+
     @property
     def n_components(self) -> int:
         return self.components.shape[1]

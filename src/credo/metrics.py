@@ -5,9 +5,10 @@ Sensitivity, specificity and F1 are macro averages of per-class one-vs-rest
 rates. G-mean is sqrt(macro sensitivity x macro specificity), computed on the
 averaged pair rather than averaging per-class G-means. The H-measure is
 Hand's coherent alternative to AUC: expected minimum misclassification loss
-over a Beta(a, b) distribution of cost ratios, evaluated on the ROC convex
-hull and normalized against the best trivial (prior-only) classifier, then
-macro-averaged over one-vs-rest problems.
+over a Beta(2, 2) distribution of cost ratios (Hand, Machine Learning
+2009), evaluated on the ROC convex hull and normalized against the best
+trivial (prior-only) classifier, then macro-averaged over one-vs-rest
+problems. The severity distribution is fixed, not a setting.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, MetricConventionWarning
+
+# Beta(a, b) severity parameters of the H-measure's cost-ratio distribution
+BETA_A, BETA_B = 2.0, 2.0
 
 
 def confusion(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
@@ -164,9 +168,9 @@ def _upper_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
-def _beta_integrals(u: np.ndarray, v: np.ndarray, a: float, b: float):
-    """Integrals of c and of (1 - c) times the Beta(c; a, b) density over
-    each interval [u_i, v_i].
+def _beta_integrals(u: np.ndarray, v: np.ndarray):
+    """Integrals of c and of (1 - c) times the Beta(c; BETA_A, BETA_B)
+    density over each interval [u_i, v_i].
 
     scipy is imported here, once per binary problem, not at module level:
     only scoring an H-measure needs it, so loading credo never pays for
@@ -174,12 +178,13 @@ def _beta_integrals(u: np.ndarray, v: np.ndarray, a: float, b: float):
     """
     from scipy.special import betainc
 
+    a, b = BETA_A, BETA_B
     c_part = a / (a + b) * (betainc(a + 1.0, b, v) - betainc(a + 1.0, b, u))
     rest = b / (a + b) * (betainc(a, b + 1.0, v) - betainc(a, b + 1.0, u))
     return c_part, rest
 
 
-def binary_h_measure(scores: np.ndarray, positive: np.ndarray, a: float = 2.0, b: float = 2.0) -> float:
+def binary_h_measure(scores: np.ndarray, positive: np.ndarray) -> float:
     """Hand's H-measure for one binary problem.
 
     ``positive`` is a 0/1 indicator; both classes must be present.
@@ -206,7 +211,7 @@ def binary_h_measure(scores: np.ndarray, positive: np.ndarray, a: float = 2.0, b
     # one betainc call per term: the hull intervals, then the reference's
     # [0, pi1] (always positive, loss c*pi0) and [pi1, 1] (always negative,
     # loss (1-c)*pi1)
-    c_part, rest = _beta_integrals(np.append(lo, (0.0, pi1)), np.append(hi, (pi1, 1.0)), a, b)
+    c_part, rest = _beta_integrals(np.append(lo, (0.0, pi1)), np.append(hi, (pi1, 1.0)))
     numer = 0.0
     for (fpr, tpr), u, v, c_int, rest_int in zip(hull, lo, hi, c_part, rest):
         if v <= u:
@@ -217,12 +222,7 @@ def binary_h_measure(scores: np.ndarray, positive: np.ndarray, a: float = 2.0, b
     return 1.0 - numer / denom
 
 
-def h_measure(
-    true_labels,
-    scores: np.ndarray,
-    a: float = 2.0,
-    b: float = 2.0,
-) -> float:
+def h_measure(true_labels, scores: np.ndarray) -> float:
     """Macro H-measure over one-vs-rest problems.
 
     ``scores`` is the (n, C) row-stochastic probability matrix; column c is
@@ -237,14 +237,12 @@ def h_measure(
         raise DataError("H-measure needs at least 2 distinct labels")
     if (scores < -1e-9).any() or np.abs(scores.sum(axis=1) - 1.0).max() > 1e-6:
         raise DataError("scores must be row-stochastic probabilities")
-    if a <= 0 or b <= 0:
-        raise DataError("Beta severity parameters must be positive")
 
     values = []
     for c in range(scores.shape[1]):
         positive = (y == c).astype(np.int64)
         if positive.sum() not in (0, len(y)):
-            values.append(binary_h_measure(scores[:, c], positive, a, b))
+            values.append(binary_h_measure(scores[:, c], positive))
     return float(np.mean(values))
 
 

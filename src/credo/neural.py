@@ -26,14 +26,13 @@ FEATURE_MODES = ("margins", "leaf_onehot", "margins_plus_raw")
 
 @dataclass(frozen=True)
 class MlpConfig:
-    hidden: tuple[int, ...] = (128, 64)
+    hidden: tuple[int, ...] = (128, 64)  # a tuple; config.model_config reads JSON's list as one
     epochs: int = 50
     batch_size: int = 256
     learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))  # JSON gives a list
         if any(h < 1 for h in self.hidden):
             raise DataError(f"hidden sizes must be >= 1, got {self.hidden}")
         if self.epochs < 0:
@@ -55,11 +54,6 @@ class XgdnnConfig:
     feature_mode: str = "margins"
 
     def __post_init__(self):
-        # JSON params give each stage's settings as an object
-        if isinstance(self.gbt, dict):
-            object.__setattr__(self, "gbt", GbtConfig(**self.gbt))
-        if isinstance(self.mlp, dict):
-            object.__setattr__(self, "mlp", MlpConfig(**self.mlp))
         _check_feature_mode(self.feature_mode)
 
 

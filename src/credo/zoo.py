@@ -1,10 +1,10 @@
 """One fitting interface over the eight model families.
 
 Every fitted object is a ``baselines.Classifier``; the ``lda`` model is
-the fitted discriminant projection itself. Each family's parameters form a
-frozen config dataclass, which ``fit_model`` builds from JSON params, and
-each family's fit function takes the training frame and that config:
-``fit_<family>(train, cfg=None)``, where no config means its defaults.
+the fitted discriminant projection itself. ``fit_model`` reads a family's
+JSON params into its frozen config with ``config.model_config``, the reader
+``resolve_config`` uses, then calls ``fit_<family>(train, cfg)``; a config
+of None means the family's defaults.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .baselines import (
     fit_logreg,
     fit_tree,
 )
-from .errors import ConfigError
 from .frame import Frame
 from .gbt import BoostedEnsemble, GbtConfig, fit_gbt
 from .lda import LdaConfig, ProjectionLDA, fit_lda
@@ -55,10 +54,8 @@ def fit_model(name: str, train: Frame, params: dict, boosters: dict | None = Non
     once per config. A failed fit is not stored, so the next caller with the
     same config fails the same way. Without a memo every fit starts afresh.
     """
-    if name not in MODEL_FAMILIES:
-        raise ConfigError(f"unknown model name {name!r}")
-    config_class, fit_name, _ = MODEL_FAMILIES[name]
-    fit, cfg = globals()[fit_name], config_class(**params)
+    from .config import model_config  # here, not at module level: config imports this module
+    cfg, fit = model_config(name, params, "params"), globals()[MODEL_FAMILIES[name][1]]
     if name not in ("gbt", "xgdnn"):
         return fit(train, cfg)
     boosters = {} if boosters is None else boosters

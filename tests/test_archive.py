@@ -191,6 +191,34 @@ def test_a_non_finite_stored_value_is_a_data_error(name, fitted, tmp_path):
         path.write_bytes(raw)
 
 
+def _number_params(params, prefix=()):
+    """The path of every number in a manifest's params, into nested models."""
+    for key, value in params.items():
+        if isinstance(value, dict):
+            yield from _number_params(value, (*prefix, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*prefix, key)
+
+
+# the families whose manifests hold number params
+@pytest.mark.parametrize("name", ["gbt", "lda", "logreg", "mlp", "xgdnn"])
+def test_a_non_finite_param_is_a_data_error(name, fitted, tmp_path):
+    save_model(fitted[name], tmp_path, CLASSES)
+    clean = json.loads((tmp_path / "manifest.json").read_text())
+    paths = list(_number_params(clean["params"]))
+    assert paths
+    for *outer, key in paths:
+        for bad in (np.nan, np.inf, -np.inf):
+            manifest = json.loads(json.dumps(clean))
+            table = manifest["params"]
+            for part in outer:
+                table = table[part]
+            table[key] = bad
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(DataError, match="is not finite"):
+                load_model(tmp_path)
+
+
 @pytest.mark.parametrize("name", ["tree", "forest"])
 def test_a_nan_leaf_threshold_loads(name, fitted, data, tmp_path):
     _, X_new = data
@@ -201,6 +229,31 @@ def test_a_nan_leaf_threshold_loads(name, fitted, data, tmp_path):
     assert np.isnan(threshold[feature < 0]).all() and np.isfinite(threshold[feature >= 0]).all()
     loaded, _ = load_model(tmp_path)
     assert np.array_equal(loaded.predict_proba(X_new), fitted[name].predict_proba(X_new))
+
+
+INTEGER_FLOATS = {"learning_rate": 1, "lam": 2}  # float fields spelled as JSON integers
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("gbt", {"rounds": 2, "max_depth": 2, **INTEGER_FLOATS}),
+        ("xgdnn", {"gbt": {"rounds": 2, "max_depth": 2, **INTEGER_FLOATS}, "mlp": {"epochs": 2}}),
+    ],
+    ids=["gbt", "xgdnn"],
+)
+def test_save_load_save_writes_the_same_files(name, params, data, tmp_path):
+    train, _ = data
+    save_model(fit_model(name, train, params), tmp_path / "first", CLASSES)
+    save_model(load_model(tmp_path / "first")[0], tmp_path / "second", CLASSES)
+    files = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "second").iterdir())
+    for file in files:
+        assert (tmp_path / "first" / file).read_bytes() == (tmp_path / "second" / file).read_bytes(), file
+    stored = json.loads((tmp_path / "first" / "manifest.json").read_text())["params"]
+    booster = stored if name == "gbt" else stored["booster"]
+    assert (booster["learning_rate"], booster["lam"]) == (1.0, 2.0)
+    assert type(booster["learning_rate"]) is type(booster["lam"]) is float
 
 
 def test_loaded_arrays_are_writable(fitted, data, tmp_path):

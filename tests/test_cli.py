@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import credo.pipeline
+from credo.archive import load_model, save_model
 from credo.cli import exit_code_for, main
 from credo.errors import ConfigError, DataError, NumericError, PipelineError
 from credo.synth import SynthSpec, write_synthetic
@@ -555,6 +556,21 @@ IMPOSSIBLE_VALUES = {
     "gnb_variance_zero": ("gnb", "variances", _set_first(0.0), "variances must be positive"),
     "gnb_variance_negative": ("gnb", "variances", _set_first(-1.0), "variances must be positive"),
     "logreg_bias_long": ("logreg", "bias", lambda a: np.append(a, 0.0), "bias (4,) one entry per class"),
+    "lda_prior_negative": ("lda", "class_priors", _set_first(-0.5), "class priors must lie in [0, 1]"),
+    "lda_class_means_cut": ("lda", "class_means", lambda a: a[:, :-1], "class_means (3, 12) must be (3, 13)"),
+    "lda_components_cut": ("lda", "components", lambda a: a[:-1], "components (12, 2) must be (13, 2)"),
+    "lda_n_train_class_count": ("lda", "params.n_train", lambda n: 3, "n_train must exceed the class count 3"),
+    "lda_ridge_negative": ("lda", "params.ridge", lambda r: -1.0, "ridge must be finite and >= 0"),
+    "gbt_learning_rate_nan": ("gbt", "params.learning_rate", lambda r: float("nan"), "param nan is not finite"),
+    "gbt_learning_rate_huge": ("gbt", "params.learning_rate", lambda r: 1e308, "learning_rate must be in (0, 1]"),
+    "xgdnn_booster_learning_rate_nan": (
+        "xgdnn", "params.booster.learning_rate", lambda r: float("nan"), "param nan is not finite"
+    ),
+}
+# small fits of the slower families; a name's params are {} otherwise
+SMALL_PARAMS = {
+    "gbt": {"rounds": 2, "max_depth": 2},
+    "xgdnn": {"gbt": {"rounds": 2, "max_depth": 2}, "mlp": {"hidden": [4], "epochs": 2}},
 }
 
 
@@ -564,19 +580,44 @@ IMPOSSIBLE_VALUES = {
 def test_explain_archive_with_an_impossible_value_exits_3(
     tmp_path, data_csv, capsys, model, name, edit, message
 ):
-    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": model})]) == 0
+    entry = {"name": model, "params": SMALL_PARAMS.get(model, {})}
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model=entry)]) == 0
     model_dir = tmp_path / "out" / "model"
-    path = model_dir / f"{name}.f64"
-    shapes = json.loads((model_dir / "shapes.json").read_text())
-    values = edit(np.fromfile(path, dtype="<f8").reshape(shapes[name]))
-    values.tofile(path)
-    shapes[name] = list(values.shape)
-    (model_dir / "shapes.json").write_text(json.dumps(shapes))
+    if name.startswith("params."):  # a manifest param, by its dotted path
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        *outer, key = name.split(".")
+        table = manifest
+        for part in outer:
+            table = table[part]
+        table[key] = edit(table[key])
+        (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    else:
+        path = model_dir / f"{name}.f64"
+        shapes = json.loads((model_dir / "shapes.json").read_text())
+        values = edit(np.fromfile(path, dtype="<f8").reshape(shapes[name]))
+        values.tofile(path)
+        shapes[name] = list(values.shape)
+        (model_dir / "shapes.json").write_text(json.dumps(shapes))
     archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
     rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+def test_run_archives_an_integer_float_param_so_it_reloads_bit_exactly(tmp_path, data_csv):
+    params = {"rounds": 2, "max_depth": 2, "learning_rate": 1, "lam": 2}
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": "gbt", "params": params})]) == 0
+    first = tmp_path / "out" / "model"
+    model, manifest = load_model(first)
+    save_model(model, tmp_path / "again", manifest["schema"]["classes"], manifest["schema"]["target"])
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in (tmp_path / "again").iterdir())
+    for path in first.iterdir():
+        assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
+    assert (manifest["params"]["learning_rate"], manifest["params"]["lam"]) == (1.0, 2.0)
+    # the report echoes the params as the config gave them
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["model"]["params"] == params
 
 
 @pytest.mark.parametrize(

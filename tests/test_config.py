@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from credo.config import METRIC_NAMES, load_config, resolve_config
+from credo.config import METRIC_NAMES, load_config, model_config, resolve_config
 from credo.errors import ConfigError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
@@ -183,7 +183,8 @@ def test_every_model_param_is_settable(name):
     for field in dataclasses.fields(cls):
         cfg, value = _settable(cls, field.name, lambda v: {"model": {"name": name, "params": {field.name: v}}})
         assert cfg["model"]["params"] == {field.name: value}
-        assert getattr(cls(**cfg["model"]["params"]), field.name) != getattr(cls(), field.name)
+        built = model_config(name, cfg["model"]["params"], "params")
+        assert getattr(built, field.name) != getattr(cls(), field.name)
 
 
 # ------------------------------------------------------------------ errors

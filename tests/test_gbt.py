@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,12 @@ def test_zero_rounds_predicts_base_softmax():
     want = softmax(np.tile(m.base_score, (6, 1)))
     assert m.predict_proba(X) == pytest.approx(want, abs=1e-15)
     assert extract_margins(m, X) == pytest.approx(np.tile(m.base_score, (6, 1)))
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.3, 1.5, 1e308, float("nan")])
+def test_an_ensemble_learning_rate_outside_the_config_bound_is_a_data_error(rate):
+    with pytest.raises(DataError, match=r"learning_rate must be in \(0, 1\]"):
+        replace(_zero_round_ensemble([0.2, -0.1]), learning_rate=rate)
 
 
 def test_probabilities_row_stochastic():
