@@ -17,7 +17,8 @@ stored by one rule, chosen by its name and type hint.
   and the item's index (``w0``, ``b0``, ...).
 - A nested model is stored by these same rules, its field name prefixing
   its files (``booster_tree_weight``) and keying its params.
-- Every other field is a JSON param, cast back through its type hint.
+- Every other field is a JSON param, read back by its type hint through
+  ``config.read_value``, the one typed reader for configs and archives.
 
 Node and feature ids (``feature``, ``left``, ``right``, ``leaf_ordinal``)
 are read back as int64, and every loaded tree must be the preorder form
@@ -40,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .config import read_value
+from .errors import ConfigError, DataError
 from .trees import FlatTree
 from .zoo import MODEL_FAMILIES
 
@@ -60,10 +62,8 @@ def schema_hash(feature_names, class_names, target_name: str) -> str:
 
 # ------------------------------------------------------------ field rules
 
-_SCHEMA_FIELDS = {
-    "n_classes": lambda schema: len(schema["classes"]),
-    "feature_names": lambda schema: tuple(schema["features"]),
-}
+_SCHEMA_KEYS = {"features": tuple[str, ...], "classes": tuple[str, ...], "target": str}
+_SCHEMA_FIELDS = ("n_classes", "feature_names")  # model fields that the manifest schema gives
 _INDEX_KEYS = {"feature", "left", "right", "leaf_ordinal"}
 
 
@@ -128,19 +128,12 @@ def _column(arrays: dict, key: str, name: str) -> np.ndarray:
     return _entry(arrays, key, "array").astype(dtype, copy=False)
 
 
-def _cast(hint, value):
-    """A JSON param as its field's type; a number must be finite."""
-    args = typing.get_args(hint)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DataError(f"archived param {value!r} is not finite")
+def _read(hint, value, path: str):
+    """A manifest value as JSON type `hint`, or a DataError naming its dotted `path`."""
     try:
-        if typing.get_origin(hint) is tuple:
-            return tuple(_cast(args[0], v) for v in value)
-        if args:  # an optional scalar, `T | None`
-            return None if value is None else _cast(args[0], value)
-        return hint(value)
-    except (TypeError, ValueError) as e:
-        raise DataError(f"archived param {value!r} is not a {hint}: {e}") from None
+        return read_value(hint, value, path)
+    except ConfigError as e:
+        raise DataError(f"archive {e}") from None
 
 
 def _check_nodes(feature, threshold, left, right, sizes, n_features: int, leaf_ordinal=None) -> None:
@@ -170,7 +163,7 @@ def _check_nodes(feature, threshold, left, right, sizes, n_features: int, leaf_o
             raise DataError("archived leaf ordinals are not each leaf's depth-first rank in its tree")
 
 
-def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
+def _unpack_trees(tree_cls, arrays: dict, given: dict, prefix: str) -> tuple:
     sizes = _entry(arrays, f"{prefix}tree_sizes", "array").astype(np.int64)
     ends = np.cumsum(np.append(0, sizes))
     columns = {
@@ -182,33 +175,33 @@ def _unpack_trees(tree_cls, arrays: dict, schema: dict, prefix: str) -> tuple:
         raise DataError(f"archive arrays {prefix}tree_* disagree with tree_sizes ({ends[-1]} nodes)")
     _check_nodes(
         columns["feature"], columns["threshold"], columns["left"], columns["right"], sizes,
-        len(schema["features"]), columns.get("leaf_ordinal"),
+        len(given["feature_names"]), columns.get("leaf_ordinal"),
     )
     return tuple(
-        _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, schema)
+        _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, given)
         for a, b in zip(ends[:-1], ends[1:])
     )
 
 
-def _unpack(cls, arrays: dict, params: dict, schema: dict, prefix: str = ""):
+def _unpack(cls, arrays: dict, params: dict, given: dict, prefix: str = "", path: str = "params"):
     """Rebuild a `cls` from its arrays (file names under `prefix`), its
-    params and the manifest schema."""
+    params (at the manifest's dotted `path`) and the `given` schema fields."""
     kwargs = {}
     for name, rule, hint in _layout(cls):
         if rule == "schema":
-            kwargs[name] = _SCHEMA_FIELDS[name](schema)
+            kwargs[name] = given[name]
         elif rule == "array":
             kwargs[name] = _column(arrays, prefix + name, name)
         elif rule == "arrays":
             keys = (f"{prefix}{name[0]}{i}" for i in itertools.count())
             kwargs[name] = tuple(arrays[k] for k in itertools.takewhile(arrays.__contains__, keys))
         elif rule == "trees":
-            kwargs[name] = _unpack_trees(hint, arrays, schema, prefix)
+            kwargs[name] = _unpack_trees(hint, arrays, given, prefix)
         elif rule == "model":
             inner = _entry(params, name, "param")
-            kwargs[name] = _unpack(hint, arrays, inner, schema, f"{prefix}{name}_")
+            kwargs[name] = _unpack(hint, arrays, inner, given, f"{prefix}{name}_", f"{path}.{name}")
         else:
-            kwargs[name] = _cast(hint, _entry(params, name, "param"))
+            kwargs[name] = _read(hint, _entry(params, name, "param"), f"{path}.{name}")
     return cls(**kwargs)
 
 
@@ -266,10 +259,10 @@ def load_model(dir_path):
     if not (isinstance(manifest, dict) and isinstance(shapes, dict)):
         raise DataError(f"archive under {dir_path}: manifest.json and shapes.json must hold JSON objects")
 
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported archive format_version {manifest.get('format_version')!r}")
+    if _read(int, manifest.get("format_version"), "format_version") != FORMAT_VERSION:
+        raise DataError(f"unsupported archive format_version {manifest['format_version']!r}")
     mtype = manifest.get("model")
-    if not (isinstance(mtype, str) and mtype in MODEL_FAMILIES):
+    if mtype not in tuple(MODEL_FAMILIES):  # compared by ==, so a JSON list or object is unknown too
         raise DataError(f"unknown archived model type {mtype!r}")
 
     arrays = {}
@@ -290,17 +283,13 @@ def load_model(dir_path):
             raise DataError(f"array {name} holds a non-finite value")
         arrays[name] = flat.reshape(shape).astype(float)
 
-    schema = _entry(manifest, "schema", "manifest key")
-    for key in ("features", "classes", "target"):
-        value = _entry(schema, key, "schema key")
-        names = [value] if key == "target" else value
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            kind = "a string" if key == "target" else "a list of strings"
-            raise DataError(f"archive schema key {key} is {value!r}, not {kind}")
+    stored = _entry(manifest, "schema", "manifest key")
+    schema = {k: _read(t, _entry(stored, k, "schema key"), f"schema.{k}") for k, t in _SCHEMA_KEYS.items()}
     if schema_hash(schema["features"], schema["classes"], schema["target"]) != manifest.get("schema_hash"):
         raise DataError("archive schema_hash does not match its schema")
-    model = _unpack(MODEL_FAMILIES[mtype][2], arrays, manifest.get("params", {}), schema)
     n_features, n_classes = len(schema["features"]), len(schema["classes"])
+    given = {"n_classes": n_classes, "feature_names": schema["features"]}
+    model = _unpack(MODEL_FAMILIES[mtype][2], arrays, manifest.get("params", {}), given)
     if isinstance(model, FlatTree):
         _check_nodes(
             model.feature, model.threshold, model.left, model.right, [len(model.feature)], n_features

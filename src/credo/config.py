@@ -11,6 +11,8 @@ against the frozen config dataclasses that the code consumes: keys and
 types come from their fields, bounds from their ``__post_init__``, so each
 bound is stated once and a value that passes here is accepted downstream.
 ``model_config`` is the one reader of model params, ``zoo.fit_model``'s too.
+``read_value`` is the one typed reader of JSON values, in configs and
+archives alike: an integer passes for a float, a bool is not a number.
 Every field of those dataclasses is settable from JSON, and the section
 echo carries each one, so no setting exists that a config cannot reach.
 """
@@ -30,7 +32,7 @@ from .lda import LdaConfig
 from .resample import SmoteConfig
 from .zoo import MODEL_FAMILIES, MODEL_NAMES
 
-__all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "model_config", "resolve_config"]
+__all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "model_config", "read_value", "resolve_config"]
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "g_mean", "h_measure", "f1")
 SCALER_MODES = ("zscore", "minmax", "none")
@@ -111,7 +113,8 @@ def _bounded(path: str, fn, *args, **kwargs):
 _SCALARS = {bool: _as_bool, int: _as_int, float: _as_number, str: _as_string}
 
 
-def _value(hint, v, path):
+def read_value(hint, v, path: str):
+    """JSON value `v` as type `hint`, or a ConfigError naming `path`."""
     options = typing.get_args(hint)
     if type(None) in options:
         if v is None:
@@ -122,7 +125,7 @@ def _value(hint, v, path):
     if typing.get_origin(hint) is tuple:
         if not isinstance(v, list):
             _fail(path, "expected a list")
-        return tuple(_value(typing.get_args(hint)[0], x, f"{path}[{i}]") for i, x in enumerate(v))
+        return tuple(read_value(typing.get_args(hint)[0], x, f"{path}[{i}]") for i, x in enumerate(v))
     return _SCALARS[hint](v, path)
 
 
@@ -137,7 +140,7 @@ def _build(cls, raw, path: str, extra=()):
     fields = [f.name for f in dataclasses.fields(cls)]
     _check_keys(raw, path, {*fields, *extra})
     hints = typing.get_type_hints(cls)
-    kwargs = {name: _value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
+    kwargs = {name: read_value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
     for name, value in kwargs.items():
         _bounded(f"{path}.{name}", cls, **{name: value})
     return _bounded(path, cls, **kwargs)

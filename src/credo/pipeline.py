@@ -332,7 +332,7 @@ def _write_outputs(outputs) -> None:
     """Write each (path, text or writer function) in order, rendering lazily
     if `outputs` is a generator. If one fails, remove what it and the
     earlier ones created, directories included, and raise a 'write' stage
-    error."""
+    error; an unwritable path is a DataError."""
     created: list[Path] = []
     try:
         for path, content in outputs:
@@ -340,13 +340,16 @@ def _write_outputs(outputs) -> None:
             while not parent.exists():
                 new_dirs.append(parent)
                 parent = parent.parent
-            path.parent.mkdir(parents=True, exist_ok=True)
-            created += reversed(new_dirs)
-            created.append(path)
-            if callable(content):
-                content(path)
-            else:
-                path.write_text(content)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                created += reversed(new_dirs)
+                created.append(path)
+                if callable(content):
+                    content(path)
+                else:
+                    path.write_text(content)
+            except OSError as e:
+                raise DataError(f"cannot write {path}: {e}") from e
     except Exception as e:
         for path in reversed(created):
             if path.is_dir():

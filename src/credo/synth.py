@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .frame import largest_remainder, write_csv
 
 __all__ = ["SynthSpec", "class_counts", "write_synthetic"]
@@ -105,15 +105,18 @@ def write_synthetic(path: str, spec: SynthSpec = SynthSpec()) -> dict:
     digits = len(str(spec.classes - 1))
     class_names = [f"c{c:0{digits}d}" for c in range(spec.classes)]
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_csv(
-            fh,
-            _column_names(spec),
-            numeric,
-            np.column_stack([cats, labels]),
-            [_CATEGORY_LEVELS] * spec.categorical + [class_names],
-            missing=null_mask,
-        )
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_csv(
+                fh,
+                _column_names(spec),
+                numeric,
+                np.column_stack([cats, labels]),
+                [_CATEGORY_LEVELS] * spec.categorical + [class_names],
+                missing=null_mask,
+            )
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from e
 
     return {
         "path": path,

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +217,59 @@ def test_a_non_finite_param_is_a_data_error(name, fitted, tmp_path):
                 table = table[part]
             table[key] = bad
             (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-            with pytest.raises(DataError, match="is not finite"):
+            with pytest.raises(DataError, match=".".join(("params", *outer, key)) + ": expected an? (integer|finite number)"):
+                load_model(tmp_path)
+
+
+# wrong JSON values for a param of each type: a string, a bool for a
+# number, a fractional float for an int, a list, and null
+WRONG_JSON = {
+    bool: ["yes", 1, [True], None],
+    int: ["150", True, 2.7, [1], None],
+    float: ["0.5", True, [0.5], None],
+    str: [1, True, ["margins"], None],
+}
+
+
+def _wrong_values(hint):
+    """Each wrong JSON value for a field of type `hint`, with the suffix its
+    error path carries past the field's own path."""
+    options = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # a list: wrong as a whole, or in its first item
+        whole = [(v, "") for v in WRONG_JSON[options[0]] if not isinstance(v, list)]
+        return whole + [([v], "[0]") for v in WRONG_JSON[options[0]]]
+    if type(None) in options:  # an optional: null is right
+        (inner,) = [t for t in options if t is not type(None)]
+        return [(v, "") for v in WRONG_JSON[inner] if v is not None]
+    return [(v, "") for v in WRONG_JSON[hint]]
+
+
+def _typed_params(cls, params, prefix=("params",)):
+    """(path, type hint) of every archived param of a `cls` model, into nested models."""
+    hints = typing.get_type_hints(cls)
+    for key, value in params.items():
+        if isinstance(value, dict):
+            yield from _typed_params(hints[key], value, (*prefix, key))
+        else:
+            yield (*prefix, key), hints[key]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FAMILIES))
+def test_a_wrong_json_type_in_a_param_is_a_data_error_naming_it(name, fitted, tmp_path):
+    save_model(fitted[name], tmp_path, CLASSES)
+    clean = json.loads((tmp_path / "manifest.json").read_text())
+    paths = list(_typed_params(MODEL_FAMILIES[name][2], clean["params"]))
+    assert bool(paths) == (name not in ("gnb", "tree", "forest"))  # those three store only arrays
+    for (_, *outer, key), hint in paths:
+        for bad, suffix in _wrong_values(hint):
+            manifest = json.loads(json.dumps(clean))
+            table = manifest["params"]
+            for part in outer:
+                table = table[part]
+            table[key] = bad
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            dotted = ".".join(("params", *outer, key)) + suffix
+            with pytest.raises(DataError, match=re.escape(f"archive {dotted}: expected")):
                 load_model(tmp_path)
 
 

@@ -383,9 +383,30 @@ def test_explain_out_naming_a_file_is_a_write_error(tmp_path, data_csv, capsys):
     taken.write_text("")
     archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
     rc = main(["explain", "-m", "lime", *archive, "--out", str(taken)])
-    assert rc == 1
+    assert rc == 3
     assert "error: stage 'write' failed" in capsys.readouterr().err
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_naming_a_file_exits_3_and_leaves_it_alone(tmp_path, data_csv, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("mine")
+    cfg = write_config(tmp_path, data_csv, models=[{"name": "gnb"}])
+    assert main([command, "-c", cfg, "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'write' failed: cannot write" in err and "File exists" in err
+    assert taken.read_text() == "mine"
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "a_dir"], ids=["missing_dir", "onto_a_dir"])
+def test_synth_to_an_unwritable_path_exits_3(tmp_path, capsys, target):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_dir" / "keep.txt").write_text("mine")
+    assert main(["synth", "-o", str(tmp_path / target), "--rows", "200"]) == 3
+    assert f"cannot write {tmp_path / target}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "keep.txt"]
+    assert (tmp_path / "a_dir" / "keep.txt").read_text() == "mine"
 
 
 def test_explain_missing_archive_exits_3(tmp_path, data_csv, capsys):
@@ -445,7 +466,7 @@ def _array_outside_archive(manifest, shapes):
         (_drop_schema_key("classes"), "missing schema key classes"),
         (_drop_schema_key("target"), "missing schema key target"),
         (_edit_schema_hash, "schema_hash does not match"),
-        (_features_not_a_list, "schema key features is 5, not a list of strings"),
+        (_features_not_a_list, "archive schema.features: expected a list"),
         (_set_shape("x"), "shape 'x', not a list of sizes"),
         (_set_shape({"a": 1}), "shape {'a': 1}, not a list of sizes"),
         # two negative sizes whose product is the file's value count
@@ -561,10 +582,12 @@ IMPOSSIBLE_VALUES = {
     "lda_components_cut": ("lda", "components", lambda a: a[:-1], "components (12, 2) must be (13, 2)"),
     "lda_n_train_class_count": ("lda", "params.n_train", lambda n: 3, "n_train must exceed the class count 3"),
     "lda_ridge_negative": ("lda", "params.ridge", lambda r: -1.0, "ridge must be finite and >= 0"),
-    "gbt_learning_rate_nan": ("gbt", "params.learning_rate", lambda r: float("nan"), "param nan is not finite"),
+    "gbt_learning_rate_nan": (
+        "gbt", "params.learning_rate", lambda r: float("nan"), "params.learning_rate: expected a finite number"
+    ),
     "gbt_learning_rate_huge": ("gbt", "params.learning_rate", lambda r: 1e308, "learning_rate must be in (0, 1]"),
     "xgdnn_booster_learning_rate_nan": (
-        "xgdnn", "params.booster.learning_rate", lambda r: float("nan"), "param nan is not finite"
+        "xgdnn", "params.booster.learning_rate", lambda r: float("nan"), "params.booster.learning_rate: expected a finite number"
     ),
 }
 # small fits of the slower families; a name's params are {} otherwise
@@ -598,6 +621,36 @@ def test_explain_archive_with_an_impossible_value_exits_3(
         values.tofile(path)
         shapes[name] = list(values.shape)
         (model_dir / "shapes.json").write_text(json.dumps(shapes))
+    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+# manifest values of the wrong JSON type in a logreg archive, each of which
+# once loaded as a nearby value of the right type
+WRONG_TYPED_VALUES = {
+    "converged_a_string": ("params.converged", "no", "archive params.converged: expected true or false"),
+    "n_iter_fractional": ("params.n_iter", 2.7, "archive params.n_iter: expected an integer"),
+    "n_iter_a_string": ("params.n_iter", "150", "archive params.n_iter: expected an integer"),
+    "n_iter_a_bool": ("params.n_iter", True, "archive params.n_iter: expected an integer"),
+    "format_version_a_bool": ("format_version", True, "archive format_version: expected an integer"),
+    "format_version_a_float": ("format_version", 1.0, "archive format_version: expected an integer"),
+}
+
+
+@pytest.mark.parametrize("key, value, message", WRONG_TYPED_VALUES.values(), ids=WRONG_TYPED_VALUES.keys())
+def test_explain_archive_with_a_wrong_typed_value_exits_3(tmp_path, data_csv, capsys, key, value, message):
+    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": "logreg"})]) == 0
+    model_dir = tmp_path / "out" / "model"
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    *outer, last = key.split(".")
+    table = manifest
+    for part in outer:
+        table = table[part]
+    table[last] = value
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
     archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
     rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
     assert rc == 3

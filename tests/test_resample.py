@@ -21,7 +21,9 @@ def test_histogram_exactly_flat():
     sizes = [50, 9, 23, 4, 17, 31, 8, 12, 5, 40]
     X = rng.normal(size=(sum(sizes), 6))
     y = np.repeat(np.arange(10), sizes)
-    out = smote(_frame(X, y), SmoteConfig(seed=1))
+    with pytest.warns(SmoteKClampWarning) as caught:  # classes 3 and 8 have at most k rows
+        out = smote(_frame(X, y), SmoteConfig(seed=1))
+    assert [str(w.message).split(":")[0] for w in caught] == ["class 3", "class 8"]
     assert np.bincount(out.labels, minlength=10).tolist() == [50] * 10
 
 
@@ -80,7 +82,8 @@ def test_majority_class_untouched():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(15, 2))
     y = np.array([0] * 10 + [1] * 5)
-    out = smote(_frame(X, y), SmoteConfig(seed=0))
+    with pytest.warns(SmoteKClampWarning, match="class 1: k_neighbors 5 >= class size 5"):
+        out = smote(_frame(X, y), SmoteConfig(seed=0))
     majority_rows = out.feature_matrix()[out.labels == 0]
     assert np.array_equal(majority_rows, X[:10])
 
