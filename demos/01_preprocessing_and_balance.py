@@ -56,7 +56,7 @@ def main():
     params = fit_scaler(train, "zscore")
     train = apply_scaler(train, params)
     test = apply_scaler(test, params)
-    mu = train.feature_matrix().mean(axis=0)
+    mu = train.matrix.mean(axis=0)
     print(f"train means after scaling: max |mean| = {np.abs(mu).max():.2e}")
 
     balanced = smote(train, SmoteConfig(k_neighbors=5, seed=0))

@@ -32,7 +32,7 @@ def main():
 
     # class separation before vs after, using mean pairwise centroid distance
     def centroid_spread(f):
-        M = f.feature_matrix()
+        M = f.matrix
         cents = np.array([M[f.labels == c].mean(axis=0) for c in range(n_classes)])
         dists = np.linalg.norm(cents[:, None] - cents[None, :], axis=2)
         return dists[np.triu_indices(n_classes, 1)].mean() / M.std()

@@ -32,7 +32,7 @@ def main():
     print("-" * len(header))
     for name in MODEL_NAMES:
         model = fit_model(name, train, dict(PARAMS.get(name, {})))
-        proba = model.predict_proba(test.feature_matrix())
+        proba = model.predict_proba(test.matrix)
         report = evaluate(y, proba.argmax(axis=1), proba, n_classes)
         cells = "".join(f"{100 * getattr(report, m):11.2f}%" for m in METRICS)
         print(f"{name:8s}{cells}")

@@ -11,7 +11,7 @@ from credo import GbtConfig, MlpConfig, XgdnnConfig, fit_gbt, fit_hybrid, fit_ml
 
 
 def accuracy(model, test):
-    return float(np.mean(model.predict(test.feature_matrix()) == test.labels))
+    return float(np.mean(model.predict(test.matrix) == test.labels))
 
 
 def main():

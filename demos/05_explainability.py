@@ -34,7 +34,7 @@ def main():
     train, test = split(frame, 0.8, seed=4)
 
     model = fit_gbt(train, GbtConfig(rounds=25, max_depth=3))
-    X_test = test.feature_matrix()
+    X_test = test.matrix
 
     row = 5
     target = int(model.predict(X_test[row : row + 1])[0])
@@ -45,7 +45,7 @@ def main():
     for name, w, imp in zip(local.feature_names, local.weights, local.importances):
         print(f"  {name:11s} weight {w:+.4f}  share {imp:.2f}")
 
-    X_train = train.feature_matrix()
+    X_train = train.matrix
     ranges = np.column_stack([X_train.min(axis=0), X_train.max(axis=0)])
     screening = morris_screen(model, ranges, cfg=MorrisConfig(n_trajectories=30, seed=1),
                               feature_names=train.column_names)

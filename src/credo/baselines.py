@@ -68,7 +68,7 @@ class Classifier:
                     f"frame features {list(X.column_names)} do not match the fitted "
                     f"features {list(self.feature_names)}"
                 )
-            X = X.feature_matrix()
+            X = X.matrix
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DataError(f"model expects {self.n_features} features, got shape {X.shape}")

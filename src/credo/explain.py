@@ -196,7 +196,7 @@ def lime_explain(
     """
     if background.n_rows == 0:
         raise DataError("background frame is empty")
-    X = background.feature_matrix()
+    X = background.matrix
     row = np.asarray(row, dtype=float)
     d = X.shape[1]
     if row.shape != (d,):

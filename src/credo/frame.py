@@ -14,9 +14,13 @@ CSV conventions: RFC-4180-style, UTF-8 (a leading byte-order mark is
 accepted), header row required, ``,`` delimiter, ``"`` quoting. The tokens
 ``""``, ``"NA"`` and ``"null"`` (case-sensitive) are read as missing. A cell
 is a number iff Python's ``float()`` accepts it (so ``" 1.5"``, ``"1_000"``
-and ``"+2"`` are numbers) and the value is finite. A categorical level keeps
-its spelling (``"1_000"`` and ``"1000"`` are two). A byte that is not UTF-8
-or a field past csv's size limit is a :class:`DataError` naming its line.
+and ``"+2"`` are numbers) and the value is finite; a column is numeric iff
+all its cells are, except the one column a caller names categorical (the
+target). A categorical level keeps its spelling (``"1_000"`` and ``"1000"``
+are two). A duplicated or empty header name, or a categorical name that is
+not in the header, is refused before any data row is read. A byte that is
+not UTF-8 or a field past csv's size limit is a :class:`DataError` naming
+its line.
 ``load_csv`` reads, ``encode`` fills and ``write_csv`` renders a block of
 ``_BLOCK_CELLS`` cells at a time; ``write_csv`` renders the processed splits
 and the synthetic data under the same conventions, each float as its
@@ -192,10 +196,6 @@ class Frame:
     def n_features(self) -> int:
         return self.matrix.shape[1]
 
-    def feature_matrix(self) -> np.ndarray:
-        """The read-only (n_rows, n_features) matrix."""
-        return self.matrix
-
     @property
     def labels(self) -> np.ndarray:
         if self.target is None:
@@ -301,13 +301,14 @@ def _joined_column(numeric: bool, chunks: list, spelling: dict) -> Column:
     return Column(CATEGORICAL, recode[np.concatenate(chunks)], tuple(seen[i] for i in order))
 
 
-def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Table:
+def load_csv(path: str, categorical: str | None = None) -> Table:
     """Load a CSV file, inferring numeric/categorical kinds per column.
 
-    A column is numeric iff every non-missing cell parses as a finite number;
-    ``schema_hints`` ({name: "numeric"|"categorical"}) overrides inference.
-    Raises :class:`DataError` on an empty file, ragged rows, or a hint that
-    contradicts the data.
+    A column is numeric iff every non-missing cell parses as a finite
+    number; the column named ``categorical`` is read as categorical
+    whatever its cells. Raises :class:`DataError` on an empty file or
+    ragged rows, and, before any data row is read, on a ``categorical``
+    name that is not in the header or a duplicated or empty header name.
 
     The rows are read a block at a time, ``_BLOCK_CELLS`` cells, and each
     cell is parsed once, into a float64 chunk while its column is numeric
@@ -316,35 +317,31 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Table:
     beyond the columns is one block, and the spellings of each categorical
     column.
     """
-    hints = dict(schema_hints or {})
     with closing(_records(path)) as records:
         header = next(records, None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        if categorical is not None and categorical not in header:
+            raise DataError(f"{path}: no column named {categorical!r}")
         width = len(header)
-        numeric = [hints.get(name) != CATEGORICAL for name in header]
+        _check_names(tuple(header), width)
+        numeric = [name != categorical for name in header]
         chunks = [[] for _ in header]
         spellings = [dict.fromkeys(MISSING_TOKENS, -1) for _ in header]
-        bad_rows = {}  # a hinted numeric column -> its first data row that does not parse
         n_rows = 0
         for block in _blocks(path, records, width):
             cells_by_column = list(zip(*block))
             late = []
             for j, cells in enumerate(cells_by_column):
-                if not numeric[j] or j in bad_rows:
+                if not numeric[j]:
                     continue
                 values = _finite_floats(cells)
                 if values is not None:
                     chunks[j].append(values)
                     continue
                 chunks[j] = []
-                if hints.get(header[j]) == NUMERIC:
-                    bad_rows[j] = n_rows + next(
-                        i for i, c in enumerate(cells, 1) if _finite_floats((c,)) is None
-                    )
-                else:
-                    numeric[j] = False
-                    late.append(j)
+                numeric[j] = False
+                late.append(j)
             if n_rows and late:  # code these columns' earlier rows, read again
                 with closing(_records(path)) as again:
                     next(again)
@@ -359,15 +356,6 @@ def load_csv(path: str, schema_hints: dict[str, str] | None = None) -> Table:
             del block, cells_by_column  # before the next block is read
     if not n_rows:
         raise DataError(f"{path}: no data rows")
-
-    for name in hints:
-        if name not in header:
-            raise DataError(f"schema hint for unknown column {name!r}")
-        if hints[name] not in (NUMERIC, CATEGORICAL):
-            raise DataError(f"schema hint for {name!r} must be 'numeric' or 'categorical'")
-    if bad_rows:
-        j = min(bad_rows)
-        raise DataError(f"column {header[j]!r} hinted numeric but data row {bad_rows[j]} does not parse")
 
     columns = []
     for is_numeric, spelling in zip(numeric, spellings):
@@ -497,7 +485,7 @@ def encode(table: Table, target_name: str) -> Frame:
     target_col = table.column(target_name)
     if target_col.kind != CATEGORICAL:
         raise DataError(
-            f"target {target_name!r} is numeric; hint it categorical at load time"
+            f"target {target_name!r} is numeric; load it with categorical={target_name!r}"
         )
     if target_col.missing_mask.any():
         raise DataError(f"target {target_name!r} has missing values")
@@ -547,7 +535,7 @@ class ScalerParams:
 def fit_scaler(frame: Frame, mode: str = "zscore") -> ScalerParams:
     if mode not in ("zscore", "minmax"):
         raise DataError(f"unknown scaler mode {mode!r}")
-    X = frame.feature_matrix()
+    X = frame.matrix
     if mode == "zscore":
         location = X.mean(axis=0)
         scale = X.std(axis=0)
@@ -570,7 +558,7 @@ def apply_scaler(frame: Frame, params: ScalerParams) -> Frame:
     """Scale features with fitted params. Values outside the training range
     are returned unclamped."""
     _check_scaler_columns(frame, params)
-    Z = frame.feature_matrix() - params.location
+    Z = frame.matrix - params.location
     Z /= params.scale
     return Frame(frame.column_names, Z, frame.target)
 

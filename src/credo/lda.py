@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import Classifier, check_nonnegative, softmax
 from .errors import DataError, LdaClampWarning, NumericError
-from .frame import Frame, numeric_frame
+from .frame import Frame
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,6 @@ class ProjectionLDA(Classifier):
     @property
     def n_components(self) -> int:
         return self.components.shape[1]
-
-    @property
-    def clamped(self) -> bool:
-        return self.n_requested > self.n_components
 
     @property
     def n_classes(self) -> int:
@@ -208,5 +204,5 @@ def fit_lda(train: Frame, cfg: LdaConfig | None = None) -> ProjectionLDA:
 def transform_lda(p: ProjectionLDA, f: Frame) -> Frame:
     """Project rows to the discriminant space; columns LD1..LDm."""
     Z = (p._coerce(f) - p.grand_mean) @ p.components
-    names = [f"LD{i + 1}" for i in range(p.n_components)]
-    return numeric_frame(Z, names, target=f.target)
+    names = tuple(f"LD{i + 1}" for i in range(p.n_components))
+    return Frame(names, Z, f.target)

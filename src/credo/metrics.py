@@ -62,9 +62,6 @@ class MetricReport:
     support: np.ndarray
     conventions: tuple[str, ...]
 
-    def with_h(self, h: float) -> "MetricReport":
-        return replace(self, h_measure=h)
-
     def to_dict(self) -> dict:
         """JSON-friendly view; scalar scores as fractions."""
         return {
@@ -249,4 +246,4 @@ def h_measure(true_labels, scores: np.ndarray) -> float:
 def evaluate(true_labels, predicted_labels, proba: np.ndarray, n_classes: int) -> MetricReport:
     """Full report: confusion-based scores plus the macro H-measure."""
     report = basic_metrics(confusion(true_labels, predicted_labels, n_classes))
-    return report.with_h(h_measure(true_labels, proba))
+    return replace(report, h_measure=h_measure(true_labels, proba))

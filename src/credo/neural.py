@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import Classifier, check_nonnegative, cross_entropy, one_hot, softmax
 from .errors import DataError, NumericError
-from .frame import Frame, numeric_frame
+from .frame import Frame
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
 
 FEATURE_MODES = ("margins", "leaf_onehot", "margins_plus_raw")
@@ -231,8 +231,6 @@ def fit_hybrid(
     if booster is None:
         booster = fit_gbt(train, cfg.gbt)
     Z = derive_features(booster, train, cfg.feature_mode)
-    head_train = numeric_frame(
-        Z, [f"z{i}" for i in range(Z.shape[1])], target=train.target
-    )
+    head_train = Frame(tuple(f"z{i}" for i in range(Z.shape[1])), Z, train.target)
     head = replace(fit_mlp(head_train, cfg.mlp), feature_names=train.column_names)
     return HybridXgDnn(booster, cfg.feature_mode, head)

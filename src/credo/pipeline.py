@@ -9,13 +9,15 @@ deliverables (report.json, metrics.csv, processed splits, a model archive,
 explanation files); ``cmd_compare`` prepares once and renders each model
 with the discriminant reduction off and on as one matrix; ``cmd_explain``
 replays a stored archive against a CSV through the run's explanation step.
-Any stage failure aborts with the stage name and cause, and files written by
-the failed invocation are removed.
+``cmd_run`` and ``cmd_compare`` refuse an out_dir that cannot become a
+directory before reading any data. Any stage failure aborts with the stage
+name and cause, and files written by the failed invocation are removed.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import shutil
@@ -44,7 +46,6 @@ from .frame import (
     fit_scaler,
     impute,
     load_csv,
-    numeric_frame,
     split,
     write_csv,
 )
@@ -94,6 +95,12 @@ def _stage(timings: list[dict], name: str, fn):
     return result
 
 
+def _as_config(cls, section: dict):
+    """The config dataclass `cls` from a resolved config section, field by
+    field name; keys that are no field, such as ``enabled``, stay behind."""
+    return cls(**{f.name: section[f.name] for f in dataclasses.fields(cls)})
+
+
 def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     """Load -> drop sparse -> impute -> encode -> [smote] -> split -> scale
     -> [smote]. Returns the model-ready train and test frames and the
@@ -101,7 +108,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     target = cfg["target"]
 
     def load():
-        table = load_csv(cfg["data"], schema_hints={target: "categorical"})
+        table = load_csv(cfg["data"], categorical=target)
         mask = table.column(target).missing_mask
         if mask.all():
             raise DataError(f"target {target!r} is missing in every row")
@@ -130,9 +137,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
         if when != smote_path:
             return f
         counts.append(_class_counts(f))
-        f = _stage(
-            timings, "smote", lambda: smote(f, SmoteConfig(smote_cfg["k_neighbors"], smote_cfg["seed"]))
-        )
+        f = _stage(timings, "smote", lambda: smote(f, _as_config(SmoteConfig, smote_cfg)))
         counts.append(_class_counts(f))
         return f
 
@@ -173,7 +178,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
 def _reduce(train: Frame, test: Frame, lda_cfg: dict, timings: list[dict]):
     """Fit the discriminant projection on train; project both splits."""
     def project():
-        projection = fit_lda(train, LdaConfig(lda_cfg["n_components"], lda_cfg["ridge"]))
+        projection = fit_lda(train, _as_config(LdaConfig, lda_cfg))
         return projection, transform_lda(projection, train), transform_lda(projection, test)
 
     return _stage(timings, "lda", project)
@@ -189,7 +194,7 @@ def _fit_and_score(
     )
 
     def score():
-        proba = np.asarray(model.predict_proba(test.feature_matrix()), dtype=float)
+        proba = np.asarray(model.predict_proba(test.matrix), dtype=float)
         pred = np.argmax(proba, axis=1)
         return proba, evaluate(test.labels, pred, proba, test.target.n_classes)
 
@@ -215,7 +220,7 @@ def _explain(model, background: Frame, X, rows, lime_cfg, morris_cfg, target_cla
         lime_out.append(lime_explain(model, background, X[r], int(cls), lime_cfg, row_index=r))
     screening = None
     if morris_cfg is not None:
-        B = background.feature_matrix()
+        B = background.matrix
         screening = morris_screen(
             model,
             np.column_stack([B.min(axis=0), B.max(axis=0)]),
@@ -243,17 +248,16 @@ def run_pipeline(cfg: dict) -> RunOutcome:
 
         model, proba, metric_report = _fit_and_score(train, test, cfg["model"], timings)
 
-        explain_cfg = cfg["explain"]
+        explain_cfg, morris = cfg["explain"], cfg["explain"]["morris"]
         lime_explanations, morris_screening = [], None
-        if explain_cfg["lime_rows"] or explain_cfg["morris"]["enabled"]:
-            morris = {k: v for k, v in explain_cfg["morris"].items() if k != "enabled"}
+        if explain_cfg["lime_rows"] or morris["enabled"]:
             lime_explanations, morris_screening = _stage(timings, "explain", lambda: _explain(
                 model,
                 train,
-                test.feature_matrix(),
+                test.matrix,
                 explain_cfg["lime_rows"],
-                LimeConfig(**explain_cfg["lime"]),
-                MorrisConfig(**morris) if explain_cfg["morris"]["enabled"] else None,
+                _as_config(LimeConfig, explain_cfg["lime"]),
+                _as_config(MorrisConfig, morris) if morris["enabled"] else None,
                 classes=proba.argmax(axis=1),
             ))
 
@@ -316,7 +320,7 @@ def _frame_csv(frame: Frame, target_name: str):
             write_csv(
                 fh,
                 [*frame.column_names, target_name],
-                frame.feature_matrix(),
+                frame.matrix,
                 frame.labels[:, None],
                 [frame.target.class_names],
             )
@@ -326,6 +330,16 @@ def _frame_csv(frame: Frame, target_name: str):
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _check_out_dir(out: Path) -> None:
+    """Refuse an `out` that is not, and cannot become, a directory: the
+    nearest existing path at or above it must be one. Creates nothing."""
+    existing = out
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise DataError(f"cannot write under {out}: {existing} is not a directory")
 
 
 def _write_outputs(outputs) -> None:
@@ -386,8 +400,9 @@ def _explanation_outputs(explanation, out: Path, stem: str):
 
 def cmd_run(cfg: dict) -> tuple[RunOutcome, Path]:
     """Run one configuration and write its deliverables under out_dir."""
-    outcome = run_pipeline(cfg)
     out = Path(cfg["out_dir"])
+    _check_out_dir(out)
+    outcome = run_pipeline(cfg)
     _write_outputs(_run_outputs(outcome, out))
     return outcome, out
 
@@ -459,6 +474,8 @@ def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
         values = {m: getattr(metric_report, m) for m in cfg["metrics"]}
         return CompareCell(entry["name"], with_lda, values, None)
 
+    out = Path(cfg["out_dir"])
+    _check_out_dir(out)
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         train, test, _ = prepare(cfg, [])
@@ -471,8 +488,6 @@ def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
             boosters: dict = {}  # the boosters fitted on this setting's train split
             rows += [cell(entry, with_lda, frames, boosters) for entry in cfg["models"]]
     table = ComparisonTable(tuple(cfg["metrics"]), tuple(rows))
-
-    out = Path(cfg["out_dir"])
     _write_outputs([(out / "compare.csv", table.to_csv()), (out / "compare.json", _json(table.to_dict()))])
     return table, out
 
@@ -494,7 +509,7 @@ def _load_background(data_path: str, manifest: dict) -> Frame:
     bad_kind = [n for n in features if data.column(n).kind != "numeric"]
     if bad_kind:
         raise DataError(f"columns are not numeric: {bad_kind}")
-    return numeric_frame(np.column_stack([data.column(n).values for n in features]), features)
+    return Frame(tuple(features), np.column_stack([data.column(n).values for n in features]))
 
 
 def cmd_explain(
@@ -519,7 +534,7 @@ def cmd_explain(
     lime_out, screening = _explain(
         model,
         background,
-        background.feature_matrix(),
+        background.matrix,
         [row] if method == "lime" else [],
         lime_cfg,
         morris_cfg if method == "morris" else None,

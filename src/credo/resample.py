@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import check_nonnegative
 from .errors import DataError, SmoteKClampWarning
-from .frame import EncodedTarget, Frame, numeric_frame
+from .frame import EncodedTarget, Frame
 
 
 @dataclass(frozen=True)
@@ -102,4 +102,4 @@ def smote(train: Frame, cfg: SmoteConfig | None = None) -> Frame:
     X_out = np.vstack([X] + synth_blocks)
     y_out = np.concatenate([y] + synth_labels)
     target_out = EncodedTarget(y_out, train.target.class_names)
-    return numeric_frame(X_out, train.column_names, target=target_out)
+    return Frame(train.column_names, X_out, target_out)

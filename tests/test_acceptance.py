@@ -252,7 +252,7 @@ def test_criterion_04_mlp_gradient_check():
 
 
 def _accuracy(model, test):
-    return float(np.mean(model.predict(test.feature_matrix()) == test.labels))
+    return float(np.mean(model.predict(test.matrix) == test.labels))
 
 
 def test_criterion_05_hybrid_ranks_with_components_and_shrugs_off_lda():
@@ -308,9 +308,9 @@ def test_criterion_06_smote_geometry_and_flat_histogram():
 
         counts = np.bincount(out.labels, minlength=3)
         assert counts.tolist() == [18, 18, 18]
-        assert np.array_equal(out.feature_matrix()[:30], X)  # originals first, untouched
+        assert np.array_equal(out.matrix[:30], X)  # originals first, untouched
 
-        Z = out.feature_matrix()
+        Z = out.matrix
         worst = 0.0
         for i in range(30, out.n_rows):
             s, c = Z[i], out.labels[i]

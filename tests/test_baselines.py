@@ -281,9 +281,9 @@ def test_forest_beats_single_tree_on_blobs():
         return _frame(X, np.repeat(np.arange(10), n_per))
 
     train, test = blobs(30), blobs(30)
-    tree_acc = (fit_tree(train).predict(test.feature_matrix()) == test.labels).mean()
+    tree_acc = (fit_tree(train).predict(test.matrix) == test.labels).mean()
     forest_accs = [
-        (fit_forest(train, ForestConfig(n_trees=25, seed=s)).predict(test.feature_matrix()) == test.labels).mean()
+        (fit_forest(train, ForestConfig(n_trees=25, seed=s)).predict(test.matrix) == test.labels).mean()
         for s in range(5)
     ]
     assert np.mean(forest_accs) > tree_acc

@@ -389,14 +389,49 @@ def test_explain_out_naming_a_file_is_a_write_error(tmp_path, data_csv, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-def test_out_naming_a_file_exits_3_and_leaves_it_alone(tmp_path, data_csv, capsys, command):
+def test_out_naming_a_file_exits_3_and_leaves_it_alone(
+    tmp_path, data_csv, capsys, monkeypatch, command
+):
+    loads = _spy(monkeypatch, "load_csv")
     taken = tmp_path / "taken"
     taken.write_text("mine")
     cfg = write_config(tmp_path, data_csv, models=[{"name": "gnb"}])
     assert main([command, "-c", cfg, "--out", str(taken)]) == 3
     err = capsys.readouterr().err
-    assert "stage 'write' failed: cannot write" in err and "File exists" in err
+    assert f"cannot write under {taken}: {taken} is not a directory" in err
+    assert loads == []
     assert taken.read_text() == "mine"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_below_a_file_exits_3_before_reading_data(
+    tmp_path, data_csv, capsys, monkeypatch, command
+):
+    loads = _spy(monkeypatch, "load_csv")
+    taken = tmp_path / "taken"
+    taken.write_text("mine")
+    out = taken / "a" / "b"
+    cfg = write_config(tmp_path, data_csv, models=[{"name": "gnb"}])
+    assert main([command, "-c", cfg, "--out", str(out)]) == 3
+    assert f"cannot write under {out}: {taken} is not a directory" in capsys.readouterr().err
+    assert loads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    assert taken.read_text() == "mine"
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [("a,b,stat", "no column named 'status'"), ("a,status,a", "column names must be unique")],
+    ids=["target_not_a_column", "duplicated_name"],
+)
+def test_a_bad_header_exits_3_before_any_data_row_is_read(tmp_path, capsys, header, message):
+    data = tmp_path / "data.csv"
+    data.write_text(header + "\n1,2\n3,4,x\n")  # a ragged first data row
+    assert main(["run", "-c", write_config(tmp_path, str(data))]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'load'" in err and message in err
+    assert "data row" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("target", ["missing/x.csv", "a_dir"], ids=["missing_dir", "onto_a_dir"])

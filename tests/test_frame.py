@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -81,20 +82,18 @@ def test_empty_file_and_headerless(csv_file):
         load_csv(csv_file("a,b\n"))
 
 
-def test_schema_hint_overrides_inference(csv_file):
+def test_categorical_overrides_inference(csv_file):
     path = csv_file("code,v\n1,2\n2,3\n")
-    f = load_csv(path, schema_hints={"code": "categorical"})
+    f = load_csv(path, categorical="code")
     assert f.column("code").kind == CATEGORICAL
     code = f.column("code")
     assert code.levels[code.values[0]] == "1"
 
 
-def test_schema_hint_errors(csv_file):
+def test_categorical_names_a_missing_column(csv_file):
     path = csv_file("a\nx\n")
-    with pytest.raises(DataError, match="unknown column"):
-        load_csv(path, schema_hints={"nope": "numeric"})
-    with pytest.raises(DataError, match="does not parse"):
-        load_csv(path, schema_hints={"a": "numeric"})
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: no column named 'nope'$"):
+        load_csv(path, categorical="nope")
 
 
 def test_duplicate_header_rejected(csv_file):
@@ -110,13 +109,13 @@ def _cells(column):
     return [None if c < 0 else column.levels[c] for c in column.values.tolist()]
 
 
-def _load_csv_cells(path, schema_hints=None):
-    frame = load_csv(path, schema_hints)
+def _load_csv_cells(path, categorical=None):
+    frame = load_csv(path, categorical=categorical)
     columns = [(c.kind, c.missing_mask.tobytes(), _cells(c)) for c in frame.columns]
     return frame.column_names, frame.n_rows, columns
 
 
-def _load_csv_cell_by_cell(path, schema_hints=None):
+def _load_csv_cell_by_cell(path, categorical=None):
     """The loader as it was before columnar conversion: one float() per cell,
     strings for categorical cells.
 
@@ -136,6 +135,8 @@ def _load_csv_cell_by_cell(path, schema_hints=None):
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        if categorical is not None and categorical not in header:
+            raise DataError(f"{path}: no column named {categorical!r}")
         rows = []
         for i, row in enumerate(reader, start=1):
             if not row:
@@ -148,26 +149,14 @@ def _load_csv_cell_by_cell(path, schema_hints=None):
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    hints = dict(schema_hints or {})
-    for name in hints:
-        if name not in header:
-            raise DataError(f"schema hint for unknown column {name!r}")
-        if hints[name] not in (NUMERIC, CATEGORICAL):
-            raise DataError(f"schema hint for {name!r} must be 'numeric' or 'categorical'")
-
     columns = []
     for j, name in enumerate(header):
         cells = [row[j] for row in rows]
         missing = np.fromiter((c in MISSING_TOKENS for c in cells), dtype=bool, count=len(cells))
         parsed = [None if m else parse_finite(c) for c, m in zip(cells, missing)]
         all_numeric = all(p is not None for p, m in zip(parsed, missing) if not m)
-        kind = hints.get(name, NUMERIC if all_numeric else CATEGORICAL)
+        kind = NUMERIC if all_numeric and name != categorical else CATEGORICAL
         if kind == NUMERIC:
-            if not all_numeric:
-                bad = next(i for i, (p, m) in enumerate(zip(parsed, missing), 1) if not m and p is None)
-                raise DataError(
-                    f"column {name!r} hinted numeric but data row {bad} does not parse"
-                )
             values = np.array(
                 [np.nan if m else p for p, m in zip(parsed, missing)], dtype=np.float64
             )
@@ -189,7 +178,8 @@ ORACLE_NAMES = ["a", "b,c", 'q"t', "d"]
 @st.composite
 def csv_tables(draw):
     """CSV text mixing missing tokens, float() edge cases, quoting, blank
-    lines and the occasional ragged row, plus schema hints for it."""
+    lines and the occasional ragged row, plus a column to read as categorical:
+    none, a header name or one not in the header."""
     width = draw(st.integers(1, len(ORACLE_NAMES)))
     header = ORACLE_NAMES[:width]
     # a column leans numeric or textual so that numeric columns actually occur
@@ -221,10 +211,8 @@ def csv_tables(draw):
             buf.write("\n")
         else:
             writer.writerow(row)
-    names = st.sampled_from(header + ["ghost"])
-    kinds = st.sampled_from([NUMERIC, CATEGORICAL, NUMERIC, CATEGORICAL, "text"])
-    hints = draw(st.none() | st.dictionaries(names, kinds, max_size=2))
-    return buf.getvalue(), hints
+    categorical = draw(st.none() | st.sampled_from(header + ["ghost"]))
+    return buf.getvalue(), categorical
 
 
 def _outcome(fn, *args):
@@ -237,24 +225,22 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(csv_tables())
 @example(("\n\n\n", None))  # an empty header over blank lines only
-@example(("a\n\n1\n\nx\n", {"a": NUMERIC}))
 @example(("a,b\n1000,x\n1_000,y\n\n2,z\nword,w\n1000,v\n", None))  # a turns categorical late
-@example(("a,b\n1,2\n3,x\ny,4\n", {"a": NUMERIC, "b": NUMERIC}))  # b fails first, a is reported
-@example(("a,b\nx,1\n\n2,3\n\n4\n", {"a": NUMERIC}))  # a ragged row after a hint failure
-@example(("a,b\n1,2\n\n3,4\n\n\nx,5\n", {"a": NUMERIC}))  # row numbers skip blank lines
+@example(("a,b\n1,2\n\n3,4\n\n\nx,5\n", "a"))  # a numeric-looking column read as categorical
+@example(("a,b\n1,2\n3\n", "ghost"))  # the missing name is found before the ragged row
 def test_load_csv_matches_cell_by_cell_oracle(table):
-    text, hints = table
+    text, categorical = table
     width = max(1, len(next(csv.reader(io.StringIO(text)), [])))
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        expected = _outcome(_load_csv_cell_by_cell, path, hints)
-        assert _outcome(_load_csv_cells, path, hints) == expected
+        expected = _outcome(_load_csv_cell_by_cell, path, categorical)
+        assert _outcome(_load_csv_cells, path, categorical) == expected
         for block_rows in (1, 2, 3):  # every block boundary, and a re-read per late column
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr("credo.frame._BLOCK_CELLS", block_rows * width)
-                assert _outcome(_load_csv_cells, path, hints) == expected, block_rows
+                assert _outcome(_load_csv_cells, path, categorical) == expected, block_rows
 
 
 def test_load_csv_memory_is_the_columns_and_one_block(tmp_path, monkeypatch):
@@ -478,7 +464,7 @@ def test_encode_one_hot_binary_feature(csv_file):
     f = load_csv(csv_file("g,t\nx,a\ny,b\nx,a\n"))
     enc = encode(f, "t")
     assert enc.column_names == ("g=x", "g=y")
-    X = enc.feature_matrix()
+    X = enc.matrix
     assert np.array_equal(X.sum(axis=1), np.ones(3))
     assert X[:, 0].tolist() == [1.0, 0.0, 1.0]
 
@@ -488,19 +474,19 @@ def test_encode_one_hot_group_sums_to_one(csv_file):
     enc = encode(f, "t")
     g_cols = [i for i, n in enumerate(enc.column_names) if n.startswith("g=")]
     h_cols = [i for i, n in enumerate(enc.column_names) if n.startswith("h=")]
-    X = enc.feature_matrix()
+    X = enc.matrix
     assert np.array_equal(X[:, g_cols].sum(axis=1), np.ones(4))
     assert np.array_equal(X[:, h_cols].sum(axis=1), np.ones(4))
 
 
 def test_trailing_nul_keeps_its_own_level(csv_file):
     # numpy's fixed-width strings drop a trailing NUL; a level keeps its spelling
-    f = load_csv(csv_file("g,t\na\x00,a\x00\na,a\nNA,b\na\x00,b\n"), {"t": CATEGORICAL})
+    f = load_csv(csv_file("g,t\na\x00,a\x00\na,a\nNA,b\na\x00,b\n"), categorical="t")
     enc = encode(impute(f), "t")
     assert enc.target.class_names == ("a", "a\x00", "b")
     assert enc.target.labels.tolist() == [1, 0, 2, 2]
     assert enc.column_names == ("g=a", "g=a\x00")
-    assert enc.feature_matrix()[:, 1].tolist() == [1.0, 0.0, 1.0, 1.0]  # a\x00 is the mode
+    assert enc.matrix[:, 1].tolist() == [1.0, 0.0, 1.0, 1.0]  # a\x00 is the mode
 
 
 def _impute_encode_by_strings(frame, cells, target):
@@ -550,7 +536,7 @@ def _impute_encode(frame, target):
     imputed = impute(frame)
     enc = encode(imputed, target)
     cells = [_cells(c) for c in imputed.columns]
-    X = enc.feature_matrix().tobytes()
+    X = enc.matrix.tobytes()
     return cells, enc.column_names, X, enc.target.class_names, enc.labels.tolist()
 
 
@@ -578,7 +564,7 @@ def test_impute_encode_match_string_reference(data):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table)
             writer.writerows(zip(*table.values()))
-        frame = load_csv(path, {"t": CATEGORICAL})
+        frame = load_csv(path, categorical="t")
     cells = {name: [None if c in MISSING_TOKENS else c for c in col] for name, col in table.items()}
     expected = _outcome(_impute_encode_by_strings, frame, cells, "t")
     assert _outcome(_impute_encode, frame, "t") == expected
@@ -599,7 +585,7 @@ def test_encode_errors(csv_file):
 
 
 def _assert_read_only_matrix(frame):
-    X = frame.feature_matrix()
+    X = frame.matrix
     assert X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable
     with pytest.raises(ValueError):
         X[0, 0] = 1.0
@@ -608,9 +594,9 @@ def _assert_read_only_matrix(frame):
 def test_every_frame_holds_one_read_only_c_order_matrix(csv_file):
     A = np.arange(24, dtype=np.float64).reshape(8, 3)
     viewed = numeric_frame(A, labels=[0, 1] * 4)
-    assert np.shares_memory(viewed.feature_matrix(), A)  # a view, not a copy
+    assert np.shares_memory(viewed.matrix, A)  # a view, not a copy
     assert A.flags.writeable  # the caller's array keeps its flag
-    assert numeric_frame(np.asfortranarray(A)).feature_matrix().flags.c_contiguous
+    assert numeric_frame(np.asfortranarray(A)).matrix.flags.c_contiguous
 
     rows = "".join(f"{i % 7},{'uv'[i % 2]},{'ab'[i % 5 == 0]}\n" for i in range(40))
     encoded = encode(load_csv(csv_file("x,g,t\n" + rows)), "t")
@@ -635,7 +621,7 @@ def test_each_stage_peaks_within_a_multiple_of_the_feature_matrix(tmp_path):
     # near 2.5x the matrix in scale; one matrix per frame keeps it near 1x
     path = str(tmp_path / "t.csv")
     write_synthetic(path, SynthSpec(rows=4000, seed=3))
-    table = drop_sparse_features(load_csv(path, {"status": CATEGORICAL}), 0.5)
+    table = drop_sparse_features(load_csv(path, categorical="status"), 0.5)
 
     def peak(stage):
         tracemalloc.start()
@@ -652,7 +638,7 @@ def test_each_stage_peaks_within_a_multiple_of_the_feature_matrix(tmp_path):
     encoded, encode_peak = peak(lambda: encode(imputed, "status"))
     (train, test), split_peak = peak(lambda: split(encoded, 0.8, seed=0))
     _, scale_peak = peak(scale)
-    matrix = encoded.feature_matrix().nbytes
+    matrix = encoded.matrix.nbytes
     peaks = {"impute": impute_peak, "encode": encode_peak, "split": split_peak, "scale": scale_peak}
     bounds = {"impute": 2.0, "encode": 1.5, "split": 1.25, "scale": 1.5}
     assert {k: v / matrix for k, v in peaks.items() if v > bounds[k] * matrix} == {}
@@ -664,14 +650,14 @@ def test_each_stage_peaks_within_a_multiple_of_the_feature_matrix(tmp_path):
 def test_minmax_endpoints():
     f = numeric_frame(np.array([[0.0], [10.0]]))
     p = fit_scaler(f, "minmax")
-    out = apply_scaler(f, p).feature_matrix()
+    out = apply_scaler(f, p).matrix
     assert out[:, 0].tolist() == [0.0, 1.0]
 
 
 def test_zscore_population_std():
     f = numeric_frame(np.array([[1.0], [2.0], [3.0]]))
     p = fit_scaler(f, "zscore")
-    out = apply_scaler(f, p).feature_matrix()[:, 0]
+    out = apply_scaler(f, p).matrix[:, 0]
     assert out.mean() == pytest.approx(0.0, abs=1e-12)
     assert out.var() == pytest.approx(1.0, abs=1e-12)
     # population std of {1,2,3} is sqrt(2/3), not 1
@@ -682,7 +668,7 @@ def test_constant_column_maps_to_zero():
     f = numeric_frame(np.full((4, 1), 7.0))
     for mode in ("zscore", "minmax"):
         p = fit_scaler(f, mode)
-        out = apply_scaler(f, p).feature_matrix()
+        out = apply_scaler(f, p).matrix
         assert np.array_equal(out[:, 0], np.zeros(4))
         assert p.scale[0] == 1.0
 
@@ -691,7 +677,7 @@ def test_minmax_out_of_range_unclamped():
     train = numeric_frame(np.array([[0.0], [10.0]]))
     p = fit_scaler(train, "minmax")
     test = numeric_frame(np.array([[15.0], [-5.0]]))
-    out = apply_scaler(test, p).feature_matrix()[:, 0]
+    out = apply_scaler(test, p).matrix[:, 0]
     assert out.tolist() == [1.5, -0.5]
 
 
@@ -716,7 +702,7 @@ def test_scaler_round_trip(n, d, mode, seed):
     X[:, 0] = 3.5  # keep one constant column in the mix
     f = numeric_frame(X)
     p = fit_scaler(f, mode)
-    back = apply_scaler(f, p).feature_matrix() * p.scale + p.location
+    back = apply_scaler(f, p).matrix * p.scale + p.location
     assert np.allclose(back, X, atol=1e-10)
 
 
@@ -749,10 +735,10 @@ def test_split_deterministic():
     f = _labeled_frame([7, 13, 5])
     a_train, a_test = split(f, 0.8, seed=42)
     b_train, b_test = split(f, 0.8, seed=42)
-    assert np.array_equal(a_train.feature_matrix(), b_train.feature_matrix())
-    assert np.array_equal(a_test.feature_matrix(), b_test.feature_matrix())
+    assert np.array_equal(a_train.matrix, b_train.matrix)
+    assert np.array_equal(a_test.matrix, b_test.matrix)
     c_train, _ = split(f, 0.8, seed=43)
-    assert not np.array_equal(a_train.feature_matrix(), c_train.feature_matrix())
+    assert not np.array_equal(a_train.matrix, c_train.matrix)
 
 
 def test_split_largest_remainder_totals():
@@ -769,11 +755,11 @@ def test_split_largest_remainder_totals():
 def test_split_partition_invariant():
     f = _labeled_frame([9, 4, 6], seed=5)
     # tag rows uniquely through a feature so we can recover indices
-    X = f.feature_matrix().copy()
+    X = f.matrix.copy()
     X[:, 0] = np.arange(f.n_rows)
     f = numeric_frame(X, labels=f.labels)
     train, test = split(f, 0.7, seed=11)
-    ids = np.concatenate([train.feature_matrix()[:, 0], test.feature_matrix()[:, 0]])
+    ids = np.concatenate([train.matrix[:, 0], test.matrix[:, 0]])
     assert sorted(ids.tolist()) == list(range(f.n_rows))
 
 

@@ -33,8 +33,7 @@ def test_component_cap_with_clamp_warning():
     with pytest.warns(LdaClampWarning, match="capped at 9"):
         p = fit_lda(_frame(X, y), LdaConfig(n_components=21))
     assert p.components.shape == (107, 9)
-    assert p.n_requested == 21
-    assert p.clamped
+    assert p.n_requested == 21 > p.n_components
 
 
 def test_separation_along_one_axis():
@@ -98,7 +97,7 @@ def test_fit_validation():
 def test_transform_centers_grand_mean():
     p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1))
     f = numeric_frame(p.grand_mean[None, :], ["x0", "x1"])
-    out = transform_lda(p, f).feature_matrix()
+    out = transform_lda(p, f).matrix
     assert out == pytest.approx(np.zeros((1, 1)), abs=1e-12)
 
 
@@ -106,7 +105,7 @@ def test_transform_shape_and_names():
     p = fit_lda(_frame(SIX_POINTS, SIX_LABELS), LdaConfig(n_components=1))
     out = transform_lda(p, _frame(SIX_POINTS, SIX_LABELS))
     assert out.column_names == ("LD1",)
-    assert out.feature_matrix().shape == (6, 1)
+    assert out.matrix.shape == (6, 1)
     assert np.array_equal(out.labels, SIX_LABELS)
 
 
@@ -119,9 +118,9 @@ def test_transform_is_affine():
     a, b_row = X[0], X[1]
     alpha = 0.3
     names = ["x0", "x1", "x2", "x3"]
-    za = transform_lda(p, numeric_frame(a[None], names)).feature_matrix()
-    zb = transform_lda(p, numeric_frame(b_row[None], names)).feature_matrix()
-    mix = transform_lda(p, numeric_frame((alpha * a + (1 - alpha) * b_row)[None], names)).feature_matrix()
+    za = transform_lda(p, numeric_frame(a[None], names)).matrix
+    zb = transform_lda(p, numeric_frame(b_row[None], names)).matrix
+    mix = transform_lda(p, numeric_frame((alpha * a + (1 - alpha) * b_row)[None], names)).matrix
     assert mix == pytest.approx(alpha * za + (1 - alpha) * zb, abs=1e-10)
 
 
@@ -135,7 +134,7 @@ def test_projected_separation_matches_original():
     # nearest-centroid accuracy survives the 2-D -> 1-D projection
     f = _frame(SIX_POINTS, SIX_LABELS)
     p = fit_lda(f, LdaConfig(n_components=1))
-    z = transform_lda(p, f).feature_matrix()
+    z = transform_lda(p, f).matrix
 
     def centroid_acc(M):
         c0, c1 = M[SIX_LABELS == 0].mean(0), M[SIX_LABELS == 1].mean(0)
@@ -198,7 +197,7 @@ def test_predict_matches_density_oracle():
     assert acc >= 0.9
 
     sigma = p.within_scatter / (p.n_train - 3) + p.ridge * np.eye(2)
-    X = f.feature_matrix()
+    X = f.matrix
     dens = np.column_stack([
         p.class_priors[c] * multivariate_normal.pdf(X, p.class_means[c], sigma)
         for c in range(3)
@@ -217,7 +216,7 @@ def test_predict_rows_sum_to_one():
 
 def test_location_invariance_after_refit():
     f = _three_class_fixture(seed=4)
-    X = f.feature_matrix()
+    X = f.matrix
     shift = np.array([100.0, -250.0])
     p1 = fit_lda(f, LdaConfig(n_components=2))
     p2 = fit_lda(_frame(X + shift, f.labels), LdaConfig(n_components=2))
@@ -234,7 +233,7 @@ def test_classifier_solves_discriminant_once(monkeypatch):
     calls = []
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
     clf = p
-    X = f.feature_matrix()
+    X = f.matrix
     first = clf.predict_proba(X)
     for _ in range(3):
         assert np.array_equal(clf.predict_proba(X[:7]), first[:7])

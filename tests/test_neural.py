@@ -281,7 +281,7 @@ def test_hybrid_competitive_on_blobs():
         return _frame(M, np.repeat(np.arange(5), n_per))
 
     train, test = blobs(1000), blobs(400)
-    Xte, yte = test.feature_matrix(), test.labels
+    Xte, yte = test.matrix, test.labels
     disagreements = []
     for s in range(3):
         gcfg = GbtConfig(rounds=10, max_depth=3)

@@ -1,15 +1,19 @@
 """End-to-end orchestration: run, compare, and archive replay."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+import credo.pipeline
 from credo.archive import load_model
 from credo.config import resolve_config
 from credo.errors import DataError, PipelineError
+from credo.explain import LimeConfig, MorrisConfig
+from credo.lda import LdaConfig
 from credo.pipeline import (
     CompareCell,
     ComparisonTable,
@@ -20,6 +24,7 @@ from credo.pipeline import (
     prepare,
     run_pipeline,
 )
+from credo.resample import SmoteConfig
 from credo.synth import SynthSpec, write_synthetic
 
 SPEC = SynthSpec(
@@ -119,7 +124,7 @@ def test_smote_disabled_path(data_csv, tmp_path):
 def test_minmax_scaler_bounds_train(data_csv, tmp_path):
     cfg = make_cfg(data_csv, tmp_path, scaler="minmax", smote={"enabled": False})
     outcome = run_pipeline(cfg)
-    X = outcome.train.feature_matrix()
+    X = outcome.train.matrix
     assert np.allclose(X.min(axis=0), 0.0)
     assert np.allclose(X.max(axis=0), 1.0)
 
@@ -173,7 +178,7 @@ def test_determinism_across_runs(data_csv, tmp_path):
     a = run_pipeline(cfg)
     b = run_pipeline(cfg)
     assert a.report["metrics"] == b.report["metrics"]
-    assert np.array_equal(a.train.feature_matrix(), b.train.feature_matrix())
+    assert np.array_equal(a.train.matrix, b.train.matrix)
 
 
 def test_explanations_flow_into_report(data_csv, tmp_path):
@@ -195,6 +200,49 @@ def test_explanations_flow_into_report(data_csv, tmp_path):
     assert abs(sum(importances) - 1.0) < 1e-9
     morris_names = [f["name"] for f in rep["morris"]["features"]]
     assert morris_names == outcome.report["preprocessing"]["feature_names"]
+
+
+SECTION_VALUES = {
+    SmoteConfig: {"k_neighbors": 3, "seed": 7},
+    LdaConfig: {"n_components": 2, "ridge": 0.01},
+    LimeConfig: {"n_samples": 300, "kernel_width": 1.5, "n_features": 2, "seed": 4},
+    MorrisConfig: {"n_trajectories": 5, "n_levels": 6, "seed": 3},
+}
+
+
+def test_every_section_field_reaches_its_stage(data_csv, tmp_path, monkeypatch):
+    for cls, values in SECTION_VALUES.items():  # each field set, none to its default
+        fields = dataclasses.fields(cls)
+        assert sorted(values) == sorted(f.name for f in fields), cls
+        assert all(values[f.name] != f.default for f in fields), cls
+    received = {cls: [] for cls in SECTION_VALUES}
+
+    def spy(name, cls, pick):
+        real = getattr(credo.pipeline, name)
+
+        def record(*args, **kwargs):
+            received[cls].append(pick(args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(f"credo.pipeline.{name}", record)
+
+    spy("smote", SmoteConfig, lambda args, kwargs: args[1])
+    spy("fit_lda", LdaConfig, lambda args, kwargs: args[1])
+    spy("lime_explain", LimeConfig, lambda args, kwargs: args[4])
+    spy("morris_screen", MorrisConfig, lambda args, kwargs: kwargs["cfg"])
+    cfg = make_cfg(
+        data_csv,
+        tmp_path,
+        smote={"enabled": True, **SECTION_VALUES[SmoteConfig]},
+        lda={"enabled": True, **SECTION_VALUES[LdaConfig]},
+        explain={
+            "lime_rows": [0],
+            "lime": SECTION_VALUES[LimeConfig],
+            "morris": {"enabled": True, **SECTION_VALUES[MorrisConfig]},
+        },
+    )
+    run_pipeline(cfg)
+    assert received == {cls: [cls(**values)] for cls, values in SECTION_VALUES.items()}
 
 
 def test_lime_row_out_of_range(data_csv, tmp_path):
@@ -265,7 +313,7 @@ def test_cmd_run_writes_deliverables(data_csv, tmp_path):
     model, manifest = load_model(out / "model")
     assert manifest["schema"]["target"] == "status"
     assert manifest["schema"]["features"] == list(outcome.train.column_names)
-    X = outcome.test.feature_matrix()
+    X = outcome.test.matrix
     assert np.array_equal(model.predict_proba(X), outcome.model.predict_proba(X))
 
 

@@ -33,7 +33,7 @@ def test_originals_preserved_verbatim_then_synthetics_by_class():
     y = np.array([0] * 6 + [1] * 4 + [2] * 2)
     f = _frame(X, y)
     out = smote(f, SmoteConfig(k_neighbors=1, seed=2))
-    assert np.array_equal(out.feature_matrix()[:12], X)
+    assert np.array_equal(out.matrix[:12], X)
     assert np.array_equal(out.labels[:12], y)
     # synthetic tail: classes ascend (two class-1 rows, then four class-2 rows)
     assert out.labels[12:].tolist() == [1, 1, 2, 2, 2, 2]
@@ -44,7 +44,7 @@ def test_segment_geometry_collinear_minority():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0], [7.0, 5.0], [5.5, 6.0], [6.5, 6.0]])
     y = np.array([0, 0, 1, 1, 1, 1, 1])
     out = smote(_frame(X, y), SmoteConfig(k_neighbors=1, seed=4))
-    synth = out.feature_matrix()[7:]
+    synth = out.matrix[7:]
     assert synth.shape == (3, 2)
     assert np.all(synth[:, 1] == 0.0)
     assert np.all((synth[:, 0] >= 0.0) & (synth[:, 0] <= 1.0))
@@ -61,7 +61,7 @@ def test_every_synthetic_point_is_a_neighbor_interpolation():
     d = np.linalg.norm(Xc[:, None, :] - Xc[None, :, :], axis=2)
     np.fill_diagonal(d, np.inf)
     nn = np.argsort(d, axis=1)[:, :k]
-    for p in out.feature_matrix()[27:]:
+    for p in out.matrix[27:]:
         ok = False
         for a in range(7):
             for b in nn[a]:
@@ -84,7 +84,7 @@ def test_majority_class_untouched():
     y = np.array([0] * 10 + [1] * 5)
     with pytest.warns(SmoteKClampWarning, match="class 1: k_neighbors 5 >= class size 5"):
         out = smote(_frame(X, y), SmoteConfig(seed=0))
-    majority_rows = out.feature_matrix()[out.labels == 0]
+    majority_rows = out.matrix[out.labels == 0]
     assert np.array_equal(majority_rows, X[:10])
 
 
@@ -95,8 +95,8 @@ def test_deterministic_per_seed():
     a = smote(_frame(X, y), SmoteConfig(seed=21))
     b = smote(_frame(X, y), SmoteConfig(seed=21))
     c = smote(_frame(X, y), SmoteConfig(seed=22))
-    assert np.array_equal(a.feature_matrix(), b.feature_matrix())
-    assert not np.array_equal(a.feature_matrix(), c.feature_matrix())
+    assert np.array_equal(a.matrix, b.matrix)
+    assert not np.array_equal(a.matrix, c.matrix)
 
 
 def test_k_clamped_with_warning():
