@@ -506,7 +506,8 @@ def _impute_encode_by_strings(frame, cells, target):
             if missing.any():
                 observed = np.sort(values[~missing])
                 k = len(observed) // 2
-                median = observed[k] if len(observed) % 2 else (observed[k - 1] + observed[k]) / 2
+                with np.errstate(over="ignore"):  # an overflowing sum is caught just below
+                    median = observed[k] if len(observed) % 2 else (observed[k - 1] + observed[k]) / 2
                 if math.isinf(median):  # two middle cells whose sum overflows: average by halves
                     median = observed[k - 1] / 2 + observed[k] / 2
                 values[missing] = median
