@@ -12,6 +12,7 @@ pure.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,49 +136,100 @@ def logreg_objective(W, b, X, Y, l2):
     return loss, X.T @ R + l2 * W, R.sum(axis=0)
 
 
-def fit_logreg(train: Frame, cfg: LogregConfig | None = None) -> LogisticModel:
-    """Full-batch gradient descent with Armijo backtracking line search.
+LBFGS_PAIRS = 10  # (s, y) pairs kept for the L-BFGS inverse-Hessian estimate
 
-    Stops when the gradient max-norm drops below ``tol`` (converged) or at
-    ``max_iter``; the flag is recorded on the model.
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g, where H is the L-BFGS inverse Hessian from ``pairs`` of (s, y,
+    1 / s'y), oldest first, by the two-loop recursion (Nocedal & Wright,
+    Algorithm 7.4); the initial H is s'y / y'y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    _, y, rho = pairs[-1]
+    q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _backtrack(objective, theta, loss, p, slope, step):
+    """Armijo backtracking along ``p`` from ``step``: up to 60 halvings until
+    the loss is at most ``loss + 1e-4 * step * slope``, where ``slope`` is
+    g'p < 0. Returns the accepted (theta, loss, gradient, step), or None. A
+    trial point whose loss overflows is rejected like any other, so it
+    raises no float warning."""
+    for _ in range(60):
+        trial = theta + step * p
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_loss, g = objective(trial)
+        if np.isfinite(new_loss) and new_loss <= loss + 1e-4 * step * slope:
+            return trial, new_loss, g, step
+        step *= 0.5
+    return None
+
+
+def fit_logreg(train: Frame, cfg: LogregConfig | None = None) -> LogisticModel:
+    """L-BFGS (Liu & Nocedal, 1989) over the flattened (W, b) with Armijo
+    backtracking line search.
+
+    The direction comes from the last ``LBFGS_PAIRS`` (s, y) pairs, the
+    changes in parameters and in gradient; a pair is kept only when s'y > 0.
+    With no pair yet, or when that direction is not a descent direction, the
+    step is the gradient step: its length doubles from the last accepted
+    gradient step, up to 1e6, before backtracking. A direction whose line
+    search fails is retried along the gradient. Stops when the gradient
+    max-norm drops below ``tol`` (converged), at ``max_iter``, or when no
+    step is accepted; the flag is recorded on the model.
     """
     cfg = cfg or LogregConfig()
     l2, max_iter, tol = cfg.l2, cfg.max_iter, cfg.tol
-    X, y, n_classes = train.matrix, train.labels, train.target.n_classes
-    Y = one_hot(y, n_classes)
+    X, n_classes = train.matrix, train.target.n_classes
+    Y = one_hot(train.labels, n_classes)
 
-    W = np.zeros((X.shape[1], n_classes))
-    b = np.zeros(n_classes)
-    loss, gW, gb = logreg_objective(W, b, X, Y, l2)
+    def unpack(theta):
+        return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
+
+    def objective(theta):
+        loss, gW, gb = logreg_objective(*unpack(theta), X, Y, l2)
+        return loss, np.concatenate([gW.ravel(), gb])
+
+    theta = np.zeros((X.shape[1] + 1) * n_classes)
+    loss, g = objective(theta)
     history = [loss]
-    step = 1.0
+    pairs: deque = deque(maxlen=LBFGS_PAIRS)
+    step = 1.0  # the last accepted gradient step
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         if not np.isfinite(loss):
             raise NumericError(f"logistic regression loss non-finite at iteration {it}")
-        gnorm = max(np.abs(gW).max(), np.abs(gb).max())
-        if gnorm < tol:
+        if np.abs(g).max() < tol:
             converged = True
             break
-        g2 = float((gW * gW).sum() + (gb * gb).sum())
-        step = min(step * 2.0, 1e6)  # allow the step to recover between iterations
-        accepted = False
-        for _ in range(60):
-            W_new = W - step * gW
-            b_new = b - step * gb
-            new_loss, gW_new, gb_new = logreg_objective(W_new, b_new, X, Y, l2)
-            if np.isfinite(new_loss) and new_loss <= loss - 1e-4 * step * g2:
-                W, b, loss, gW, gb = W_new, b_new, new_loss, gW_new, gb_new
-                history.append(loss)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no descent direction progress left at float precision
+        accepted = None
+        if pairs:
+            p = _lbfgs_direction(g, pairs)
+            slope = float(g @ p)
+            if slope < 0:
+                accepted = _backtrack(objective, theta, loss, p, slope, 1.0)
+        if accepted is None:
+            accepted = _backtrack(objective, theta, loss, -g, -float(g @ g), min(step * 2.0, 1e6))
+            if accepted is None:
+                break  # no descent progress left at float precision
+            step = accepted[3]
+        new_theta, loss, new_g, _ = accepted
+        s, y = new_theta - theta, new_g - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        theta, g = new_theta, new_g
+        history.append(loss)
     else:
         it = max_iter
-    return LogisticModel(W, b, converged, it, np.array(history), train.column_names)
+    return LogisticModel(*unpack(theta), converged, it, np.array(history), train.column_names)
 
 
 # ---------------------------------------------------- Gaussian naive Bayes

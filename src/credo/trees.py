@@ -264,7 +264,8 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
     # pending nodes: (rows, sorted block, depth, parent's child list, parent).
     # rows stay ascending, so node totals sum in row order. The left child is
     # pushed last so it is numbered first. Pending blocks cover disjoint rows,
-    # so together they never hold more than one (d, n) block.
+    # so together they never hold more than one (d, n) block. Children at
+    # max_depth are never searched, so they get no block (None).
     stack = [(np.arange(n), data.orders, 0, None, -1)]
     while stack:
         rows, orders, depth, child_of, parent = stack.pop()
@@ -286,10 +287,14 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
             continue
         feature[i], threshold[i], gains[i] = f, t, gain
         go[rows] = values[f, rows] <= t
-        keep = go[orders].ravel()
         go_left = go[rows]
-        stack.append((rows[~go_left], orders.compress(~keep).reshape(d, -1), depth + 1, right, i))
-        stack.append((rows[go_left], orders.compress(keep).reshape(d, -1), depth + 1, left, i))
+        left_orders = right_orders = None
+        if max_depth is None or depth + 1 < max_depth:
+            keep = go[orders].ravel()
+            left_orders = orders.compress(keep).reshape(d, -1)
+            right_orders = orders.compress(~keep).reshape(d, -1)
+        stack.append((rows[~go_left], right_orders, depth + 1, right, i))
+        stack.append((rows[go_left], left_orders, depth + 1, left, i))
 
     tree = FlatTree(
         np.array(feature, dtype=np.int64),

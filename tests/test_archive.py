@@ -384,12 +384,12 @@ GOLDEN_ARCHIVES = {
         "predict_proba": "c9db482fc2677a4f003628c3c95fbd57f4d8b846a77d050f05df048c9d74c25b",
     },
     "logreg": {
-        "bias.f64": "c501ffa964ce209034b7233c72985edb3dad82a48e0df8554cf82b85205e749d",
-        "loss_history.f64": "abf725a49b017fd4103d65b740d20f94844531ae1d88863273e226350cb84770",
+        "bias.f64": "79955df29ca0f8e4e5cf86fa66324e3a4b08594d4d6a373904344ed3942e16b2",
+        "loss_history.f64": "51d6b035b8cc484f72cc15d27408d99168f2bb0876cd96acde32f2704a0b6ca7",
         "manifest.json": "c66911475823da5c2fe25eda3fbd8806f5d36a10bb963f3502f3efe3524fad48",
         "shapes.json": "a53ad9b0ad50cdc2466293036cb0c5681b12c0f1fad5858749696f9355d99079",
-        "weights.f64": "23898e1d3b9391408aac984520f89dd8231b72cf03ea4ea8c6ca37e6ce081a00",
-        "predict_proba": "723b54fb0197f46db3f69cda93f2435181ed0ef747be51937916846c3cf912c6",
+        "weights.f64": "992cb0e6787f773bf20b213b409265a693f08e539bf26a3725b40c47ca9d6b18",
+        "predict_proba": "d7efbd90c6223a769815f5e411e4c9e4bb9d981613772d859b97c1b8778b841d",
     },
     "mlp": {
         "b0.f64": "394736f424da860f64d80ebfd704f01d6f37b51fec32d6e2a3cb175cfd0ec936",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import credo.baselines as baselines
 from credo.baselines import (
     ForestConfig,
     GnbConfig,
@@ -13,8 +15,12 @@ from credo.baselines import (
     logreg_objective,
     softmax,
 )
+from credo.config import resolve_config
 from credo.errors import DataError
 from credo.frame import numeric_frame
+from credo.lda import LdaConfig, fit_lda, transform_lda
+from credo.pipeline import prepare
+from credo.synth import SynthSpec, write_synthetic
 
 
 def _frame(X, y):
@@ -103,6 +109,154 @@ def test_logreg_convergence_flag_matches_gradient(max_iter, converges):
         assert gnorm < tol
     else:
         assert m.n_iter == max_iter and gnorm >= tol
+
+
+def _flat_objective(X, y, n_classes, l2):
+    """logreg_objective over the flattened (W, b), as (loss, gradient)."""
+    Y, shape = np.eye(n_classes)[y], (X.shape[1], n_classes)
+
+    def objective(theta):
+        loss, gW, gb = logreg_objective(theta[:-n_classes].reshape(shape), theta[-n_classes:], X, Y, l2)
+        return loss, np.concatenate([gW.ravel(), gb])
+
+    return objective, (X.shape[1] + 1) * n_classes
+
+
+def _lbfgs_b_loss(X, y, n_classes, l2):
+    """The optimum of logreg_objective found by scipy's L-BFGS-B."""
+    objective, size = _flat_objective(X, y, n_classes, l2)
+    result = minimize(
+        objective, np.zeros(size), jac=True, method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 10_000},
+    )
+    assert result.success, result.message
+    return result.fun
+
+
+def _gradient_descent(X, y, n_classes, l2, max_iter, tol=1e-6):
+    """Reference fit: gradient steps with Armijo backtracking, each step
+    starting at twice the last accepted one (at most 1e6), up to 60 halvings,
+    until the gradient max-norm is below ``tol``."""
+    objective, size = _flat_objective(X, y, n_classes, l2)
+    theta = np.zeros(size)
+    loss, g = objective(theta)
+    history, step = [loss], 1.0
+    for _ in range(max_iter):
+        if np.abs(g).max() < tol:
+            break
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            trial = theta - step * g
+            trial_loss, trial_g = objective(trial)
+            if trial_loss <= loss - 1e-4 * step * float(g @ g):
+                theta, loss, g = trial, trial_loss, trial_g
+                history.append(loss)
+                break
+            step *= 0.5
+        else:
+            break
+    return theta, np.array(history)
+
+
+def _binary_fixture():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(200, 5))
+    y = (X @ [1.0, -0.5, 0.3, 0.0, 0.8] + rng.normal(size=200) > 0).astype(int)
+    return X, y, 2
+
+
+def _three_class_fixture():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(300, 4))
+    y = np.argmax(X[:, :3] + rng.normal(size=(300, 3)), axis=1)
+    return X, y, 3
+
+
+@pytest.mark.parametrize("fixture", [_binary_fixture, _three_class_fixture])
+def test_logreg_reaches_the_lbfgs_b_optimum(fixture):
+    X, y, n_classes = fixture()
+    m = fit_logreg(_frame(X, y))
+    assert m.converged
+    optimum = _lbfgs_b_loss(X, y, n_classes, LogregConfig().l2)
+    assert abs(m.loss_history[-1] - optimum) <= 1e-9 * optimum
+
+
+def test_logreg_converges_at_defaults_on_the_compare_split(tmp_path, monkeypatch):
+    # the comparison benchmark's shape: 1,000 rows, 10 classes, SMOTE after
+    # the split, then LDA to 9 components
+    path = str(tmp_path / "data.csv")
+    write_synthetic(path, SynthSpec(rows=1000, separation=0.8, seed=3))
+    cfg = resolve_config({"data": path, "target": "status", "model": {"name": "logreg"}})
+    train, _, _ = prepare(cfg, [])
+    train = transform_lda(fit_lda(train, LdaConfig()), train)
+    assert train.matrix.shape == (2470, 9)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return logreg_objective(*args)
+
+    monkeypatch.setattr(baselines, "logreg_objective", counted)
+    m = fit_logreg(train)
+    assert m.converged and len(calls) <= 100
+    # within the gap a 1e-6 gradient tolerance leaves; 500 gradient-descent
+    # steps end about 2e-4 above the optimum here
+    optimum = _lbfgs_b_loss(train.matrix, train.labels, 10, LogregConfig().l2)
+    assert abs(m.loss_history[-1] - optimum) <= 1e-7 * optimum
+
+
+def _assert_finite_descent(m):
+    assert np.isfinite(m.weights).all() and np.isfinite(m.bias).all()
+    assert np.all(np.diff(m.loss_history) <= 0)
+
+
+def test_logreg_without_l2_on_separable_data():
+    # the loss flattens toward 0, so the curvature s'y vanishes
+    X = np.array([[-3.0, 1.0], [-2.0, 0.0], [-1.0, 2.0], [1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    for tol in (1e-6, 0.0):
+        m = fit_logreg(_frame(X, y), LogregConfig(l2=0.0, tol=tol, max_iter=200))
+        _assert_finite_descent(m)
+        assert m.loss_history[-1] < 1e-6
+        assert (m.predict(X) == y).all()
+
+
+def test_logreg_rejects_and_halves_an_overflowing_trial(monkeypatch):
+    # logreg_objective plus a wall whose exp overflows to inf past |W| = 1.001
+    calls = []
+
+    def walled(W, b, X, Y, l2):
+        loss, gW, gb = logreg_objective(W, b, X, Y, l2)
+        loss += np.exp(1e6 * (np.abs(W).max() - 1.0))
+        calls.append(loss)
+        return loss, gW, gb
+
+    monkeypatch.setattr(baselines, "logreg_objective", walled)
+    X = np.linspace(-2.0, 2.0, 40)[:, None]
+    y = (X[:, 0] > 0).astype(int)
+    m = fit_logreg(_frame(X, y), LogregConfig(max_iter=50))
+    _assert_finite_descent(m)
+    assert not np.isfinite(calls).all()
+    assert len(m.loss_history) > 2
+    assert np.abs(m.weights).max() < 1.001
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [lambda g, pairs: -1e250 * g, lambda g, pairs: g],
+    ids=["line_search_fails", "ascent"],
+)
+def test_logreg_falls_back_to_the_gradient_step(direction, monkeypatch):
+    # every L-BFGS direction either overflows at each of its 60 trial steps
+    # or points uphill, so each step is the gradient step: the fit is
+    # gradient descent exactly
+    monkeypatch.setattr(baselines, "_lbfgs_direction", direction)
+    X, y, n_classes = _three_class_fixture()
+    m = fit_logreg(_frame(X, y), LogregConfig(max_iter=30))
+    theta, history = _gradient_descent(X, y, n_classes, 1e-4, 30)
+    _assert_finite_descent(m)
+    assert np.array_equal(m.loss_history, history)
+    assert np.array_equal(np.concatenate([m.weights.ravel(), m.bias]), theta)
 
 
 # ---------------------------------------------------- Gaussian naive Bayes
