@@ -216,7 +216,14 @@ def fit_logreg(train: Frame, cfg: LogregConfig | None = None) -> LogisticModel:
             if slope < 0:
                 accepted = _backtrack(objective, theta, loss, p, slope, 1.0)
         if accepted is None:
-            accepted = _backtrack(objective, theta, loss, -g, -float(g @ g), min(step * 2.0, 1e6))
+            with np.errstate(over="ignore"):
+                slope = -float(g @ g)
+            if not np.isfinite(slope):
+                raise NumericError(
+                    f"logistic regression gradient overflows at iteration {it}: features reach "
+                    f"{np.abs(X).max():.3g} in magnitude; set scaler to zscore or minmax"
+                )
+            accepted = _backtrack(objective, theta, loss, -g, slope, min(step * 2.0, 1e6))
             if accepted is None:
                 break  # no descent progress left at float precision
             step = accepted[3]

@@ -159,10 +159,6 @@ def fit_lda(train: Frame, cfg: LdaConfig | None = None) -> ProjectionLDA:
             LdaClampWarning,
         )
 
-    # scipy is imported here, not at module level: only fitting needs it, so
-    # loading credo or scoring a fitted model never pays for scipy.linalg
-    from scipy.linalg import solve_triangular
-
     A = S_w + ridge * np.eye(d)
     A = 0.5 * (A + A.T)
     try:
@@ -172,14 +168,15 @@ def fit_lda(train: Frame, cfg: LdaConfig | None = None) -> ProjectionLDA:
             "within-class scatter is singular; refit with a positive ridge"
         ) from None
     # symmetrized pencil: M = L^-1 S_b L^-T shares eigenvalues with the
-    # generalized problem, and v = L^-T u recovers its eigenvectors
-    tmp = solve_triangular(L, S_b, lower=True)
-    M = solve_triangular(L, tmp.T, lower=True)
+    # generalized problem, and v = L^-T u recovers its eigenvectors. The
+    # general solver does the triangular solves, so fitting needs numpy alone
+    tmp = np.linalg.solve(L, S_b)
+    M = np.linalg.solve(L, tmp.T)
     M = 0.5 * (M + M.T)
     evals, U = np.linalg.eigh(M)
     top = np.argsort(evals)[::-1][:m]
     eigenvalues = np.maximum(evals[top], 0.0)
-    V = solve_triangular(L.T, U[:, top], lower=False)
+    V = np.linalg.solve(L.T, U[:, top])
 
     # sign convention: the largest-magnitude entry of each column is positive
     flip = np.sign(V[np.abs(V).argmax(axis=0), np.arange(m)])

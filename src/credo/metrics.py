@@ -13,6 +13,7 @@ problems. The severity distribution is fixed, not a setting.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -165,19 +166,40 @@ def _upper_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
+def _betainc(a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) for positive integers a and b:
+    the chance of at least a successes in a + b - 1 Bernoulli(x) trials,
+    sum_{j=a}^{a+b-1} C(a+b-1, j) x^j (1-x)^(a+b-1-j).
+
+    Powers are built by repeated multiplication and the terms added in
+    ascending j, so each element sees the same IEEE operations whatever the
+    shape of ``x``.
+    """
+    n = a + b - 1
+    x = np.asarray(x, dtype=np.float64)
+    y = 1.0 - x
+    x_pow, y_pow = [np.ones_like(x)], [np.ones_like(x)]
+    for _ in range(n):
+        x_pow.append(x_pow[-1] * x)
+        y_pow.append(y_pow[-1] * y)
+    total = np.zeros_like(x)
+    for j in range(a, n + 1):
+        total += math.comb(n, j) * (x_pow[j] * y_pow[n - j])
+    return total
+
+
 def _beta_integrals(u: np.ndarray, v: np.ndarray):
     """Integrals of c and of (1 - c) times the Beta(c; BETA_A, BETA_B)
     density over each interval [u_i, v_i].
 
-    scipy is imported here, once per binary problem, not at module level:
-    only scoring an H-measure needs it, so loading credo never pays for
-    scipy.special.
+    c Beta(c; a, b) = a/(a+b) Beta(c; a+1, b), and likewise for 1 - c, so
+    both are differences of :func:`_betainc`, which needs integer shapes.
     """
-    from scipy.special import betainc
-
-    a, b = BETA_A, BETA_B
-    c_part = a / (a + b) * (betainc(a + 1.0, b, v) - betainc(a + 1.0, b, u))
-    rest = b / (a + b) * (betainc(a, b + 1.0, v) - betainc(a, b + 1.0, u))
+    if not all(float(s).is_integer() and s >= 1 for s in (BETA_A, BETA_B)):
+        raise ValueError(f"Beta severity shapes must be positive integers, got ({BETA_A}, {BETA_B})")
+    a, b = int(BETA_A), int(BETA_B)
+    c_part = a / (a + b) * (_betainc(a + 1, b, v) - _betainc(a + 1, b, u))
+    rest = b / (a + b) * (_betainc(a, b + 1, v) - _betainc(a, b + 1, u))
     return c_part, rest
 
 
@@ -205,7 +227,7 @@ def binary_h_measure(scores: np.ndarray, positive: np.ndarray) -> float:
     hi = np.concatenate([[1.0], switch])
     lo = np.concatenate([switch, [0.0]])
 
-    # one betainc call per term: the hull intervals, then the reference's
+    # one _betainc call per term: the hull intervals, then the reference's
     # [0, pi1] (always positive, loss c*pi0) and [pi1, 1] (always negative,
     # loss (1-c)*pi1)
     c_part, rest = _beta_integrals(np.append(lo, (0.0, pi1)), np.append(hi, (pi1, 1.0)))

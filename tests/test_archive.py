@@ -375,7 +375,7 @@ GOLDEN_ARCHIVES = {
         "between_scatter.f64": "b78ac145eadef79c0bab188b76f5f1b2971a732460d39798f99879072716f547",
         "class_means.f64": "ffe3d8435b4fbd87798f388f759745858e0c22227cbe3560198fa7ec1e97121e",
         "class_priors.f64": "ff1ee9825fe1e220747f3fb0bb3add3c9df90bf8591e0d430154d8e612867829",
-        "components.f64": "de37e633ffcf367f114a5a03b482cae1011fb6be083caa2f97d428a205e09d70",
+        "components.f64": "b7ebe427602b3f3bd25dde63920eb2049fa1918b0594597df538d5bc3d5cec72",
         "eigenvalues.f64": "635a4584b8397bec225ce0932a84e55d31e3d13a39b18bcb10633f8bc7097258",
         "grand_mean.f64": "2104d0c05c1e71d8296c388df5bc82a9a479c82844c69b4f303acf36d8be669b",
         "manifest.json": "344c98de6651df2cd159c0bd90d159c6ae0ced911002a0d163b81275456a7510",

@@ -16,7 +16,7 @@ from credo.baselines import (
     softmax,
 )
 from credo.config import resolve_config
-from credo.errors import DataError
+from credo.errors import DataError, NumericError
 from credo.frame import numeric_frame
 from credo.lda import LdaConfig, fit_lda, transform_lda
 from credo.pipeline import prepare
@@ -257,6 +257,14 @@ def test_logreg_falls_back_to_the_gradient_step(direction, monkeypatch):
     _assert_finite_descent(m)
     assert np.array_equal(m.loss_history, history)
     assert np.array_equal(np.concatenate([m.weights.ravel(), m.bias]), theta)
+
+
+def test_logreg_gradient_overflow_raises_numeric_error():
+    # features near 1e156 make the gradient step's slope -g'g overflow
+    X = np.array([[1e156, 0.0], [-1e156, 0.25], [-1e156, 0.5], [1e156, 0.75], [-1e156, 1.0], [-1e156, 1.25]])
+    y = np.array([1, 0, 0, 1, 0, 0])
+    with pytest.raises(NumericError, match="1e\\+156.*scaler"):
+        fit_logreg(_frame(X, y))
 
 
 # ---------------------------------------------------- Gaussian naive Bayes

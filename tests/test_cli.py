@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import ast
 import csv
 import json
 import os
@@ -835,8 +836,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 
 # scipy.linalg and scipy.special, with the numpy.f2py they pull in, cost about
-# 0.4 s and 25 MB per process (scipy 1.17, 2-core Xeon); only fitting LDA and
-# scoring the H-measure compute with them, so every other command stays clear
+# 0.34 s and 26 MB per process (scipy 1.17, 2-core Xeon); credo computes with
+# numpy and the stdlib alone, so no command loads them
 SCIPY_FREE = "import sys\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')], sorted(sys.modules)\n"
 
 
@@ -874,19 +875,44 @@ def test_explain_loads_no_scipy(tmp_path, data_csv, model):
     assert (tmp_path / "morris" / "explanations" / "morris.json").is_file()
 
 
-@pytest.mark.parametrize(
-    "call, module",
-    [
-        ("fit_lda(numeric_frame([[0.0], [1.0], [3.0], [4.0]], labels=[0, 0, 1, 1]))", "scipy.linalg"),
-        ("h_measure([0, 0, 1, 1], [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])", "scipy.special"),
-    ],
-    ids=["fit_lda", "h_measure"],
-)
-def test_scipy_loads_where_credo_computes_with_it(call, module):
-    _probe(
-        "import sys\nfrom credo import fit_lda, h_measure, numeric_frame\n"
-        f"assert {module!r} not in sys.modules\n{call}\nassert {module!r} in sys.modules\n"
-    )
+def test_run_with_lda_and_h_measure_loads_no_scipy(tmp_path, data_csv):
+    cfg = write_config(tmp_path, data_csv, lda={"enabled": True}, metrics=["h_measure"])
+    _probe(f"from credo.cli import main\nassert main({['run', '-c', cfg]!r}) == 0\n" + SCIPY_FREE)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["preprocessing"]["lda"]["n_components_used"] >= 1 and report["metrics"]["values"]["h_measure"] > 0
+
+
+def test_compare_loads_no_scipy(tmp_path, data_csv):
+    cfg = write_config(tmp_path, data_csv, models=[{"name": "gnb"}, {"name": "lda"}])
+    _probe(f"from credo.cli import main\nassert main({['compare', '-c', cfg]!r}) == 0\n" + SCIPY_FREE)
+    rows = json.loads((tmp_path / "out" / "compare.json").read_text())["rows"]
+    assert len(rows) == 4 and all(r["error"] is None and r["values"]["h_measure"] > 0 for r in rows)
+
+
+def test_no_credo_module_imports_scipy():
+    src = Path(__file__).resolve().parent.parent / "src" / "credo"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found
+
+
+def test_logreg_on_unscaled_huge_features_exits_4(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    rows = [f"{1e156 if i % 3 == 0 else -1e156!r},{i * 0.25},{'bad' if i % 3 == 0 else 'good'}" for i in range(12)]
+    data.write_text("\n".join(["big,x,status", *rows]) + "\n")
+    cfg = write_config(tmp_path, str(data), model={"name": "logreg"}, scaler="none", smote={"enabled": False})
+    assert main(["run", "-c", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "stage 'fit'" in err and "1e+156" in err and "scaler" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_rejects_impossible_spec(tmp_path, capsys):

@@ -15,6 +15,7 @@ from credo.metrics import (
     confusion,
     evaluate,
     h_measure,
+    _betainc,
     _roc_points,
     _upper_hull,
 )
@@ -237,16 +238,16 @@ def test_upper_hull_bytes_match_numpy_row_loop(seed, n, kind):
 
 
 def _binary_h_per_vertex(scores, positive, a, b):
-    """binary_h_measure with one scalar betainc pair per hull vertex, as
+    """binary_h_measure with one scalar _betainc pair per hull vertex, as
     first written."""
     n1 = int(positive.sum())
     pi0, pi1 = (len(positive) - n1) / len(positive), n1 / len(positive)
 
     def c_int(u, v):
-        return a / (a + b) * (betainc(a + 1.0, b, v) - betainc(a + 1.0, b, u))
+        return a / (a + b) * (_betainc(a + 1, b, v) - _betainc(a + 1, b, u))
 
     def rest_int(u, v):
-        return b / (a + b) * (betainc(a, b + 1.0, v) - betainc(a, b + 1.0, u))
+        return b / (a + b) * (_betainc(a, b + 1, v) - _betainc(a, b + 1, u))
 
     hull = _upper_hull(_roc_points(scores, positive))
     dfpr, dtpr = np.diff(hull[:, 0]), np.diff(hull[:, 1])
@@ -264,7 +265,7 @@ def _binary_h_per_vertex(scores, positive, a, b):
     st.integers(0, 2**32 - 1),
     st.integers(2, 300),
     st.sampled_from(["random", "ties", "equal"]),
-    st.sampled_from([(2.0, 2.0), (0.5, 3.0), (4.0, 1.5)]),
+    st.sampled_from([(2, 2), (1, 3), (4, 2)]),
 )
 def test_binary_h_bytes_match_per_vertex_loop(seed, n, kind, ab):
     rng = np.random.default_rng(seed)
@@ -275,9 +276,52 @@ def test_binary_h_bytes_match_per_vertex_loop(seed, n, kind, ab):
         "ties": np.round(rng.uniform(size=n) + 0.5 * positive, 1),
         "equal": np.full(n, 0.25),
     }[kind]
-    with mock.patch.multiple(metrics, BETA_A=ab[0], BETA_B=ab[1]):  # the severity is a module constant
+    with mock.patch.multiple(metrics, BETA_A=float(ab[0]), BETA_B=float(ab[1])):  # the severity is a module constant
         got = binary_h_measure(scores, positive)
     assert np.float64(got).tobytes() == np.float64(_binary_h_per_vertex(scores, positive, *ab)).tobytes()
+
+
+def _betainc_grid():
+    """[0, 1] with both ends, subnormal and tiny x, x near 1 and a uniform
+    sample."""
+    tiny = np.finfo(np.float64).tiny
+    return np.unique(np.concatenate([
+        [0.0, 5e-324, 1e-310, tiny, 0.5, np.nextafter(1.0, 0.0), 1.0],
+        np.logspace(-323, 0, 2000),
+        1.0 - np.logspace(-17, 0, 2000),
+        np.random.default_rng(0).uniform(size=20_000),
+    ]))
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (2, 3), (2, 2), (1, 3), (4, 2), (2, 4)])
+def test_betainc_within_8_ulp_of_scipy(a, b):
+    # ulps of max(|reference|, 2**-960): below that floor the error is
+    # absolute, since betainc flushes results under the smallest normal
+    # float to 0 where the binomial sum keeps a subnormal value
+    x = _betainc_grid()
+    want = betainc(float(a), float(b), x)
+    ulps = np.abs(_betainc(a, b, x) - want) / np.spacing(np.maximum(np.abs(want), 2.0**-960))
+    assert ulps.max() <= 8
+    assert _betainc(a, b, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
+def test_beta_integrals_within_2_ulp_of_one_of_scipy():
+    # the H-measure sums these interval integrals, so the bound is absolute
+    x = _betainc_grid()
+    rng = np.random.default_rng(1)
+    u, v = np.minimum(x, rng.permutation(x)), np.maximum(x, rng.permutation(x))
+    a, b = metrics.BETA_A, metrics.BETA_B
+    c_part, rest = metrics._beta_integrals(u, v)
+    assert np.abs(c_part - a / (a + b) * (betainc(a + 1, b, v) - betainc(a + 1, b, u))).max() <= 2.0**-51
+    assert np.abs(rest - b / (a + b) * (betainc(a, b + 1, v) - betainc(a, b + 1, u))).max() <= 2.0**-51
+
+
+@pytest.mark.parametrize("ab", [(2.5, 2.0), (2.0, 0.0)], ids=["non_integer", "zero"])
+def test_beta_severity_must_be_positive_integers(ab):
+    positive = np.array([0, 1, 0, 1])
+    with mock.patch.multiple(metrics, BETA_A=ab[0], BETA_B=ab[1]):
+        with pytest.raises(ValueError, match="positive integers"):
+            binary_h_measure(np.array([0.1, 0.8, 0.4, 0.6]), positive)
 
 
 def test_constant_scores_h_zero():
