@@ -3,7 +3,11 @@ hybrid that feeds boosted-tree features into it.
 
 Training is mini-batch Adam on softmax cross-entropy in double precision,
 with He-uniform initialization and a per-epoch shuffled batch order, all
-drawn from one seeded generator so runs are exactly repeatable.
+drawn from one seeded generator so runs are exactly repeatable. A step
+allocates only a few vectors of one entry per batch row: the forward pass,
+the back-propagation and the Adam update run in place in arrays made once
+per fit, and each layer's weight gradient is a matrix product written
+straight into the flat gradient vector that the update reads.
 
 The hybrid trains a frozen booster first, derives per-row features from it
 (class margins, leaf-membership indicators, or margins concatenated with the
@@ -12,11 +16,12 @@ raw features), then fits the network head on those.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import Classifier, check_nonnegative, cross_entropy, one_hot, softmax
+from .baselines import Classifier, check_nonnegative, cross_entropy, softmax
 from .errors import DataError, NumericError
 from .frame import Frame
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
@@ -87,32 +92,64 @@ class Mlp(Classifier):
         return _forward(self.weights, self.biases, self._coerce(X))[-1]
 
 
-def _forward(weights, biases, X):
-    """Activations per layer; the last entry is the softmax output."""
-    acts = [X]
-    a = X
-    for W, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ W + b, 0.0)
-        acts.append(a)
-    acts.append(softmax(a @ weights[-1] + biases[-1]))
+def _forward(weights, biases, X, out=None):
+    """Activations per layer, X first; the last entry is the softmax output.
+    Each layer after X is written into the matching array of ``out`` when
+    given (one per layer, len(X) rows)."""
+    acts = [X, *(out or [np.empty((len(X), W.shape[1])) for W in weights])]
+    for k, (W, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[k], W, out=acts[k + 1])
+        z += b
+        if k < len(weights) - 1:
+            np.maximum(z, 0.0, out=z)
+    softmax(acts[-1], out=acts[-1])
     return acts
 
 
-def mlp_gradients(weights, biases, X, Y):
-    """Mean cross-entropy loss and its gradients for every parameter."""
-    acts = _forward(weights, biases, X)
-    P = acts[-1]
+def _views(sizes, flat):
+    """Every weight matrix, then every bias vector, of a network with layer
+    ``sizes``, as views of one flat vector."""
+    shapes = [*zip(sizes, sizes[1:]), *((s,) for s in sizes[1:])]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    views = [flat[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
+    return views[: len(sizes) - 1], views[len(sizes) - 1 :]
+
+
+class _Workspace:
+    """Scratch arrays for :func:`mlp_gradients` on up to ``rows`` rows: each
+    layer's activations, each hidden layer's back-propagated error and ReLU
+    mask, and the flat gradient vector that ``gW`` and ``gb`` view."""
+
+    def __init__(self, sizes, rows):
+        self.acts = [np.empty((rows, s)) for s in sizes[1:]]
+        self.back = [np.empty((rows, s)) for s in sizes[1:-1]]
+        self.mask = [np.empty((rows, s), dtype=bool) for s in sizes[1:-1]]
+        self.grad = np.empty(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
+        self.gW, self.gb = _views(sizes, self.grad)
+
+
+def mlp_gradients(weights, biases, X, Y, work: _Workspace | None = None):
+    """Mean cross-entropy loss and its gradients for every parameter.
+
+    ``Y`` is the one-hot target matrix or the label vector. The gradients
+    are views of ``work.grad``; ``work`` defaults to a new workspace for
+    len(X) rows.
+    """
     n = len(X)
-    loss = cross_entropy(P, Y.argmax(axis=1))
-    delta = (P - Y) / n
-    gW = [None] * len(weights)
-    gb = [None] * len(biases)
+    work = work or _Workspace((len(weights[0]), *(len(b) for b in biases)), n)
+    acts = _forward(weights, biases, X, [a[:n] for a in work.acts])
+    labels = Y if Y.ndim == 1 else Y.argmax(axis=1)
+    delta = acts[-1]
+    loss = cross_entropy(delta, labels)
+    delta[np.arange(n), labels] -= 1.0  # P - Y, in place
+    delta /= n
     for k in range(len(weights) - 1, -1, -1):
-        gW[k] = acts[k].T @ delta
-        gb[k] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=work.gW[k])
+        np.sum(delta, axis=0, out=work.gb[k])
         if k > 0:
-            delta = (delta @ weights[k].T) * (acts[k] > 0)
-    return loss, gW, gb
+            back = np.matmul(delta, weights[k].T, out=work.back[k - 1][:n])
+            delta = np.multiply(back, np.greater(acts[k], 0, out=work.mask[k - 1][:n]), out=back)
+    return loss, work.gW, work.gb
 
 
 def init_mlp(layer_sizes, seed: int | np.random.Generator) -> Mlp:
@@ -130,43 +167,49 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
     cfg = cfg or MlpConfig()
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     n, d = X.shape
-    Y = one_hot(y, n_classes)
 
     sizes = (d, *cfg.hidden, n_classes)
     rng = np.random.default_rng(cfg.seed)  # initial weights, then the batch order
     init = init_mlp(sizes, rng)
 
-    # every parameter is a view into one flat vector (weights then biases),
-    # so one Adam update per step covers them all
-    parts = init.weights + init.biases
-    flat = np.concatenate([p.ravel() for p in parts])
-    ends = np.cumsum([p.size for p in parts])
-    params = [flat[end - p.size : end].reshape(p.shape) for p, end in zip(parts, ends)]
-    weights, biases = params[: len(init.weights)], params[len(init.weights) :]
+    # every parameter is a view into one flat vector, so one Adam update per
+    # step covers them all
+    flat = np.concatenate([p.ravel() for p in init.weights + init.biases])
+    weights, biases = _views(sizes, flat)
 
-    grad = np.empty_like(flat)
-    m_state = np.zeros_like(flat)
-    v_state = np.zeros_like(flat)
+    rows = min(n, cfg.batch_size)
+    work, batch_X = _Workspace(sizes, rows), np.empty((rows, d))
+    m_state, v_state = np.zeros_like(flat), np.zeros_like(flat)
+    step, denom = np.empty_like(flat), np.empty_like(flat)
+    grad = work.grad
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, gW, gb = mlp_gradients(weights, biases, X[batch], Y[batch])
+            Xb = np.take(X, batch, axis=0, out=batch_X[: len(batch)])
+            loss, _, _ = mlp_gradients(weights, biases, Xb, y[batch], work)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             t += 1
-            np.concatenate([g.ravel() for g in gW + gb], out=grad)
+            # flat -= lr * m_hat / (sqrt(v_hat) + eps), in place, in the
+            # formula's own operation order
             m_state *= beta1
-            m_state += (1 - beta1) * grad
+            m_state += np.multiply(grad, 1 - beta1, out=step)
             v_state *= beta2
-            v_state += (1 - beta2) * grad * grad
-            m_hat = m_state / (1 - beta1**t)
-            v_hat = v_state / (1 - beta2**t)
-            flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(grad, 1 - beta2, out=step)
+            step *= grad
+            v_state += step
+            np.divide(m_state, 1 - beta1**t, out=step)
+            np.divide(v_state, 1 - beta2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step *= cfg.learning_rate
+            step /= denom
+            flat -= step
 
     final_loss = cross_entropy(_forward(weights, biases, X)[-1], y)
     return Mlp(sizes, tuple(weights), tuple(biases), float(final_loss), train.column_names)

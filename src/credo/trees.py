@@ -7,13 +7,14 @@ node sorts again: the pre-sorted column-block method of XGBoost (Chen &
 Guestrin, KDD 2016, section 4.1). Candidate thresholds are the midpoints of
 adjacent distinct sorted values, scored from prefix sums of a node statistic:
 gradient and hessian sums for boosting (:class:`GradientStat`), class counts
-for CART (:class:`CountStat`). A node's features are scored a block at a
-time: as many rows of its sorted block as fit in ``SEARCH_CELLS`` cells of
-statistic share one round of numpy calls, so a small node pays call overhead
-per block rather than per feature, and a node too large for two features
-goes one feature per call. A node splits on the largest strictly positive gain; ties go to the smallest
-feature index, then the smallest threshold. Trees grow depth-first into flat
-preorder arrays.
+for CART (:class:`CountStat`), which screens every cut in O(m) per feature
+and re-scores only the near-best ones with the impurity formula. A node's
+features are scored a block at a time: as many rows of its sorted block as
+fit in ``SEARCH_CELLS`` cells share one round of numpy calls, so a small node
+pays call overhead per block rather than per feature, and a node too large
+for two features goes one feature per call. A node splits on the largest
+strictly positive gain; ties go to the smallest feature index, then the
+smallest threshold. Trees grow depth-first into flat preorder arrays.
 
 Inference stacks the node arrays of a sequence of trees into one table
 (:class:`TreeStack`) and walks every tree at once, a block of rows at a time:
@@ -23,6 +24,7 @@ Lucchese et al., SIGIR 2015).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +33,9 @@ import numpy as np
 from .errors import NumericError
 
 BLOCK_ROWS = 1024  # rows walked together; temporaries are BLOCK_ROWS x trees
-SEARCH_CELLS = 32768  # split search: features scored together x node rows x stat width
+SEARCH_CELLS = 32768  # split search: features scored together x node rows
+RESCORE_WINDOW = 8.0  # CART cuts re-scored exactly: see CountStat
+EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,6 @@ class GradientStat:
     each child must keep ``min_child_weight`` of hessian mass. A node whose
     hessian sum plus ``lam`` is 0 has no Newton step and fails the fit."""
 
-    width = 1  # cells of statistic per row
-
     def __init__(self, g, h, lam, gamma, min_child_weight):
         self.g, self.h = g, h
         self.lam, self.gamma, self.min_child_weight = lam, gamma, min_child_weight
@@ -188,13 +190,39 @@ def _impurity(counts: np.ndarray, totals, criterion: str) -> np.ndarray:
 
 class CountStat:
     """CART statistic: a node's total is its class histogram and impurity,
-    and each child must keep at least ``min_leaf`` rows."""
+    and each child must keep at least ``min_leaf`` rows.
+
+    A block's cuts are screened in O(m) per feature. Group the node's rows
+    by class, each group in the feature's order (a stable sort of the class
+    ids); the row at slot t of class c's group has rank r = t - start(c),
+    the number of earlier rows of its class. Cutting after that row moves
+    it from right to left, so each child's statistic is a prefix sum of
+    per-row increments that depend only on r and the class total N:
+
+    - gini: the sum of squared left counts grows by 2r + 1 and the right
+      one shrinks by 2(N - r) - 1, both exact integers, and the gain is
+      parent - 1 + (sum L^2 / L + sum R^2 / R) / m;
+    - entropy: with f(x) = x ln x, sum f(left counts) grows by
+      f(r + 1) - f(r) and sum f(right counts) by f(N - r - 1) - f(N - r),
+      and the gain is parent - (f(L) - sum f(l) + f(R) - sum f(r)) / m.
+
+    The screen rounds differently from the impurity formula that fixes a
+    tree's bytes. So every cut whose screened gain lies within a window of
+    ``RESCORE_WINDOW`` eps (m + C)(1 + ln(m + C)) of the block's best is
+    re-scored with ``_impurity``, and every other cut scores -inf. The
+    window is more than twice the worst rounding of the two gains together:
+    about eps (m + 3) ln(m) for the entropy prefix sums, a few eps for the
+    exact gini sums, and about eps (C + 5) ln(C + 2) for the formula over C
+    classes. So the block's first maximum by the formula is always
+    re-scored, and gains, thresholds and ties are the formula's own.
+    """
 
     def __init__(self, y, n_classes, criterion, min_leaf):
-        self.y, self.n_classes = y, n_classes
+        # 8 or 16 bits wide for fewer than 65,537 classes, where a stable
+        # argsort is a radix sort
+        self.y = y.astype(np.min_scalar_type(n_classes - 1))
+        self.n_classes = n_classes
         self.criterion, self.min_leaf = criterion, min_leaf
-        self.onehot = np.eye(n_classes, dtype=np.int32)
-        self.width = n_classes
 
     def total(self, rows):
         counts = np.bincount(self.y[rows], minlength=self.n_classes).astype(np.float64)
@@ -205,19 +233,51 @@ class CountStat:
 
     def gains(self, orders, cut, total):
         """(k, m-1) impurity decrease of cutting each sorted row of the (k, m)
-        ``orders`` after each position; -inf where ``cut`` is False or a
-        child would be too small."""
+        ``orders`` after each position; -inf where ``cut`` is False, a child
+        would be too small, or the screen rules the cut out."""
         counts, parent = total
-        m = orders.shape[1]
+        k, m = orders.shape
+        C = self.n_classes
+        N = counts.astype(np.int64)
+        starts = np.cumsum(N) - N
+        slot_class = np.repeat(np.arange(C), N)  # slots hold the rows class by class
+        rank = np.arange(m) - starts[slot_class]
+        N_slot = N[slot_class]
+        # slots[j, t] is feature j's sorted position of the row at slot t;
+        # slot_at[j, p] inverts it, for every position after which a cut lies
+        slots = np.argsort(self.y.take(orders), axis=1, kind="stable")
+        rows = np.arange(k)[:, None]
+        slot_at = np.empty((k, m), dtype=np.intp)
+        slot_at[rows, slots] = np.arange(m)
+        slot_at = slot_at[:, :-1]
         left_n = np.arange(1, m)
-        at, pos = np.nonzero(cut & (left_n >= self.min_leaf) & (m - left_n >= self.min_leaf))
-        left = np.cumsum(self.onehot.take(self.y.take(orders), axis=0), axis=1, dtype=np.int32)[at, pos]
-        left_n = left_n[pos]
+        right_n = m - left_n
+        if self.criterion == "gini":  # m (gain - parent + 1) = sum L^2 / L + sum R^2 / R
+            score = np.cumsum((2 * rank + 1).take(slot_at), axis=1) / left_n
+            score += (N @ N - np.cumsum((2 * (N_slot - rank) - 1).take(slot_at), axis=1)) / right_n
+        else:  # m (gain - parent) = sum f(l) - f(L) + sum f(r) - f(R)
+            f = np.arange(m + 1.0)
+            f *= np.log(np.maximum(f, 1.0))
+            step = f[rank + 1] - f[rank] - f[N_slot - rank] + f[N_slot - rank - 1]
+            score = np.cumsum(step.take(slot_at), axis=1)
+            score += f[N].sum() - f[left_n] - f[right_n]
+        ok = cut & (np.minimum(left_n, right_n) >= self.min_leaf)
+        window = RESCORE_WINDOW * EPS * m * (m + C) * (1 + math.log(m + C))  # in units of m gain
+        kept = np.flatnonzero(ok & (score >= score.max(where=ok, initial=-np.inf) - window))
+        at, pos = kept // (m - 1), kept % (m - 1)
+
+        # class counts left of each re-scored cut. Keyed by (feature, class,
+        # position), the block's slots ascend in one flat array, so one search
+        # counts the slots of each class at or before each cut
+        keys = slots + m * slot_class + (C * m) * rows
+        cuts = (C * m) * at[:, None] + m * np.arange(C) + pos[:, None]
+        left = np.searchsorted(keys.ravel(), cuts, side="right") - m * at[:, None] - starts
+        left_n, right_n = left_n[pos], right_n[pos]
         gain = np.full(cut.shape, -np.inf)
         gain[at, pos] = (
             parent
             - (left_n / m) * _impurity(left, left_n[:, None], self.criterion)
-            - ((m - left_n) / m) * _impurity(counts - left, (m - left_n)[:, None], self.criterion)
+            - (right_n / m) * _impurity(counts - left, right_n[:, None], self.criterion)
         )
         return gain
 
@@ -242,7 +302,7 @@ def grow(data: Presorted, stat, max_depth: int | None = None, pick=None):
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
         features = np.arange(d) if pick is None else pick()
         m = orders.shape[1]
-        k = max(1, SEARCH_CELLS // (m * stat.width))
+        k = max(1, SEARCH_CELLS // m)
         for start in range(0, len(features), k):
             fs = features[start : start + k]
             block = orders[start : start + k] if pick is None else orders[fs]

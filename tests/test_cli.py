@@ -820,21 +820,6 @@ def test_python_dash_m_runs_synth(tmp_path):
     assert out.read_text().splitlines()[0] == "num_00,cat_0,cat_1,cat_2,status"
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.optimize alone adds about 16 MB of peak RSS and 0.13 s to every
-    # command (scipy 1.17, 2-core Xeon), against the benchmark's 10 % RSS bound
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, credo.cli; print(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "credo.cli" in loaded
-    assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.stats"}
-
-
 # scipy.linalg and scipy.special, with the numpy.f2py they pull in, cost about
 # 0.34 s and 26 MB per process (scipy 1.17, 2-core Xeon); credo computes with
 # numpy and the stdlib alone, so no command loads them

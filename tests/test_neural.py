@@ -166,6 +166,16 @@ def _curved_table():
             MlpConfig(hidden=(7,), epochs=3, batch_size=202, learning_rate=1e-2, seed=1),
             "afe19494f806b87b8a199cf7dfa34e8701ed9f768dd6f7c226648aa961a7f8d8",
         ),
+        # no hidden layer, and no training step (the initial weights), both
+        # recorded before the training step ran in preallocated buffers
+        (
+            MlpConfig(hidden=(), epochs=6, batch_size=32, learning_rate=5e-2, seed=2),
+            "8d30f5819bb1cbe56d73186a540125f5cfd13b945c979d444426c058f24d7e65",
+        ),
+        (
+            MlpConfig(hidden=(5, 4), epochs=0, batch_size=16, seed=3),
+            "785a9350d671f1746305224efcbf815314eb327473b9be07f69f09957da3bdd7",
+        ),
     ],
 )
 def test_fit_mlp_bytes_are_golden(cfg, digest):

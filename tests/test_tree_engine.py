@@ -221,6 +221,58 @@ def test_count_trees_match_oracle(table, n_classes, criterion, min_leaf, max_dep
     _assert_same_tree(flat, gain, counts, oracle)
 
 
+@st.composite
+def near_tie_tables(draw):
+    """Tables whose cuts tie in true gain: a class layout mirrored about its
+    middle, the second half optionally relabelled by a class permutation,
+    along integer features that read it forwards, backwards and in pairs;
+    one class may hold just 2 rows, and some rows are duplicated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.integers(2, 4))
+    half = rng.integers(0, n_classes, draw(st.integers(1, 10)))
+    relabel = rng.permutation(n_classes) if draw(st.booleans()) else np.arange(n_classes)
+    y = np.concatenate([half, relabel[half][::-1]])
+    if draw(st.booleans()):  # a class of 2 rows, one in each half
+        i = int(rng.integers(len(half)))
+        y[[i, len(y) - 1 - i]] = n_classes
+        n_classes += 1
+    at = np.arange(len(y), dtype=float)
+    X = np.column_stack([at, at[::-1], at // 2, rng.integers(0, 3, len(y))])
+    dup = rng.integers(0, len(y), draw(st.integers(0, 3)))
+    return np.vstack([X, X[dup]]), np.concatenate([y, y[dup]]), n_classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_tie_tables(), st.sampled_from(["gini", "entropy"]), st.integers(1, 3), st.sampled_from([None, 1, 3]))
+def test_count_trees_on_near_ties_match_oracle(table, criterion, min_leaf, max_depth):
+    X, y, n_classes = table
+    flat, gain, totals, _ = grow(presort(X), CountStat(y, n_classes, criterion, min_leaf), max_depth)
+    oracle = _oracle_grow(
+        X,
+        np.arange(len(X)),
+        lambda r: np.bincount(y[r], minlength=n_classes).astype(np.float64),
+        lambda t: np.count_nonzero(t) > 1,
+        lambda r, features, t: _count_scan(X, r, features, y, n_classes, criterion, min_leaf),
+        max_depth,
+    )
+    _assert_same_tree(flat, gain, [c for c, _ in totals], oracle)
+
+
+def test_rescore_window_is_load_bearing():
+    # the cuts after rows 1 and 3 mirror each other and tie in entropy gain;
+    # the screen's prefix sums round the later one higher, so only the exact
+    # re-score keeps the formula's first maximum
+    X, y = np.arange(6.0)[:, None], np.array([1, 1, 0, 0, 1, 1])
+
+    def root_threshold():
+        flat, _, _, _ = grow(presort(X), CountStat(y, 2, "entropy", 1), 1)
+        return flat.threshold[0]
+
+    assert root_threshold() == _count_scan(X, np.arange(6), [0], y, 2, "entropy", 1)[2] == 1.5
+    with patch.object(trees, "RESCORE_WINDOW", 0.0):
+        assert root_threshold() == 3.5
+
+
 @settings(max_examples=25, deadline=None)
 @given(tie_heavy_tables(), st.integers(1, 3), st.sampled_from([None, 2]))
 def test_fitted_tree_and_forest_match_oracle(table, mtry, max_depth):
@@ -365,7 +417,7 @@ def test_blocked_count_search_matches_oracle(
         return (lambda: np.sort(r.choice(d, size=max(1, d // 2), replace=False))) if sample_features else None
 
     stat = CountStat(y[rows], n_classes, criterion, min_leaf)
-    with patch.object(trees, "SEARCH_CELLS", _search_cells(budget, n, n_classes)):
+    with patch.object(trees, "SEARCH_CELLS", _search_cells(budget, n, 1)):
         flat, gain, totals, _ = grow(presort(X[rows]), stat, max_depth, picker(np.random.default_rng(seed)))
     oracle = _oracle_grow(
         X,
