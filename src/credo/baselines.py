@@ -32,20 +32,10 @@ def check_nonnegative(**values) -> None:
             raise DataError(f"{name} must be finite and >= 0, got {value}")
 
 
-def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax, computed in place in ``out`` (which may be
-    ``scores``) when given. Both ways run the same operations. A new result
-    keeps its three temporaries: computing it in place reorders glibc's
-    large allocations, which raised the ``ingest_20k`` benchmark's peak RSS
-    from 65 to 70 MB on some data seeds (gnb scores through here)."""
-    if out is None:
-        z = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-    np.subtract(scores, scores.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+def softmax(scores: np.ndarray) -> np.ndarray:
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

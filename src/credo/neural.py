@@ -3,11 +3,12 @@ hybrid that feeds boosted-tree features into it.
 
 Training is mini-batch Adam on softmax cross-entropy in double precision,
 with He-uniform initialization and a per-epoch shuffled batch order, all
-drawn from one seeded generator so runs are exactly repeatable. A step
-allocates only a few vectors of one entry per batch row: the forward pass,
-the back-propagation and the Adam update run in place in arrays made once
-per fit, and each layer's weight gradient is a matrix product written
-straight into the flat gradient vector that the update reads.
+drawn from one seeded generator so runs are exactly repeatable. The
+layers' products, bias adds and ReLUs and the Adam update run in place in
+arrays made once per fit, and each layer's weight gradient is a matrix
+product written straight into the flat gradient vector that the update
+reads; a step allocates only the softmax's and the back-propagation's
+arrays, one row per batch row.
 
 The hybrid trains a frozen booster first, derives per-row features from it
 (class margins, leaf-membership indicators, or margins concatenated with the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import Classifier, check_nonnegative, cross_entropy, softmax
+from .baselines import Classifier, check_nonnegative, cross_entropy, one_hot, softmax
 from .errors import DataError, NumericError
 from .frame import Frame
 from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
@@ -93,16 +94,17 @@ class Mlp(Classifier):
 
 
 def _forward(weights, biases, X, out=None):
-    """Activations per layer, X first; the last entry is the softmax output.
-    Each layer after X is written into the matching array of ``out`` when
-    given (one per layer, len(X) rows)."""
+    """Activations per layer, X first; the last entry is the softmax output,
+    a new array. Each hidden layer's activations and the last layer's scores
+    are written into the matching array of ``out`` when given (one per
+    layer, len(X) rows)."""
     acts = [X, *(out or [np.empty((len(X), W.shape[1])) for W in weights])]
     for k, (W, b) in enumerate(zip(weights, biases)):
         z = np.matmul(acts[k], W, out=acts[k + 1])
         z += b
         if k < len(weights) - 1:
             np.maximum(z, 0.0, out=z)
-    softmax(acts[-1], out=acts[-1])
+    acts[-1] = softmax(acts[-1])
     return acts
 
 
@@ -117,13 +119,11 @@ def _views(sizes, flat):
 
 class _Workspace:
     """Scratch arrays for :func:`mlp_gradients` on up to ``rows`` rows: each
-    layer's activations, each hidden layer's back-propagated error and ReLU
-    mask, and the flat gradient vector that ``gW`` and ``gb`` view."""
+    hidden layer's activations, the last layer's scores, and the flat
+    gradient vector that ``gW`` and ``gb`` view."""
 
     def __init__(self, sizes, rows):
         self.acts = [np.empty((rows, s)) for s in sizes[1:]]
-        self.back = [np.empty((rows, s)) for s in sizes[1:-1]]
-        self.mask = [np.empty((rows, s), dtype=bool) for s in sizes[1:-1]]
         self.grad = np.empty(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
         self.gW, self.gb = _views(sizes, self.grad)
 
@@ -131,14 +131,16 @@ class _Workspace:
 def mlp_gradients(weights, biases, X, Y, work: _Workspace | None = None):
     """Mean cross-entropy loss and its gradients for every parameter.
 
-    ``Y`` is the one-hot target matrix or the label vector. The gradients
-    are views of ``work.grad``; ``work`` defaults to a new workspace for
-    len(X) rows.
+    ``Y`` is the label vector, as :func:`fit_mlp` passes it, or its one-hot
+    matrix; any other matrix is a DataError. The gradients are views of
+    ``work.grad``; ``work`` defaults to a new workspace for len(X) rows.
     """
     n = len(X)
+    labels = Y if Y.ndim == 1 else Y.argmax(axis=1)
+    if Y.ndim > 1 and not np.array_equal(Y, one_hot(labels, Y.shape[1])):
+        raise DataError("Y must be a label vector or a one-hot matrix")
     work = work or _Workspace((len(weights[0]), *(len(b) for b in biases)), n)
     acts = _forward(weights, biases, X, [a[:n] for a in work.acts])
-    labels = Y if Y.ndim == 1 else Y.argmax(axis=1)
     delta = acts[-1]
     loss = cross_entropy(delta, labels)
     delta[np.arange(n), labels] -= 1.0  # P - Y, in place
@@ -147,8 +149,7 @@ def mlp_gradients(weights, biases, X, Y, work: _Workspace | None = None):
         np.matmul(acts[k].T, delta, out=work.gW[k])
         np.sum(delta, axis=0, out=work.gb[k])
         if k > 0:
-            back = np.matmul(delta, weights[k].T, out=work.back[k - 1][:n])
-            delta = np.multiply(back, np.greater(acts[k], 0, out=work.mask[k - 1][:n]), out=back)
+            delta = (delta @ weights[k].T) * (acts[k] > 0)
     return loss, work.gW, work.gb
 
 

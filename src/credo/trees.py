@@ -214,7 +214,10 @@ class CountStat:
     about eps (m + 3) ln(m) for the entropy prefix sums, a few eps for the
     exact gini sums, and about eps (C + 5) ln(C + 2) for the formula over C
     classes. So the block's first maximum by the formula is always
-    re-scored, and gains, thresholds and ties are the formula's own.
+    re-scored, and gains, thresholds and ties are the formula's own. When
+    cuts tie, every one may be kept, so the re-score takes them
+    ``SEARCH_CELLS // C`` at a time and holds about ``SEARCH_CELLS`` (cut,
+    class) cells at once.
     """
 
     def __init__(self, y, n_classes, criterion, min_leaf):
@@ -264,21 +267,24 @@ class CountStat:
         ok = cut & (np.minimum(left_n, right_n) >= self.min_leaf)
         window = RESCORE_WINDOW * EPS * m * (m + C) * (1 + math.log(m + C))  # in units of m gain
         kept = np.flatnonzero(ok & (score >= score.max(where=ok, initial=-np.inf) - window))
-        at, pos = kept // (m - 1), kept % (m - 1)
 
         # class counts left of each re-scored cut. Keyed by (feature, class,
         # position), the block's slots ascend in one flat array, so one search
-        # counts the slots of each class at or before each cut
-        keys = slots + m * slot_class + (C * m) * rows
-        cuts = (C * m) * at[:, None] + m * np.arange(C) + pos[:, None]
-        left = np.searchsorted(keys.ravel(), cuts, side="right") - m * at[:, None] - starts
-        left_n, right_n = left_n[pos], right_n[pos]
+        # counts the slots of each class at or before each cut. Ties can keep
+        # every cut, so they are re-scored SEARCH_CELLS // C at a time
+        keys = (slots + m * slot_class + (C * m) * rows).ravel()
         gain = np.full(cut.shape, -np.inf)
-        gain[at, pos] = (
-            parent
-            - (left_n / m) * _impurity(left, left_n[:, None], self.criterion)
-            - (right_n / m) * _impurity(counts - left, right_n[:, None], self.criterion)
-        )
+        chunk = max(1, SEARCH_CELLS // C)
+        for start in range(0, len(kept), chunk):
+            at, pos = np.divmod(kept[start : start + chunk], m - 1)
+            cuts = (C * m) * at[:, None] + m * np.arange(C) + pos[:, None]
+            left = np.searchsorted(keys, cuts, side="right") - m * at[:, None] - starts
+            nl, nr = left_n[pos], right_n[pos]
+            gain[at, pos] = (
+                parent
+                - (nl / m) * _impurity(left, nl[:, None], self.criterion)
+                - (nr / m) * _impurity(counts - left, nr[:, None], self.criterion)
+            )
         return gain
 
 

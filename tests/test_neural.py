@@ -191,6 +191,20 @@ def test_final_loss_is_the_loss_at_the_returned_weights():
     assert m.final_loss == float(loss)
 
 
+def test_gradients_take_labels_or_their_one_hot_only():
+    X, y = _curved_table()
+    m = init_mlp((X.shape[1], 5, 3), seed=0)
+    by_label, gW, gb = mlp_gradients(m.weights, m.biases, X, y)
+    grads = [g.copy() for g in (*gW, *gb)]
+    by_one_hot, gW, gb = mlp_gradients(m.weights, m.biases, X, np.eye(3)[y])
+    assert by_label == by_one_hot
+    assert all(np.array_equal(a, b) for a, b in zip(grads, (*gW, *gb)))
+    soft = np.full((len(y), 3), 0.1)
+    soft[np.arange(len(y)), y] = 0.8
+    with pytest.raises(DataError, match="one-hot"):
+        mlp_gradients(m.weights, m.biases, X, soft)
+
+
 # ---------------------------------------------------------------- hybrid
 
 

@@ -273,6 +273,39 @@ def test_rescore_window_is_load_bearing():
         assert root_threshold() == 3.5
 
 
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("cells", [1, 90, 2**40])
+def test_all_tied_many_class_node_rescores_in_chunks(criterion, cells):
+    # each row its own class: every gini cut scores exactly 1/m, so the
+    # screen keeps all of them; the re-score must take them SEARCH_CELLS // C
+    # at a time and still give the oracle's tree
+    n = 40
+    rng = np.random.default_rng(7)
+    X = np.column_stack([np.arange(n), rng.permutation(n), rng.integers(0, 6, n), np.arange(n) // 3]).astype(float)
+    y = np.arange(n)
+    rescored, exact = [], trees._impurity
+
+    def impurity(counts, totals, criterion):
+        rescored.append(len(counts))
+        return exact(counts, totals, criterion)
+
+    with patch.object(trees, "SEARCH_CELLS", cells), patch.object(trees, "_impurity", impurity):
+        flat, gain, totals, _ = grow(presort(X), CountStat(y, n, criterion, 1))
+    oracle = _oracle_grow(
+        X,
+        np.arange(n),
+        lambda r: np.bincount(y[r], minlength=n).astype(np.float64),
+        lambda t: np.count_nonzero(t) > 1,
+        lambda r, features, t: _count_scan(X, r, features, y, n, criterion, 1),
+        None,
+    )
+    _assert_same_tree(flat, gain, [c for c, _ in totals], oracle)
+    chunk = max(1, cells // n)
+    assert max(rescored) <= chunk
+    if criterion == "gini" and chunk > n:
+        assert max(rescored) > n  # the root's one block kept every cut of every feature
+
+
 @settings(max_examples=25, deadline=None)
 @given(tie_heavy_tables(), st.integers(1, 3), st.sampled_from([None, 2]))
 def test_fitted_tree_and_forest_match_oracle(table, mtry, max_depth):
