@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .archive import load_model, save_model
 from .errors import ConfigError, CredoWarning, DataError, PipelineError
 from .explain import (
@@ -284,6 +285,7 @@ def run_pipeline(cfg: dict) -> RunOutcome:
             "detail": metric_report.to_dict(),
         },
         "timings": timings,
+        "blas": blas.describe(),
         "warnings": warning_entries,
         "explanations": {
             "lime": [e.to_dict() for e in lime_explanations],

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from credo import blas
 from credo.archive import FORMAT_VERSION, load_model, model_type_of, save_model, schema_hash
 from credo.baselines import Classifier
 from credo.errors import DataError
@@ -440,15 +441,27 @@ def _tie_heavy_table():
     return np.vstack([base, base[::2]]), np.concatenate([y, y[::2]])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_ARCHIVES))
-def test_cart_archive_bytes_are_golden(name, tmp_path):
+def _golden_digests(name, path) -> dict:
     X, y = _tie_heavy_table()
     train = numeric_frame(X, FEATURES, labels=y, class_names=CLASSES)
     model = fit_model(name, train, GOLDEN_PARAMS[name])
-    save_model(model, tmp_path, CLASSES)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    save_model(model, path, CLASSES)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in path.iterdir()}
     digests["predict_proba"] = hashlib.sha256(model.predict_proba(X).tobytes()).hexdigest()
-    assert digests == GOLDEN_ARCHIVES[name]
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARCHIVES))
+def test_cart_archive_bytes_are_golden(name, tmp_path):
+    assert _golden_digests(name, tmp_path) == GOLDEN_ARCHIVES[name]
+
+
+# the families whose archive bytes pass through BLAS products or LAPACK
+@pytest.mark.parametrize("name", ["lda", "logreg", "mlp", "xgdnn"])
+def test_archive_bytes_do_not_depend_on_blas_threads(name, tmp_path, two_blas_threads):
+    at_two = _golden_digests(name, tmp_path / "two")
+    with blas.one_thread():
+        assert _golden_digests(name, tmp_path / "one") == at_two
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import credo.cli
 import credo.pipeline
+from credo import blas
 from credo.archive import load_model, save_model
 from credo.cli import exit_code_for, main
+from credo.config import load_config, resolve_config
 from credo.errors import ConfigError, DataError, NumericError, PipelineError
 from credo.synth import SynthSpec, write_synthetic
 
@@ -933,3 +936,69 @@ def test_gbt_lam_zero_at_a_saturated_node_exits_4(tmp_path, capsys, params):
     assert main(["run", "-c", cfg]) == 4
     err = capsys.readouterr().err
     assert "stage 'fit'" in err and "lam" in err
+
+
+# ------------------------------------------------------------- BLAS threads
+# Every command runs numpy's BLAS on one thread, gives the caller back the
+# count it had, and writes the bytes it writes at any other count.
+
+
+def test_a_command_runs_on_one_thread(monkeypatch, two_blas_threads):
+    seen = []
+    monkeypatch.setitem(credo.cli._DISPATCH, "synth", lambda args: seen.append(blas.describe()["threads"]) or 0)
+    assert main(["synth", "-o", "never-written.csv"]) == 0
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exit 3", "unexpected error"])
+def test_main_restores_the_callers_thread_count(outcome, tmp_path, data_csv, monkeypatch, two_blas_threads):
+    if outcome == "exit 0":
+        assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
+    elif outcome == "exit 2":
+        assert main(["run", "-c", str(tmp_path / "absent.json")]) == 2
+    elif outcome == "exit 3":
+        assert main(["run", "-c", write_config(tmp_path, str(tmp_path / "absent.csv"))]) == 3
+    else:
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(credo.cli._DISPATCH, "run", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "-c", "unused.json"])
+    assert blas.describe()["threads"] == 2
+
+
+def test_a_failed_lookup_leaves_commands_running(tmp_path, data_csv, monkeypatch):
+    monkeypatch.setattr(blas, "_API", blas._lookup([("no_such_blas", "")]))
+    assert blas._API is None
+    assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["blas"] == {"kernel": "unknown", "threads": None}
+
+
+def test_compare_writes_the_bytes_of_the_default_thread_count(tmp_path, data_csv, two_blas_threads):
+    models = [{"name": "logreg", "params": {"max_iter": 30}}, {"name": "lda"},
+              {"name": "mlp", "params": {"hidden": [8], "epochs": 3}}]
+    cfg = write_config(tmp_path, data_csv, models=models)
+    assert main(["compare", "-c", cfg, "--out", str(tmp_path / "one")]) == 0
+    resolved = resolve_config(load_config(cfg))
+    resolved["out_dir"] = str(tmp_path / "two")
+    credo.pipeline.cmd_compare(resolved)
+    at_one, at_two = ((tmp_path / side / "compare.csv").read_bytes() for side in ("one", "two"))
+    assert at_one == at_two
+
+
+def test_python_dash_m_run_records_one_thread(tmp_path, data_csv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "credo", "run", "-c", write_config(tmp_path, data_csv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads((tmp_path / "out" / "report.json").read_text())["blas"]
+    if recorded["kernel"] == "unknown":
+        assert recorded["threads"] is None
+    else:
+        assert recorded["threads"] == 1

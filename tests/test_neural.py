@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from credo import blas
 from credo.errors import DataError
 from credo.frame import numeric_frame
 from credo.gbt import GbtConfig, fit_gbt
@@ -155,33 +156,54 @@ def _curved_table():
 # Recorded with the Adam update run one parameter array at a time and the
 # final loss read from a full gradient pass; batch size 202 leaves a 1-row
 # final batch.
-@pytest.mark.parametrize(
-    "cfg, digest",
-    [
-        (
-            MlpConfig(hidden=(16, 8), epochs=5, batch_size=25, learning_rate=3e-3, seed=4),
-            "58d47d27b8648dfafc61a777331b0144a5460a5af620e78b93369813f81c35c0",
-        ),
-        (
-            MlpConfig(hidden=(7,), epochs=3, batch_size=202, learning_rate=1e-2, seed=1),
-            "afe19494f806b87b8a199cf7dfa34e8701ed9f768dd6f7c226648aa961a7f8d8",
-        ),
-        # no hidden layer, and no training step (the initial weights), both
-        # recorded before the training step ran in preallocated buffers
-        (
-            MlpConfig(hidden=(), epochs=6, batch_size=32, learning_rate=5e-2, seed=2),
-            "8d30f5819bb1cbe56d73186a540125f5cfd13b945c979d444426c058f24d7e65",
-        ),
-        (
-            MlpConfig(hidden=(5, 4), epochs=0, batch_size=16, seed=3),
-            "785a9350d671f1746305224efcbf815314eb327473b9be07f69f09957da3bdd7",
-        ),
-    ],
-)
-def test_fit_mlp_bytes_are_golden(cfg, digest):
+MLP_GOLDENS = [
+    (
+        MlpConfig(hidden=(16, 8), epochs=5, batch_size=25, learning_rate=3e-3, seed=4),
+        "58d47d27b8648dfafc61a777331b0144a5460a5af620e78b93369813f81c35c0",
+    ),
+    (
+        MlpConfig(hidden=(7,), epochs=3, batch_size=202, learning_rate=1e-2, seed=1),
+        "afe19494f806b87b8a199cf7dfa34e8701ed9f768dd6f7c226648aa961a7f8d8",
+    ),
+    # no hidden layer, and no training step (the initial weights), both
+    # recorded before the training step ran in preallocated buffers
+    (
+        MlpConfig(hidden=(), epochs=6, batch_size=32, learning_rate=5e-2, seed=2),
+        "8d30f5819bb1cbe56d73186a540125f5cfd13b945c979d444426c058f24d7e65",
+    ),
+    (
+        MlpConfig(hidden=(5, 4), epochs=0, batch_size=16, seed=3),
+        "785a9350d671f1746305224efcbf815314eb327473b9be07f69f09957da3bdd7",
+    ),
+]
+
+
+def _fit_mlp_digest(cfg) -> str:
     X, y = _curved_table()
     m = fit_mlp(_frame(X, y), cfg)
-    assert _digest([*m.weights, *m.biases, [m.final_loss]]) == digest
+    return _digest([*m.weights, *m.biases, [m.final_loss]])
+
+
+@pytest.mark.parametrize("cfg, digest", MLP_GOLDENS)
+def test_fit_mlp_bytes_are_golden(cfg, digest):
+    assert _fit_mlp_digest(cfg) == digest
+
+
+@pytest.mark.parametrize("cfg", [cfg for cfg, _ in MLP_GOLDENS])
+def test_fit_mlp_bytes_do_not_depend_on_blas_threads(cfg, two_blas_threads):
+    at_two = _fit_mlp_digest(cfg)
+    with blas.one_thread():
+        assert _fit_mlp_digest(cfg) == at_two
+
+
+def test_predictions_do_not_depend_on_blas_threads(two_blas_threads):
+    # products as large as the hybrid head's on a 5,000-row test split, which
+    # OpenBLAS does split across threads
+    m = init_mlp((39, 32, 10), seed=0)
+    X = np.random.default_rng(0).normal(size=(5000, 39))
+    at_two = m.predict_proba(X)
+    with blas.one_thread():
+        assert m.predict_proba(X).tobytes() == at_two.tobytes()
 
 
 def test_final_loss_is_the_loss_at_the_returned_weights():
