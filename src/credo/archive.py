@@ -20,12 +20,14 @@ stored by one rule, chosen by its name and type hint.
 - Every other field is a JSON param, read back by its type hint through
   ``config.read_value``, the one typed reader for configs and archives.
 
-Node and feature ids (``feature``, ``left``, ``right``, ``leaf_ordinal``)
-are read back as int64, and every loaded tree must be the preorder form
-that training writes. Every stored value, array or param, must be finite,
-except that a CART leaf's threshold may be NaN. A new family needs no
-archive code, only an entry in ``zoo.MODEL_FAMILIES``, whose key the
-manifest's "model" names.
+Node and feature ids (``feature``, ``left``, ``right``) are read back as
+int64, and every loaded tree must be the preorder form that training
+writes. Every stored value, array or param, must be finite, except that a
+tree leaf's threshold is NaN. A new family needs no archive code, only an
+entry in ``zoo.MODEL_FAMILIES``, whose key the manifest's "model" names.
+Version 1 archives load too: the booster leaf ranks they store, now
+derived, are read like any listed array and never used, and their 0.0
+booster leaf thresholds are never walked.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .zoo import MODEL_FAMILIES
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_type_of", "save_model", "schema_hash"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # loading also reads version 1: see the module docstring
 
 
 def schema_hash(feature_names, class_names, target_name: str) -> str:
@@ -64,7 +66,7 @@ def schema_hash(feature_names, class_names, target_name: str) -> str:
 
 _SCHEMA_KEYS = {"features": tuple[str, ...], "classes": tuple[str, ...], "target": str}
 _SCHEMA_FIELDS = ("n_classes", "feature_names")  # model fields that the manifest schema gives
-_INDEX_KEYS = {"feature", "left", "right", "leaf_ordinal"}
+_INDEX_KEYS = {"feature", "left", "right"}
 
 
 @cache
@@ -136,14 +138,13 @@ def _read(hint, value, path: str):
         raise DataError(f"archive {e}") from None
 
 
-def _check_nodes(feature, threshold, left, right, sizes, n_features: int, leaf_ordinal=None) -> None:
+def _check_nodes(feature, threshold, left, right, sizes, n_features: int) -> None:
     """Raise unless the node arrays hold trees of `sizes` nodes, end to end,
     in the preorder form training writes: every inner node splits on a
     feature in [0, n_features) at a threshold that is not NaN and has two
     later nodes of its own tree as children, and every leaf's feature and
     children are -1. A walk of such a tree reads only its row's cells and
-    ends. A `leaf_ordinal`, where given, must be each leaf's depth-first
-    rank among its tree's leaves and -1 at inner nodes."""
+    ends."""
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     ok = (sizes >= 1).all() and len(feature) == len(threshold) == len(left) == len(right) == sizes.sum()
@@ -156,11 +157,6 @@ def _check_nodes(feature, threshold, left, right, sizes, n_features: int, leaf_o
         raise DataError(f"archived tree nodes do not form a preorder tree over {n_features} features")
     if np.isnan(threshold[feature >= 0]).any():
         raise DataError("archived tree has a NaN threshold at an inner node")
-    if leaf_ordinal is not None:
-        leaves = np.cumsum(feature < 0)
-        before = np.append(0, leaves)[starts]  # leaves of the earlier trees
-        if not np.array_equal(leaf_ordinal, np.where(feature < 0, leaves - 1 - np.repeat(before, sizes), -1)):
-            raise DataError("archived leaf ordinals are not each leaf's depth-first rank in its tree")
 
 
 def _unpack_trees(tree_cls, arrays: dict, given: dict, prefix: str) -> tuple:
@@ -173,10 +169,8 @@ def _unpack_trees(tree_cls, arrays: dict, given: dict, prefix: str) -> tuple:
     }
     if any(len(c) != ends[-1] for c in columns.values()):
         raise DataError(f"archive arrays {prefix}tree_* disagree with tree_sizes ({ends[-1]} nodes)")
-    _check_nodes(
-        columns["feature"], columns["threshold"], columns["left"], columns["right"], sizes,
-        len(given["feature_names"]), columns.get("leaf_ordinal"),
-    )
+    nodes = (columns[k] for k in ("feature", "threshold", "left", "right"))
+    _check_nodes(*nodes, sizes, len(given["feature_names"]))
     return tuple(
         _unpack(tree_cls, {name: c[a:b] for name, c in columns.items()}, {}, given)
         for a, b in zip(ends[:-1], ends[1:])
@@ -259,7 +253,7 @@ def load_model(dir_path):
     if not (isinstance(manifest, dict) and isinstance(shapes, dict)):
         raise DataError(f"archive under {dir_path}: manifest.json and shapes.json must hold JSON objects")
 
-    if _read(int, manifest.get("format_version"), "format_version") != FORMAT_VERSION:
+    if _read(int, manifest.get("format_version"), "format_version") not in (1, FORMAT_VERSION):
         raise DataError(f"unsupported archive format_version {manifest['format_version']!r}")
     mtype = manifest.get("model")
     if mtype not in tuple(MODEL_FAMILIES):  # compared by ==, so a JSON list or object is unknown too
@@ -278,7 +272,7 @@ def load_model(dir_path):
         expected = math.prod(shape)
         if flat.size != expected:
             raise DataError(f"array {name} holds {flat.size} values, shape {shape} needs {expected}")
-        # NaN marks a CART leaf's threshold; _check_nodes refuses it at an inner node
+        # NaN marks a tree leaf's threshold; _check_nodes refuses it at an inner node
         if not (np.isfinite(flat) | np.isnan(flat) & name.endswith("threshold")).all():
             raise DataError(f"array {name} holds a non-finite value")
         arrays[name] = flat.reshape(shape).astype(float)

@@ -38,13 +38,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, n_classes) indicator matrix of integer labels."""
-    Y = np.zeros((len(labels), n_classes))
-    Y[np.arange(len(labels)), labels] = 1.0
-    return Y
-
-
 def cross_entropy(P: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of each row's label; only the log is clipped."""
     return -np.mean(np.log(np.clip(P[np.arange(len(P)), labels], 1e-300, None)))
@@ -124,15 +117,14 @@ class LogisticModel(Classifier):
         return softmax(X @ self.weights + self.bias)
 
 
-def logreg_objective(W, b, X, Y, l2):
-    """Mean cross-entropy plus (l2/2)||W||^2 and its gradients.
-
-    ``Y`` is the one-hot label matrix; the bias is not penalized.
-    """
+def logreg_objective(W, b, X, labels, l2):
+    """Mean cross-entropy of each row's integer label plus (l2/2)||W||^2,
+    and its gradients; the bias is not penalized."""
     n = len(X)
-    P = softmax(X @ W + b)
-    loss = cross_entropy(P, Y.argmax(axis=1)) + 0.5 * l2 * float((W * W).sum())
-    R = (P - Y) / n
+    R = softmax(X @ W + b)
+    loss = cross_entropy(R, labels) + 0.5 * l2 * float((W * W).sum())
+    R[np.arange(n), labels] -= 1.0  # P - Y, in place
+    R /= n
     return loss, X.T @ R + l2 * W, R.sum(axis=0)
 
 
@@ -186,14 +178,13 @@ def fit_logreg(train: Frame, cfg: LogregConfig | None = None) -> LogisticModel:
     """
     cfg = cfg or LogregConfig()
     l2, max_iter, tol = cfg.l2, cfg.max_iter, cfg.tol
-    X, n_classes = train.matrix, train.target.n_classes
-    Y = one_hot(train.labels, n_classes)
+    X, labels, n_classes = train.matrix, train.labels, train.target.n_classes
 
     def unpack(theta):
         return theta[:-n_classes].reshape(-1, n_classes), theta[-n_classes:]
 
     def objective(theta):
-        loss, gW, gb = logreg_objective(*unpack(theta), X, Y, l2)
+        loss, gW, gb = logreg_objective(*unpack(theta), X, labels, l2)
         return loss, np.concatenate([gW.ravel(), gb])
 
     theta = np.zeros((X.shape[1] + 1) * n_classes)

@@ -13,6 +13,7 @@ resolves (MKL, Accelerate, a system BLAS), ``one_thread`` does nothing and
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 
 __all__ = ["describe", "one_thread"]
@@ -60,18 +61,32 @@ def describe() -> dict:
     return {"kernel": core().decode(), "threads": get()}
 
 
+# the count is process-wide, so one_thread bodies that overlap in threads of
+# one process share one setting
+_LOCK = threading.Lock()
+_running = 0  # one_thread bodies running now
+_callers_count = None  # the count the first of them found
+
+
 @contextmanager
 def one_thread():
-    """Run the body with BLAS on one thread, then restore the count it had.
-    The count is process-wide, so bodies running at once in two threads of
-    one process race on it."""
+    """Run the body with BLAS on one thread. The first of overlapping bodies
+    to enter saves the caller's count and sets 1; the last to leave restores
+    it."""
+    global _running, _callers_count
     if _API is None:
         yield
         return
     get, put, _ = _API
-    before = get()
-    put(1)
+    with _LOCK:
+        if _running == 0:
+            _callers_count = get()
+            put(1)
+        _running += 1
     try:
         yield
     finally:
-        put(before)
+        with _LOCK:
+            _running -= 1
+            if _running == 0:
+                put(_callers_count)

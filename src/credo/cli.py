@@ -4,7 +4,8 @@ Subcommands: ``run`` (one pipeline), ``compare`` (model matrix with the
 reduction off and on), ``explain`` (replay a model archive), ``synth``
 (generate a dataset). Exit codes: 0 success, 2 configuration error,
 3 data error, 4 numeric failure. Every command runs numpy's BLAS on one
-thread and restores the caller's count when it returns.
+thread; the caller's count comes back when the last command running
+returns.
 """
 
 from __future__ import annotations

@@ -24,18 +24,17 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .frame import Frame
-from .baselines import Classifier, check_nonnegative, one_hot, softmax
+from .baselines import Classifier, check_nonnegative, softmax
 from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
 @dataclass(frozen=True)
 class RegressionTree(FlatTree):
-    """Boosting tree in preorder. Leaves carry raw Newton weights and a
-    depth-first leaf ordinal; leaf thresholds are 0."""
+    """Boosting tree in preorder. Leaves carry raw Newton weights; leaf
+    thresholds are NaN, as :func:`credo.trees.grow` writes them."""
 
     weight: np.ndarray
     gain: np.ndarray
-    leaf_ordinal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,17 +96,8 @@ def _grow_tree(data: Presorted, g: np.ndarray, h: np.ndarray, cfg: GbtConfig):
     """The tree and the leaf each training row lands in."""
     stat = GradientStat(g, h, cfg.lam, cfg.gamma, cfg.min_child_weight)
     flat, gain, totals, leaf_of = grow(data, stat, cfg.max_depth)
-    leaf = flat.feature < 0
-    tree = RegressionTree(
-        feature=flat.feature,
-        threshold=np.where(leaf, 0.0, flat.threshold),
-        left=flat.left,
-        right=flat.right,
-        weight=np.array([-G / (H + cfg.lam) for G, H in totals]),
-        gain=gain,
-        leaf_ordinal=np.where(leaf, np.cumsum(leaf) - 1, -1),
-    )
-    return tree, leaf_of
+    weight = np.array([-G / (H + cfg.lam) for G, H in totals])
+    return RegressionTree(flat.feature, flat.threshold, flat.left, flat.right, weight, gain), leaf_of
 
 
 def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
@@ -119,7 +109,7 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     cfg = cfg or GbtConfig()
     X, y, n_classes = train.matrix, train.labels, train.target.n_classes
     n = len(X)
-    Y = one_hot(y, n_classes)
+    rows = np.arange(n)
     priors = np.clip(np.bincount(y, minlength=n_classes) / n, 1e-15, None)
     base_score = np.log(priors)
 
@@ -127,9 +117,9 @@ def fit_gbt(train: Frame, cfg: GbtConfig | None = None) -> BoostedEnsemble:
     data = presort(X)  # one sort per feature serves every round and class
     trees: list[RegressionTree] = []
     for r in range(cfg.rounds):
-        P = softmax(margins)
-        G = P - Y
-        H = P * (1.0 - P)
+        G = softmax(margins)
+        H = G * (1.0 - G)
+        G[rows, y] -= 1.0  # P - Y, in place
         if not (np.isfinite(G).all() and np.isfinite(H).all()):
             raise NumericError(f"non-finite boosting gradient at round {r}")
         for c in range(n_classes):
@@ -168,6 +158,8 @@ def extract_margins(m: BoostedEnsemble, f, n_rounds: int | None = None) -> np.nd
 
 
 def extract_leaf_indices(m: BoostedEnsemble, f) -> np.ndarray:
-    """(rows x total trees) matrix of depth-first leaf ordinals."""
+    """(rows x total trees) matrix of the depth-first rank of each row's leaf
+    among its tree's leaves."""
     X = m._coerce(f)
-    return stacked_nodes(m.trees, "leaf_ordinal", np.int64)[m.stack.route(X)]
+    ranks = m.stack.leaf_ranks
+    return ranks[m.stack.route(X)] - ranks[m.stack.roots]

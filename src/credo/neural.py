@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import Classifier, check_nonnegative, cross_entropy, one_hot, softmax
+from .baselines import Classifier, check_nonnegative, cross_entropy, softmax
 from .errors import DataError, NumericError
 from .frame import Frame
-from .gbt import BoostedEnsemble, GbtConfig, extract_leaf_indices, extract_margins, fit_gbt
+from .gbt import BoostedEnsemble, GbtConfig, extract_margins, fit_gbt
 
 FEATURE_MODES = ("margins", "leaf_onehot", "margins_plus_raw")
 
@@ -128,17 +128,12 @@ class _Workspace:
         self.gW, self.gb = _views(sizes, self.grad)
 
 
-def mlp_gradients(weights, biases, X, Y, work: _Workspace | None = None):
-    """Mean cross-entropy loss and its gradients for every parameter.
-
-    ``Y`` is the label vector, as :func:`fit_mlp` passes it, or its one-hot
-    matrix; any other matrix is a DataError. The gradients are views of
-    ``work.grad``; ``work`` defaults to a new workspace for len(X) rows.
+def mlp_gradients(weights, biases, X, labels, work: _Workspace | None = None):
+    """Mean cross-entropy loss of each row's integer label and its gradients
+    for every parameter. The gradients are views of ``work.grad``; ``work``
+    defaults to a new workspace for len(X) rows.
     """
     n = len(X)
-    labels = Y if Y.ndim == 1 else Y.argmax(axis=1)
-    if Y.ndim > 1 and not np.array_equal(Y, one_hot(labels, Y.shape[1])):
-        raise DataError("Y must be a label vector or a one-hot matrix")
     work = work or _Workspace((len(weights[0]), *(len(b) for b in biases)), n)
     acts = _forward(weights, biases, X, [a[:n] for a in work.acts])
     delta = acts[-1]
@@ -244,8 +239,9 @@ def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarra
     """Per-row head inputs from a frozen booster.
 
     margins: C pre-softmax scores. leaf_onehot: one indicator per leaf of
-    every tree (each row sums to the tree count). margins_plus_raw: margins
-    next to the raw features.
+    every tree, tree by tree, each tree's leaves in depth-first order (each
+    row sums to the tree count); the ranks come from the booster's stacked
+    leaf mask. margins_plus_raw: margins next to the raw features.
     """
     X = booster._coerce(f)
     if feature_mode == "margins":
@@ -253,12 +249,9 @@ def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarra
     if feature_mode == "margins_plus_raw":
         return np.hstack([extract_margins(booster, X), X])
     if feature_mode == "leaf_onehot":
-        idx = extract_leaf_indices(booster, X)
-        widths = [t.n_leaves for t in booster.trees]
-        offsets = np.concatenate([[0], np.cumsum(widths)[:-1]])
-        out = np.zeros((len(X), int(sum(widths))))
-        flat = idx + offsets  # broadcast per-tree offsets across columns
-        np.put_along_axis(out, flat, 1.0, axis=1)
+        stack = booster.stack
+        out = np.zeros((len(X), int(stack.leaf.sum())))
+        np.put_along_axis(out, stack.leaf_ranks[stack.route(X)], 1.0, axis=1)
         return out
     raise DataError(f"feature_mode must be one of {FEATURE_MODES}")
 

@@ -524,13 +524,15 @@ def cmd_explain(
     seed: int = 0,
 ) -> dict:
     """Explain an archived model against a processed CSV; writes the
-    explanation's JSON and CSV under out_dir/explanations, or neither."""
+    explanation's JSON and CSV under out_dir/explanations, or neither. An
+    out_dir that cannot be a directory is refused before any file is read."""
     if method not in ("lime", "morris"):
         raise DataError(f"unknown explain method {method!r}")
     try:  # a bad seed is a setting's error, reported before any file is read
         lime_cfg, morris_cfg = LimeConfig(seed=seed), MorrisConfig(seed=seed)
     except DataError as e:
         raise ConfigError(str(e)) from None
+    _check_out_dir(Path(out_dir))
     model, manifest = load_model(archive_dir)
     background = _load_background(data_path, manifest)
     lime_out, screening = _explain(

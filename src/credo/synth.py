@@ -8,6 +8,7 @@ missing cells injected at a configurable rate. Deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -81,7 +82,8 @@ def _column_names(spec: SynthSpec) -> list[str]:
 
 
 def write_synthetic(path: str, spec: SynthSpec = SynthSpec()) -> dict:
-    """Write the CSV and return a summary of what was generated."""
+    """Write the CSV and return a summary of what was generated. A write
+    that fails removes the partial file."""
     rng = np.random.default_rng(spec.seed)
     counts = class_counts(spec)
     labels = np.repeat(np.arange(spec.classes), counts)
@@ -106,7 +108,11 @@ def write_synthetic(path: str, spec: SynthSpec = SynthSpec()) -> dict:
     class_names = [f"c{c:0{digits}d}" for c in range(spec.classes)]
 
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as e:  # nothing was opened, so nothing is removed
+        raise DataError(f"cannot write {path}: {e}") from e
+    try:
+        with fh:
             write_csv(
                 fh,
                 _column_names(spec),
@@ -115,8 +121,11 @@ def write_synthetic(path: str, spec: SynthSpec = SynthSpec()) -> dict:
                 [_CATEGORY_LEVELS] * spec.categorical + [class_names],
                 missing=null_mask,
             )
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e}") from e
+    except BaseException as e:
+        Path(path).unlink(missing_ok=True)  # the partial file this call opened
+        if isinstance(e, OSError):
+            raise DataError(f"cannot write {path}: {e}") from e
+        raise
 
     return {
         "path": path,

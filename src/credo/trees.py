@@ -19,7 +19,8 @@ smallest threshold. Trees grow depth-first into flat preorder arrays.
 Inference stacks the node arrays of a sequence of trees into one table
 (:class:`TreeStack`) and walks every tree at once, a block of rows at a time:
 the flat-array form of scoring a whole ensemble together (QuickScorer,
-Lucchese et al., SIGIR 2015).
+Lucchese et al., SIGIR 2015). Every leaf's threshold is NaN, and a leaf's
+depth-first rank is derived from the stack's leaf mask, never stored.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class FlatTree:
     left: np.ndarray
     right: np.ndarray
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
     @cached_property
     def stack(self) -> TreeStack:
         return TreeStack((self,))
@@ -76,6 +73,8 @@ class TreeStack:
     0, threshold +inf, both children itself), so a row takes exactly
     ``depth`` steps down every tree, ``node = children[2 node + not (x <=
     threshold)]``, with no bookkeeping of the rows that have arrived.
+    ``leaf`` marks the leaves and ``leaf_ranks[i]`` counts the leaves ahead
+    of node i: at a leaf, its depth-first rank among all the stack's leaves.
     """
 
     def __init__(self, trees):
@@ -83,7 +82,8 @@ class TreeStack:
         self.roots = np.cumsum([0, *sizes])[:-1]
         offset = np.repeat(self.roots, sizes)
         feature = stacked_nodes(trees, "feature", np.int64)
-        leaf = feature < 0
+        self.leaf = leaf = feature < 0
+        self.leaf_ranks = np.cumsum(leaf) - leaf
         left = stacked_nodes(trees, "left", np.int64) + offset
         right = stacked_nodes(trees, "right", np.int64) + offset
         self.depth, level = 0, self.roots

@@ -224,10 +224,9 @@ def test_criterion_04_mlp_gradient_check():
             weights = [w + rng.normal(scale=0.3, size=w.shape) for w in net.weights]
             biases = [b + rng.normal(scale=0.3, size=b.shape) for b in net.biases]
             X = rng.normal(size=(12, 3))
-            Y = np.zeros((12, 2))
-            Y[np.arange(12), rng.integers(0, 2, 12)] = 1.0
+            labels = rng.integers(0, 2, 12)
 
-            _, gW, gb = mlp_gradients(weights, biases, X, Y)
+            _, gW, gb = mlp_gradients(weights, biases, X, labels)
             eps = 1e-5
             for params, grads in ((weights, gW), (biases, gb)):
                 for arr, grad in zip(params, grads):
@@ -236,9 +235,9 @@ def test_criterion_04_mlp_gradient_check():
                         idx = it.multi_index
                         keep = arr[idx]
                         arr[idx] = keep + eps
-                        lp, _, _ = mlp_gradients(weights, biases, X, Y)
+                        lp, _, _ = mlp_gradients(weights, biases, X, labels)
                         arr[idx] = keep - eps
-                        lm, _, _ = mlp_gradients(weights, biases, X, Y)
+                        lm, _, _ = mlp_gradients(weights, biases, X, labels)
                         arr[idx] = keep
                         fd = (lp - lm) / (2 * eps)
                         rel = abs(grad[idx] - fd) / max(abs(fd), abs(grad[idx]), 1e-8)

@@ -141,10 +141,53 @@ def test_corrupt_manifest(fitted, tmp_path):
 
 def test_wrong_format_version(fitted, tmp_path):
     manifest = save_model(fitted["gnb"], tmp_path, CLASSES)
-    manifest["format_version"] = 99
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="format_version"):
-        load_model(tmp_path)
+    for version in (99, 3, 0):  # versions 1 and 2 load
+        manifest["format_version"] = version
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"unsupported archive format_version {version}"):
+            load_model(tmp_path)
+
+
+def _as_version_1(path, prefix: str) -> None:
+    """Rewrite a version 2 archive of boosting trees (file names under
+    `prefix`) in version 1 form: each leaf's depth-first rank in its tree,
+    -1 at inner nodes, stored as tree_leaf_ordinal and listed in
+    shapes.json, and 0.0 at every leaf threshold."""
+    def read(key):
+        return np.fromfile(path / f"{prefix}tree_{key}.f64", dtype="<f8")
+
+    feature, threshold = read("feature"), read("threshold")
+    trees = np.split(feature < 0, np.cumsum(read("sizes")).astype(int)[:-1])
+    ordinal = np.concatenate([np.where(leaf, np.cumsum(leaf) - 1, -1) for leaf in trees])
+    ordinal.astype("<f8").tofile(path / f"{prefix}tree_leaf_ordinal.f64")
+    threshold[feature < 0] = 0.0
+    threshold.tofile(path / f"{prefix}tree_threshold.f64")
+    for name, key, value in (
+        ("shapes.json", f"{prefix}tree_leaf_ordinal", [len(feature)]),
+        ("manifest.json", "format_version", 1),
+    ):
+        table = json.loads((path / name).read_text())
+        table[key] = value
+        (path / name).write_text(json.dumps(table))
+
+
+@pytest.mark.parametrize("ordinals", ["depth_first", "corrupted"])
+@pytest.mark.parametrize("name", ["gbt", "xgdnn"])
+def test_version_1_archives_load_and_predict_bit_identically(name, ordinals, data, tmp_path):
+    train, X_new = data
+    params = {**PARAMS[name], "feature_mode": "leaf_onehot"} if name == "xgdnn" else PARAMS[name]
+    model = fit_model(name, train, params)
+    prefix = "booster_" if name == "xgdnn" else ""
+    save_model(model, tmp_path, CLASSES)
+    _as_version_1(tmp_path, prefix)
+    if ordinals == "corrupted":  # read like any listed array, never used
+        path = tmp_path / f"{prefix}tree_leaf_ordinal.f64"
+        (np.fromfile(path, dtype="<f8")[::-1] + 7.0).tofile(path)
+    loaded, manifest = load_model(tmp_path)
+    assert manifest["format_version"] == 1
+    booster = loaded if name == "gbt" else loaded.booster
+    assert all((t.threshold[t.feature < 0] == 0.0).all() for t in booster.trees)
+    assert loaded.predict_proba(X_new).tobytes() == model.predict_proba(X_new).tobytes()
 
 
 def test_unknown_model_type(fitted, tmp_path):
@@ -322,7 +365,10 @@ def test_loaded_arrays_are_writable(fitted, data, tmp_path):
 # (duplicated rows, a one-hot column, a constant column). The tree and forest
 # digests were recorded before the trees moved to the shared presorted split
 # engine; the other six before the discriminant projection became the lda
-# model itself. The on-disk layout and the fitted models must not drift.
+# model itself. Format version 2 changed every manifest.json and, for gbt and
+# xgdnn, shapes.json and the tree thresholds (NaN at leaves, leaf ranks no
+# longer stored); every other array and every prediction kept its digest.
+# The fitted models must not drift, nor the layout within a format version.
 GOLDEN_PARAMS = {
     "forest": {"n_trees": 3, "mtry": 2, "bootstrap": True},
     "gbt": {"rounds": 4, "max_depth": 2},
@@ -340,7 +386,7 @@ GOLDEN_PARAMS = {
 
 GOLDEN_ARCHIVES = {
     "forest": {
-        "manifest.json": "75323869d66f6cdf0e99dafbf2f1b2d1a69e37f5db6bd56523d7d82c5b9a409d",
+        "manifest.json": "6ec9a824c14b5a27e77bc2265553df68600b2d6208b6445be66ed4fbc6513bea",
         "shapes.json": "104b305fc063d602c657fe2b031cccb52e347effa5b27d58cc58d2e88cb95218",
         "tree_counts.f64": "6c79873bfd1af8a8381a95d9b5516a8230042ecad247d4731a0a79564db39a41",
         "tree_feature.f64": "c62f14ae34a0cac690497ce9b1349827080c18dfba533aaa0b6e58f10ce80620",
@@ -352,20 +398,19 @@ GOLDEN_ARCHIVES = {
     },
     "gbt": {
         "base_score.f64": "e5e83a2dbb6c259baa7bc50d27e68b117f37edfafcc3bee0e12280de483fa09b",
-        "manifest.json": "c432913d7ffa6a7af5a610099f959aab79f8fb091fa9ed1acfa681411ad61a8d",
-        "shapes.json": "9fd3df1062606facba27d0445a1c872c6efc7a4a036af1dd4f266d5bc94eee24",
+        "manifest.json": "bbded752b4ec0d9e7ec7fd99f82b21cdcdeaafb121cc40935ddddb74c6886058",
+        "shapes.json": "d1fa78b640eb2b9f2e6d55ceaa26ac409c5ffc347a9b53bc7fd9a38e674a654e",
         "tree_feature.f64": "538f8235999b2b8dcef56bb9e2ebed842709a204388bddb4a6be68dd4511f21f",
         "tree_gain.f64": "996d0e3ff4bfb338a9847eee5869f10ff96efecffb6567eb0e5e4d45768798ef",
-        "tree_leaf_ordinal.f64": "7ad0da35e1c49dcc6035b20d30898662b49f9ee175faa780f68b3d634b737060",
         "tree_left.f64": "b36b59b6f08fd1c935854a79dcd9c73848cec349000ec325d81068c1025f1c6b",
         "tree_right.f64": "974cbd60ad2e8fc4307b94a29fa8dd567ab9f401cf0afd2dadd6a190846ab061",
         "tree_sizes.f64": "6e0cc00a40ddf4b87deae6f4f64cf0f1d40059b7efaceffc3d12ec6a71f3e91f",
-        "tree_threshold.f64": "bf1358c6d2ad02ab3925983536bef015f9877cb2a1b4caaeb69fc2c8ede8fc00",
+        "tree_threshold.f64": "9a096c662dad9a7233c3ee8dad2e56e08405905538cc9c4b2f6f5f015ba5444a",
         "tree_weight.f64": "72fc94a1de9a8873dfd504f7f8c623c1c56052a22756bf05b6a306c0a6ce741d",
         "predict_proba": "fd4efd881525c3f5158e28758334075471d582105ce252b689aaf0076ef9ba5a",
     },
     "gnb": {
-        "manifest.json": "151b7ee7017c76d2e2af0adfb1adf716c8f3105c30270c993b65e5a9b36f425a",
+        "manifest.json": "20ec1b28ffa0af42f49d07b06fe95ba7bda94738f762daf0e8fbaa727e996721",
         "means.f64": "ffe3d8435b4fbd87798f388f759745858e0c22227cbe3560198fa7ec1e97121e",
         "priors.f64": "ff1ee9825fe1e220747f3fb0bb3add3c9df90bf8591e0d430154d8e612867829",
         "shapes.json": "78f2e4ac20b4c7ff754383f514388e0741d6603f041139ae7b10ebc927b5970f",
@@ -379,7 +424,7 @@ GOLDEN_ARCHIVES = {
         "components.f64": "b7ebe427602b3f3bd25dde63920eb2049fa1918b0594597df538d5bc3d5cec72",
         "eigenvalues.f64": "635a4584b8397bec225ce0932a84e55d31e3d13a39b18bcb10633f8bc7097258",
         "grand_mean.f64": "2104d0c05c1e71d8296c388df5bc82a9a479c82844c69b4f303acf36d8be669b",
-        "manifest.json": "344c98de6651df2cd159c0bd90d159c6ae0ced911002a0d163b81275456a7510",
+        "manifest.json": "2fba584138339cc75dc490fa9ac57baf14c8afdd85dae703e90f13450f4be718",
         "shapes.json": "cfc6a52f140e95c749584bf15f0509329fd4e4f00544b8a4e4af081f628d7013",
         "within_scatter.f64": "14d30e30e4449d6562741afc28ae18820e127bb8be7a5d148fd0050332eab2a7",
         "predict_proba": "c9db482fc2677a4f003628c3c95fbd57f4d8b846a77d050f05df048c9d74c25b",
@@ -387,7 +432,7 @@ GOLDEN_ARCHIVES = {
     "logreg": {
         "bias.f64": "79955df29ca0f8e4e5cf86fa66324e3a4b08594d4d6a373904344ed3942e16b2",
         "loss_history.f64": "51d6b035b8cc484f72cc15d27408d99168f2bb0876cd96acde32f2704a0b6ca7",
-        "manifest.json": "c66911475823da5c2fe25eda3fbd8806f5d36a10bb963f3502f3efe3524fad48",
+        "manifest.json": "389234be3d4885ffbf3d7cf22b5e94cf65141e73630723cbbb4a28e5d1244a97",
         "shapes.json": "a53ad9b0ad50cdc2466293036cb0c5681b12c0f1fad5858749696f9355d99079",
         "weights.f64": "992cb0e6787f773bf20b213b409265a693f08e539bf26a3725b40c47ca9d6b18",
         "predict_proba": "d7efbd90c6223a769815f5e411e4c9e4bb9d981613772d859b97c1b8778b841d",
@@ -395,7 +440,7 @@ GOLDEN_ARCHIVES = {
     "mlp": {
         "b0.f64": "394736f424da860f64d80ebfd704f01d6f37b51fec32d6e2a3cb175cfd0ec936",
         "b1.f64": "8c9cc0241fbf16a3860d6fc2553b0f9116c2a008ec8dabc87f5ccaeed3042c38",
-        "manifest.json": "c40ba4dc2981005152394282e6fa1c7327c4e1b4cd93d64218c4407d7939edbf",
+        "manifest.json": "bd8f46f3b533bbb7c79d388c4b33b6a93b3b9fa81b753536b9d999b3e3481b02",
         "shapes.json": "44ba17118147068237d377e0ed48d4e32105f07bdd55725751e3fc05d425c79a",
         "w0.f64": "147afc4d4e0fa80d07f79b6db08c314ff3a16c394ff71d260fd9c8897cf3c1e6",
         "w1.f64": "9a54b94605d3d7a74aeaa62110e2958116deb0cc6a1e1b656e2881772be4303f",
@@ -405,7 +450,7 @@ GOLDEN_ARCHIVES = {
         "counts.f64": "21eeaf0154d6778748523d2869b8ca792c2569943c2031310adee7be422a2307",
         "feature.f64": "195825c023728c3bfa0ef71fefc1bd09549276bb8e3f4cc6383c4565560e6343",
         "left.f64": "ed163286a5ef3342c0cda4bf39c23e0bd9965169b6fb0244c63b649c1a6e2af3",
-        "manifest.json": "5ca072307f7be9f1768ab1453a8409ed0faed62ec9b0e0be3c869c35be9edad7",
+        "manifest.json": "0a8c89c4f394847ee96b0f91d7447ee84cc569a69fe69368dec8391422d7fcd1",
         "right.f64": "edbea9441d3e98786f846918f02984bf67ec0eb4a229207d768e98a646cde4e7",
         "shapes.json": "f59b07290badf5908b6ef3426bc9f1ab89274877705f008b608eac170e4ae5b2",
         "threshold.f64": "a1beb465ec81683f56292bf71e7bafa3c74fe94bb24f95b74668c9eabc805ad0",
@@ -415,18 +460,17 @@ GOLDEN_ARCHIVES = {
         "booster_base_score.f64": "e5e83a2dbb6c259baa7bc50d27e68b117f37edfafcc3bee0e12280de483fa09b",
         "booster_tree_feature.f64": "8585681faadbd354152f1eed96d5817070b2d5737df5b477411a6e0ea44e424e",
         "booster_tree_gain.f64": "8d7e84c7ec16e6361cdce4bfdc8ac4d5a1d000262388cd357991f9b75560abd8",
-        "booster_tree_leaf_ordinal.f64": "102f9bb5bf3bc03ed9b5a61081659336222621409a8c023935b3e843c404592d",
         "booster_tree_left.f64": "41fe5527f6cc6bcba80b4644a4b10f36604119de4644f01a8fc8e35a00d03bb6",
         "booster_tree_right.f64": "f3c9fe4e1446660f4e6010d9c82ab739b4847920ec394266d5598f14f2a7829a",
         "booster_tree_sizes.f64": "d0b8c970a3c30805f952050b6cde8cf0e70528c17189cfe6c561d541d0fcc8bd",
-        "booster_tree_threshold.f64": "1822760a2d15cbce6be8df77ab9dfda3a2ca81dc5271f4484aef3cf438d71e66",
+        "booster_tree_threshold.f64": "2373a9aeb87909d2f7a7f53186704fcf09662b94d13c57252fc6dc671dac87ee",
         "booster_tree_weight.f64": "3ee65e0b04e731ddb2e0207472e2a0f252bb2b9fa8791ba18185b5dc85b50678",
         "head_b0.f64": "f2943d87d892d0aa7ffab90b4c7c4637a961f970dac8623fd0c0a3d577f3550e",
         "head_b1.f64": "d31a3ea5ee13363475d0f67e0296150cf559c45d6a361ba33f89cd729baadc7a",
         "head_w0.f64": "85ebcdf286ef7b6103cef4886f5599f2ae4a3d5b47237f55436a2341569aeb28",
         "head_w1.f64": "4fbc6311d35b52ae89bb3f4657747f0142995d734785dea07b5db53e8e239e03",
-        "manifest.json": "ad339ba74b191454a742a615bdaf9f551e22a0dd064aa07340667ff267583182",
-        "shapes.json": "dcb75db31bd48b65ecbb42ef89549d64f118ab61dd0f4f5f774f05d2450f813e",
+        "manifest.json": "51ae80d7be2cce62439a9d1c89fef970c63ff2b8eac718d84fc4c4fa6c30727b",
+        "shapes.json": "ab6a23e2fb61aea5f1bcef3837f1a2843ccee4d1ec52f0e2421888fe62fe0acb",
         "predict_proba": "fc8450aae54e4bb86a1a08dc29a07fb2502191d001ed604755073c63539cf542",
     },
 }

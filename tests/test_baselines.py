@@ -47,11 +47,11 @@ def test_logreg_zero_iterations_is_uniform():
 def test_logreg_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(5, 3))
-    Y = np.eye(3)[rng.integers(0, 3, 5)]
+    labels = rng.integers(0, 3, 5)
     W = rng.normal(scale=0.5, size=(3, 3))
     b = rng.normal(scale=0.5, size=3)
     l2 = 0.01
-    _, gW, gb = logreg_objective(W, b, X, Y, l2)
+    _, gW, gb = logreg_objective(W, b, X, labels, l2)
 
     step = 1e-5
     numW = np.zeros_like(W)
@@ -60,16 +60,16 @@ def test_logreg_gradient_matches_finite_differences():
             Wp, Wm = W.copy(), W.copy()
             Wp[i, j] += step
             Wm[i, j] -= step
-            lp, _, _ = logreg_objective(Wp, b, X, Y, l2)
-            lm, _, _ = logreg_objective(Wm, b, X, Y, l2)
+            lp, _, _ = logreg_objective(Wp, b, X, labels, l2)
+            lm, _, _ = logreg_objective(Wm, b, X, labels, l2)
             numW[i, j] = (lp - lm) / (2 * step)
     numb = np.zeros_like(b)
     for j in range(3):
         bp, bm = b.copy(), b.copy()
         bp[j] += step
         bm[j] -= step
-        lp, _, _ = logreg_objective(W, bp, X, Y, l2)
-        lm, _, _ = logreg_objective(W, bm, X, Y, l2)
+        lp, _, _ = logreg_objective(W, bp, X, labels, l2)
+        lm, _, _ = logreg_objective(W, bm, X, labels, l2)
         numb[j] = (lp - lm) / (2 * step)
 
     scale = max(np.abs(numW).max(), np.abs(numb).max())
@@ -102,7 +102,7 @@ def test_logreg_convergence_flag_matches_gradient(max_iter, converges):
     y = (X[:, 0] - X[:, 1] + rng.normal(size=40) > 0).astype(int)
     l2, tol = 0.5, 1e-6
     m = fit_logreg(_frame(X, y), LogregConfig(l2=l2, max_iter=max_iter, tol=tol))
-    _, gW, gb = logreg_objective(m.weights, m.bias, X, np.eye(2)[y], l2)
+    _, gW, gb = logreg_objective(m.weights, m.bias, X, y, l2)
     gnorm = max(np.abs(gW).max(), np.abs(gb).max())
     assert m.converged == converges
     if m.converged:
@@ -113,10 +113,10 @@ def test_logreg_convergence_flag_matches_gradient(max_iter, converges):
 
 def _flat_objective(X, y, n_classes, l2):
     """logreg_objective over the flattened (W, b), as (loss, gradient)."""
-    Y, shape = np.eye(n_classes)[y], (X.shape[1], n_classes)
+    shape = (X.shape[1], n_classes)
 
     def objective(theta):
-        loss, gW, gb = logreg_objective(theta[:-n_classes].reshape(shape), theta[-n_classes:], X, Y, l2)
+        loss, gW, gb = logreg_objective(theta[:-n_classes].reshape(shape), theta[-n_classes:], X, y, l2)
         return loss, np.concatenate([gW.ravel(), gb])
 
     return objective, (X.shape[1] + 1) * n_classes
@@ -225,8 +225,8 @@ def test_logreg_rejects_and_halves_an_overflowing_trial(monkeypatch):
     # logreg_objective plus a wall whose exp overflows to inf past |W| = 1.001
     calls = []
 
-    def walled(W, b, X, Y, l2):
-        loss, gW, gb = logreg_objective(W, b, X, Y, l2)
+    def walled(W, b, X, labels, l2):
+        loss, gW, gb = logreg_objective(W, b, X, labels, l2)
         loss += np.exp(1e6 * (np.abs(W).max() - 1.0))
         calls.append(loss)
         return loss, gW, gb

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -388,8 +389,22 @@ def test_explain_out_naming_a_file_is_a_write_error(tmp_path, data_csv, capsys):
     archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
     rc = main(["explain", "-m", "lime", *archive, "--out", str(taken)])
     assert rc == 3
-    assert "error: stage 'write' failed" in capsys.readouterr().err
+    assert f"cannot write under {taken}: {taken} is not a directory" in capsys.readouterr().err
     assert taken.read_text() == ""
+
+
+def test_explain_out_below_a_file_exits_3_before_loading_the_archive(tmp_path, data_csv, capsys, monkeypatch):
+    assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
+    loads = _spy(monkeypatch, "load_model")
+    taken = tmp_path / "taken"
+    taken.write_text("mine")
+    out = tmp_path / "out"
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv")]
+    rc = main(["explain", "-m", "lime", *archive, "--out", str(taken / "sub")])
+    assert rc == 3
+    assert f"cannot write under {taken / 'sub'}: {taken} is not a directory" in capsys.readouterr().err
+    assert loads == []
+    assert taken.read_text() == "mine"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -446,6 +461,25 @@ def test_synth_to_an_unwritable_path_exits_3(tmp_path, capsys, target):
     assert f"cannot write {tmp_path / target}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "keep.txt"]
     assert (tmp_path / "a_dir" / "keep.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("error", [OSError, RuntimeError])
+def test_a_failed_synth_leaves_no_partial_csv(tmp_path, capsys, monkeypatch, error):
+    # the write fails after the header; test_synth_to_an_unwritable_path_exits_3
+    # covers the paths that cannot be opened, where nothing is removed
+    def header_then_fail(fh, names, *args, **kwargs):
+        fh.write(",".join(names) + "\n")
+        raise error("disk full")
+
+    monkeypatch.setattr("credo.synth.write_csv", header_then_fail)
+    argv = ["synth", "-o", str(tmp_path / "x.csv"), "--rows", "200"]
+    if error is OSError:
+        assert main(argv) == 3
+        assert f"cannot write {tmp_path / 'x.csv'}: disk full" in capsys.readouterr().err
+    else:
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(argv)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_explain_missing_archive_exits_3(tmp_path, data_csv, capsys):
@@ -712,30 +746,6 @@ def test_run_archives_an_integer_float_param_so_it_reloads_bit_exactly(tmp_path,
     assert report["config"]["model"]["params"] == params
 
 
-@pytest.mark.parametrize(
-    "node, ordinal",
-    [("first_leaf", 99), ("root", 0), ("swapped", None)],
-    ids=["past_leaf_count", "inner_node", "swapped_leaves"],
-)
-def test_explain_xgdnn_archive_with_a_bad_leaf_ordinal_exits_3(tmp_path, data_csv, capsys, node, ordinal):
-    params = {"gbt": {"rounds": 2, "max_depth": 2}, "mlp": {"epochs": 2}, "feature_mode": "leaf_onehot"}
-    assert main(["run", "-c", write_config(tmp_path, data_csv, model={"name": "xgdnn", "params": params})]) == 0
-    model_dir = tmp_path / "out" / "model"
-    path = model_dir / "booster_tree_leaf_ordinal.f64"
-    values = np.fromfile(path, dtype="<f8")
-    leaves = np.flatnonzero(values >= 0)
-    if node == "swapped":
-        values[leaves[:2]] = values[leaves[1::-1]]
-    else:
-        values[leaves[0] if node == "first_leaf" else 0] = ordinal
-    assert values[0] == -1 or node == "root"  # the first tree's root is an inner node
-    values.tofile(path)
-    archive = ["-a", str(model_dir), "-d", str(tmp_path / "out" / "processed_test.csv")]
-    rc = main(["explain", "-m", "lime", *archive, "--out", str(tmp_path / "exp")])
-    assert rc == 3
-    assert "leaf ordinals are not each leaf's depth-first rank" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("name", ["manifest.json", "shapes.json"])
 def test_explain_archive_json_that_is_not_an_object_exits_3(tmp_path, data_csv, capsys, name):
     assert main(["run", "-c", write_config(tmp_path, data_csv)]) == 0
@@ -965,6 +975,36 @@ def test_main_restores_the_callers_thread_count(outcome, tmp_path, data_csv, mon
         monkeypatch.setitem(credo.cli._DISPATCH, "run", boom)
         with pytest.raises(RuntimeError, match="boom"):
             main(["run", "-c", "unused.json"])
+    assert blas.describe()["threads"] == 2
+
+
+def test_overlapping_commands_run_on_one_thread_and_restore_the_count(monkeypatch, two_blas_threads):
+    # command a enters, then b; a returns while b's body still runs
+    entered = {"a": threading.Event(), "b": threading.Event()}
+    a_returned = threading.Event()
+    seen, codes = {}, []
+
+    def body(args):
+        entered[args.output].set()
+        (entered["b"] if args.output == "a" else a_returned).wait(10)
+        seen[args.output] = blas.describe()["threads"]
+        return 0
+
+    def command(name):
+        codes.append(main(["synth", "-o", name]))
+        if name == "a":
+            a_returned.set()
+
+    monkeypatch.setitem(credo.cli._DISPATCH, "synth", body)
+    threads = [threading.Thread(target=command, args=(name,)) for name in ("a", "b")]
+    threads[0].start()
+    assert entered["a"].wait(10)
+    threads[1].start()
+    for t in threads:
+        t.join(20)
+        assert not t.is_alive()
+    assert codes == [0, 0]
+    assert seen == {"a": 1, "b": 1}
     assert blas.describe()["threads"] == 2
 
 

@@ -12,10 +12,12 @@ from credo.frame import numeric_frame
 from credo.gbt import (
     BoostedEnsemble,
     GbtConfig,
+    RegressionTree,
     extract_leaf_indices,
     extract_margins,
     fit_gbt,
 )
+from credo.neural import derive_features
 from credo.trees import GradientStat
 
 
@@ -237,6 +239,84 @@ def test_leaf_indices_depth1_and_identical_rows():
     # identical input rows map to identical index rows
     dup = extract_leaf_indices(m, np.array([[2.5], [2.5]]))
     assert np.array_equal(dup[0], dup[1])
+
+
+def _random_tree(rng, d, max_depth):
+    """A random preorder boosting tree; a root drawn as a leaf makes a
+    one-leaf tree."""
+    feature, threshold, left, right = [], [], [], []
+
+    def node(depth):
+        i = len(feature)
+        feature.append(-1), threshold.append(np.nan), left.append(-1), right.append(-1)
+        if depth < max_depth and rng.uniform() < 0.6:
+            feature[i], threshold[i] = int(rng.integers(d)), float(rng.normal())
+            left[i] = node(depth + 1)
+            right[i] = node(depth + 1)
+        return i
+
+    node(0)
+    n = len(feature)
+    return RegressionTree(
+        np.array(feature), np.array(threshold), np.array(left), np.array(right), rng.normal(size=n), np.zeros(n)
+    )
+
+
+def _random_booster(rng, rounds, n_classes=2, d=3):
+    trees = tuple(_random_tree(rng, d, int(rng.integers(0, 4))) for _ in range(rounds * n_classes))
+    return BoostedEnsemble(
+        n_classes, tuple(f"f{j}" for j in range(d)), rounds, 0.3, 1.0, 0.0, 1.0, np.zeros(n_classes), trees
+    )
+
+
+def _dfs_leaves(tree, i=0) -> list:
+    """Oracle: the tree's leaf node ids in depth-first order, left first."""
+    if tree.feature[i] < 0:
+        return [i]
+    return _dfs_leaves(tree, tree.left[i]) + _dfs_leaves(tree, tree.right[i])
+
+
+def _walk(tree, x) -> int:
+    """Oracle: the leaf a row reaches; NaN goes right."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
+
+
+def _drawn(seed):
+    """A random booster of seed % 4 rounds and 50 rows to route, a tenth of
+    their cells NaN."""
+    rng = np.random.default_rng(seed)
+    m = _random_booster(rng, seed % 4)
+    X = rng.normal(size=(50, 3))
+    X[rng.uniform(size=X.shape) < 0.1] = np.nan
+    return m, X
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_leaf_ranks_and_leaf_onehot_match_a_depth_first_walk(seed):
+    m, X = _drawn(seed)
+    leaves = [_dfs_leaves(t) for t in m.trees]
+    ranks = np.array([[leaves[t].index(_walk(tree, x)) for t, tree in enumerate(m.trees)] for x in X])
+    want = np.zeros((len(X), sum(map(len, leaves))))
+    offsets = np.cumsum([0, *map(len, leaves)])[:-1]
+    if m.trees:
+        want[np.arange(len(X))[:, None], ranks + offsets] = 1.0
+    got = extract_leaf_indices(m, X)
+    assert got.dtype == np.int64 and np.array_equal(got, ranks.reshape(len(X), len(m.trees)))
+    assert np.array_equal(derive_features(m, X, "leaf_onehot"), want)
+
+
+def test_the_drawn_boosters_hold_one_leaf_trees():
+    assert any(len(t.feature) == 1 for seed in range(12) for t in _drawn(seed)[0].trees)
+
+
+def test_a_booster_of_no_rounds_has_no_leaf_columns():
+    m = _random_booster(np.random.default_rng(0), 0)
+    X = np.zeros((4, 3))
+    assert extract_leaf_indices(m, X).shape == (4, 0)
+    assert derive_features(m, X, "leaf_onehot").shape == (4, 0)
 
 
 def test_config_validation():

@@ -43,8 +43,8 @@ def test_backprop_matches_finite_differences(seed):
     weights = tuple(W + rng.normal(scale=0.3, size=W.shape) for W in m.weights)
     biases = tuple(b + rng.normal(scale=0.3, size=b.shape) for b in m.biases)
     X = rng.normal(size=(6, 3))
-    Y = np.eye(2)[rng.integers(0, 2, 6)]
-    _, gW, gb = mlp_gradients(weights, biases, X, Y)
+    labels = rng.integers(0, 2, 6)
+    _, gW, gb = mlp_gradients(weights, biases, X, labels)
 
     step = 1e-5
 
@@ -54,11 +54,11 @@ def test_backprop_matches_finite_differences(seed):
         plus[k].flat[i] += step
         minus[k].flat[i] -= step
         if arrs is weights_l:
-            lp, _, _ = mlp_gradients(tuple(plus), biases, X, Y)
-            lm, _, _ = mlp_gradients(tuple(minus), biases, X, Y)
+            lp, _, _ = mlp_gradients(tuple(plus), biases, X, labels)
+            lm, _, _ = mlp_gradients(tuple(minus), biases, X, labels)
         else:
-            lp, _, _ = mlp_gradients(weights, tuple(plus), X, Y)
-            lm, _, _ = mlp_gradients(weights, tuple(minus), X, Y)
+            lp, _, _ = mlp_gradients(weights, tuple(plus), X, labels)
+            lm, _, _ = mlp_gradients(weights, tuple(minus), X, labels)
         return (lp - lm) / (2 * step)
 
     weights_l = list(weights)
@@ -209,22 +209,8 @@ def test_predictions_do_not_depend_on_blas_threads(two_blas_threads):
 def test_final_loss_is_the_loss_at_the_returned_weights():
     X, y = _curved_table()
     m = fit_mlp(_frame(X, y), MlpConfig(hidden=(9, 5), epochs=4, batch_size=40, seed=3))
-    loss, _, _ = mlp_gradients(m.weights, m.biases, X, np.eye(3)[y])
+    loss, _, _ = mlp_gradients(m.weights, m.biases, X, y)
     assert m.final_loss == float(loss)
-
-
-def test_gradients_take_labels_or_their_one_hot_only():
-    X, y = _curved_table()
-    m = init_mlp((X.shape[1], 5, 3), seed=0)
-    by_label, gW, gb = mlp_gradients(m.weights, m.biases, X, y)
-    grads = [g.copy() for g in (*gW, *gb)]
-    by_one_hot, gW, gb = mlp_gradients(m.weights, m.biases, X, np.eye(3)[y])
-    assert by_label == by_one_hot
-    assert all(np.array_equal(a, b) for a, b in zip(grads, (*gW, *gb)))
-    soft = np.full((len(y), 3), 0.1)
-    soft[np.arange(len(y)), y] = 0.8
-    with pytest.raises(DataError, match="one-hot"):
-        mlp_gradients(m.weights, m.biases, X, soft)
 
 
 # ---------------------------------------------------------------- hybrid

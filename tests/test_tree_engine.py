@@ -369,7 +369,7 @@ def test_boosted_trees_match_oracle(table, max_depth):
             )
             tree = m.trees[r * 3 + c]
             assert np.array_equal(tree.feature, o["feature"])
-            assert np.array_equal(tree.threshold, np.nan_to_num(o["threshold"], nan=0.0))
+            assert np.array_equal(tree.threshold, o["threshold"], equal_nan=True)
             assert np.array_equal(tree.gain, o["gain"])
             assert np.array_equal(tree.weight, [-G_ / (H_ + cfg.lam) for G_, H_ in o["total"]])
             margins[:, c] += cfg.learning_rate * tree.weight[tree.route(X)]
