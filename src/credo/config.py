@@ -2,19 +2,20 @@
 
 Every validation failure names the offending key with a dotted path
 (e.g. ``config.smote.k_neighbors: expected an integer``) so a bad file
-can be fixed without reading source. ``resolve_config`` returns a plain
-dict with every section setting defaulted, which downstream reports echo
-verbatim; model params are validated but kept as given.
+can be fixed without reading source.
 
-Model params and the smote, lda and explainer sections are checked
-against the frozen config dataclasses that the code consumes: keys and
-types come from their fields, bounds from their ``__post_init__``, so each
-bound is stated once and a value that passes here is accepted downstream.
-``model_config`` is the one reader of model params, ``zoo.fit_model``'s too.
+The schema is one tree of frozen dataclasses rooted at ``_Run``: keys and
+types come from their fields, defaults from their defaults, bounds from
+their ``__post_init__``, and a field with no default is a required key.
+The smote, lda and explainer sections are the config classes the code
+consumes, with their on/off flags added, so each bound is stated once and
+a value that passes here is accepted downstream. ``resolve_config``
+returns that tree as a plain dict, which reports echo verbatim, so every
+setting is settable from JSON and echoed. Model params are validated by
+``model_config``, ``zoo.fit_model``'s reader too, and kept as given.
 ``read_value`` is the one typed reader of JSON values, in configs and
-archives alike: an integer passes for a float, a bool is not a number.
-Every field of those dataclasses is settable from JSON, and the section
-echo carries each one, so no setting exists that a config cannot reach.
+archives alike: an integer passes for a float, a bool is not a number, an
+integer must fit in int64, and a ``Literal`` takes one of its strings.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ import dataclasses
 import json
 import sys
 import typing
+from dataclasses import MISSING
+from typing import Annotated, Literal
 
+from .baselines import check_nonnegative
 from .errors import ConfigError, DataError
 from .explain import LimeConfig, MorrisConfig
 from .frame import check_null_threshold, check_train_fraction
@@ -34,8 +38,10 @@ from .zoo import MODEL_FAMILIES, MODEL_NAMES
 
 __all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "model_config", "read_value", "resolve_config"]
 
-METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "g_mean", "h_measure", "f1")
-SCALER_MODES = ("zscore", "minmax", "none")
+_Metric = Literal["accuracy", "sensitivity", "specificity", "g_mean", "h_measure", "f1"]
+_Scaler = Literal["zscore", "minmax", "none"]
+METRIC_NAMES = typing.get_args(_Metric)
+SCALER_MODES = typing.get_args(_Scaler)
 
 
 def load_config(path: str) -> dict:
@@ -83,6 +89,8 @@ def _as_int(v, path, minimum=None) -> int:
         _fail(path, "expected an integer")
     if minimum is not None and v < minimum:
         _fail(path, f"must be at least {minimum}")
+    if not -(2**63) <= v < 2**63:  # numpy's sizes and seeds are int64
+        _fail(path, "expected an integer in int64 range")
     return v
 
 
@@ -122,27 +130,38 @@ def read_value(hint, v, path: str):
         (hint,) = [t for t in options if t is not type(None)]
     if dataclasses.is_dataclass(hint):
         return _build(hint, v, path)
-    if typing.get_origin(hint) is tuple:
+    origin = typing.get_origin(hint)
+    if origin is tuple:
         if not isinstance(v, list):
             _fail(path, "expected a list")
         return tuple(read_value(typing.get_args(hint)[0], x, f"{path}[{i}]") for i, x in enumerate(v))
+    if origin is Literal:
+        return _as_string(v, path, choices=typing.get_args(hint))
+    if origin is Annotated:  # Annotated[int, minimum]
+        return _as_int(v, path, hint.__metadata__[0])
     return _SCALARS[hint](v, path)
 
 
 def _build(cls, raw, path: str, extra=()):
     """Construct dataclass `cls` from the JSON object `raw`.
 
-    Absent fields keep their defaults. Keys in `extra` are allowed but left
-    to the caller. Each given field is bounds-checked on its own first, so
-    an error names its path.
+    Absent fields keep their defaults; a field with none is a required key.
+    Keys in `extra` are allowed but left to the caller. Each given field is
+    bounds-checked on its own first, with the required ones, so an error
+    names its path.
     """
     raw = _as_object(raw, path)
     fields = [f.name for f in dataclasses.fields(cls)]
     _check_keys(raw, path, {*fields, *extra})
-    hints = typing.get_type_hints(cls)
+    required = [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is MISSING]
+    for name in required:
+        if name not in raw:
+            _fail(path, f"missing required key {name!r}")
+    hints = typing.get_type_hints(cls, include_extras=True)
     kwargs = {name: read_value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
+    given = {name: kwargs[name] for name in required}
     for name, value in kwargs.items():
-        _bounded(f"{path}.{name}", cls, **{name: value})
+        _bounded(f"{path}.{name}", cls, **{**given, name: value})
     return _bounded(path, cls, **kwargs)
 
 
@@ -156,12 +175,68 @@ def model_config(name: str, params, path: str):
 # ---------------------------------------------------------------- resolve
 
 
-def _section(cls, raw, path: str, **flags) -> dict:
-    """The fields of config dataclass `cls`, plus the section's on/off
-    `flags` (name=default), with every default filled."""
-    out = dataclasses.asdict(_build(cls, raw, path, flags))
-    out.update({name: _as_bool(raw.get(name, on), f"{path}.{name}") for name, on in flags.items()})
-    return out
+@dataclasses.dataclass(frozen=True)
+class _Smote(SmoteConfig):
+    enabled: bool = True
+    before_split: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Lda(LdaConfig):
+    enabled: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Morris(MorrisConfig):
+    enabled: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Split:
+    train_fraction: float = 0.8
+    seed: int = 7
+
+    def __post_init__(self):
+        check_train_fraction(self.train_fraction)
+        check_nonnegative(seed=self.seed)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Explain:
+    lime_rows: tuple[Annotated[int, 0], ...] = ()  # test-set rows to explain locally
+    lime: LimeConfig = LimeConfig()
+    morris: _Morris = _Morris()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    data: str
+    target: str
+    null_threshold: float = 0.5
+    scaler: _Scaler = "zscore"
+    smote: _Smote = _Smote()
+    split: _Split = _Split()
+    lda: _Lda = _Lda()
+    metrics: tuple[_Metric, ...] = METRIC_NAMES
+    explain: _Explain = _Explain()
+    out_dir: str = "credo_out"
+
+    def __post_init__(self):
+        check_null_threshold(self.null_threshold)
+        if not self.metrics:
+            raise DataError("expected a non-empty list of metric names")
+        for i, m in enumerate(self.metrics):
+            if m in self.metrics[:i]:  # a run config is read at `config` only
+                _fail(f"config.metrics[{i}]", f"duplicate metric {m!r}")
+
+
+def _plain(value):
+    """`value` as JSON data: a dataclass becomes a dict, a tuple a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    return value
 
 
 def _check_model_entry(entry, path: str) -> dict:
@@ -175,22 +250,6 @@ def _check_model_entry(entry, path: str) -> dict:
     return {"name": name, "params": copy.deepcopy(params)}
 
 
-_TOP_KEYS = {
-    "data",
-    "target",
-    "null_threshold",
-    "scaler",
-    "smote",
-    "split",
-    "lda",
-    "model",
-    "models",
-    "metrics",
-    "explain",
-    "out_dir",
-}
-
-
 def resolve_config(raw: dict) -> dict:
     """Validate `raw` and return the resolved configuration.
 
@@ -200,36 +259,7 @@ def resolve_config(raw: dict) -> dict:
     model's params are validated against its config class and kept as
     given: the defaults of those left out are not filled in.
     """
-    raw = _as_object(raw, "config")
-    _check_keys(raw, "config", _TOP_KEYS)
-    for key in ("data", "target"):
-        if key not in raw:
-            _fail("config", f"missing required key {key!r}")
-
-    out: dict = {
-        "data": _as_string(raw["data"], "config.data"),
-        "target": _as_string(raw["target"], "config.target"),
-        "null_threshold": _as_number(raw.get("null_threshold", 0.5), "config.null_threshold"),
-        "scaler": _as_string(raw.get("scaler", "zscore"), "config.scaler", choices=SCALER_MODES),
-        "out_dir": _as_string(raw.get("out_dir", "credo_out"), "config.out_dir"),
-    }
-    _bounded("config.null_threshold", check_null_threshold, out["null_threshold"])
-
-    out["smote"] = _section(
-        SmoteConfig, raw.get("smote", {}), "config.smote", enabled=True, before_split=False
-    )
-
-    split = _as_object(raw.get("split", {}), "config.split")
-    _check_keys(split, "config.split", {"train_fraction", "seed"})
-    fraction = _as_number(split.get("train_fraction", 0.8), "config.split.train_fraction")
-    _bounded("config.split.train_fraction", check_train_fraction, fraction)
-    out["split"] = {
-        "train_fraction": fraction,
-        "seed": _as_int(split.get("seed", 7), "config.split.seed", minimum=0),
-    }
-
-    out["lda"] = _section(LdaConfig, raw.get("lda", {}), "config.lda", enabled=False)
-
+    out = _plain(_build(_Run, raw, "config", extra=("model", "models")))
     if "model" not in raw and "models" not in raw:
         _fail("config", "missing required key 'model' (or a 'models' list)")
     models = []
@@ -239,37 +269,8 @@ def resolve_config(raw: dict) -> dict:
             _fail("config.models", "expected a non-empty list of model entries")
         models = [_check_model_entry(e, f"config.models[{i}]") for i, e in enumerate(entries)]
     if "model" in raw:
-        single = _check_model_entry(raw["model"], "config.model")
-        out["model"] = single
-        if not models:
-            models = [single]
+        out["model"] = _check_model_entry(raw["model"], "config.model")
     else:
         out["model"] = copy.deepcopy(models[0])
-    out["models"] = models
-
-    metrics = raw.get("metrics", list(METRIC_NAMES))
-    if not isinstance(metrics, list) or not metrics:
-        _fail("config.metrics", "expected a non-empty list of metric names")
-    seen = set()
-    for i, m in enumerate(metrics):
-        _as_string(m, f"config.metrics[{i}]", choices=METRIC_NAMES)
-        if m in seen:
-            _fail(f"config.metrics[{i}]", f"duplicate metric {m!r}")
-        seen.add(m)
-    out["metrics"] = list(metrics)
-
-    explain = _as_object(raw.get("explain", {}), "config.explain")
-    _check_keys(explain, "config.explain", {"lime_rows", "lime", "morris"})
-    lime_rows = explain.get("lime_rows", [])
-    if not isinstance(lime_rows, list):
-        _fail("config.explain.lime_rows", "expected a list of integers")
-    out["explain"] = {
-        "lime_rows": [
-            _as_int(r, f"config.explain.lime_rows[{i}]", minimum=0) for i, r in enumerate(lime_rows)
-        ],
-        "lime": _section(LimeConfig, explain.get("lime", {}), "config.explain.lime"),
-        "morris": _section(
-            MorrisConfig, explain.get("morris", {}), "config.explain.morris", enabled=False
-        ),
-    }
+    out["models"] = models or [out["model"]]
     return out

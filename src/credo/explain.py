@@ -13,6 +13,8 @@ which flags nonlinearity or interactions).
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,7 +395,10 @@ def rank_features(explanation) -> list[tuple[str, float]]:
 
 
 def explanation_to_csv(explanation) -> str:
-    """Two-column plot-ready rendering: feature,score ordered by rank."""
-    lines = ["feature,score"]
-    lines += [f"{name},{score!r}" for name, score in rank_features(explanation)]
-    return "\n".join(lines) + "\n"
+    """Two-column plot-ready rendering: feature,score ordered by rank, a
+    name quoted as csv.writer quotes it and a score as its ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["feature", "score"])
+    writer.writerows((name, repr(score)) for name, score in rank_features(explanation))
+    return buf.getvalue()

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import io
 import json
 import os
 import subprocess
@@ -124,6 +125,19 @@ OUT_OF_BOUNDS = {
     "gbt_lam_past_float_range": (
         {"model": {"name": "gbt", "params": {"lam": 10**400}}},
         "config.model.params.lam",
+    ),
+    # an integer past int64 would reach numpy as a size it cannot allocate
+    "lime_n_samples_past_int64": (
+        {"explain": {"lime_rows": [0], "lime": {"n_samples": 10**30}}},
+        "config.explain.lime.n_samples",
+    ),
+    "morris_n_trajectories_past_int64": (
+        {"explain": {"morris": {"enabled": True, "n_trajectories": 10**30}}},
+        "config.explain.morris.n_trajectories",
+    ),
+    "morris_n_levels_past_int64": (
+        {"explain": {"morris": {"enabled": True, "n_levels": 10**30}}},
+        "config.explain.morris.n_levels",
     ),
 }
 
@@ -379,6 +393,31 @@ def test_explain_morris_on_the_train_split_writes_the_runs_files(tmp_path, data_
     for name in ("morris.json", "morris.csv"):
         replayed = (tmp_path / "exp" / "explanations" / name).read_bytes()
         assert replayed == (out / "explanations" / name).read_bytes()
+
+
+def test_explanation_csvs_quote_feature_names(tmp_path):
+    # one-hot names carry their level: a comma or a quote in it must be quoted
+    levels = ["a,b", 'q"t', "plain"]
+    rng = np.random.default_rng(0)
+    data = tmp_path / "quoted.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "z", "cat", "status"])
+        for i in range(90):
+            x = rng.random()
+            writer.writerow([x, rng.random(), levels[i % 3], int(x + 0.3 * (i % 3 == 0) > 0.6)])
+    explain = {"lime_rows": [0], "lime": {"n_samples": 200}, "morris": {"enabled": True, "n_trajectories": 4}}
+    assert main(["run", "-c", write_config(tmp_path, str(data), explain=explain)]) == 0
+    out = tmp_path / "out"
+    archive = ["-a", str(out / "model"), "-d", str(out / "processed_test.csv"), "--out", str(tmp_path / "exp")]
+    assert main(["explain", "-m", "lime", *archive, "--row", "0"]) == 0
+    assert main(["explain", "-m", "morris", *archive]) == 0
+    for d in (out, tmp_path / "exp"):
+        for name in ("lime_row0.csv", "morris.csv"):
+            rows = list(csv.reader(io.StringIO((d / "explanations" / name).read_text())))
+            assert rows[0] == ["feature", "score"]
+            assert {len(row) for row in rows} == {2}
+            assert {row[0] for row in rows[1:]} == {"x", "z", "cat=a,b", 'cat=q"t', "cat=plain"}
 
 
 def test_explain_out_naming_a_file_is_a_write_error(tmp_path, data_csv, capsys):

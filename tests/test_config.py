@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from credo.config import METRIC_NAMES, load_config, model_config, resolve_config
+from credo.config import METRIC_NAMES, _Explain, _Run, _Split, load_config, model_config, resolve_config
 from credo.errors import ConfigError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
@@ -136,9 +136,14 @@ SECTIONS = {
     LdaConfig: ("lda",),
     LimeConfig: ("explain", "lime"),
     MorrisConfig: ("explain", "morris"),
+    _Split: ("split",),
+    _Explain: ("explain",),
+    _Run: (),  # the top-level keys; each section has its own row
 }
 # tried in order; the first one the field accepts and that is not its default
-CANDIDATES = (1, 2, True, False, "entropy", "margins_plus_raw", [3], {"rounds": 2}, {"epochs": 2})
+CANDIDATES = (
+    1, 2, True, False, "entropy", "margins_plus_raw", [3], {"rounds": 2}, {"epochs": 2}, ["f1"], "minmax", 0.5
+)
 
 
 def _nest(path, value):
@@ -156,7 +161,8 @@ def _at(cfg, path):
 def _settable(cls, name, extra):
     """The config that `extra(value)` resolves to for the first candidate
     value of field `name` that resolves, and that value."""
-    default = getattr(cls(), name)
+    field = {f.name: f for f in dataclasses.fields(cls)}[name]
+    default = field.default if field.default_factory is dataclasses.MISSING else field.default_factory()
     for value in CANDIDATES:
         if value == default:
             continue
@@ -170,8 +176,9 @@ def _settable(cls, name, extra):
 @pytest.mark.parametrize("cls", SECTIONS, ids=lambda c: c.__name__)
 def test_every_section_field_is_settable_and_echoed(cls):
     path = SECTIONS[cls]
-    names = [f.name for f in dataclasses.fields(cls)]
-    assert set(names) <= set(_at(resolve(), path))
+    echo = _at(resolve(), path)
+    names = [f.name for f in dataclasses.fields(cls) if not isinstance(echo.get(f.name), dict)]
+    assert set(names) <= set(echo)
     for name in names:
         cfg, value = _settable(cls, name, lambda v: _nest(path, {name: v}))
         assert _at(cfg, path)[name] == value
@@ -247,6 +254,13 @@ def test_model_param_type_checks():
         r"config\.model\.params\.feature_mode",
         model={"name": "xgdnn", "params": {"feature_mode": "pixels"}},
     )
+
+
+def test_a_null_model_or_models_is_refused():
+    with pytest.raises(ConfigError, match=r"^config\.model: expected an object$"):
+        resolve_config({"data": "d", "target": "t", "model": None})
+    with pytest.raises(ConfigError, match=r"^config\.models: expected a non-empty list"):
+        resolve_config({"data": "d", "target": "t", "models": None})
 
 
 def test_models_must_be_nonempty_list():

@@ -1,6 +1,7 @@
 """Synthetic credit-style dataset generator."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_same_seed_same_bytes(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_synthetic(a, SMALL)
     write_synthetic(b, SMALL)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_seed_changes_content_not_schema(tmp_path):
