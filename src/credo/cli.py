@@ -3,18 +3,20 @@
 Subcommands: ``run`` (one pipeline), ``compare`` (model matrix with the
 reduction off and on), ``explain`` (replay a model archive), ``synth``
 (generate a dataset). Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric failure. Every command runs numpy's BLAS on one
-thread; the caller's count comes back when the last command running
-returns.
+3 data error, 4 numeric failure. Every setting, from a config file or a
+flag, is read by ``config.read_value``, so a bad one exits 2 before any
+input is read. Every command runs numpy's BLAS on one thread; the caller's
+count comes back when the last command running returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import blas
-from .config import load_config, resolve_config
+from .config import load_config, read_value, resolve_config
 from .errors import ConfigError, CredoError, DataError, NumericError, PipelineError
 from .pipeline import cmd_compare, cmd_explain, cmd_run
 from .synth import SynthSpec, write_synthetic
@@ -71,16 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved(args) -> dict:
+def _resolved(args):
     cfg = resolve_config(load_config(args.config))
-    if args.out:
-        cfg["out_dir"] = args.out
-    return cfg
+    return dataclasses.replace(cfg, out_dir=args.out) if args.out else cfg
 
 
 def _run(args) -> int:
     outcome, out = cmd_run(_resolved(args))
-    for name in outcome.config["metrics"]:
+    for name in outcome.config.metrics:
         print(f"{name}: {getattr(outcome.metrics, name):.4f}")
     print(f"outputs written to {out}")
     return 0
@@ -108,7 +108,7 @@ def _explain(args) -> int:
 
 
 def _synth(args) -> int:
-    spec = SynthSpec(**{name: getattr(args, name) for name in _SYNTH_FLAGS})
+    spec = read_value(SynthSpec, {name: getattr(args, name) for name in _SYNTH_FLAGS}, "synth")
     summary = write_synthetic(args.output, spec)
     print(
         f"wrote {summary['rows']} rows x {summary['columns']} columns to {summary['path']} "

@@ -10,12 +10,14 @@ their ``__post_init__``, and a field with no default is a required key.
 The smote, lda and explainer sections are the config classes the code
 consumes, with their on/off flags added, so each bound is stated once and
 a value that passes here is accepted downstream. ``resolve_config``
-returns that tree as a plain dict, which reports echo verbatim, so every
-setting is settable from JSON and echoed. Model params are validated by
-``model_config``, ``zoo.fit_model``'s reader too, and kept as given.
-``read_value`` is the one typed reader of JSON values, in configs and
-archives alike: an integer passes for a float, a bool is not a number, an
-integer must fit in int64, and a ``Literal`` takes one of its strings.
+returns that tree, which the pipeline reads by attribute and hands its
+sections to their stages as they are; ``_plain`` turns it into the JSON
+that reports echo, so every setting is settable from JSON and echoed.
+Model params are validated by ``model_config``, ``zoo.fit_model``'s reader
+too, and kept as given. ``read_value`` is the one typed reader of JSON
+values, in configs, command flags and archives alike: an integer passes
+for a float, a bool is not a number, an integer must fit in int64, and a
+``Literal`` takes one of its strings.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "model_config", "read_
 
 _Metric = Literal["accuracy", "sensitivity", "specificity", "g_mean", "h_measure", "f1"]
 _Scaler = Literal["zscore", "minmax", "none"]
+_ModelName = Literal[MODEL_NAMES]
 METRIC_NAMES = typing.get_args(_Metric)
 SCALER_MODES = typing.get_args(_Scaler)
 
@@ -119,6 +122,7 @@ def _bounded(path: str, fn, *args, **kwargs):
 
 
 _SCALARS = {bool: _as_bool, int: _as_int, float: _as_number, str: _as_string}
+_SCALARS[dict] = lambda v, path: copy.deepcopy(_as_object(v, path))  # JSON as given, not the caller's
 
 
 def read_value(hint, v, path: str):
@@ -142,27 +146,31 @@ def read_value(hint, v, path: str):
     return _SCALARS[hint](v, path)
 
 
-def _build(cls, raw, path: str, extra=()):
+def _build(cls, raw, path: str):
     """Construct dataclass `cls` from the JSON object `raw`.
 
     Absent fields keep their defaults; a field with none is a required key.
-    Keys in `extra` are allowed but left to the caller. Each given field is
-    bounds-checked on its own first, with the required ones, so an error
-    names its path.
+    If the object fails its bounds, the error names the first given field
+    that fails them with only the fields before it set, so a bound that
+    reads an earlier field (``SynthSpec``'s rows per class) names the later.
     """
     raw = _as_object(raw, path)
     fields = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(raw, path, {*fields, *extra})
+    _check_keys(raw, path, fields)
     required = [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is MISSING]
     for name in required:
         if name not in raw:
             _fail(path, f"missing required key {name!r}")
     hints = typing.get_type_hints(cls, include_extras=True)
     kwargs = {name: read_value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
-    given = {name: kwargs[name] for name in required}
-    for name, value in kwargs.items():
-        _bounded(f"{path}.{name}", cls, **{**given, name: value})
-    return _bounded(path, cls, **kwargs)
+    try:
+        return cls(**kwargs)
+    except DataError as e:
+        checked = {name: kwargs[name] for name in required}
+        for name, value in kwargs.items():
+            checked[name] = value
+            _bounded(f"{path}.{name}", cls, **checked)
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def model_config(name: str, params, path: str):
@@ -209,6 +217,12 @@ class _Explain:
 
 
 @dataclasses.dataclass(frozen=True)
+class _Model:
+    name: _ModelName
+    params: dict = dataclasses.field(default_factory=dict)  # validated by `model_config`, kept as given
+
+
+@dataclasses.dataclass(frozen=True)
 class _Run:
     data: str
     target: str
@@ -220,6 +234,9 @@ class _Run:
     metrics: tuple[_Metric, ...] = METRIC_NAMES
     explain: _Explain = _Explain()
     out_dir: str = "credo_out"
+    # one of the two is required; `resolve_config` derives the other
+    model: _Model = None
+    models: tuple[_Model, ...] = ()
 
     def __post_init__(self):
         check_null_threshold(self.null_threshold)
@@ -239,38 +256,22 @@ def _plain(value):
     return value
 
 
-def _check_model_entry(entry, path: str) -> dict:
-    entry = _as_object(entry, path)
-    _check_keys(entry, path, {"name", "params"})
-    if "name" not in entry:
-        _fail(path, "missing required key 'name'")
-    name = _as_string(entry["name"], f"{path}.name", choices=MODEL_NAMES)
-    params = entry.get("params", {})
-    model_config(name, params, f"{path}.params")
-    return {"name": name, "params": copy.deepcopy(params)}
-
-
-def resolve_config(raw: dict) -> dict:
+def resolve_config(raw: dict) -> _Run:
     """Validate `raw` and return the resolved configuration.
 
-    The result always carries both a single `model` and a `models` list
+    The result always carries both a single `model` and a `models` tuple
     (they agree when only one was given); every optional section setting
     is filled with its default so reports can echo the settings used. A
     model's params are validated against its config class and kept as
     given: the defaults of those left out are not filled in.
     """
-    out = _plain(_build(_Run, raw, "config", extra=("model", "models")))
-    if "model" not in raw and "models" not in raw:
+    if "models" in _as_object(raw, "config") and not (isinstance(raw["models"], list) and raw["models"]):
+        _fail("config.models", "expected a non-empty list of model entries")
+    run = _build(_Run, raw, "config")
+    if run.model is None and not run.models:
         _fail("config", "missing required key 'model' (or a 'models' list)")
-    models = []
-    if "models" in raw:
-        entries = raw["models"]
-        if not isinstance(entries, list) or not entries:
-            _fail("config.models", "expected a non-empty list of model entries")
-        models = [_check_model_entry(e, f"config.models[{i}]") for i, e in enumerate(entries)]
-    if "model" in raw:
-        out["model"] = _check_model_entry(raw["model"], "config.model")
-    else:
-        out["model"] = copy.deepcopy(models[0])
-    out["models"] = models or [out["model"]]
-    return out
+    entries = {f"config.models[{i}]": m for i, m in enumerate(run.models)}
+    for path, m in {**entries, "config.model": run.model}.items():
+        if m is not None:
+            model_config(m.name, m.params, f"{path}.params")
+    return dataclasses.replace(run, model=run.model or run.models[0], models=run.models or (run.model,))

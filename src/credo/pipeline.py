@@ -1,10 +1,12 @@
 """Config-driven experiment orchestration.
 
-``prepare`` executes load -> drop sparse -> impute -> encode -> split ->
-scale -> [balance], and a cell runs [reduce] -> fit -> evaluate on its
-output. ``run_pipeline`` is preparation, one cell and [explain], timing each
-stage, recording each distinct warning once with its stable code and its
-count, and echoing the exact settings used.  ``cmd_run`` adds the on-disk
+``run`` and ``compare`` take the frozen tree ``resolve_config`` returns
+and hand its smote, lda, lime and morris sections to their stages as they
+are. ``prepare`` executes load -> drop sparse -> impute -> encode -> split
+-> scale -> [balance], and a cell runs [reduce] -> fit -> evaluate on its
+output. ``run_pipeline`` is preparation, one cell and [explain], timing
+each stage, recording each distinct warning once with its stable code and
+its count, and echoing the exact settings used. ``cmd_run`` adds the on-disk
 deliverables (report.json, metrics.csv, processed splits, a model archive,
 explanation files); ``cmd_compare`` prepares once and renders each model
 with the discriminant reduction off and on as one matrix; ``cmd_explain``
@@ -17,7 +19,6 @@ name and cause, and files written by the failed invocation are removed.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import shutil
@@ -26,19 +27,15 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import blas
 from .archive import load_model, save_model
-from .errors import ConfigError, CredoWarning, DataError, PipelineError
-from .explain import (
-    LimeConfig,
-    MorrisConfig,
-    explanation_to_csv,
-    lime_explain,
-    morris_screen,
-)
+from .config import _Model, _plain, _Run, read_value
+from .errors import CredoWarning, DataError, PipelineError
+from .explain import LimeConfig, MorrisConfig, explanation_to_csv, lime_explain, morris_screen
 from .frame import (
     Frame,
     apply_scaler,
@@ -50,9 +47,9 @@ from .frame import (
     split,
     write_csv,
 )
-from .lda import LdaConfig, fit_lda, transform_lda
+from .lda import fit_lda, transform_lda
 from .metrics import MetricReport, evaluate
-from .resample import SmoteConfig, smote
+from .resample import smote
 from .zoo import fit_model
 
 __all__ = [
@@ -71,7 +68,7 @@ __all__ = [
 class RunOutcome:
     """Everything a run produced, in memory."""
 
-    config: dict
+    config: _Run
     report: dict
     metrics: MetricReport
     model: object
@@ -96,20 +93,14 @@ def _stage(timings: list[dict], name: str, fn):
     return result
 
 
-def _as_config(cls, section: dict):
-    """The config dataclass `cls` from a resolved config section, field by
-    field name; keys that are no field, such as ``enabled``, stay behind."""
-    return cls(**{f.name: section[f.name] for f in dataclasses.fields(cls)})
-
-
-def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
+def prepare(cfg: _Run, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     """Load -> drop sparse -> impute -> encode -> [smote] -> split -> scale
     -> [smote]. Returns the model-ready train and test frames and the
     report's preprocessing accounting; no intermediate frame is kept."""
-    target = cfg["target"]
+    target = cfg.target
 
     def load():
-        table = load_csv(cfg["data"], categorical=target)
+        table = load_csv(cfg.data, categorical=target)
         mask = table.column(target).missing_mask
         if mask.all():
             raise DataError(f"target {target!r} is missing in every row")
@@ -121,36 +112,33 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     n_loaded = table.n_rows
 
     before_names = table.column_names
-    table = _stage(timings, "drop_sparse", lambda: drop_sparse_features(table, cfg["null_threshold"]))
+    table = _stage(timings, "drop_sparse", lambda: drop_sparse_features(table, cfg.null_threshold))
     dropped_columns = [n for n in before_names if n not in table.column_names]
 
     table = _stage(timings, "impute", lambda: impute(table))
     frame = _stage(timings, "encode", lambda: encode(table, target))
     del table
 
-    smote_cfg = cfg["smote"]
     smote_path = "disabled"
-    if smote_cfg["enabled"]:
-        smote_path = "before_split" if smote_cfg["before_split"] else "after_split"
+    if cfg.smote.enabled:
+        smote_path = "before_split" if cfg.smote.before_split else "after_split"
     counts: list[list[int]] = []  # class counts before and after oversampling
 
     def balance(f: Frame, when: str) -> Frame:
         if when != smote_path:
             return f
         counts.append(_class_counts(f))
-        f = _stage(timings, "smote", lambda: smote(f, _as_config(SmoteConfig, smote_cfg)))
+        f = _stage(timings, "smote", lambda: smote(f, cfg.smote))
         counts.append(_class_counts(f))
         return f
 
     frame = balance(frame, "before_split")
-    train, test = _stage(
-        timings, "split", lambda: split(frame, cfg["split"]["train_fraction"], cfg["split"]["seed"])
-    )
+    train, test = _stage(timings, "split", lambda: split(frame, cfg.split.train_fraction, cfg.split.seed))
     del frame  # the splits hold their own rows
 
-    if cfg["scaler"] != "none":
+    if cfg.scaler != "none":
         def scale():
-            params = fit_scaler(train, cfg["scaler"])
+            params = fit_scaler(train, cfg.scaler)
             return apply_scaler(train, params), apply_scaler(test, params)
 
         train, test = _stage(timings, "scale", scale)
@@ -166,7 +154,7 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
             "test": test.n_rows,
         },
         "columns_dropped": dropped_columns,
-        "scaler": cfg["scaler"],
+        "scaler": cfg.scaler,
         "smote": {
             "path": smote_path,
             "class_counts_before": counts_before,
@@ -176,22 +164,22 @@ def prepare(cfg: dict, timings: list[dict]) -> tuple[Frame, Frame, dict]:
     }
 
 
-def _reduce(train: Frame, test: Frame, lda_cfg: dict, timings: list[dict]):
+def _reduce(train: Frame, test: Frame, lda_cfg, timings: list[dict]):
     """Fit the discriminant projection on train; project both splits."""
     def project():
-        projection = fit_lda(train, _as_config(LdaConfig, lda_cfg))
+        projection = fit_lda(train, lda_cfg)
         return projection, transform_lda(projection, train), transform_lda(projection, test)
 
     return _stage(timings, "lda", project)
 
 
 def _fit_and_score(
-    train: Frame, test: Frame, model_cfg: dict, timings: list[dict], boosters: dict | None = None
+    train: Frame, test: Frame, model_cfg: _Model, timings: list[dict], boosters: dict | None = None
 ):
     """One model: fit on train, then score its test-split probabilities.
     `boosters` is compare's memo of the boosters fitted on this `train`."""
     model = _stage(
-        timings, "fit", lambda: fit_model(model_cfg["name"], train, model_cfg["params"], boosters)
+        timings, "fit", lambda: fit_model(model_cfg.name, train, model_cfg.params, boosters)
     )
 
     def score():
@@ -232,7 +220,7 @@ def _explain(model, background: Frame, X, rows, lime_cfg, morris_cfg, target_cla
     return lime_out, screening
 
 
-def run_pipeline(cfg: dict) -> RunOutcome:
+def run_pipeline(cfg: _Run) -> RunOutcome:
     """Execute one resolved configuration end to end, nothing written."""
     timings: list[dict] = []
 
@@ -240,25 +228,24 @@ def run_pipeline(cfg: dict) -> RunOutcome:
         warnings.simplefilter("always")
         train, test, preprocessing = prepare(cfg, timings)
 
-        lda_cfg = cfg["lda"]
-        lda_summary = {"enabled": lda_cfg["enabled"], "n_components_requested": None, "n_components_used": None}
-        if lda_cfg["enabled"]:
-            projection, train, test = _reduce(train, test, lda_cfg, timings)
+        lda_summary = {"enabled": cfg.lda.enabled, "n_components_requested": None, "n_components_used": None}
+        if cfg.lda.enabled:
+            projection, train, test = _reduce(train, test, cfg.lda, timings)
             lda_summary["n_components_requested"] = projection.n_requested
             lda_summary["n_components_used"] = projection.n_components
 
-        model, proba, metric_report = _fit_and_score(train, test, cfg["model"], timings)
+        model, proba, metric_report = _fit_and_score(train, test, cfg.model, timings)
 
-        explain_cfg, morris = cfg["explain"], cfg["explain"]["morris"]
+        explain = cfg.explain
         lime_explanations, morris_screening = [], None
-        if explain_cfg["lime_rows"] or morris["enabled"]:
+        if explain.lime_rows or explain.morris.enabled:
             lime_explanations, morris_screening = _stage(timings, "explain", lambda: _explain(
                 model,
                 train,
                 test.matrix,
-                explain_cfg["lime_rows"],
-                _as_config(LimeConfig, explain_cfg["lime"]),
-                _as_config(MorrisConfig, morris) if morris["enabled"] else None,
+                explain.lime_rows,
+                explain.lime,
+                explain.morris if explain.morris.enabled else None,
                 classes=proba.argmax(axis=1),
             ))
 
@@ -273,15 +260,15 @@ def run_pipeline(cfg: dict) -> RunOutcome:
     ]
 
     report = {
-        "config": cfg,
+        "config": _plain(cfg),
         "preprocessing": {
             **preprocessing,
             "lda": lda_summary,
             "feature_names": list(train.column_names),
         },
         "metrics": {
-            "requested": list(cfg["metrics"]),
-            "values": {m: getattr(metric_report, m) for m in cfg["metrics"]},
+            "requested": list(cfg.metrics),
+            "values": {m: getattr(metric_report, m) for m in cfg.metrics},
             "detail": metric_report.to_dict(),
         },
         "timings": timings,
@@ -309,7 +296,7 @@ def run_pipeline(cfg: dict) -> RunOutcome:
 
 def _metrics_csv(outcome: RunOutcome) -> str:
     lines = ["metric,value"]
-    for name in outcome.config["metrics"]:
+    for name in outcome.config.metrics:
         value = getattr(outcome.metrics, name)
         lines.append(f"{name},{'' if value is None else repr(float(value))}")
     return "\n".join(lines) + "\n"
@@ -377,7 +364,7 @@ def _write_outputs(outputs) -> None:
 
 def _run_outputs(outcome: RunOutcome, out: Path):
     """The deliverables of a run, one (path, text or writer) at a time."""
-    target = outcome.config["target"]
+    target = outcome.config.target
     yield out / "report.json", _json(outcome.report)
     yield out / "metrics.csv", _metrics_csv(outcome)
     yield out / "processed_train.csv", _frame_csv(outcome.train, target)
@@ -400,9 +387,9 @@ def _explanation_outputs(explanation, out: Path, stem: str):
     yield out / f"{stem}.csv", explanation_to_csv(explanation)
 
 
-def cmd_run(cfg: dict) -> tuple[RunOutcome, Path]:
+def cmd_run(cfg: _Run) -> tuple[RunOutcome, Path]:
     """Run one configuration and write its deliverables under out_dir."""
-    out = Path(cfg["out_dir"])
+    out = Path(cfg.out_dir)
     _check_out_dir(out)
     outcome = run_pipeline(cfg)
     _write_outputs(_run_outputs(outcome, out))
@@ -455,7 +442,7 @@ class ComparisonTable:
         }
 
 
-def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
+def cmd_compare(cfg: _Run) -> tuple[ComparisonTable, Path]:
     """Prepare the data once, then score every configured model on it with
     the reduction off and on.
 
@@ -465,31 +452,31 @@ def cmd_compare(cfg: dict) -> tuple[ComparisonTable, Path]:
     and xgdnn with equal booster settings fit it once.
     """
 
-    def cell(entry: dict, with_lda: bool, frames, boosters: dict) -> CompareCell:
+    def cell(entry: _Model, with_lda: bool, frames, boosters: dict) -> CompareCell:
         """`frames` is the (train, test) pair, or the error that prevented it."""
         try:
             if isinstance(frames, PipelineError):
                 raise frames
             metric_report = _fit_and_score(*frames, entry, [], boosters)[2]
         except PipelineError as e:
-            return CompareCell(entry["name"], with_lda, None, str(e))
-        values = {m: getattr(metric_report, m) for m in cfg["metrics"]}
-        return CompareCell(entry["name"], with_lda, values, None)
+            return CompareCell(entry.name, with_lda, None, str(e))
+        values = {m: getattr(metric_report, m) for m in cfg.metrics}
+        return CompareCell(entry.name, with_lda, values, None)
 
-    out = Path(cfg["out_dir"])
+    out = Path(cfg.out_dir)
     _check_out_dir(out)
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         train, test, _ = prepare(cfg, [])
         try:
-            reduced = _reduce(train, test, cfg["lda"], [])[1:]
+            reduced = _reduce(train, test, cfg.lda, [])[1:]
         except PipelineError as e:
             reduced = e
         rows = []
         for with_lda, frames in ((False, (train, test)), (True, reduced)):
             boosters: dict = {}  # the boosters fitted on this setting's train split
-            rows += [cell(entry, with_lda, frames, boosters) for entry in cfg["models"]]
-    table = ComparisonTable(tuple(cfg["metrics"]), tuple(rows))
+            rows += [cell(entry, with_lda, frames, boosters) for entry in cfg.models]
+    table = ComparisonTable(cfg.metrics, tuple(rows))
     _write_outputs([(out / "compare.csv", table.to_csv()), (out / "compare.json", _json(table.to_dict()))])
     return table, out
 
@@ -524,14 +511,15 @@ def cmd_explain(
     seed: int = 0,
 ) -> dict:
     """Explain an archived model against a processed CSV; writes the
-    explanation's JSON and CSV under out_dir/explanations, or neither. An
-    out_dir that cannot be a directory is refused before any file is read."""
+    explanation's JSON and CSV under out_dir/explanations, or neither. A bad
+    row, target class or seed is a ConfigError, and an out_dir that cannot
+    be a directory a DataError, both raised before any file is read."""
     if method not in ("lime", "morris"):
         raise DataError(f"unknown explain method {method!r}")
-    try:  # a bad seed is a setting's error, reported before any file is read
-        lime_cfg, morris_cfg = LimeConfig(seed=seed), MorrisConfig(seed=seed)
-    except DataError as e:
-        raise ConfigError(str(e)) from None
+    row = read_value(Annotated[int, 0], row, "explain.row")
+    target_class = read_value(Annotated[int, 0] | None, target_class, "explain.target_class")
+    lime_cfg = read_value(LimeConfig, {"seed": seed}, "explain")
+    morris_cfg = read_value(MorrisConfig, {"seed": seed}, "explain")
     _check_out_dir(Path(out_dir))
     model, manifest = load_model(archive_dir)
     background = _load_background(data_path, manifest)

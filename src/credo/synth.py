@@ -7,12 +7,14 @@ missing cells injected at a configurable rate. Deterministic per seed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .baselines import check_nonnegative
+from .errors import DataError
 from .frame import largest_remainder, write_csv
 
 __all__ = ["SynthSpec", "class_counts", "write_synthetic"]
@@ -27,37 +29,40 @@ class SynthSpec:
     features counts every feature column, the trailing `categorical`
     ones included. imbalance is the geometric decay of class mass
     (1.0 = balanced); separation scales how far class means sit apart.
+    A bound that reads another field comes after it, as read_value needs.
     """
 
-    rows: int = 20000
-    features: int = 30
     classes: int = 10
+    rows: int = 20000
+    categorical: int = 3
+    features: int = 30
     imbalance: float = 0.7
     null_rate: float = 0.02
     separation: float = 2.0
-    categorical: int = 3
     seed: int = 0
     target_name: str = "status"
 
     def __post_init__(self):
         if self.classes < 2:
-            raise ConfigError("classes must be at least 2")
-        if self.rows < self.classes * 10:
-            raise ConfigError(f"rows must be at least classes * 10 = {self.classes * 10}")
+            raise DataError("classes must be at least 2")
+        if not self.classes * 10 <= self.rows <= 2**53:  # past 2**53 a float quota drops whole rows
+            raise DataError(f"rows must be at least classes * 10 = {self.classes * 10} and at most 2**53")
         if self.categorical < 0:
-            raise ConfigError("categorical may not be negative")
+            raise DataError("categorical may not be negative")
         if self.features < self.categorical + 1:
-            raise ConfigError("features must leave at least one numeric column")
+            raise DataError("features must leave at least one numeric column")
         if not 0 < self.imbalance <= 1:
-            raise ConfigError("imbalance must lie in (0, 1]")
+            raise DataError("imbalance must lie in (0, 1]")
         if not 0 <= self.null_rate < 1:
-            raise ConfigError("null_rate must lie in [0, 1)")
-        if self.separation < 0:
-            raise ConfigError("separation may not be negative")
+            raise DataError("null_rate must lie in [0, 1)")
+        check_nonnegative(separation=self.separation, seed=self.seed)
         if not self.target_name:
-            raise ConfigError("target_name must be non-empty")
-        if self.seed < 0:
-            raise ConfigError("seed may not be negative")
+            raise DataError("target_name must be non-empty")
+        # the spellings `_column_names` gives; no int64 count has 20 digits
+        named = re.fullmatch(r"num_([0-9]{2}|[1-9][0-9]{2,18})|cat_(0|[1-9][0-9]{0,18})", self.target_name)
+        count = self.features - self.categorical if named and named[1] else self.categorical
+        if named and int(named[1] or named[2]) < count:
+            raise DataError(f"target_name {self.target_name!r} is also a feature column's name")
 
 
 def class_counts(spec: SynthSpec) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -222,7 +223,38 @@ def test_explain_negative_seed_exits_2_before_reading_the_archive(
 def test_synth_negative_seed_exits_2_without_writing(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["synth", "-o", str(out), "--rows", "200", "--seed", "-1"]) == 2
-    assert "seed may not be negative" in capsys.readouterr().err
+    assert "synth.seed: seed must be finite and >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--row", "--target-class"])
+def test_explain_negative_index_exits_2_before_reading_the_archive(tmp_path, data_csv, capsys, monkeypatch, flag):
+    archive_loads = _spy(monkeypatch, "load_model")
+    csv_loads = _spy(monkeypatch, "load_csv")
+    archive = ["-a", str(tmp_path / "model"), "-d", data_csv]
+    assert main(["explain", "-m", "lime", *archive, flag, "-1"]) == 2
+    assert f"explain.{flag[2:].replace('-', '_')}: must be at least 0" in capsys.readouterr().err
+    assert archive_loads == [] and csv_loads == []
+
+
+# each value once made `credo synth` exit 0 with a bad CSV, or never return
+SYNTH_REFUSALS = {
+    "separation_inf": (["--separation", "inf"], "synth.separation: expected a finite number"),
+    "imbalance_past_float": (["--imbalance", "1e400"], "synth.imbalance: expected a finite number"),
+    "rows_past_int64": (["--rows", "1" + "0" * 21], "synth.rows: expected an integer in int64 range"),
+    "rows_past_float_counts": (
+        ["--rows", str(2**63 - 1), "--classes", "2", "--imbalance", "1e-300"],
+        "synth.rows: rows must be at least classes * 10 = 20 and at most 2**53",
+    ),
+    "target_a_feature": (["--target-name", "num_00"], "synth.target_name: target_name 'num_00' is also"),
+}
+
+
+@pytest.mark.parametrize("flags,message", SYNTH_REFUSALS.values(), ids=SYNTH_REFUSALS.keys())
+def test_synth_bad_flag_exits_2_naming_it_without_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "-o", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -246,8 +278,8 @@ def test_one_parser_keeps_no_flag_between_calls(tmp_path, data_csv, monkeypatch)
     seen = []
 
     def cmd_compare(cfg):
-        seen.append(cfg["out_dir"])
-        return SimpleNamespace(to_csv=lambda: ""), cfg["out_dir"]
+        seen.append(cfg.out_dir)
+        return SimpleNamespace(to_csv=lambda: ""), cfg.out_dir
 
     monkeypatch.setattr("credo.cli.cmd_compare", cmd_compare)
     cfg = write_config(tmp_path, data_csv)
@@ -1061,8 +1093,7 @@ def test_compare_writes_the_bytes_of_the_default_thread_count(tmp_path, data_csv
     cfg = write_config(tmp_path, data_csv, models=models)
     assert main(["compare", "-c", cfg, "--out", str(tmp_path / "one")]) == 0
     resolved = resolve_config(load_config(cfg))
-    resolved["out_dir"] = str(tmp_path / "two")
-    credo.pipeline.cmd_compare(resolved)
+    credo.pipeline.cmd_compare(dataclasses.replace(resolved, out_dir=str(tmp_path / "two")))
     at_one, at_two = ((tmp_path / side / "compare.csv").read_bytes() for side in ("one", "two"))
     assert at_one == at_two
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from credo.config import METRIC_NAMES, _Explain, _Run, _Split, load_config, model_config, resolve_config
+from credo.config import METRIC_NAMES, _Explain, _Model, _plain, _Run, _Split, load_config, model_config, resolve_config
 from credo.errors import ConfigError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
@@ -16,11 +16,12 @@ MINIMAL = {"data": "d.csv", "target": "status", "model": {"name": "gnb"}}
 
 
 def resolve(extra=None, **overrides):
+    """The echo of the resolved config, as reports write it."""
     raw = dict(MINIMAL)
     raw.update(overrides)
     if extra:
         raw.update(extra)
-    return resolve_config(raw)
+    return _plain(resolve_config(raw))
 
 
 # ----------------------------------------------------------------- loading
@@ -96,9 +97,8 @@ def test_models_list_promotes_first_to_model():
         "models": [{"name": "tree"}, {"name": "gnb", "params": {"var_smoothing": 1e-8}}],
     }
     cfg = resolve_config(raw)
-    assert cfg["model"]["name"] == "tree"
-    assert [m["name"] for m in cfg["models"]] == ["tree", "gnb"]
-    assert cfg["models"][1]["params"] == {"var_smoothing": 1e-8}
+    assert cfg.model is cfg.models[0]
+    assert cfg.models == (_Model("tree"), _Model("gnb", {"var_smoothing": 1e-8}))
 
 
 def test_explicit_values_survive():
@@ -122,8 +122,8 @@ def test_explicit_values_survive():
 
 
 def test_resolved_config_round_trips_through_resolve():
-    cfg = resolve(extra={"lda": {"enabled": True}})
-    assert resolve_config(cfg) == cfg
+    cfg = resolve_config({**MINIMAL, "lda": {"enabled": True}})
+    assert resolve_config(_plain(cfg)) == cfg
 
 
 # Every field of every config class that JSON reaches can be set from JSON
@@ -142,7 +142,8 @@ SECTIONS = {
 }
 # tried in order; the first one the field accepts and that is not its default
 CANDIDATES = (
-    1, 2, True, False, "entropy", "margins_plus_raw", [3], {"rounds": 2}, {"epochs": 2}, ["f1"], "minmax", 0.5
+    1, 2, True, False, "entropy", "margins_plus_raw", [3], {"rounds": 2}, {"epochs": 2}, ["f1"], "minmax", 0.5,
+    [{"name": "tree", "params": {}}],
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import credo.pipeline
 from credo.archive import load_model
-from credo.config import resolve_config
+from credo.config import _plain, resolve_config
 from credo.errors import DataError, PipelineError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
@@ -65,7 +65,7 @@ def test_report_structure_and_row_accounting(data_csv, tmp_path):
     outcome = run_pipeline(cfg)
     rep = outcome.report
 
-    assert rep["config"] == cfg
+    assert rep["config"] == _plain(cfg)
     rows = rep["preprocessing"]["rows"]
     assert rows["loaded"] == 600 - rows["dropped_missing_target"]
     sm = rep["preprocessing"]["smote"]
@@ -242,7 +242,11 @@ def test_every_section_field_reaches_its_stage(data_csv, tmp_path, monkeypatch):
         },
     )
     run_pipeline(cfg)
-    assert received == {cls: [cls(**values)] for cls, values in SECTION_VALUES.items()}
+    # each stage receives the very section object the config resolved to
+    sections = {SmoteConfig: cfg.smote, LdaConfig: cfg.lda, LimeConfig: cfg.explain.lime, MorrisConfig: cfg.explain.morris}
+    for cls, values in SECTION_VALUES.items():
+        assert len(received[cls]) == 1 and received[cls][0] is sections[cls], cls
+        assert {name: getattr(sections[cls], name) for name in values} == values, cls
 
 
 def test_lime_row_out_of_range(data_csv, tmp_path):
@@ -565,6 +569,12 @@ def run_artifacts(data_csv, tmp_path_factory):
     cfg = make_cfg(data_csv, out)
     outcome, out_path = cmd_run(cfg)
     return outcome, out_path
+
+
+def test_report_config_resolves_to_the_runs_config(run_artifacts):
+    outcome, out = run_artifacts
+    report = json.loads((out / "report.json").read_text())
+    assert resolve_config(report["config"]) == outcome.config
 
 
 def test_cmd_explain_lime_from_archive(run_artifacts, tmp_path):

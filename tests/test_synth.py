@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credo.errors import ConfigError
+from credo.errors import DataError
 from credo.frame import CATEGORICAL, NUMERIC, load_csv
 from credo.synth import SynthSpec, class_counts, write_synthetic
 
@@ -72,8 +72,27 @@ def test_counts_uniform_when_balanced():
     ],
 )
 def test_spec_validation(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         SynthSpec(**kwargs)
+
+
+def test_spec_refuses_a_non_finite_separation():
+    with pytest.raises(DataError, match="separation must be finite"):
+        SynthSpec(separation=float("inf"))
+
+
+@pytest.mark.parametrize("name", ["num_00", "num_04", "cat_0", "cat_2"])
+def test_target_name_may_not_be_a_feature_column(name):
+    with pytest.raises(DataError, match="also a feature column"):
+        SynthSpec(rows=100, features=8, target_name=name)
+
+
+@pytest.mark.parametrize("name", ["num_05", "num_0", "num_000", "cat_3", "cat_01", "num_" + "9" * 30])
+def test_target_name_beside_the_feature_columns_is_written(tmp_path, name):
+    path = tmp_path / "t.csv"
+    write_synthetic(str(path), SynthSpec(rows=100, features=8, target_name=name))
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[-1] == name and len(set(header)) == len(header)
 
 
 # ----------------------------------------------------------- file contents
