@@ -3,10 +3,11 @@
 Subcommands: ``run`` (one pipeline), ``compare`` (model matrix with the
 reduction off and on), ``explain`` (replay a model archive), ``synth``
 (generate a dataset). Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric failure. Every setting, from a config file or a
-flag, is read by ``config.read_value``, so a bad one exits 2 before any
-input is read. Every command runs numpy's BLAS on one thread; the caller's
-count comes back when the last command running returns.
+3 data error or an allocation that fails, 4 numeric failure. Every
+setting, from a config file or a flag, is read by ``config.read_value``,
+so a bad one exits 2 before any input is read. Every command runs numpy's
+BLAS on one thread; the caller's count comes back when the last command
+running returns.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def exit_code_for(error: BaseException) -> int:
         return exit_code_for(error.cause)
     if isinstance(error, ConfigError):
         return 2
-    if isinstance(error, DataError):
+    if isinstance(error, (DataError, MemoryError)):
         return 3
     if isinstance(error, NumericError):
         return 4
@@ -109,7 +110,10 @@ def _explain(args) -> int:
 
 def _synth(args) -> int:
     spec = read_value(SynthSpec, {name: getattr(args, name) for name in _SYNTH_FLAGS}, "synth")
-    summary = write_synthetic(args.output, spec)
+    try:
+        summary = write_synthetic(args.output, spec)
+    except MemoryError as e:
+        raise MemoryError(f"synth: --rows {spec.rows} x --features {spec.features} do not fit in memory: {e}") from e
     print(
         f"wrote {summary['rows']} rows x {summary['columns']} columns to {summary['path']} "
         f"(class counts {summary['class_counts']})"
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
     with blas.one_thread():
         try:
             return _DISPATCH[args.command](args)
-        except CredoError as e:
+        except (CredoError, MemoryError) as e:
             print(f"error: {e}", file=sys.stderr)
             return exit_code_for(e)
 

@@ -28,6 +28,7 @@ import json
 import sys
 import typing
 from dataclasses import MISSING
+from functools import cache
 from typing import Annotated, Literal
 
 from .baselines import check_nonnegative
@@ -146,6 +147,13 @@ def read_value(hint, v, path: str):
     return _SCALARS[hint](v, path)
 
 
+@cache
+def _field_types(cls) -> dict:
+    """``cls``'s resolved field annotations, read once per class: resolving
+    them costs about 20 times as much as building a small config."""
+    return typing.get_type_hints(cls, include_extras=True)
+
+
 def _build(cls, raw, path: str):
     """Construct dataclass `cls` from the JSON object `raw`.
 
@@ -161,7 +169,7 @@ def _build(cls, raw, path: str):
     for name in required:
         if name not in raw:
             _fail(path, f"missing required key {name!r}")
-    hints = typing.get_type_hints(cls, include_extras=True)
+    hints = _field_types(cls)
     kwargs = {name: read_value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
     try:
         return cls(**kwargs)

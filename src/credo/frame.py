@@ -22,10 +22,11 @@ not in the header, is refused before any data row is read. A byte that is
 not UTF-8 or a field past csv's size limit is a :class:`DataError` naming
 its line.
 ``load_csv`` reads, ``encode`` fills and ``write_csv`` renders a block of
-``_BLOCK_CELLS`` cells at a time; ``write_csv`` renders the processed splits
-and the synthetic data under the same conventions, each float as its
-``repr``; in a block where a float column repeats its values, each
-bitwise-distinct value is rendered once.
+rows at a time, as many as fit the memory budget of :mod:`credo.budget`:
+8,192 cells of text (a 17-digit float's ``str`` takes 67-68 bytes) or
+65,536 floats. ``write_csv`` renders the processed splits and the synthetic
+data under the same conventions, each float as its ``repr``; a float column
+that repeats its values renders each bitwise-distinct value once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import TEXT_CELL, block_rows
 from .errors import DataError
 
 NUMERIC = "numeric"
@@ -46,15 +48,7 @@ CATEGORICAL = "categorical"
 
 MISSING_TOKENS = frozenset({"", "NA", "null"})
 _AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
-# cells in a block of rows that load_csv reads, encode fills or write_csv
-# renders at a time; a block of cells as Python strings takes about 100
-# bytes a cell
-_BLOCK_CELLS = 1 << 16
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
-
-
-def _block_rows(width: int) -> int:
-    return max(1, _BLOCK_CELLS // max(1, width))
 
 
 def _finite_floats(cells) -> np.ndarray | None:
@@ -64,10 +58,10 @@ def _finite_floats(cells) -> np.ndarray | None:
         values = np.array(list(map(float, map(_AS_NAN.get, cells, cells))))
     except ValueError:
         return None
-    nan_cells = [cells[i] for i in np.flatnonzero(np.isnan(values)).tolist()]
-    if not MISSING_TOKENS.issuperset(nan_cells) or np.isinf(values).any():
-        return None  # a cell spelled a NaN or an infinity
-    return values
+    # a missing token reads as NaN; any other non-finite cell spelled a NaN
+    # or an infinity
+    odd = np.flatnonzero(~np.isfinite(values)).tolist()
+    return values if MISSING_TOKENS.issuperset([cells[i] for i in odd]) else None
 
 
 @dataclass(frozen=True)
@@ -264,9 +258,10 @@ def _undecodable_line(path: str) -> int:
 
 
 def _blocks(path: str, records, width: int):
-    """The data rows of ``records`` in lists of ``_block_rows(width)``,
-    blank lines skipped; a row of another width is a DataError."""
-    size = _block_rows(width)
+    """The data rows of ``records`` in lists of ``block_rows(width,
+    TEXT_CELL)``, blank lines skipped; a row of another width is a
+    DataError."""
+    size = block_rows(width, TEXT_CELL)
     block = []
     for i, row in enumerate(records, start=1):
         if not row:
@@ -310,8 +305,8 @@ def load_csv(path: str, categorical: str | None = None) -> Table:
     ragged rows, and, before any data row is read, on a ``categorical``
     name that is not in the header or a duplicated or empty header name.
 
-    The rows are read a block at a time, ``_BLOCK_CELLS`` cells, and each
-    cell is parsed once, into a float64 chunk while its column is numeric
+    The rows are read a block of text cells at a time, and each cell is
+    parsed once, into a float64 chunk while its column is numeric
     so far, else into int32 codes. A column that turns categorical after
     its first block reads its earlier cells from the file again. So memory
     beyond the columns is one block, and the spellings of each categorical
@@ -345,7 +340,7 @@ def load_csv(path: str, categorical: str | None = None) -> Table:
             if n_rows and late:  # code these columns' earlier rows, read again
                 with closing(_records(path)) as again:
                     next(again)
-                    n_blocks = n_rows // _block_rows(width)  # every earlier block is full
+                    n_blocks = n_rows // block_rows(width, TEXT_CELL)  # every earlier block is full
                     for earlier in itertools.islice(_blocks(path, again, width), n_blocks):
                         for j in late:
                             chunks[j].append(_codes(spellings[j], [row[j] for row in earlier]))
@@ -370,18 +365,19 @@ def _quoted(cell: str) -> str:
     return buf.getvalue()[1:-1]
 
 
-def _reprs(column: np.ndarray) -> list[str]:
-    """The ``repr`` of each float64 in ``column``. When at most half of the
-    values are distinct, each distinct value is rendered once and its text
-    reused; otherwise gathering the texts would cost more than it saves.
-    Values are told apart by their int64 bits, which keep ``-0.0`` apart
-    from ``0.0``; a float ``np.unique`` would merge them."""
-    bits = column.view(np.int64)
-    ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > len(bits):
-        return list(map(repr, column.tolist()))
-    distinct, at = np.unique(bits, return_inverse=True)
-    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[at].tolist()
+def _few_values(column: np.ndarray):
+    """``(distinct, texts)`` when at most half of the float64 ``column``'s
+    values are distinct: the int64 bits of its distinct values, sorted, and
+    each value's ``repr``. Otherwise None, since gathering the texts would
+    cost more than it saves. Values are told apart by their bits, which
+    keep ``-0.0`` apart from ``0.0``; a float ``np.unique`` would merge
+    them."""
+    ordered = np.sort(column.view(np.int64))  # np.unique hashes ints: several times slower
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > len(column):
+        return None
+    distinct = np.concatenate([ordered[:1], ordered[1:][new]])
+    return distinct, np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
 
 
 def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None) -> None:
@@ -389,25 +385,34 @@ def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None
 
     Row ``i`` is the float64 cells of ``X[i]`` as their ``repr`` (the text
     ``float()`` reads back exactly), then ``levels[c][codes[i, c]]`` for each
-    column ``c`` of ``codes``. A float column whose values in a block are
-    at most half distinct renders each bitwise-distinct value once, so a
-    one-hot column costs two ``repr`` calls a block. Cells where the boolean
-    ``missing`` (covering the leading columns of the row, codes included) is
-    set are written as ``NA``. The header and the levels are quoted as
-    csv.writer quotes them, once each.
+    column ``c`` of ``codes``. Whether a float column is few-valued (at most
+    half of its values bitwise distinct) is decided once, over all its
+    rows; such a column renders each distinct value once and gathers the
+    texts like a level's, so a one-hot column costs two ``repr`` calls.
+    Cells where the boolean ``missing`` (covering the leading columns of
+    the row, codes included) is set are written as ``NA``. The header and
+    the levels are quoted as csv.writer quotes them, once each.
     """
     csv.writer(fh, lineterminator="\n").writerow(header)
     d = X.shape[1]
+    few = [_few_values(X[:, j]) for j in range(d)]
+    plain = [j for j, values in enumerate(few) if values is None]  # rendered cell by cell
     words = [np.array([_quoted(w) for w in names], dtype=object) for names in levels]
-    rows = _block_rows(d + len(words))
+    rows = block_rows(d + len(words), TEXT_CELL)
     for start in range(0, len(X), rows):
         block = slice(start, start + rows)
-        columns = [_reprs(X[block, j]) for j in range(d)]
+        plain_cells = iter(X[block, plain].T.tolist())  # one list per column, in one call
+        columns = []
+        for j, values in enumerate(few):
+            if values is None:
+                columns.append(list(map(repr, next(plain_cells))))
+            else:
+                distinct, texts = values
+                columns.append(texts[np.searchsorted(distinct, X[block, j].view(np.int64))].tolist())
         columns += [text[codes[block, c]].tolist() for c, text in enumerate(words)]
         if missing is not None:
-            for column, mask in zip(columns, missing[block].T):
-                for i in np.flatnonzero(mask).tolist():
-                    column[i] = "NA"
+            for c, i in zip(*(a.tolist() for a in np.nonzero(missing[block].T))):
+                columns[c][i] = "NA"
         fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
@@ -510,7 +515,7 @@ def encode(table: Table, target_name: str) -> Frame:
     matrix = np.empty((table.n_rows, len(columns)))
     # a block of rows at a time: one column of the whole C-order matrix per
     # pass strides over all of it, a fill 3x as slow at 1M x 39
-    size = _block_rows(len(columns))
+    size = block_rows(len(columns), matrix.itemsize)
     for start in range(0, table.n_rows, size):
         rows = slice(start, start + size)
         for j, values in enumerate(columns):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import check_nonnegative
+from .budget import block_rows
 from .errors import DataError, SmoteKClampWarning
 from .frame import EncodedTarget, Frame
 
@@ -37,16 +38,20 @@ def _neighbor_indices(X: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows to each row of X, self excluded.
 
     Ties in distance resolve to the smaller row index (stable argsort),
-    keeping the output independent of memory layout.
+    keeping the output independent of memory layout. The squared distances
+    are formed a chunk of rows at a time, a (rows x n) block within the
+    memory budget of :mod:`credo.budget`. Each row's inner products are one
+    matrix-vector product of the same shape whatever its chunk, so the
+    chunk size changes no bit: a (rows x d) by (d x n) product may round
+    differently for different row counts.
     """
     n = len(X)
     out = np.empty((n, k), dtype=np.int64)
-    # chunk the pairwise distance matrix so huge classes stay in memory bounds
-    chunk = max(1, int(4e6) // max(n, 1))
+    chunk = block_rows(n, X.itemsize)
     sq = np.einsum("ij,ij->i", X, X)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (X[start:stop] @ X.T)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (X[start:stop, None] @ X.T)[:, 0]
         d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
         order = np.argsort(d2, axis=1, kind="stable")
         out[start:stop] = order[:, :k]

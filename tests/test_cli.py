@@ -61,6 +61,8 @@ def test_exit_code_mapping():
     assert exit_code_for(PipelineError("load", DataError("x"))) == 3
     assert exit_code_for(PipelineError("fit", PipelineError("inner", NumericError("x")))) == 4
     assert exit_code_for(PipelineError("fit", RuntimeError("x"))) == 1
+    assert exit_code_for(MemoryError("x")) == 3
+    assert exit_code_for(PipelineError("explain", MemoryError("x"))) == 3
 
 
 def test_run_success(tmp_path, data_csv, capsys):
@@ -256,6 +258,26 @@ def test_synth_bad_flag_exits_2_naming_it_without_writing(tmp_path, capsys, flag
     assert main(["synth", "-o", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# Sizes whose first allocation is at least 2**56 bytes (64 PiB), past what
+# a machine can map, so it fails at once and touches no memory.
+
+
+def test_synth_past_memory_exits_3_naming_the_flags_without_writing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "-o", str(out), "--rows", str(2**53)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: synth: --rows {2**53} x --features 30 do not fit in memory: Unable to allocate")
+    assert not out.exists()
+
+
+def test_run_lime_past_memory_exits_3_naming_the_stage(tmp_path, data_csv, capsys):
+    explain = {"lime_rows": [0], "lime": {"n_samples": 2**52}}
+    cfg = write_config(tmp_path, data_csv, explain=explain)
+    assert main(["run", "-c", cfg]) == 3
+    assert capsys.readouterr().err.startswith("error: stage 'explain' failed: Unable to allocate")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_data_file(tmp_path, capsys):

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import typing
 
 import pytest
 
-from credo.config import METRIC_NAMES, _Explain, _Model, _plain, _Run, _Split, load_config, model_config, resolve_config
+from credo.config import METRIC_NAMES, _Explain, _Model, _plain, _Run, _Split, load_config, model_config, read_value, resolve_config
 from credo.errors import ConfigError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
@@ -286,3 +287,14 @@ def test_scaler_choices():
 def test_lime_rows_must_be_nonnegative_ints():
     err(r"config\.explain\.lime_rows\[0\]", extra={"explain": {"lime_rows": [-1]}})
     err(r"config\.explain\.lime_rows", extra={"explain": {"lime_rows": "all"}})
+
+
+def test_a_second_read_of_a_class_resolves_no_type_hints(monkeypatch):
+    # resolving a class's annotations costs ~20x building a small config,
+    # and `credo explain` reads a LimeConfig and a MorrisConfig every call
+    assert read_value(LimeConfig, {"seed": 1}, "explain") == LimeConfig(seed=1)
+    calls = []
+    get_type_hints = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda *a, **k: calls.append(a) or get_type_hints(*a, **k))
+    assert read_value(LimeConfig, {"seed": 2}, "explain") == LimeConfig(seed=2)
+    assert calls == []

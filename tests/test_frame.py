@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from credo import budget
 from credo.errors import DataError
 from credo.frame import (
     CATEGORICAL,
@@ -239,7 +240,7 @@ def test_load_csv_matches_cell_by_cell_oracle(table):
         assert _outcome(_load_csv_cells, path, categorical) == expected
         for block_rows in (1, 2, 3):  # every block boundary, and a re-read per late column
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr("credo.frame._BLOCK_CELLS", block_rows * width)
+                mp.setattr(budget, "BLOCK_BYTES", block_rows * width * budget.TEXT_CELL)
                 assert _outcome(_load_csv_cells, path, categorical) == expected, block_rows
 
 
@@ -248,7 +249,7 @@ def test_load_csv_memory_is_the_columns_and_one_block(tmp_path, monkeypatch):
     # peaks near 10x the arrays; a block of 4,096 cells is about 0.4 MB here
     path = str(tmp_path / "t.csv")
     write_synthetic(path, SynthSpec(rows=4000, seed=1))
-    monkeypatch.setattr("credo.frame._BLOCK_CELLS", 4096)
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 4096 * budget.TEXT_CELL)
     tracemalloc.start()
     try:
         frame = load_csv(path)
@@ -287,13 +288,13 @@ def test_write_csv_matches_csv_writer(n, d, words, data):
         writer.writerow(row + [words[codes[i]]])
     actual = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("credo.frame._BLOCK_CELLS", block_rows * (d + 1))
+        mp.setattr(budget, "BLOCK_BYTES", block_rows * (d + 1) * budget.TEXT_CELL)
         write_csv(actual, header, X, codes.reshape(n, 1), [words], missing=missing)
     assert actual.getvalue() == expected.getvalue()
 
 
 def test_write_csv_renders_repeated_cells_like_csv_writer(monkeypatch):
-    # a block's column that repeats its values renders each distinct float
+    # a column that repeats its values renders each distinct float
     # once; values count as distinct by their bits, so -0.0 and 0.0 stay apart
     n, block_rows = 50, 16  # 4 blocks, the last partial
     specials = [0.0, -0.0, math.nan, math.copysign(math.nan, -1), math.inf, -math.inf, 5e-324]
@@ -318,7 +319,7 @@ def test_write_csv_renders_repeated_cells_like_csv_writer(monkeypatch):
         row = [repr(float(x)) for x in X[i]] + [levels[c][codes[i, c]] for c in range(2)]
         writer.writerow(["NA" if j < 4 and missing[i, j] else cell for j, cell in enumerate(row)])
     actual = io.StringIO()
-    monkeypatch.setattr("credo.frame._BLOCK_CELLS", block_rows * len(header))
+    monkeypatch.setattr(budget, "BLOCK_BYTES", block_rows * len(header) * budget.TEXT_CELL)
     write_csv(actual, header, X, codes, levels, missing=missing)
     assert actual.getvalue() == expected.getvalue()
     assert ",0.0," in actual.getvalue() and ",-0.0," in actual.getvalue()

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credo import trees
+from credo import budget
 from credo.frame import numeric_frame
 from credo.gbt import extract_leaf_indices, extract_margins
 from credo.trees import CountStat, GradientStat, TreeStack, grow, presort
@@ -90,12 +90,17 @@ def test_stacked_walk_matches_per_tree_router(ensemble, block_rows, data):
     Q = _edge_rows(X, forest)
     Q = Q[data.draw(st.permutations(range(len(Q))))[: data.draw(st.integers(0, len(Q)))]]
     want = np.column_stack([_oracle_route(t, Q) for t in forest])
-    with mock.patch.object(trees, "BLOCK_ROWS", block_rows):
-        stack = TreeStack(forest)
+    def walking(rows, n_trees):  # a budget of `rows` rows of int64 node ids
+        return mock.patch.object(budget, "BLOCK_BYTES", rows * 8 * max(1, n_trees))
+
+    stack = TreeStack(forest)
+    with walking(block_rows, len(forest)):
         assert np.array_equal(stack.route(Q), want + stack.roots)
-        for k in range(len(forest) + 1):
+    for k in range(len(forest) + 1):
+        with walking(block_rows, k):
             walked = [nodes for _, nodes in stack.blocks(Q, k)]
-            assert np.array_equal(np.vstack([np.empty((0, k), int), *walked]), want[:, :k] + stack.roots[:k])
+        assert np.array_equal(np.vstack([np.empty((0, k), int), *walked]), want[:, :k] + stack.roots[:k])
+    with walking(block_rows, 1):
         for tree, rows_x, leaf_of in grown:
             assert np.array_equal(tree.route(Q), _oracle_route(tree, Q))
             assert np.array_equal(tree.route(rows_x), leaf_of)
