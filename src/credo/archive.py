@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import field_types
 from .config import read_value
 from .errors import ConfigError, DataError
 from .trees import FlatTree
@@ -73,7 +74,7 @@ _INDEX_KEYS = {"feature", "left", "right"}
 def _layout(cls) -> tuple:
     """(name, rule, type) per field of `cls`, in order; the type is the tree
     class of a tuple of trees, else the field's type hint."""
-    hints = typing.get_type_hints(cls)
+    hints = field_types(cls)
     layout = []
     for f in dataclasses.fields(cls):
         hint = hints[f.name]

@@ -11,25 +11,17 @@ pure.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
+from .bounds import Bounded, NonNegFloat, NonNegInt, PosInt
 from .errors import DataError, NumericError
 from .frame import Frame
 from .trees import CountStat, FlatTree, Presorted, TreeStack, grow, presort
-
-
-def check_nonnegative(**values) -> None:
-    """Raise DataError unless each named value is a number in [0, largest
-    float]. The chained bound is false for NaN, so NaN fails it too, as do
-    infinity and an int past float range."""
-    for name, value in values.items():
-        if not 0 <= value <= sys.float_info.max:
-            raise DataError(f"{name} must be finite and >= 0, got {value}")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -77,15 +69,10 @@ class Classifier:
 
 
 @dataclass(frozen=True)
-class LogregConfig:
-    l2: float = 1e-4
-    max_iter: int = 500
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iter < 0:
-            raise DataError(f"max_iter must be >= 0, got {self.max_iter}")
-        check_nonnegative(l2=self.l2, tol=self.tol)
+class LogregConfig(Bounded):
+    l2: NonNegFloat = 1e-4
+    max_iter: NonNegInt = 500
+    tol: NonNegFloat = 1e-6
 
 
 @dataclass(frozen=True)
@@ -234,11 +221,8 @@ def fit_logreg(train: Frame, cfg: LogregConfig | None = None) -> LogisticModel:
 
 
 @dataclass(frozen=True)
-class GnbConfig:
-    var_smoothing: float = 1e-9
-
-    def __post_init__(self):
-        check_nonnegative(var_smoothing=self.var_smoothing)
+class GnbConfig(Bounded):
+    var_smoothing: NonNegFloat = 1e-9
 
 
 @dataclass(frozen=True)
@@ -303,18 +287,10 @@ def fit_gnb(train: Frame, cfg: GnbConfig | None = None) -> GaussianNBModel:
 
 
 @dataclass(frozen=True)
-class TreeConfig:
-    max_depth: int | None = None
-    min_leaf: int = 1
-    criterion: str = "gini"
-
-    def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_leaf < 1:
-            raise DataError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.criterion not in ("gini", "entropy"):
-            raise DataError(f"criterion must be gini or entropy, got {self.criterion!r}")
+class TreeConfig(Bounded):
+    max_depth: PosInt | None = None
+    min_leaf: PosInt = 1
+    criterion: Literal["gini", "entropy"] = "gini"
 
 
 @dataclass(frozen=True)
@@ -376,18 +352,10 @@ def fit_tree(train: Frame, cfg: TreeConfig | None = None) -> TreeModel:
 class ForestConfig(TreeConfig):
     """Tree settings plus the ensemble's; ``mtry`` <= d is checked at fit time."""
 
-    n_trees: int = 100
-    mtry: int | None = None
-    seed: int = 0
+    n_trees: PosInt = 100
+    mtry: PosInt | None = None
+    seed: NonNegInt = 0
     bootstrap: bool = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_trees < 1:
-            raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.mtry is not None and self.mtry < 1:
-            raise DataError(f"mtry must be >= 1, got {self.mtry}")
-        check_nonnegative(seed=self.seed)
 
 
 @dataclass(frozen=True)

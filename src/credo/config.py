@@ -4,10 +4,10 @@ Every validation failure names the offending key with a dotted path
 (e.g. ``config.smote.k_neighbors: expected an integer``) so a bad file
 can be fixed without reading source.
 
-The schema is one tree of frozen dataclasses rooted at ``_Run``: keys and
-types come from their fields, defaults from their defaults, bounds from
-their ``__post_init__``, and a field with no default is a required key.
-The smote, lda and explainer sections are the config classes the code
+The schema is one tree of frozen dataclasses rooted at ``_Run``: keys,
+types and bounds come from their fields' types (see ``credo.bounds``),
+defaults from their defaults, and a field with no default is a required
+key. The smote, lda and explainer sections are the config classes the code
 consumes, with their on/off flags added, so each bound is stated once and
 a value that passes here is accepted downstream. ``resolve_config``
 returns that tree, which the pipeline reads by attribute and hands its
@@ -17,7 +17,7 @@ Model params are validated by ``model_config``, ``zoo.fit_model``'s reader
 too, and kept as given. ``read_value`` is the one typed reader of JSON
 values, in configs, command flags and archives alike: an integer passes
 for a float, a bool is not a number, an integer must fit in int64, and a
-``Literal`` takes one of its strings.
+value must keep its type's bound.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ import json
 import sys
 import typing
 from dataclasses import MISSING
-from functools import cache
 from typing import Annotated, Literal
 
-from .baselines import check_nonnegative
+from .bounds import Bounded, NonNegInt, fault, field_types
 from .errors import ConfigError, DataError
 from .explain import LimeConfig, MorrisConfig
-from .frame import check_null_threshold, check_train_fraction
+from .frame import NULL_THRESHOLD, TRAIN_FRACTION
 from .lda import LdaConfig
 from .resample import SmoteConfig
 from .zoo import MODEL_FAMILIES, MODEL_NAMES
@@ -88,11 +87,9 @@ def _as_bool(v, path) -> bool:
     return v
 
 
-def _as_int(v, path, minimum=None) -> int:
+def _as_int(v, path) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(path, "expected an integer")
-    if minimum is not None and v < minimum:
-        _fail(path, f"must be at least {minimum}")
     if not -(2**63) <= v < 2**63:  # numpy's sizes and seeds are int64
         _fail(path, "expected an integer in int64 range")
     return v
@@ -106,20 +103,10 @@ def _as_number(v, path) -> float:
     return float(v)
 
 
-def _as_string(v, path, choices=None) -> str:
+def _as_string(v, path) -> str:
     if not isinstance(v, str):
         _fail(path, "expected a string")
-    if choices is not None and v not in choices:
-        _fail(path, f"expected one of {', '.join(choices)}, got {v!r}")
     return v
-
-
-def _bounded(path: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with a DataError reported against `path`."""
-    try:
-        return fn(*args, **kwargs)
-    except DataError as e:
-        raise ConfigError(f"{path}: {e}") from None
 
 
 _SCALARS = {bool: _as_bool, int: _as_int, float: _as_number, str: _as_string}
@@ -140,27 +127,21 @@ def read_value(hint, v, path: str):
         if not isinstance(v, list):
             _fail(path, "expected a list")
         return tuple(read_value(typing.get_args(hint)[0], x, f"{path}[{i}]") for i, x in enumerate(v))
-    if origin is Literal:
-        return _as_string(v, path, choices=typing.get_args(hint))
-    if origin is Annotated:  # Annotated[int, minimum]
-        return _as_int(v, path, hint.__metadata__[0])
-    return _SCALARS[hint](v, path)
-
-
-@cache
-def _field_types(cls) -> dict:
-    """``cls``'s resolved field annotations, read once per class: resolving
-    them costs about 20 times as much as building a small config."""
-    return typing.get_type_hints(cls, include_extras=True)
+    if origin not in (Literal, Annotated):
+        return _SCALARS[hint](v, path)
+    v = _SCALARS[str if origin is Literal else hint.__origin__](v, path)
+    if message := fault(hint, v):  # a word not listed, or a number out of range
+        _fail(path, message)
+    return v
 
 
 def _build(cls, raw, path: str):
     """Construct dataclass `cls` from the JSON object `raw`.
 
     Absent fields keep their defaults; a field with none is a required key.
-    If the object fails its bounds, the error names the first given field
-    that fails them with only the fields before it set, so a bound that
-    reads an earlier field (``SynthSpec``'s rows per class) names the later.
+    If the object fails a bound across fields, the error names the first
+    given field that fails it with only the fields before it set, so a bound
+    that reads an earlier field (``SynthSpec``'s rows per class) names the later.
     """
     raw = _as_object(raw, path)
     fields = [f.name for f in dataclasses.fields(cls)]
@@ -169,7 +150,7 @@ def _build(cls, raw, path: str):
     for name in required:
         if name not in raw:
             _fail(path, f"missing required key {name!r}")
-    hints = _field_types(cls)
+    hints = field_types(cls)
     kwargs = {name: read_value(hints[name], raw[name], f"{path}.{name}") for name in fields if name in raw}
     try:
         return cls(**kwargs)
@@ -177,7 +158,10 @@ def _build(cls, raw, path: str):
         checked = {name: kwargs[name] for name in required}
         for name, value in kwargs.items():
             checked[name] = value
-            _bounded(f"{path}.{name}", cls, **checked)
+            try:
+                cls(**checked)
+            except DataError as first:
+                raise ConfigError(f"{path}.{name}: {first}") from None
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -208,33 +192,29 @@ class _Morris(MorrisConfig):
 
 
 @dataclasses.dataclass(frozen=True)
-class _Split:
-    train_fraction: float = 0.8
-    seed: int = 7
-
-    def __post_init__(self):
-        check_train_fraction(self.train_fraction)
-        check_nonnegative(seed=self.seed)
+class _Split(Bounded):
+    train_fraction: Annotated[float, TRAIN_FRACTION] = 0.8
+    seed: NonNegInt = 7
 
 
 @dataclasses.dataclass(frozen=True)
-class _Explain:
-    lime_rows: tuple[Annotated[int, 0], ...] = ()  # test-set rows to explain locally
+class _Explain(Bounded):
+    lime_rows: tuple[NonNegInt, ...] = ()  # test-set rows to explain locally
     lime: LimeConfig = LimeConfig()
     morris: _Morris = _Morris()
 
 
 @dataclasses.dataclass(frozen=True)
-class _Model:
+class _Model(Bounded):
     name: _ModelName
     params: dict = dataclasses.field(default_factory=dict)  # validated by `model_config`, kept as given
 
 
 @dataclasses.dataclass(frozen=True)
-class _Run:
+class _Run(Bounded):
     data: str
     target: str
-    null_threshold: float = 0.5
+    null_threshold: Annotated[float, NULL_THRESHOLD] = 0.5
     scaler: _Scaler = "zscore"
     smote: _Smote = _Smote()
     split: _Split = _Split()
@@ -247,7 +227,7 @@ class _Run:
     models: tuple[_Model, ...] = ()
 
     def __post_init__(self):
-        check_null_threshold(self.null_threshold)
+        super().__post_init__()
         if not self.metrics:
             raise DataError("expected a non-empty list of metric names")
         for i, m in enumerate(self.metrics):

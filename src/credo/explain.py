@@ -16,10 +16,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .baselines import check_nonnegative
+from .bounds import Bounded, NonNegInt, PosInt, Range
 from .errors import DataError
 from .frame import Frame
 
@@ -39,26 +40,17 @@ _RIDGE = 1e-3
 
 
 @dataclass(frozen=True)
-class LimeConfig:
+class LimeConfig(Bounded):
     """Knobs for the local surrogate fit.
 
     kernel_width None means 0.75 * sqrt(n_features); n_features None
     reports every feature.
     """
 
-    n_samples: int = 5000
-    kernel_width: float | None = None
-    n_features: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 2:
-            raise DataError("n_samples must be at least 2")
-        if self.kernel_width is not None and not self.kernel_width > 0:
-            raise DataError("kernel_width must be positive")
-        if self.n_features is not None and self.n_features < 1:
-            raise DataError("n_features must be at least 1")
-        check_nonnegative(seed=self.seed)
+    n_samples: Annotated[int, Range(2)] = 5000
+    kernel_width: Annotated[float, Range(0, open_low=True)] | None = None
+    n_features: PosInt | None = None
+    seed: NonNegInt = 0
 
 
 @dataclass(frozen=True)
@@ -103,17 +95,10 @@ class LimeExplanation:
 
 
 @dataclass(frozen=True)
-class MorrisConfig:
-    n_trajectories: int = 20
-    n_levels: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trajectories < 2:
-            raise DataError("need at least 2 trajectories, effect spread is undefined below that")
-        if self.n_levels < 2:
-            raise DataError("n_levels must be at least 2")
-        check_nonnegative(seed=self.seed)
+class MorrisConfig(Bounded):
+    n_trajectories: Annotated[int, Range(2)] = 20  # effect spread is undefined below 2
+    n_levels: Annotated[int, Range(2)] = 4
+    seed: NonNegInt = 0
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import Range
 from .budget import TEXT_CELL, block_rows
 from .errors import DataError
+
+# the bounds of `drop_sparse_features`' threshold and `split`'s train_fraction,
+# which a run config's null_threshold and split.train_fraction declare too
+NULL_THRESHOLD = Range(0, 1, open_low=True)
+TRAIN_FRACTION = Range(0, 1, open_low=True, open_high=True)
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -416,17 +422,12 @@ def write_csv(fh, header, X: np.ndarray, codes: np.ndarray, levels, missing=None
         fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
-def check_null_threshold(threshold: float) -> None:
-    if not (0 < threshold <= 1):
-        raise DataError(f"threshold must be in (0, 1], got {threshold}")
-
-
 def drop_sparse_features(table: Table, threshold: float) -> Table:
     """Drop every column whose null fraction strictly exceeds ``threshold``.
 
     A column at exactly the threshold is kept; column order is preserved.
     """
-    check_null_threshold(threshold)
+    NULL_THRESHOLD.check("threshold", threshold)
     keep = [i for i, c in enumerate(table.columns) if c.null_fraction <= threshold]
     if not keep:
         raise DataError("all features sparse")
@@ -568,11 +569,6 @@ def apply_scaler(frame: Frame, params: ScalerParams) -> Frame:
     return Frame(frame.column_names, Z, frame.target)
 
 
-def check_train_fraction(train_fraction: float) -> None:
-    if not (0 < train_fraction < 1):
-        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
-
-
 def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     """Whole counts summing to `total` from real `quotas` that sum to it:
     the floor of each quota, with the shortfall handed out one each by
@@ -588,17 +584,21 @@ def split(frame: Frame, train_fraction: float, seed: int) -> tuple[Frame, Frame]
 
     Per-class train counts are the rounded quotas ``train_fraction * count``
     corrected by the largest-remainder rule so the total equals
-    ``round(train_fraction * n_rows)``.
+    ``round(train_fraction * n_rows)``; neither side may be empty.
     """
     y = frame.labels
-    check_train_fraction(train_fraction)
+    TRAIN_FRACTION.check("train_fraction", train_fraction)
     n_classes = frame.target.n_classes
     counts = np.bincount(y, minlength=n_classes)
     small = [int(c) for c in np.nonzero(counts < 2)[0]]
     if small:
         raise DataError(f"classes with fewer than 2 rows cannot be split: {small}")
+    n_train = int(round(train_fraction * frame.n_rows))
+    if not 0 < n_train < frame.n_rows:
+        side = "test" if n_train else "train"
+        raise DataError(f"train_fraction {train_fraction} of {frame.n_rows} rows leaves the {side} side empty")
 
-    take = largest_remainder(train_fraction * counts, int(round(train_fraction * frame.n_rows)))
+    take = largest_remainder(train_fraction * counts, n_train)
     take = np.minimum(take, counts)
 
     rng = np.random.default_rng(seed)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
+from .bounds import Bounded, NonNegFloat, PosInt, Range
 from .errors import DataError, NumericError
 from .frame import Frame
-from .baselines import Classifier, check_nonnegative, softmax
+from .baselines import Classifier, softmax
 from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
@@ -37,46 +39,37 @@ class RegressionTree(FlatTree):
     gain: np.ndarray
 
 
-@dataclass(frozen=True)
-class GbtConfig:
-    rounds: int = 100
-    learning_rate: float = 0.3
-    max_depth: int = 6
-    lam: float = 1.0
-    gamma: float = 0.0
-    min_child_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise DataError(f"rounds must be >= 1, got {self.rounds}")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.max_depth < 1:
-            raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        check_nonnegative(lam=self.lam, gamma=self.gamma, min_child_weight=self.min_child_weight)
+LearningRate = Annotated[float, Range(0, 1, open_low=True)]
 
 
 @dataclass(frozen=True)
-class BoostedEnsemble(Classifier):
+class GbtConfig(Bounded):
+    rounds: PosInt = 100
+    learning_rate: LearningRate = 0.3
+    max_depth: PosInt = 6
+    lam: NonNegFloat = 1.0
+    gamma: NonNegFloat = 0.0
+    min_child_weight: NonNegFloat = 1.0
+
+
+@dataclass(frozen=True)
+class BoostedEnsemble(Bounded, Classifier):
     """trees holds rounds x n_classes trees, round-major: the tree for round
-    r, class c sits at index r * n_classes + c."""
+    r, class c sits at index r * n_classes + c. Its settings keep its
+    config's bounds, but it may have 0 rounds."""
 
     n_classes: int
     feature_names: tuple[str, ...]
-    rounds: int
-    learning_rate: float
-    lam: float
-    gamma: float
-    min_child_weight: float
+    rounds: Annotated[int, Range(0)]
+    learning_rate: LearningRate
+    lam: NonNegFloat
+    gamma: NonNegFloat
+    min_child_weight: NonNegFloat
     base_score: np.ndarray
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):
-        # the booster's settings obey its config's bounds, but it may have 0 rounds
-        GbtConfig(
-            learning_rate=self.learning_rate, lam=self.lam, gamma=self.gamma,
-            min_child_weight=self.min_child_weight,
-        )
+        super().__post_init__()
         if len(self.trees) != self.rounds * self.n_classes:
             raise DataError("tree count must equal rounds x n_classes")
         for t in self.trees:

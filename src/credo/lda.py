@@ -21,13 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import Classifier, check_nonnegative, softmax
+from .baselines import Classifier, softmax
+from .bounds import Bounded, NonNegFloat, PosInt
 from .errors import DataError, LdaClampWarning, NumericError
 from .frame import Frame
 
 
 @dataclass(frozen=True)
-class ProjectionLDA(Classifier):
+class ProjectionLDA(Bounded, Classifier):
     """Fitted discriminant basis plus the sufficient statistics behind it,
     and the shared-covariance Gaussian classifier they define.
 
@@ -45,11 +46,12 @@ class ProjectionLDA(Classifier):
     components: np.ndarray
     eigenvalues: np.ndarray
     class_priors: np.ndarray
-    ridge: float
+    ridge: NonNegFloat
     n_train: int
     n_requested: int
 
     def __post_init__(self):
+        super().__post_init__()
         d, C, m = len(self.feature_names), len(self.class_priors), len(self.eigenvalues)
         for name, shape in (
             ("class_means", (C, d)), ("grand_mean", (d,)), ("within_scatter", (d, d)),
@@ -64,7 +66,6 @@ class ProjectionLDA(Classifier):
             raise DataError("class priors must lie in [0, 1]")
         if self.n_train <= C:
             raise DataError(f"n_train must exceed the class count {C}, got {self.n_train}")
-        check_nonnegative(ridge=self.ridge)
 
     @property
     def n_components(self) -> int:
@@ -115,15 +116,9 @@ def scatter_matrices(X: np.ndarray, y: np.ndarray, n_classes: int):
 
 
 @dataclass(frozen=True)
-class LdaConfig:
-    n_components: int | None = None
-    ridge: float | None = None
-
-    def __post_init__(self):
-        if self.n_components is not None and self.n_components < 1:
-            raise DataError(f"n_components must be >= 1, got {self.n_components}")
-        if self.ridge is not None:
-            check_nonnegative(ridge=self.ridge)
+class LdaConfig(Bounded):
+    n_components: PosInt | None = None
+    ridge: NonNegFloat | None = None
 
 
 def fit_lda(train: Frame, cfg: LdaConfig | None = None) -> ProjectionLDA:

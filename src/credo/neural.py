@@ -19,48 +19,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
-from .baselines import Classifier, check_nonnegative, cross_entropy, softmax
+from .baselines import Classifier, cross_entropy, softmax
+from .bounds import Bounded, NonNegFloat, NonNegInt, PosInt, fault
 from .errors import DataError, NumericError
 from .frame import Frame
 from .gbt import BoostedEnsemble, GbtConfig, extract_margins, fit_gbt
 
-FEATURE_MODES = ("margins", "leaf_onehot", "margins_plus_raw")
+FeatureMode = Literal["margins", "leaf_onehot", "margins_plus_raw"]
 
 
 @dataclass(frozen=True)
-class MlpConfig:
-    hidden: tuple[int, ...] = (128, 64)  # a tuple; config.model_config reads JSON's list as one
-    epochs: int = 50
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if any(h < 1 for h in self.hidden):
-            raise DataError(f"hidden sizes must be >= 1, got {self.hidden}")
-        if self.epochs < 0:
-            raise DataError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_nonnegative(learning_rate=self.learning_rate, seed=self.seed)
-
-
-def _check_feature_mode(feature_mode: str):
-    if feature_mode not in FEATURE_MODES:
-        raise DataError(f"feature_mode must be one of {FEATURE_MODES}, got {feature_mode!r}")
+class MlpConfig(Bounded):
+    hidden: tuple[PosInt, ...] = (128, 64)  # a tuple; config.model_config reads JSON's list as one
+    epochs: NonNegInt = 50
+    batch_size: PosInt = 256
+    learning_rate: NonNegFloat = 1e-3
+    seed: NonNegInt = 0
 
 
 @dataclass(frozen=True)
-class XgdnnConfig:
+class XgdnnConfig(Bounded):
     gbt: GbtConfig = field(default_factory=GbtConfig)
     mlp: MlpConfig = field(default_factory=MlpConfig)
-    feature_mode: str = "margins"
-
-    def __post_init__(self):
-        _check_feature_mode(self.feature_mode)
+    feature_mode: FeatureMode = "margins"
 
 
 @dataclass(frozen=True)
@@ -215,13 +200,10 @@ def fit_mlp(train: Frame, cfg: MlpConfig | None = None) -> Mlp:
 
 
 @dataclass(frozen=True)
-class HybridXgDnn(Classifier):
+class HybridXgDnn(Bounded, Classifier):
     booster: BoostedEnsemble
-    feature_mode: str
+    feature_mode: FeatureMode
     head: Mlp
-
-    def __post_init__(self):
-        _check_feature_mode(self.feature_mode)
 
     @property
     def n_classes(self) -> int:
@@ -235,7 +217,7 @@ class HybridXgDnn(Classifier):
         return self.head.predict_proba(derive_features(self.booster, X, self.feature_mode))
 
 
-def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarray:
+def derive_features(booster: BoostedEnsemble, f, feature_mode: FeatureMode) -> np.ndarray:
     """Per-row head inputs from a frozen booster.
 
     margins: C pre-softmax scores. leaf_onehot: one indicator per leaf of
@@ -253,7 +235,7 @@ def derive_features(booster: BoostedEnsemble, f, feature_mode: str) -> np.ndarra
         out = np.zeros((len(X), int(stack.leaf.sum())))
         np.put_along_axis(out, stack.leaf_ranks[stack.route(X)], 1.0, axis=1)
         return out
-    raise DataError(f"feature_mode must be one of {FEATURE_MODES}")
+    raise DataError(f"feature_mode: {fault(FeatureMode, feature_mode)}")
 
 
 def fit_hybrid(

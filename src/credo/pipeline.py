@@ -27,12 +27,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated
+from typing import Literal
 
 import numpy as np
 
 from . import blas
 from .archive import load_model, save_model
+from .bounds import NonNegInt
 from .config import _Model, _plain, _Run, read_value
 from .errors import CredoWarning, DataError, PipelineError
 from .explain import LimeConfig, MorrisConfig, explanation_to_csv, lime_explain, morris_screen
@@ -512,12 +513,11 @@ def cmd_explain(
 ) -> dict:
     """Explain an archived model against a processed CSV; writes the
     explanation's JSON and CSV under out_dir/explanations, or neither. A bad
-    row, target class or seed is a ConfigError, and an out_dir that cannot
-    be a directory a DataError, both raised before any file is read."""
-    if method not in ("lime", "morris"):
-        raise DataError(f"unknown explain method {method!r}")
-    row = read_value(Annotated[int, 0], row, "explain.row")
-    target_class = read_value(Annotated[int, 0] | None, target_class, "explain.target_class")
+    method, row, target class or seed is a ConfigError, and an out_dir that
+    cannot be a directory a DataError, both raised before any file is read."""
+    method = read_value(Literal["lime", "morris"], method, "explain.method")
+    row = read_value(NonNegInt, row, "explain.row")
+    target_class = read_value(NonNegInt | None, target_class, "explain.target_class")
     lime_cfg = read_value(LimeConfig, {"seed": seed}, "explain")
     morris_cfg = read_value(MorrisConfig, {"seed": seed}, "explain")
     _check_out_dir(Path(out_dir))

@@ -17,21 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import check_nonnegative
+from .bounds import Bounded, NonNegInt, PosInt
 from .budget import block_rows
 from .errors import DataError, SmoteKClampWarning
 from .frame import EncodedTarget, Frame
 
 
 @dataclass(frozen=True)
-class SmoteConfig:
-    k_neighbors: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise DataError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        check_nonnegative(seed=self.seed)
+class SmoteConfig(Bounded):
+    k_neighbors: PosInt = 5
+    seed: NonNegInt = 0
 
 
 def _neighbor_indices(X: np.ndarray, k: int) -> np.ndarray:

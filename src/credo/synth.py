@@ -10,10 +10,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .baselines import check_nonnegative
+from .bounds import Bounded, NonNegFloat, NonNegInt, Range
 from .errors import DataError
 from .frame import largest_remainder, write_csv
 
@@ -23,7 +24,7 @@ _CATEGORY_LEVELS = ("alpha", "beta", "delta", "gamma")
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Bounded):
     """Shape and texture of the generated table.
 
     features counts every feature column, the trailing `categorical`
@@ -32,30 +33,22 @@ class SynthSpec:
     A bound that reads another field comes after it, as read_value needs.
     """
 
-    classes: int = 10
+    classes: Annotated[int, Range(2)] = 10
     rows: int = 20000
-    categorical: int = 3
+    categorical: NonNegInt = 3
     features: int = 30
-    imbalance: float = 0.7
-    null_rate: float = 0.02
-    separation: float = 2.0
-    seed: int = 0
+    imbalance: Annotated[float, Range(0, 1, open_low=True)] = 0.7
+    null_rate: Annotated[float, Range(0, 1, open_high=True)] = 0.02
+    separation: NonNegFloat = 2.0
+    seed: NonNegInt = 0
     target_name: str = "status"
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise DataError("classes must be at least 2")
+        super().__post_init__()
         if not self.classes * 10 <= self.rows <= 2**53:  # past 2**53 a float quota drops whole rows
             raise DataError(f"rows must be at least classes * 10 = {self.classes * 10} and at most 2**53")
-        if self.categorical < 0:
-            raise DataError("categorical may not be negative")
         if self.features < self.categorical + 1:
             raise DataError("features must leave at least one numeric column")
-        if not 0 < self.imbalance <= 1:
-            raise DataError("imbalance must lie in (0, 1]")
-        if not 0 <= self.null_rate < 1:
-            raise DataError("null_rate must lie in [0, 1)")
-        check_nonnegative(separation=self.separation, seed=self.seed)
         if not self.target_name:
             raise DataError("target_name must be non-empty")
         # the spellings `_column_names` gives; no int64 count has 20 digits

@@ -5,6 +5,7 @@ import json
 import re
 import typing
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 import pytest
@@ -285,6 +286,8 @@ def _wrong_values(hint):
     if type(None) in options:  # an optional: null is right
         (inner,) = [t for t in options if t is not type(None)]
         return [(v, "") for v in WRONG_JSON[inner] if v is not None]
+    if typing.get_origin(hint) is Literal:  # a word: a wrong string's values, or a word not listed
+        return [(v, "") for v in [*WRONG_JSON[str], "nope"]]
     return [(v, "") for v in WRONG_JSON[hint]]
 
 

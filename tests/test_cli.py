@@ -218,14 +218,14 @@ def test_explain_negative_seed_exits_2_before_reading_the_archive(
     csv_loads = _spy(monkeypatch, "load_csv")
     archive = ["-a", str(tmp_path / "model"), "-d", data_csv]
     assert main(["explain", "-m", method, *archive, "--seed", "-1"]) == 2
-    assert "seed must be finite and >= 0, got -1" in capsys.readouterr().err
+    assert "explain.seed: must be >= 0, got -1" in capsys.readouterr().err
     assert archive_loads == [] and csv_loads == []
 
 
 def test_synth_negative_seed_exits_2_without_writing(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["synth", "-o", str(out), "--rows", "200", "--seed", "-1"]) == 2
-    assert "synth.seed: seed must be finite and >= 0, got -1" in capsys.readouterr().err
+    assert "synth.seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -235,7 +235,7 @@ def test_explain_negative_index_exits_2_before_reading_the_archive(tmp_path, dat
     csv_loads = _spy(monkeypatch, "load_csv")
     archive = ["-a", str(tmp_path / "model"), "-d", data_csv]
     assert main(["explain", "-m", "lime", *archive, flag, "-1"]) == 2
-    assert f"explain.{flag[2:].replace('-', '_')}: must be at least 0" in capsys.readouterr().err
+    assert f"explain.{flag[2:].replace('-', '_')}: must be >= 0, got -1" in capsys.readouterr().err
     assert archive_loads == [] and csv_loads == []
 
 
@@ -258,6 +258,21 @@ def test_synth_bad_flag_exits_2_naming_it_without_writing(tmp_path, capsys, flag
     assert main(["synth", "-o", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction, side", [(0.001, "train"), (0.999, "test")])
+@pytest.mark.parametrize("scaler", ["zscore", "none"])
+def test_a_split_with_an_empty_side_exits_3_from_the_split_stage(
+    tmp_path, capsys, monkeypatch, fraction, side, scaler
+):
+    data = tmp_path / "small.csv"
+    write_synthetic(str(data), SynthSpec(rows=300, classes=3, features=6, categorical=1, seed=2))
+    fits = _spy(monkeypatch, "fit_model")
+    config = write_config(tmp_path, str(data), split={"train_fraction": fraction}, scaler=scaler)
+    assert main(["run", "-c", config]) == 3
+    err = capsys.readouterr().err
+    assert f"stage 'split' failed: train_fraction {fraction} of 300 rows leaves the {side} side empty" in err
+    assert fits == []
 
 
 # Sizes whose first allocation is at least 2**56 bytes (64 PiB), past what
@@ -747,11 +762,13 @@ IMPOSSIBLE_VALUES = {
     "lda_class_means_cut": ("lda", "class_means", lambda a: a[:, :-1], "class_means (3, 12) must be (3, 13)"),
     "lda_components_cut": ("lda", "components", lambda a: a[:-1], "components (12, 2) must be (13, 2)"),
     "lda_n_train_class_count": ("lda", "params.n_train", lambda n: 3, "n_train must exceed the class count 3"),
-    "lda_ridge_negative": ("lda", "params.ridge", lambda r: -1.0, "ridge must be finite and >= 0"),
+    "lda_ridge_negative": ("lda", "params.ridge", lambda r: -1.0, "archive params.ridge: must be >= 0, got -1.0"),
     "gbt_learning_rate_nan": (
         "gbt", "params.learning_rate", lambda r: float("nan"), "params.learning_rate: expected a finite number"
     ),
-    "gbt_learning_rate_huge": ("gbt", "params.learning_rate", lambda r: 1e308, "learning_rate must be in (0, 1]"),
+    "gbt_learning_rate_huge": (
+        "gbt", "params.learning_rate", lambda r: 1e308, "archive params.learning_rate: must be in (0, 1], got 1e+308"
+    ),
     "xgdnn_booster_learning_rate_nan": (
         "xgdnn", "params.booster.learning_rate", lambda r: float("nan"), "params.booster.learning_rate: expected a finite number"
     ),

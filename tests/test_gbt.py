@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -183,7 +184,8 @@ def test_zero_rounds_predicts_base_softmax():
 
 @pytest.mark.parametrize("rate", [0.0, -0.3, 1.5, 1e308, float("nan")])
 def test_an_ensemble_learning_rate_outside_the_config_bound_is_a_data_error(rate):
-    with pytest.raises(DataError, match=r"learning_rate must be in \(0, 1\]"):
+    message = "expected a finite number" if np.isnan(rate) else f"must be in (0, 1], got {rate}"
+    with pytest.raises(DataError, match=re.escape(f"learning_rate: {message}")):
         replace(_zero_round_ensemble([0.2, -0.1]), learning_rate=rate)
 
 

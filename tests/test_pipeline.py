@@ -11,7 +11,7 @@ import pytest
 import credo.pipeline
 from credo.archive import load_model
 from credo.config import _plain, resolve_config
-from credo.errors import DataError, PipelineError
+from credo.errors import ConfigError, DataError, PipelineError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
 from credo.pipeline import (
@@ -619,7 +619,7 @@ def test_cmd_explain_morris_from_archive(run_artifacts, tmp_path):
 
 def test_cmd_explain_rejects_unknown_method(run_artifacts, tmp_path):
     _, run_out = run_artifacts
-    with pytest.raises(DataError, match="method"):
+    with pytest.raises(ConfigError, match="method"):
         cmd_explain(
             archive_dir=str(run_out / "model"),
             data_path=str(run_out / "processed_test.csv"),

@@ -77,7 +77,7 @@ def test_spec_validation(kwargs):
 
 
 def test_spec_refuses_a_non_finite_separation():
-    with pytest.raises(DataError, match="separation must be finite"):
+    with pytest.raises(DataError, match="separation: expected a finite number"):
         SynthSpec(separation=float("inf"))
 
 
