@@ -20,9 +20,9 @@ stored by one rule, chosen by its name and type hint.
 - Every other field is a JSON param, read back by its type hint through
   ``config.read_value``, the one typed reader for configs and archives.
 
-Node and feature ids (``feature``, ``left``, ``right``) are read back as
-int64, and every loaded tree must be the preorder form that training
-writes. Every stored value, array or param, must be finite, except that a
+Node and feature ids (``feature``, ``left``, ``right``) and tree sizes
+must be whole numbers and are read back as int64, and every loaded tree
+must be the preorder form that training writes. Every stored value, array or param, must be finite, except that a
 tree leaf's threshold is NaN. A new family needs no archive code, only an
 entry in ``zoo.MODEL_FAMILIES``, whose key the manifest's "model" names.
 Version 1 archives load too: the booster leaf ranks they store, now
@@ -67,7 +67,7 @@ def schema_hash(feature_names, class_names, target_name: str) -> str:
 
 _SCHEMA_KEYS = {"features": tuple[str, ...], "classes": tuple[str, ...], "target": str}
 _SCHEMA_FIELDS = ("n_classes", "feature_names")  # model fields that the manifest schema gives
-_INDEX_KEYS = {"feature", "left", "right"}
+_INDEX_KEYS = {"feature", "left", "right", "sizes"}
 
 
 @cache
@@ -126,9 +126,11 @@ def _entry(table, key: str, what: str):
 
 
 def _column(arrays: dict, key: str, name: str) -> np.ndarray:
-    """Array `key`, as int64 if field `name` holds node or feature ids."""
-    dtype = np.int64 if name in _INDEX_KEYS else np.float64
-    return _entry(arrays, key, "array").astype(dtype, copy=False)
+    """Array `key`, as int64 if field `name` holds ids or tree sizes."""
+    values = _entry(arrays, key, "array")
+    if name in _INDEX_KEYS and (np.floor(values) != values).any():
+        raise DataError(f"archive array {key} holds a value that is not a whole number")
+    return values.astype(np.int64 if name in _INDEX_KEYS else np.float64, copy=False)
 
 
 def _read(hint, value, path: str):
@@ -161,7 +163,7 @@ def _check_nodes(feature, threshold, left, right, sizes, n_features: int) -> Non
 
 
 def _unpack_trees(tree_cls, arrays: dict, given: dict, prefix: str) -> tuple:
-    sizes = _entry(arrays, f"{prefix}tree_sizes", "array").astype(np.int64)
+    sizes = _column(arrays, f"{prefix}tree_sizes", "sizes")
     ends = np.cumsum(np.append(0, sizes))
     columns = {
         name: _column(arrays, f"{prefix}tree_{name}", name)

@@ -6,7 +6,7 @@ checker, ``fault``, serves two readers, so they say the same thing:
 ``Bounded``, the base of every config class, raises a DataError naming the
 field (``seed: must be >= 0, got -1``), and ``config.read_value`` a
 ConfigError naming its dotted path (``config.split.seed: must be >= 0, got
--1``). A bound that reads two fields stays in its class's ``__post_init__``.
+-1``). A bound across two fields, in a ``__post_init__``, names its field too.
 """
 
 from __future__ import annotations

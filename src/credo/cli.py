@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 
 from . import blas
 from .config import load_config, read_value, resolve_config
 from .errors import ConfigError, CredoError, DataError, NumericError, PipelineError
-from .pipeline import cmd_compare, cmd_explain, cmd_run
+from .pipeline import ExplainMethod, cmd_compare, cmd_explain, cmd_run
 from .synth import SynthSpec, write_synthetic
 
 __all__ = ["build_parser", "exit_code_for", "main"]
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain", parents=[out], help="explain an archived model on a processed CSV"
     )
-    explain.add_argument("-m", "--method", required=True, choices=("lime", "morris"))
+    explain.add_argument("-m", "--method", required=True, choices=typing.get_args(ExplainMethod))
     explain.add_argument("-a", "--archive", required=True, help="model archive directory")
     explain.add_argument("-d", "--data", required=True, help="processed CSV path")
     explain.add_argument("--row", type=int, default=0, help="row to explain (lime)")

@@ -1,8 +1,8 @@
 """JSON run configuration: loading, validation, defaulting.
 
 Every validation failure names the offending key with a dotted path
-(e.g. ``config.smote.k_neighbors: expected an integer``) so a bad file
-can be fixed without reading source.
+(e.g. ``config.smote.k_neighbors: expected an integer``): a config class
+names the field it refuses, across fields too, and the reader its path.
 
 The schema is one tree of frozen dataclasses rooted at ``_Run``: keys,
 types and bounds come from their fields' types (see ``credo.bounds``),
@@ -139,9 +139,8 @@ def _build(cls, raw, path: str):
     """Construct dataclass `cls` from the JSON object `raw`.
 
     Absent fields keep their defaults; a field with none is a required key.
-    If the object fails a bound across fields, the error names the first
-    given field that fails it with only the fields before it set, so a bound
-    that reads an earlier field (``SynthSpec``'s rows per class) names the later.
+    A bound the object fails, on one field or across fields, starts its
+    message with the field it refuses, which follows `path`.
     """
     raw = _as_object(raw, path)
     fields = [f.name for f in dataclasses.fields(cls)]
@@ -155,14 +154,7 @@ def _build(cls, raw, path: str):
     try:
         return cls(**kwargs)
     except DataError as e:
-        checked = {name: kwargs[name] for name in required}
-        for name, value in kwargs.items():
-            checked[name] = value
-            try:
-                cls(**checked)
-            except DataError as first:
-                raise ConfigError(f"{path}.{name}: {first}") from None
-        raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(f"{path}.{e}") from None
 
 
 def model_config(name: str, params, path: str):
@@ -229,10 +221,10 @@ class _Run(Bounded):
     def __post_init__(self):
         super().__post_init__()
         if not self.metrics:
-            raise DataError("expected a non-empty list of metric names")
+            raise DataError("metrics: expected a non-empty list of metric names")
         for i, m in enumerate(self.metrics):
-            if m in self.metrics[:i]:  # a run config is read at `config` only
-                _fail(f"config.metrics[{i}]", f"duplicate metric {m!r}")
+            if m in self.metrics[:i]:
+                raise DataError(f"metrics[{i}]: duplicate metric {m!r}")
 
 
 def _plain(value):

@@ -259,10 +259,8 @@ def build_trajectories(n_features: int, n_trajectories: int, n_levels: int, step
     for t in range(n_trajectories):
         base = rng.integers(0, n_base, size=n_features) * grid_gap
         order = rng.permutation(n_features)
-        points[t, 0] = base
-        for k, j in enumerate(order):
-            points[t, k + 1] = points[t, k]
-            points[t, k + 1, j] += step
+        # point k has raised the coordinates of rank below k in `order`
+        points[t] = base + step * (np.arange(n_features + 1)[:, None] > np.argsort(order))
     return points
 
 
@@ -326,12 +324,10 @@ def morris_screen(
     values = np.asarray(model.predict_proba(flat), dtype=float)[:, cls]
     values = values.reshape(cfg.n_trajectories, m + 1)
 
-    # step k of trajectory t raises coordinate moved_at[t, k]
+    # step k of trajectory t raises coordinate moved[t, k]
     effects = np.empty((cfg.n_trajectories, m))
-    diffs = np.diff(values, axis=1) / step
     moved = np.argmax(np.diff(paths, axis=1) > 0, axis=2)
-    for t in range(cfg.n_trajectories):
-        effects[t, moved[t]] = diffs[t]
+    np.put_along_axis(effects, moved, np.diff(values, axis=1) / step, axis=1)
 
     mu = np.full(d, np.nan)
     mu_star = np.full(d, np.nan)

@@ -513,6 +513,8 @@ def encode(table: Table, target_name: str) -> Frame:
         for c in np.unique(col.values):
             names.append(f"{name}={col.levels[c]}")
             columns.append(col.values == c)
+    if not columns:
+        raise DataError(f"no feature column besides the target {target_name!r}")
     matrix = np.empty((table.n_rows, len(columns)))
     # a block of rows at a time: one column of the whole C-order matrix per
     # pass strides over all of it, a fill 3x as slow at 1M x 39

@@ -56,6 +56,7 @@ from .zoo import fit_model
 __all__ = [
     "CompareCell",
     "ComparisonTable",
+    "ExplainMethod",
     "RunOutcome",
     "cmd_compare",
     "cmd_explain",
@@ -63,6 +64,8 @@ __all__ = [
     "prepare",
     "run_pipeline",
 ]
+
+ExplainMethod = Literal["lime", "morris"]
 
 
 @dataclass
@@ -505,7 +508,7 @@ def _load_background(data_path: str, manifest: dict) -> Frame:
 def cmd_explain(
     archive_dir: str,
     data_path: str,
-    method: str,
+    method: ExplainMethod,
     row: int = 0,
     target_class: int | None = None,
     out_dir: str = ".",
@@ -515,7 +518,7 @@ def cmd_explain(
     explanation's JSON and CSV under out_dir/explanations, or neither. A bad
     method, row, target class or seed is a ConfigError, and an out_dir that
     cannot be a directory a DataError, both raised before any file is read."""
-    method = read_value(Literal["lime", "morris"], method, "explain.method")
+    method = read_value(ExplainMethod, method, "explain.method")
     row = read_value(NonNegInt, row, "explain.row")
     target_class = read_value(NonNegInt | None, target_class, "explain.target_class")
     lime_cfg = read_value(LimeConfig, {"seed": seed}, "explain")

@@ -30,7 +30,6 @@ class SynthSpec(Bounded):
     features counts every feature column, the trailing `categorical`
     ones included. imbalance is the geometric decay of class mass
     (1.0 = balanced); separation scales how far class means sit apart.
-    A bound that reads another field comes after it, as read_value needs.
     """
 
     classes: Annotated[int, Range(2)] = 10
@@ -46,16 +45,16 @@ class SynthSpec(Bounded):
     def __post_init__(self):
         super().__post_init__()
         if not self.classes * 10 <= self.rows <= 2**53:  # past 2**53 a float quota drops whole rows
-            raise DataError(f"rows must be at least classes * 10 = {self.classes * 10} and at most 2**53")
+            raise DataError(f"rows: must be at least classes * 10 = {self.classes * 10} and at most 2**53")
         if self.features < self.categorical + 1:
-            raise DataError("features must leave at least one numeric column")
+            raise DataError("features: must leave at least one numeric column")
         if not self.target_name:
-            raise DataError("target_name must be non-empty")
+            raise DataError("target_name: must be non-empty")
         # the spellings `_column_names` gives; no int64 count has 20 digits
         named = re.fullmatch(r"num_([0-9]{2}|[1-9][0-9]{2,18})|cat_(0|[1-9][0-9]{0,18})", self.target_name)
         count = self.features - self.categorical if named and named[1] else self.categorical
         if named and int(named[1] or named[2]) < count:
-            raise DataError(f"target_name {self.target_name!r} is also a feature column's name")
+            raise DataError(f"target_name: {self.target_name!r} is also a feature column's name")
 
 
 def class_counts(spec: SynthSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +24,9 @@ from credo.archive import load_model, save_model
 from credo.cli import exit_code_for, main
 from credo.config import load_config, resolve_config
 from credo.errors import ConfigError, DataError, NumericError, PipelineError
+from credo.pipeline import ExplainMethod
 from credo.synth import SynthSpec, write_synthetic
+from credo.zoo import MODEL_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +243,12 @@ def test_explain_negative_index_exits_2_before_reading_the_archive(tmp_path, dat
     assert archive_loads == [] and csv_loads == []
 
 
+def test_explain_offers_the_methods_cmd_explain_reads():
+    (commands,) = [a for a in credo.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (method,) = [a for a in commands.choices["explain"]._actions if a.dest == "method"]
+    assert method.choices == typing.get_args(ExplainMethod) == ("lime", "morris")
+
+
 # each value once made `credo synth` exit 0 with a bad CSV, or never return
 SYNTH_REFUSALS = {
     "separation_inf": (["--separation", "inf"], "synth.separation: expected a finite number"),
@@ -246,9 +256,9 @@ SYNTH_REFUSALS = {
     "rows_past_int64": (["--rows", "1" + "0" * 21], "synth.rows: expected an integer in int64 range"),
     "rows_past_float_counts": (
         ["--rows", str(2**63 - 1), "--classes", "2", "--imbalance", "1e-300"],
-        "synth.rows: rows must be at least classes * 10 = 20 and at most 2**53",
+        "synth.rows: must be at least classes * 10 = 20 and at most 2**53",
     ),
-    "target_a_feature": (["--target-name", "num_00"], "synth.target_name: target_name 'num_00' is also"),
+    "target_a_feature": (["--target-name", "num_00"], "synth.target_name: 'num_00' is also"),
 }
 
 
@@ -362,6 +372,53 @@ def test_compare_missing_data_file_exits_3_without_table(tmp_path, capsys):
     assert main(["compare", "-c", cfg]) == 3
     assert "stage 'load'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+# tables that leave no feature column once sparse columns are dropped
+NO_FEATURE_TABLES = {
+    "only_the_target": "status\n" + "a\nb\n" * 10,
+    "a_feature_missing_in_every_row": "x,status\n" + "NA,a\nNA,b\n" * 10,
+}
+
+
+@pytest.mark.parametrize("table", NO_FEATURE_TABLES.values(), ids=NO_FEATURE_TABLES.keys())
+def test_a_table_with_no_feature_column_exits_3_from_the_encode_stage(tmp_path, capsys, monkeypatch, table):
+    data = tmp_path / "t.csv"
+    data.write_text(table)
+    fits = _spy(monkeypatch, "fit_model")
+    message = "stage 'encode' failed: no feature column besides the target 'status'"
+    for name in MODEL_NAMES:
+        assert main(["run", "-c", write_config(tmp_path, str(data), model={"name": name})]) == 3
+        assert message in capsys.readouterr().err
+    models = [{"name": name} for name in MODEL_NAMES]
+    assert main(["compare", "-c", write_config(tmp_path, str(data), models=models)]) == 3
+    assert message in capsys.readouterr().err
+    assert fits == []
+
+
+# tiny tables at the edges of what a run accepts: no model, with LDA off
+# or on, may end one in an unclassified error (exit 1)
+EDGE_TABLES = {
+    **NO_FEATURE_TABLES,
+    "two_constant_features": "a,b,status\n" + "1,2,a\n1,2,b\n" * 10,
+    "a_binary_integer_target": "a,status\n" + "".join(f"{i},{i % 2}\n" for i in range(20)),
+    "a_two_row_class": "a,c,status\n"
+    + "".join(f"{i},{'pq'[i % 2]},{'ab'[i % 2]}\n" for i in range(18))
+    + "7,p,z\n8,q,z\n",
+}
+
+
+@pytest.mark.parametrize("table", EDGE_TABLES.values(), ids=EDGE_TABLES.keys())
+def test_no_run_of_an_edge_table_exits_1(tmp_path, capsys, table):
+    data = tmp_path / "t.csv"
+    data.write_text(table)
+    codes = {}
+    for name in MODEL_NAMES:
+        for lda in (False, True):
+            cfg = write_config(tmp_path, str(data), model={"name": name}, lda={"enabled": lda})
+            codes[name, lda] = main(["run", "-c", cfg])
+    capsys.readouterr()
+    assert {cell: code for cell, code in codes.items() if code not in (0, 2, 3, 4)} == {}
 
 
 def test_integer_coded_target_runs_and_compares(tmp_path):
@@ -750,9 +807,20 @@ def _set_first(value):
     return edit
 
 
+def _add_to_first(delta):
+    def edit(values):
+        values.flat[0] += delta
+        return values
+    return edit
+
+
 IMPOSSIBLE_VALUES = {
     "tree_counts_cut": ("tree", "counts", lambda a: a[:-1], "must be one row per node"),
     "tree_count_negative": ("tree", "counts", _set_first(-1.0), "counts must be non-negative"),
+    # a node id that is not a whole number once loaded truncated, as a nearby node
+    "tree_feature_fractional": ("tree", "feature", _add_to_first(0.5), "array feature holds a value that is not a whole"),
+    "forest_left_fractional": ("forest", "tree_left", _add_to_first(0.5), "array tree_left holds a value that is not a whole"),
+    "gbt_right_fractional": ("gbt", "tree_right", _add_to_first(0.5), "array tree_right holds a value that is not a whole"),
     "gnb_prior_negative": ("gnb", "priors", _set_first(-0.5), "priors must lie in [0, 1]"),
     "gnb_prior_extra": ("gnb", "priors", lambda a: np.append(a, 0.0), "priors (4,) one entry per class"),
     "gnb_variance_zero": ("gnb", "variances", _set_first(0.0), "variances must be positive"),

@@ -7,10 +7,11 @@ import typing
 import pytest
 
 from credo.config import METRIC_NAMES, _Explain, _Model, _plain, _Run, _Split, load_config, model_config, read_value, resolve_config
-from credo.errors import ConfigError
+from credo.errors import ConfigError, DataError
 from credo.explain import LimeConfig, MorrisConfig
 from credo.lda import LdaConfig
 from credo.resample import SmoteConfig
+from credo.synth import SynthSpec
 from credo.zoo import MODEL_FAMILIES
 
 MINIMAL = {"data": "d.csv", "target": "status", "model": {"name": "gnb"}}
@@ -278,6 +279,33 @@ def test_metric_validation():
     err(r"config\.metrics\[0\]: expected one of", extra={"metrics": ["auc"]})
     err(r"duplicate metric", extra={"metrics": ["f1", "f1"]})
     err(r"config\.metrics: expected a non-empty list", extra={"metrics": []})
+
+
+# every rule of SynthSpec and _Run that reads two fields, or a whole list
+RUN = {"data": "d", "target": "t"}
+CROSS_FIELD_REFUSALS = {
+    "rows_below_classes": (SynthSpec, {"rows": 15, "classes": 2}, "rows: must be at least classes * 10 = 20 "),
+    "classes_above_rows": (SynthSpec, {"classes": 5000}, "rows: must be at least classes * 10 = 50000 "),
+    "features_all_categorical": (SynthSpec, {"features": 3}, "features: must leave at least one numeric column"),
+    "categorical_all_features": (SynthSpec, {"categorical": 30}, "features: must leave at least one numeric column"),
+    "target_name_empty": (SynthSpec, {"target_name": ""}, "target_name: must be non-empty"),
+    "target_name_a_feature": (SynthSpec, {"target_name": "num_00"}, "target_name: 'num_00' is also a feature"),
+    "metrics_empty": (_Run, {**RUN, "metrics": ()}, "metrics: expected a non-empty list of metric names"),
+    "metrics_duplicated": (_Run, {**RUN, "metrics": ("f1", "g_mean", "f1")}, "metrics[2]: duplicate metric 'f1'"),
+}
+
+
+@pytest.mark.parametrize("cls, kwargs, message", CROSS_FIELD_REFUSALS.values(), ids=CROSS_FIELD_REFUSALS.keys())
+def test_a_cross_field_refusal_names_its_field_wherever_it_is_read(cls, kwargs, message):
+    with pytest.raises(DataError) as built:
+        cls(**kwargs)
+    refusal = str(built.value)
+    assert refusal.startswith(message)
+    assert refusal.split(":")[0].split("[")[0] in {f.name for f in dataclasses.fields(cls)}
+    raw = {k: list(v) if isinstance(v, tuple) else v for k, v in kwargs.items()}
+    with pytest.raises(ConfigError) as read:
+        read_value(cls, raw, "spec")
+    assert str(read.value) == f"spec.{refusal}"
 
 
 def test_scaler_choices():
