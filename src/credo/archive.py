@@ -10,7 +10,8 @@ A family's frozen model dataclass is its archive format: each field is
 stored by one rule, chosen by its name and type hint.
 
 - ``n_classes`` and ``feature_names`` come from the manifest schema.
-- An ``np.ndarray`` field is one ``<name>.f64`` file.
+- An ``np.ndarray`` field is one ``<name>.f64`` file; the model's
+  constructor checks it against the field's ``bounds.Shape``.
 - A tuple of trees is ``tree_sizes`` (nodes per tree) plus one
   ``tree_<key>`` file per node array, concatenated over the trees.
 - A tuple of arrays is one file per item, named by the field's initial
@@ -78,10 +79,11 @@ def _layout(cls) -> tuple:
     layout = []
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
+        bare = hint.__origin__ if typing.get_origin(hint) is typing.Annotated else hint  # bounds dropped
         item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
         if f.name in _SCHEMA_FIELDS:
             rule = "schema"
-        elif hint is np.ndarray:
+        elif bare is np.ndarray:
             rule = "array"
         elif item is np.ndarray:
             rule = "arrays"
@@ -164,6 +166,8 @@ def _check_nodes(feature, threshold, left, right, sizes, n_features: int) -> Non
 
 def _unpack_trees(tree_cls, arrays: dict, given: dict, prefix: str) -> tuple:
     sizes = _column(arrays, f"{prefix}tree_sizes", "sizes")
+    if sizes.ndim != 1:
+        raise DataError(f"archive array {prefix}tree_sizes has shape {sizes.shape}, not one size per tree")
     ends = np.cumsum(np.append(0, sizes))
     columns = {
         name: _column(arrays, f"{prefix}tree_{name}", name)

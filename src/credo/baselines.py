@@ -14,11 +14,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .bounds import Bounded, NonNegFloat, NonNegInt, PosInt
+from .bounds import Bounded, NonNegFloat, NonNegInt, PosInt, Range, Shape
 from .errors import DataError, NumericError
 from .frame import Frame
 from .trees import CountStat, FlatTree, Presorted, TreeStack, grow, presort
@@ -38,8 +38,9 @@ def cross_entropy(P: np.ndarray, labels: np.ndarray) -> float:
 class Classifier:
     """The fitted-model contract. Subclasses provide ``feature_names`` (the
     columns they were fit on), ``n_classes`` and ``predict_proba``, which
-    takes its input through ``_coerce``; ``n_features`` counts the names
-    unless a family's arrays fix the width."""
+    takes its input through ``_coerce``; ``n_features`` counts the names,
+    except in ``neural.Mlp``, whose input layer is its width: a hybrid's
+    head is wider than its names."""
 
     @property
     def n_features(self) -> int:
@@ -76,24 +77,13 @@ class LogregConfig(Bounded):
 
 
 @dataclass(frozen=True)
-class LogisticModel(Classifier):
-    weights: np.ndarray
-    bias: np.ndarray
+class LogisticModel(Bounded, Classifier):
+    weights: Annotated[np.ndarray, Shape("d", "C")]
+    bias: Annotated[np.ndarray, Shape("C")]
     converged: bool
     n_iter: int
-    loss_history: np.ndarray  # initial loss plus one entry per accepted step
+    loss_history: Annotated[np.ndarray, Shape("steps")]  # initial loss plus one entry per accepted step
     feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
-            raise DataError(
-                f"weights {self.weights.shape} must be (features, classes) and bias "
-                f"{self.bias.shape} one entry per class"
-            )
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -226,27 +216,11 @@ class GnbConfig(Bounded):
 
 
 @dataclass(frozen=True)
-class GaussianNBModel(Classifier):
-    means: np.ndarray
-    variances: np.ndarray
-    priors: np.ndarray
+class GaussianNBModel(Bounded, Classifier):
+    means: Annotated[np.ndarray, Shape("C", "d")]
+    variances: Annotated[np.ndarray, Shape("C", "d"), Range(0, open_low=True)]
+    priors: Annotated[np.ndarray, Shape("C"), Range(0, 1)]
     feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        shape = self.means.shape
-        if len(shape) != 2 or self.variances.shape != shape or self.priors.shape != shape[:1]:
-            raise DataError(
-                f"means {shape} and variances {self.variances.shape} must be (classes, "
-                f"features) and priors {self.priors.shape} one entry per class"
-            )
-        if not ((self.priors >= 0) & (self.priors <= 1)).all():
-            raise DataError("class priors must lie in [0, 1]")
-        if not (self.variances > 0).all():
-            raise DataError("class variances must be positive")
-
-    @property
-    def n_features(self) -> int:
-        return self.means.shape[1]
 
     @property
     def n_classes(self) -> int:
@@ -301,18 +275,9 @@ class TreeModel(FlatTree, Classifier):
     its Laplace-smoothed frequencies (count+1)/(total+C).
     """
 
-    counts: np.ndarray
+    counts: Annotated[np.ndarray, Shape("nodes", "C"), Range(0)]
     n_classes: int
     feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.counts.shape != (len(self.feature), self.n_classes):
-            raise DataError(
-                f"counts {self.counts.shape} must be one row per node and one column per "
-                f"class, ({len(self.feature)}, {self.n_classes})"
-            )
-        if not (self.counts >= 0).all():
-            raise DataError("class counts must be non-negative")
 
     @property
     def node_proba(self) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Annotated, Literal
 from .bounds import Bounded, NonNegInt, fault, field_types
 from .errors import ConfigError, DataError
 from .explain import LimeConfig, MorrisConfig
-from .frame import NULL_THRESHOLD, TRAIN_FRACTION
+from .frame import NULL_THRESHOLD, TRAIN_FRACTION, ScalerMode
 from .lda import LdaConfig
 from .resample import SmoteConfig
 from .zoo import MODEL_FAMILIES, MODEL_NAMES
@@ -41,7 +41,7 @@ from .zoo import MODEL_FAMILIES, MODEL_NAMES
 __all__ = ["METRIC_NAMES", "SCALER_MODES", "load_config", "model_config", "read_value", "resolve_config"]
 
 _Metric = Literal["accuracy", "sensitivity", "specificity", "g_mean", "h_measure", "f1"]
-_Scaler = Literal["zscore", "minmax", "none"]
+_Scaler = Literal[ScalerMode, "none"]
 _ModelName = Literal[MODEL_NAMES]
 METRIC_NAMES = typing.get_args(_Metric)
 SCALER_MODES = typing.get_args(_Scaler)

@@ -20,7 +20,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .bounds import Bounded, NonNegInt, PosInt, Range
+from .bounds import Bounded, NonNegInt, PosInt, Range, Shape
 from .errors import DataError
 from .frame import Frame
 
@@ -54,7 +54,7 @@ class LimeConfig(Bounded):
 
 
 @dataclass(frozen=True)
-class LimeExplanation:
+class LimeExplanation(Bounded):
     """Local surrogate for one row, features ordered by |weight| descending.
 
     importances are |weight| normalized to sum to 1 over the reported
@@ -65,18 +65,13 @@ class LimeExplanation:
     row_index: int
     target_class: int
     feature_names: tuple[str, ...]
-    weights: np.ndarray
-    importances: np.ndarray
+    weights: Annotated[np.ndarray, Shape("d")]
+    importances: Annotated[np.ndarray, Shape("d")]
     intercept: float
     r_squared: float
     kernel_width: float
     n_samples: int
     seed: int
-
-    def __post_init__(self):
-        k = len(self.feature_names)
-        if self.weights.shape != (k,) or self.importances.shape != (k,):
-            raise DataError("weights and importances must match feature_names")
 
     def to_dict(self) -> dict:
         return {
@@ -102,7 +97,7 @@ class MorrisConfig(Bounded):
 
 
 @dataclass(frozen=True)
-class MorrisScreening:
+class MorrisScreening(Bounded):
     """Elementary-effect summary per feature.
 
     mu, mu_star, and sigma are full-length arrays; excluded (zero-width
@@ -112,24 +107,16 @@ class MorrisScreening:
     """
 
     feature_names: tuple[str, ...]
-    mu: np.ndarray
-    mu_star: np.ndarray
-    sigma: np.ndarray
+    mu: Annotated[np.ndarray, Shape("d")]
+    mu_star: Annotated[np.ndarray, Shape("d")]
+    sigma: Annotated[np.ndarray, Shape("d")]
     n_trajectories: int
     n_levels: int
     step: float
-    ranges: np.ndarray
+    ranges: Annotated[np.ndarray, Shape("d", 2)]
     excluded: tuple[str, ...]
     seed: int
     target_class: int | None = None
-
-    def __post_init__(self):
-        d = len(self.feature_names)
-        for arr, nm in ((self.mu, "mu"), (self.mu_star, "mu_star"), (self.sigma, "sigma")):
-            if arr.shape != (d,):
-                raise DataError(f"{nm} must have one entry per feature")
-        if self.ranges.shape != (d, 2):
-            raise DataError("ranges must be (n_features, 2)")
 
     @property
     def output(self) -> str:

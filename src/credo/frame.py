@@ -37,10 +37,11 @@ import itertools
 import re
 from contextlib import closing
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .bounds import Range
+from .bounds import Range, fault
 from .budget import TEXT_CELL, block_rows
 from .errors import DataError
 
@@ -48,6 +49,7 @@ from .errors import DataError
 # which a run config's null_threshold and split.train_fraction declare too
 NULL_THRESHOLD = Range(0, 1, open_low=True)
 TRAIN_FRACTION = Range(0, 1, open_low=True, open_high=True)
+ScalerMode = Literal["zscore", "minmax"]  # a run config adds "none", no scaling
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -429,8 +431,6 @@ def drop_sparse_features(table: Table, threshold: float) -> Table:
     """
     NULL_THRESHOLD.check("threshold", threshold)
     keep = [i for i, c in enumerate(table.columns) if c.null_fraction <= threshold]
-    if not keep:
-        raise DataError("all features sparse")
     return Table(
         tuple(table.column_names[i] for i in keep),
         tuple(table.columns[i] for i in keep),
@@ -534,15 +534,15 @@ class ScalerParams:
     Constant columns get scale 1, so they map to 0 either way.
     """
 
-    mode: str
+    mode: ScalerMode
     column_names: tuple[str, ...]
     location: np.ndarray
     scale: np.ndarray
 
 
-def fit_scaler(frame: Frame, mode: str = "zscore") -> ScalerParams:
-    if mode not in ("zscore", "minmax"):
-        raise DataError(f"unknown scaler mode {mode!r}")
+def fit_scaler(frame: Frame, mode: ScalerMode = "zscore") -> ScalerParams:
+    if message := fault(ScalerMode, mode):
+        raise DataError(f"mode: {message}")
     X = frame.matrix
     if mode == "zscore":
         location = X.mean(axis=0)

@@ -23,11 +23,11 @@ from typing import Annotated
 
 import numpy as np
 
-from .bounds import Bounded, NonNegFloat, PosInt, Range
+from .bounds import Bounded, NonNegFloat, PosInt, Range, Shape
 from .errors import DataError, NumericError
 from .frame import Frame
 from .baselines import Classifier, softmax
-from .trees import FlatTree, GradientStat, Presorted, TreeStack, grow, presort, stacked_nodes
+from .trees import FlatTree, GradientStat, Nodes, Presorted, TreeStack, grow, presort, stacked_nodes
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class RegressionTree(FlatTree):
     """Boosting tree in preorder. Leaves carry raw Newton weights; leaf
     thresholds are NaN, as :func:`credo.trees.grow` writes them."""
 
-    weight: np.ndarray
-    gain: np.ndarray
+    weight: Nodes
+    gain: Nodes
 
 
 LearningRate = Annotated[float, Range(0, 1, open_low=True)]
@@ -65,7 +65,7 @@ class BoostedEnsemble(Bounded, Classifier):
     lam: NonNegFloat
     gamma: NonNegFloat
     min_child_weight: NonNegFloat
-    base_score: np.ndarray
+    base_score: Annotated[np.ndarray, Shape("C")]
     trees: tuple[RegressionTree, ...]
 
     def __post_init__(self):

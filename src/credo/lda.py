@@ -18,11 +18,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
 from .baselines import Classifier, softmax
-from .bounds import Bounded, NonNegFloat, PosInt
+from .bounds import Bounded, NonNegFloat, PosInt, Range, Shape
 from .errors import DataError, LdaClampWarning, NumericError
 from .frame import Frame
 
@@ -39,33 +40,21 @@ class ProjectionLDA(Bounded, Classifier):
     """
 
     feature_names: tuple[str, ...]
-    class_means: np.ndarray
-    grand_mean: np.ndarray
-    within_scatter: np.ndarray
-    between_scatter: np.ndarray
-    components: np.ndarray
-    eigenvalues: np.ndarray
-    class_priors: np.ndarray
+    class_means: Annotated[np.ndarray, Shape("C", "d")]
+    grand_mean: Annotated[np.ndarray, Shape("d")]
+    within_scatter: Annotated[np.ndarray, Shape("d", "d")]
+    between_scatter: Annotated[np.ndarray, Shape("d", "d")]
+    components: Annotated[np.ndarray, Shape("d", "m")]
+    eigenvalues: Annotated[np.ndarray, Shape("m")]
+    class_priors: Annotated[np.ndarray, Shape("C"), Range(0, 1)]
     ridge: NonNegFloat
     n_train: int
     n_requested: int
 
     def __post_init__(self):
         super().__post_init__()
-        d, C, m = len(self.feature_names), len(self.class_priors), len(self.eigenvalues)
-        for name, shape in (
-            ("class_means", (C, d)), ("grand_mean", (d,)), ("within_scatter", (d, d)),
-            ("between_scatter", (d, d)), ("components", (d, m)), ("eigenvalues", (m,)), ("class_priors", (C,)),
-        ):
-            if getattr(self, name).shape != shape:
-                raise DataError(
-                    f"{name} {getattr(self, name).shape} must be {shape} for {d} features, "
-                    f"{C} classes and {m} components"
-                )
-        if not ((self.class_priors >= 0) & (self.class_priors <= 1)).all():
-            raise DataError("class priors must lie in [0, 1]")
-        if self.n_train <= C:
-            raise DataError(f"n_train must exceed the class count {C}, got {self.n_train}")
+        if self.n_train <= self.n_classes:
+            raise DataError(f"n_train must exceed the class count {self.n_classes}, got {self.n_train}")
 
     @property
     def n_components(self) -> int:

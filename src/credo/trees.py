@@ -31,27 +31,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
+from .bounds import Bounded, Shape
 from .budget import block_rows
 from .errors import NumericError
 
 SEARCH_CELLS = 32768  # split search: features scored together x node rows
 RESCORE_WINDOW = 8.0  # CART cuts re-scored exactly: see CountStat
 EPS = float(np.finfo(np.float64).eps)
+Nodes = Annotated[np.ndarray, Shape("nodes")]  # one value per node of a tree
 
 
 @dataclass(frozen=True)
-class FlatTree:
+class FlatTree(Bounded):
     """Preorder node arrays. ``feature[i] < 0`` marks a leaf; rows with
     ``x[feature] <= threshold`` go to ``left``, the others (NaN included)
     to ``right``."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    feature: Nodes
+    threshold: Nodes
+    left: Nodes
+    right: Nodes
 
     @cached_property
     def stack(self) -> TreeStack:

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -698,7 +699,7 @@ def _array_outside_archive(manifest, shapes):
     [
         (_drop_bias, "missing array bias"),
         (_drop_param, "missing param n_iter"),
-        (_transpose_weights, "must be (features, classes)"),
+        (_transpose_weights, "weights: shape (3, 13) must be (d, C) = (13, 13)"),
         (_drop_schema, "missing manifest key schema"),
         (_drop_schema_key("features"), "missing schema key features"),
         (_drop_schema_key("classes"), "missing schema key classes"),
@@ -815,20 +816,20 @@ def _add_to_first(delta):
 
 
 IMPOSSIBLE_VALUES = {
-    "tree_counts_cut": ("tree", "counts", lambda a: a[:-1], "must be one row per node"),
-    "tree_count_negative": ("tree", "counts", _set_first(-1.0), "counts must be non-negative"),
+    "tree_counts_cut": ("tree", "counts", lambda a: a[:-1], "counts: shape (12, 3) must be (nodes, C) = (13, 3)"),
+    "tree_count_negative": ("tree", "counts", _set_first(-1.0), "counts: must be >= 0, got -1.0"),
     # a node id that is not a whole number once loaded truncated, as a nearby node
     "tree_feature_fractional": ("tree", "feature", _add_to_first(0.5), "array feature holds a value that is not a whole"),
     "forest_left_fractional": ("forest", "tree_left", _add_to_first(0.5), "array tree_left holds a value that is not a whole"),
     "gbt_right_fractional": ("gbt", "tree_right", _add_to_first(0.5), "array tree_right holds a value that is not a whole"),
-    "gnb_prior_negative": ("gnb", "priors", _set_first(-0.5), "priors must lie in [0, 1]"),
-    "gnb_prior_extra": ("gnb", "priors", lambda a: np.append(a, 0.0), "priors (4,) one entry per class"),
-    "gnb_variance_zero": ("gnb", "variances", _set_first(0.0), "variances must be positive"),
-    "gnb_variance_negative": ("gnb", "variances", _set_first(-1.0), "variances must be positive"),
-    "logreg_bias_long": ("logreg", "bias", lambda a: np.append(a, 0.0), "bias (4,) one entry per class"),
-    "lda_prior_negative": ("lda", "class_priors", _set_first(-0.5), "class priors must lie in [0, 1]"),
-    "lda_class_means_cut": ("lda", "class_means", lambda a: a[:, :-1], "class_means (3, 12) must be (3, 13)"),
-    "lda_components_cut": ("lda", "components", lambda a: a[:-1], "components (12, 2) must be (13, 2)"),
+    "gnb_prior_negative": ("gnb", "priors", _set_first(-0.5), "priors: must be in [0, 1], got -0.5"),
+    "gnb_prior_extra": ("gnb", "priors", lambda a: np.append(a, 0.0), "priors: shape (4,) must be (C,) = (3,)"),
+    "gnb_variance_zero": ("gnb", "variances", _set_first(0.0), "variances: must be > 0, got 0.0"),
+    "gnb_variance_negative": ("gnb", "variances", _set_first(-1.0), "variances: must be > 0, got -1.0"),
+    "logreg_bias_long": ("logreg", "bias", lambda a: np.append(a, 0.0), "bias: shape (4,) must be (C,) = (3,)"),
+    "lda_prior_negative": ("lda", "class_priors", _set_first(-0.5), "class_priors: must be in [0, 1], got -0.5"),
+    "lda_class_means_cut": ("lda", "class_means", lambda a: a[:, :-1], "class_means: shape (3, 12) must be (C, d) = (3, 13)"),
+    "lda_components_cut": ("lda", "components", lambda a: a[:-1], "components: shape (12, 2) must be (d, m) = (13, 2)"),
     "lda_n_train_class_count": ("lda", "params.n_train", lambda n: 3, "n_train must exceed the class count 3"),
     "lda_ridge_negative": ("lda", "params.ridge", lambda r: -1.0, "archive params.ridge: must be >= 0, got -1.0"),
     "gbt_learning_rate_nan": (
@@ -877,6 +878,70 @@ def test_explain_archive_with_an_impossible_value_exits_3(
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+# tiny fits for the archive sweep; a name's params are {} otherwise
+SWEEP_PARAMS = {
+    "forest": {"n_trees": 3},
+    "gbt": {"rounds": 3},
+    "mlp": {"epochs": 2, "hidden": [8]},
+    "xgdnn": {"gbt": {"rounds": 2}, "mlp": {"epochs": 2, "hidden": [8]}},
+}
+# a stored array's corruptions, each written with its new shape; a row is
+# one value of a 1-D array
+RESHAPES = {
+    "one_row_more": lambda a: np.concatenate([a, a[-1:]]),
+    "one_row_fewer": lambda a: a[:-1],
+    "extra_axis": lambda a: a[..., None],
+    "flattened": lambda a: a.ravel() if a.ndim == 2 else None,
+}
+
+
+def _explain_files(archive: Path, data: Path, out: Path):
+    """(exit code, {path: bytes} written) of ``credo explain -m lime``; an
+    escaped exception is exit 1, as the console script would end."""
+    try:
+        rc = main(["explain", "-m", "lime", "-a", str(archive), "-d", str(data), "--out", str(out)])
+    except Exception:
+        rc = 1
+    return rc, {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def sweep_archives(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    data = root / "data.csv"
+    assert main(["synth", "-o", str(data), "--rows", "600", "--seed", "1"]) == 0
+    for name in MODEL_NAMES:
+        model = {"name": name, "params": SWEEP_PARAMS.get(name, {})}
+        (root / name).mkdir()
+        assert main(["run", "-c", write_config(root / name, str(data), model=model, smote={"enabled": False})]) == 0
+    return root
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_every_reshaped_archive_array_exits_3_or_explains_as_before(sweep_archives, tmp_path, capsys, model):
+    out = sweep_archives / model / "out"
+    data = out / "processed_test.csv"
+    rc, reference = _explain_files(out / "model", data, tmp_path / "ref")
+    assert rc == 0 and reference
+    shapes = json.loads((out / "model" / "shapes.json").read_text())
+    escapes = {}
+    for name, shape in shapes.items():
+        values = np.fromfile(out / "model" / f"{name}.f64", dtype="<f8").reshape(shape)
+        for how, reshape in RESHAPES.items():
+            changed = reshape(values)
+            if changed is None:
+                continue
+            case = tmp_path / f"{name}-{how}"
+            shutil.copytree(out / "model", case / "model")
+            changed.tofile(case / "model" / f"{name}.f64")
+            (case / "model" / "shapes.json").write_text(json.dumps({**shapes, name: list(changed.shape)}))
+            rc, files = _explain_files(case / "model", data, case / "exp")
+            if rc != 3 and (rc, files) != (0, reference):
+                escapes[name, how] = rc
+    capsys.readouterr()
+    assert escapes == {}
 
 
 # manifest values of the wrong JSON type in a logreg archive, each of which

@@ -6,9 +6,10 @@ import typing
 
 import pytest
 
-from credo.config import METRIC_NAMES, _Explain, _Model, _plain, _Run, _Split, load_config, model_config, read_value, resolve_config
+from credo.config import METRIC_NAMES, _Explain, _Model, _plain, _Run, _Scaler, _Split, load_config, model_config, read_value, resolve_config
 from credo.errors import ConfigError, DataError
 from credo.explain import LimeConfig, MorrisConfig
+from credo.frame import ScalerMode
 from credo.lda import LdaConfig
 from credo.resample import SmoteConfig
 from credo.synth import SynthSpec
@@ -310,6 +311,10 @@ def test_a_cross_field_refusal_names_its_field_wherever_it_is_read(cls, kwargs, 
 
 def test_scaler_choices():
     err(r"config\.scaler: expected one of", extra={"scaler": "robust"})
+
+
+def test_a_run_offers_the_scaler_modes_of_the_frame_and_none():
+    assert typing.get_args(_Scaler) == (*typing.get_args(ScalerMode), "none")
 
 
 def test_lime_rows_must_be_nonnegative_ints():

@@ -361,9 +361,12 @@ def test_drop_sparse_bad_threshold():
 
 
 def test_drop_sparse_all_dropped():
+    # a table left with no feature column is refused by `encode`, which
+    # knows the target: see tests/test_cli.py's no-feature-column test
     f = _frame_with_null_fractions([0.9, 1.0])
-    with pytest.raises(DataError, match="sparse"):
-        drop_sparse_features(f, 0.5)
+    kept = drop_sparse_features(f, 0.5)
+    assert kept.column_names == () and kept.columns == ()
+    assert kept.n_rows == 100
 
 
 # --------------------------------------------------------------- impute
@@ -681,6 +684,13 @@ def test_minmax_out_of_range_unclamped():
     test = numeric_frame(np.array([[15.0], [-5.0]]))
     out = apply_scaler(test, p).matrix[:, 0]
     assert out.tolist() == [1.5, -0.5]
+
+
+def test_an_unknown_scaler_mode_is_refused_naming_the_modes():
+    f = numeric_frame(np.zeros((3, 1)))
+    with pytest.raises(DataError) as refused:
+        fit_scaler(f, "x")
+    assert str(refused.value) == "mode: expected one of zscore, minmax, got 'x'"
 
 
 def test_scaler_column_mismatch():
